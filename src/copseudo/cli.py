@@ -31,8 +31,7 @@ from .data import (
     save_dataset,
 )
 from .errors import ConfigError, CopseudoError, DataError
-from .fusion import FusionConfig, fuse_cascade, fuse_pair, fuse_single
-from .fusion import select_debias_subset
+from .fusion import FusionConfig, fuse_batch, select_debias_subset
 from .losses import ObjectiveConfig
 from .metrics import compare_runs, read_csv
 from .predictor import load_checkpoint, predict_proba
@@ -488,6 +487,8 @@ def read_predictions(path):
             probs = np.array([float(v) for v in parts[2:]])
         except ValueError as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from None
+        if item < 0:
+            raise DataError(f"{path}:{line_no}: negative item id {item}")
         grouped.setdefault(item, {})
         if model in grouped[item]:
             raise DataError(f"{path}:{line_no}: duplicate row for item "
@@ -510,6 +511,11 @@ def read_predictions(path):
 def cmd_fuse_trace(args) -> int:
     if args.seed is None:
         raise ConfigError("seed required")
+    # both key the per-item random streams, which take no negative entropy
+    for flag, value in (("--seed", args.seed), ("--step", args.step)):
+        if value < 0:
+            raise ConfigError(f"{flag} must be a non-negative integer, "
+                              f"got {value}")
     item_ids, preds = read_predictions(args.predictions)
     models = len(preds[0])
     single = bool(args.single_model_mode)
@@ -528,16 +534,10 @@ def cmd_fuse_trace(args) -> int:
                        num_models=models, single_model_mode=single,
                        conflict_drop=bool(args.conflict_drop))
 
-    rows = []
-    for item, probs in zip(item_ids, preds):
-        stream = np.random.default_rng([args.seed, args.step, item])
-        if single:
-            decision = fuse_single(probs[0], cfg)
-        elif models == 2:
-            decision = fuse_pair(probs[0], probs[1], cfg, stream)
-        else:
-            decision = fuse_cascade(probs, cfg, stream)
-        rows.append((item, decision))
+    probs = np.stack([np.stack(p) for p in preds], axis=1)
+    fused = fuse_batch(probs, cfg, args.seed, args.step, items=item_ids)
+    if single:
+        fused = fused[0]
 
     def blank_if_none(value):
         return "" if value is None else str(value)
@@ -545,7 +545,7 @@ def cmd_fuse_trace(args) -> int:
     header = ["item", "pseudo_label", "source", "source_model", "source_level"]
     header += [f"mask_m{i + 1}" for i in range(models)]
     lines = [",".join(header)]
-    for item, d in rows:
+    for item, d in zip(item_ids, fused):
         parts = [str(item), blank_if_none(d.pseudo_label), d.source,
                  blank_if_none(d.source_model), blank_if_none(d.source_level)]
         parts += [format(m, ".9g") for m in d.masks]
@@ -554,8 +554,8 @@ def cmd_fuse_trace(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
-        labeled = sum(1 for _, d in rows if d.has_label)
-        print(f"wrote {args.out}: {len(rows)} items, {labeled} labeled")
+        labeled = int(np.count_nonzero(fused.labels >= 0))
+        print(f"wrote {args.out}: {len(fused)} items, {labeled} labeled")
     else:
         sys.stdout.write(text)
     return 0

@@ -197,14 +197,6 @@ class MaskedDataset:
         """Evaluation-only accessor; exposes the label even when hidden."""
         return Sample(features=self.features[i], true_label=int(self._labels[i]), index=int(i))
 
-    @classmethod
-    def from_samples(cls, samples, num_classes: int, missing=None) -> "MaskedDataset":
-        feats = np.stack([np.asarray(s.features, dtype=np.float64) for s in samples])
-        labels = np.array([s.true_label for s in samples], dtype=np.int64)
-        if missing is None:
-            missing = np.zeros(len(samples), dtype=np.uint8)
-        return cls(feats, labels, missing, num_classes)
-
     def with_missing(self, missing: np.ndarray) -> "MaskedDataset":
         return MaskedDataset(self.features, self._labels, missing, self.num_classes,
                              self.feature_shape)

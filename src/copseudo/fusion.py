@@ -2,10 +2,11 @@
 
 Given each model's predicted class distribution for an unlabeled item,
 decide whether the item gets a pseudo-label, which label, and what loss
-weight each model applies to it.  Two entry points share one decision
-vocabulary: ``fuse_pair`` is the two-model branch table, ``fuse_cascade``
-generalizes it to n models via confidence levels.  Both are pure given an
-explicit random generator; ties are broken by a uniform draw from it.
+weight each model applies to it.  One array engine, ``fuse_batch``,
+decides a (models, items, classes) block by agreement levels; a tie is
+settled by a uniform draw from the item's own generator.  ``fuse_pair``,
+``fuse_cascade`` and ``fuse_single`` are one-item wrappers over it that
+draw from the caller's generator.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ SOURCE_CONSENSUS = "consensus"
 SOURCE_NONE = "none"
 
 SOURCES = (SOURCE_BOTH, SOURCE_CONFLICT, SOURCE_OWN, SOURCE_CONSENSUS, SOURCE_NONE)
+_BOTH, _CONFLICT, _OWN, _CONSENSUS, _NONE = range(len(SOURCES))
 
 PROB_SUM_TOL = 1e-9
 
@@ -94,6 +96,42 @@ class FusionDecision:
         return self.pseudo_label is not None
 
 
+@dataclass(frozen=True, eq=False)
+class FusedBatch:
+    """Decisions for a block of items, one array entry per item.
+
+    ``labels`` holds each pseudo-label, -1 where absent; ``masks`` is
+    (items, models) and zero wherever the label is absent; ``sources``
+    indexes ``SOURCES``; ``source_models`` (1-based) and ``source_levels``
+    hold 0 where the decision has none.  ``len``, indexing and iteration
+    give the per-item ``FusionDecision`` view.
+    """
+
+    labels: np.ndarray
+    masks: np.ndarray
+    sources: np.ndarray
+    source_models: np.ndarray
+    source_levels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, b) -> FusionDecision:
+        return _decision(*(col[b].tolist() for col in self._columns()))
+
+    def __iter__(self):
+        return map(_decision, *(col.tolist() for col in self._columns()))
+
+    def _columns(self):
+        return (self.labels, self.masks, self.sources, self.source_models,
+                self.source_levels)
+
+
+def _decision(label, masks, source, model, level) -> FusionDecision:
+    return FusionDecision(None if label < 0 else label, tuple(masks),
+                          SOURCES[source], model or None, level or None)
+
+
 @dataclass(frozen=True)
 class DebiasSubset:
     """Items on which the models agree within an epsilon ball."""
@@ -103,25 +141,121 @@ class DebiasSubset:
     same_argmax: np.ndarray
 
 
-def _check_prob_rows(qs) -> np.ndarray:
+def _check_block(probs: np.ndarray) -> None:
+    """Reject a block holding any row that is not a distribution, naming
+    the first bad (item, model) row in item order."""
+    if probs.shape[1] and probs.shape[2] < 2:
+        raise ConfigError("model 1 prediction is not a probability vector")
+    with np.errstate(invalid="ignore", over="ignore"):
+        invalid = (~np.isfinite(probs).all(axis=2)
+                   | (probs.min(axis=2) < -1e-12)
+                   | (probs.max(axis=2) > 1.0 + 1e-12))
+        unnormed = np.abs(probs.sum(axis=2) - 1.0) > PROB_SUM_TOL
+    bad = invalid | unnormed
+    if bad.any():
+        b, m = np.argwhere(bad.T)[0]
+        what = "is not a valid distribution" if invalid[m, b] else "does not sum to 1"
+        raise ConfigError(f"model {m + 1} prediction {what}")
+
+
+def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
+    """Decide every item of an (n, B, C) block by agreement levels.
+
+    Level 1: any model over ``tau`` proposes its own argmax.  Level
+    k >= 2: any k models over the level's ``tau_cascade`` threshold that
+    share an argmax propose that consensus label.  The smallest level with
+    a proposal decides the item.  Distinct labels proposed there, ordered
+    by their first supporter's model index, are settled by a uniform draw
+    from ``stream_for(b)``, which is called only for such items.
+    """
+    _check_block(probs)
+    n, batch, _ = probs.shape
+    peaks = probs.max(axis=2)
+    tops = probs.argmax(axis=2)
+    own = peaks > cfg.tau
+    # same[i, j, b]: models i and j share an argmax on item b
+    same = tops[:, None, :] == tops[None, :, :]
+    earlier = np.tril(np.ones((n, n), dtype=bool), -1)[:, :, None]
+
+    labels = np.full(batch, -1, dtype=np.int64)
+    sources = np.full(batch, _NONE, dtype=np.int64)
+    source_models = np.zeros(batch, dtype=np.int64)
+    source_levels = np.zeros(batch, dtype=np.int64)
+    undecided = np.ones(batch, dtype=bool)
+    thresholds = (cfg.tau,) + cfg.tau_cascade[:n - 1]
+    for level, threshold in enumerate(thresholds, start=1):
+        members = (peaks > threshold) & undecided
+        shared = same & members[None, :, :]
+        support = shared.sum(axis=1)
+        # a label is proposed once, by its first supporter in model order
+        proposers = members & ~(shared & earlier).any(axis=1) & (support >= level)
+        count = proposers.sum(axis=0)
+        chosen = proposers.argmax(axis=0)
+        tied = np.flatnonzero(count > 1)
+        for b in tied:
+            pick = int(stream_for(int(b)).integers(int(count[b])))
+            chosen[b] = np.flatnonzero(proposers[:, b])[pick]
+        cols = np.flatnonzero(count)
+        labels[cols] = tops[chosen[cols], cols]
+        if level == 1:
+            sources[cols] = np.where(support[chosen[cols], cols] >= 2, _BOTH, _OWN)
+            sources[tied] = _CONFLICT
+            source_models[cols] = np.where(sources[cols] == _BOTH, 0, chosen[cols] + 1)
+        else:
+            sources[cols] = _CONSENSUS
+            source_levels[cols] = level
+            if cfg.conflict_drop:
+                sources[tied] = _CONFLICT
+        if cfg.conflict_drop:
+            labels[tied] = -1
+        undecided[cols] = False
+
+    present = (labels >= 0)[:, None]
+    weights = np.where(own, cfg.pseudo_weight, 1.0).T
+    masks = np.where(present, weights, 0.0)
+    return FusedBatch(labels, masks, sources, source_models, source_levels)
+
+
+def fuse_batch(probs, cfg: FusionConfig, fusion_seed: int, step: int,
+               items=None):
+    """Fuse a batch of per-model predictions of shape (models, batch, C).
+
+    Returns a ``FusedBatch``, or in single-model mode a list with one
+    one-model ``FusedBatch`` per model.  Item b's coin flip draws from
+    ``default_rng([fusion_seed, step, items[b]])`` (``items`` defaults to
+    the batch positions), so items fuse identically in any order and a
+    predictions dump replays exactly.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    ids = range(probs.shape[1]) if items is None else items
+
+    def stream_for(b):
+        return np.random.default_rng([fusion_seed, step, int(ids[b])])
+
+    if cfg.single_model_mode:
+        return [_fuse(probs[m:m + 1], cfg, stream_for)
+                for m in range(probs.shape[0])]
+    if probs.shape[0] != cfg.num_models:
+        raise ConfigError(f"got {probs.shape[0]} predictions for a "
+                          f"{cfg.num_models}-model config")
+    return _fuse(probs, cfg, stream_for)
+
+
+def _fuse_one(qs, cfg: FusionConfig, stream) -> FusionDecision:
+    """Decide one item from per-model rows, drawing from ``stream``; rows
+    are checked in model order, shape and values, as in a block."""
     rows = [np.asarray(q, dtype=np.float64) for q in qs]
-    width = rows[0].shape
     for i, q in enumerate(rows):
         if q.ndim != 1 or q.shape[0] < 2:
-            raise ConfigError(f"model {i + 1} prediction is not a probability vector")
-        if q.shape != width:
-            raise ConfigError("prediction vectors have mismatched lengths")
-        if not np.isfinite(q).all() or q.min() < -1e-12 or q.max() > 1.0 + 1e-12:
-            raise ConfigError(f"model {i + 1} prediction is not a valid distribution")
-        if abs(q.sum() - 1.0) > PROB_SUM_TOL:
-            raise ConfigError(f"model {i + 1} prediction does not sum to 1")
-    return np.stack(rows)
-
-
-def _absent(n: int, source: str = SOURCE_NONE, source_model=None,
-            source_level=None) -> FusionDecision:
-    return FusionDecision(pseudo_label=None, masks=(0.0,) * n, source=source,
-                          source_model=source_model, source_level=source_level)
+            problem = f"model {i + 1} prediction is not a probability vector"
+        elif q.shape != rows[0].shape:
+            problem = "prediction vectors have mismatched lengths"
+        else:
+            continue
+        if i:
+            _check_block(np.stack(rows[:i])[:, None, :])
+        raise ConfigError(problem)
+    return _fuse(np.stack(rows)[:, None, :], cfg, lambda b: stream)[0]
 
 
 def fuse_pair(q1, q2, cfg: FusionConfig, stream) -> FusionDecision:
@@ -133,107 +267,24 @@ def fuse_pair(q1, q2, cfg: FusionConfig, stream) -> FusionDecision:
     """
     if cfg.num_models != 2:
         raise ConfigError("fuse_pair requires a two-model config")
-    qs = _check_prob_rows([q1, q2])
-    p1, p2 = qs.max(axis=1)
-    c1, c2 = (int(v) for v in qs.argmax(axis=1))
-    w = cfg.pseudo_weight
-    tau, tau2 = cfg.tau, cfg.tau_cascade[0]
-
-    if p1 > tau and p2 > tau:
-        if c1 == c2:
-            return FusionDecision(c1, (w, w), SOURCE_BOTH)
-        winner = int(stream.integers(2))
-        if cfg.conflict_drop:
-            return _absent(2, SOURCE_CONFLICT, source_model=winner + 1)
-        return FusionDecision((c1, c2)[winner], (w, w), SOURCE_CONFLICT,
-                              source_model=winner + 1)
-    if p1 > tau:
-        return FusionDecision(c1, (w, 1.0), SOURCE_OWN, source_model=1)
-    if p2 > tau:
-        return FusionDecision(c2, (1.0, w), SOURCE_OWN, source_model=2)
-    if p1 > tau2 and p2 > tau2 and c1 == c2:
-        return FusionDecision(c1, (1.0, 1.0), SOURCE_CONSENSUS, source_level=2)
-    return _absent(2)
+    return _fuse_one([q1, q2], cfg, stream)
 
 
 def fuse_single(q, cfg: FusionConfig) -> FusionDecision:
     """Threshold rule for one model alone: keep its prediction iff its
     confidence clears tau (no peers, no consensus)."""
-    qs = _check_prob_rows([q])
-    p = float(qs[0].max())
-    c = int(qs[0].argmax())
-    if p > cfg.tau:
-        return FusionDecision(c, (cfg.pseudo_weight,), SOURCE_OWN, source_model=1)
-    return _absent(1)
-
-
-def _cascade_masks(cfg: FusionConfig, own_confident, label_present: bool):
-    if not label_present:
-        return (0.0,) * len(own_confident)
-    return tuple(cfg.pseudo_weight if own else 1.0 for own in own_confident)
+    return _fuse_one([q], cfg, None)
 
 
 def fuse_cascade(qs, cfg: FusionConfig, stream) -> FusionDecision:
-    """n-model fusion by agreement levels.
-
-    Level 1: any single model over tau proposes its own argmax.  Level
-    k >= 2: any k models all over the level's threshold and sharing one
-    argmax propose that consensus label.  The smallest level with a
-    proposal wins; distinct proposed labels at that level are resolved by
-    a uniform draw.  With n = 2 this reproduces ``fuse_pair`` exactly,
-    including the draw.
-    """
+    """n-model fusion of one item by agreement levels; with n = 2 this
+    is ``fuse_pair``, including the draw."""
     n = len(qs)
     if n < 2:
         raise ConfigError("fuse_cascade needs at least two models")
     if n != cfg.num_models:
         raise ConfigError(f"got {n} predictions for a {cfg.num_models}-model config")
-    rows = _check_prob_rows(qs)
-    peaks = rows.max(axis=1)
-    tops = [int(v) for v in rows.argmax(axis=1)]
-    own = [bool(p > cfg.tau) for p in peaks]
-    w = cfg.pseudo_weight
-
-    if any(own):
-        labels, proposers = [], {}
-        for i in range(n):
-            if own[i] and tops[i] not in proposers:
-                labels.append(tops[i])
-                proposers[tops[i]] = i
-        if len(labels) == 1:
-            label = labels[0]
-            backers = [i for i in range(n) if own[i]]
-            if len(backers) >= 2:
-                return FusionDecision(label, _cascade_masks(cfg, own, True),
-                                      SOURCE_BOTH)
-            return FusionDecision(label, _cascade_masks(cfg, own, True),
-                                  SOURCE_OWN, source_model=backers[0] + 1)
-        pick = int(stream.integers(len(labels)))
-        label = labels[pick]
-        if cfg.conflict_drop:
-            return _absent(n, SOURCE_CONFLICT, source_model=proposers[label] + 1)
-        return FusionDecision(label, _cascade_masks(cfg, own, True),
-                              SOURCE_CONFLICT, source_model=proposers[label] + 1)
-
-    for level in range(2, n + 1):
-        threshold = cfg.tau_cascade[level - 2]
-        eligible = [i for i in range(n) if peaks[i] > threshold]
-        support: dict[int, list[int]] = {}
-        for i in eligible:
-            support.setdefault(tops[i], []).append(i)
-        labels = [lab for lab, members in support.items() if len(members) >= level]
-        if not labels:
-            continue
-        labels.sort(key=lambda lab: support[lab][0])
-        if len(labels) == 1:
-            label = labels[0]
-        else:
-            label = labels[int(stream.integers(len(labels)))]
-            if cfg.conflict_drop:
-                return _absent(n, SOURCE_CONFLICT, source_level=level)
-        return FusionDecision(label, _cascade_masks(cfg, own, True),
-                              SOURCE_CONSENSUS, source_level=level)
-    return _absent(n)
+    return _fuse_one(qs, cfg, stream)
 
 
 def select_debias_subset(preds, epsilon: float) -> DebiasSubset:

@@ -2,7 +2,7 @@
 
 Each step: every model computes a supervised loss on its own weakly
 augmented labeled batch; all models predict on ONE shared weak view of
-the unlabeled batch; those predictions are fused per item into
+the unlabeled batch; ``fusion.fuse_batch`` turns those predictions into
 pseudo-labels and per-model masks; every model computes its unlabeled
 loss on its own strong views; all parameter updates are applied after
 every gradient is computed, so the models never see each other
@@ -13,25 +13,14 @@ from __future__ import annotations
 import copy
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .augment import AugmentConfig, AugmentStream
 from .data import MaskedDataset
 from .errors import ConfigError
-from .fusion import (
-    SOURCE_BOTH,
-    SOURCE_CONFLICT,
-    SOURCE_CONSENSUS,
-    SOURCE_NONE,
-    SOURCE_OWN,
-    FusionConfig,
-    fuse_cascade,
-    fuse_pair,
-    fuse_single,
-    mask_ratio,
-)
+from .fusion import SOURCES, FusionConfig, fuse_batch
 from .losses import ObjectiveConfig, supervised_loss, total_objective
 from .metrics import MetricsRow, RunMetrics, emit_csv, emit_plot_columns
 from .predictor import (
@@ -140,6 +129,7 @@ class StepMetrics:
     ``source_counts`` is (both, conflict, own, consensus, none) over the
     unlabeled batch; in single-model mode it is taken from model 1 while
     mask_ratio and pseudo-label accuracy pool every model's decisions.
+    ``weak_probs`` is the (models, batch, C) block fusion saw.
     """
 
     step: int
@@ -147,6 +137,7 @@ class StepMetrics:
     mask_ratio: float
     pseudo_acc: float
     source_counts: tuple[int, int, int, int, int]
+    weak_probs: np.ndarray = field(default=None, compare=False, repr=False)
 
 
 class ShuffleCycler:
@@ -204,52 +195,6 @@ class TrainerState:
         return copy.deepcopy(self)
 
 
-def _item_stream(fusion_seed: int, step: int, item: int):
-    return np.random.default_rng([fusion_seed, step, item])
-
-
-def fuse_batch(weak_probs, cfg: FusionConfig, fusion_seed: int, step: int):
-    """Per-item fusion over a batch of per-model weak-view predictions.
-
-    ``weak_probs`` is (num_models, batch, C).  Returns one decision list
-    in fused modes, or a per-model list of decision lists in
-    single-model mode.  Each item draws from its own seeded sub-stream,
-    so items can be fused in any order (or in parallel) identically.
-    """
-    n, batch, _ = weak_probs.shape
-    if cfg.single_model_mode:
-        return [[fuse_single(weak_probs[m, b], cfg) for b in range(batch)]
-                for m in range(n)]
-    if n == 2:
-        return [fuse_pair(weak_probs[0, b], weak_probs[1, b], cfg,
-                          _item_stream(fusion_seed, step, b))
-                for b in range(batch)]
-    return [fuse_cascade([weak_probs[m, b] for m in range(n)], cfg,
-                         _item_stream(fusion_seed, step, b))
-            for b in range(batch)]
-
-
-def _decision_targets(decisions, model_index: int):
-    """Targets and weights for loss_and_grad: absent labels become a
-    placeholder class at weight zero."""
-    targets = np.zeros(len(decisions), dtype=np.int64)
-    weights = np.zeros(len(decisions))
-    for b, d in enumerate(decisions):
-        if d.has_label:
-            targets[b] = d.pseudo_label
-            weights[b] = d.masks[model_index]
-    return targets, weights
-
-
-def _source_histogram(decisions) -> tuple[int, int, int, int, int]:
-    order = (SOURCE_BOTH, SOURCE_CONFLICT, SOURCE_OWN, SOURCE_CONSENSUS,
-             SOURCE_NONE)
-    counts = {s: 0 for s in order}
-    for d in decisions:
-        counts[d.source] += 1
-    return tuple(counts[s] for s in order)
-
-
 def pseudo_label_accuracy(decisions, true_labels) -> float:
     """Fraction of present pseudo-labels matching the hidden truth;
     1.0 when nothing is present (n=0 case)."""
@@ -294,15 +239,18 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
     # that names a predictions dump, so offline re-fusion of a dump can
     # replay the exact coin flips
     fused = fuse_batch(weak_probs, cfg.fusion, cfg.seeds.fusion, state.step + 1)
-    per_model_decisions = fused if cfg.fusion.single_model_mode else [fused] * n
+    single = cfg.fusion.single_model_mode
+    batches = fused if single else [fused]
 
     # unlabeled pass on per-model strong views; single-model decisions
-    # carry one mask, fused decisions one per model
+    # carry one mask, fused decisions one per model.  Absent labels (-1)
+    # become class 0 at mask 0.
     unsup = []
     for i in range(n):
         strong_xs = state.strong_unlabeled[i].apply_batch(unlabeled)
-        mask_index = 0 if cfg.fusion.single_model_mode else i
-        targets, weights = _decision_targets(per_model_decisions[i], mask_index)
+        decided = batches[i] if single else fused
+        targets = np.maximum(decided.labels, 0)
+        weights = decided.masks[:, 0 if single else i]
         unsup.append(loss_and_grad(state.params[i], strong_xs, targets, weights))
 
     # apply updates only after every model's gradients exist
@@ -320,20 +268,19 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
             state.opts[i] = replace(state.opts[i], lr=cfg.lr)
         train_losses.append(total_objective(sup[i][0], l_u_all, i, cfg.objective))
 
-    if cfg.fusion.single_model_mode:
-        ratio = float(np.mean([mask_ratio(d) for d in per_model_decisions]))
-        pooled = [d for ds_ in per_model_decisions for d in ds_]
-        acc = pseudo_label_accuracy(
-            pooled, np.tile(unlabeled_true_labels_eval_only, n))
-        hist = _source_histogram(per_model_decisions[0])
-    else:
-        ratio = mask_ratio(fused)
-        acc = pseudo_label_accuracy(fused, unlabeled_true_labels_eval_only)
-        hist = _source_histogram(fused)
+    # single-model mode pools every model's decisions
+    labels = np.concatenate([f.labels for f in batches])
+    hits = labels == np.tile(unlabeled_true_labels_eval_only, len(batches))
+    present = labels >= 0
+    ratio = float(np.mean([np.mean(f.labels >= 0) for f in batches]))
+    acc = float(hits[present].mean()) if present.any() else 1.0
+    hist = tuple(int(c) for c in np.bincount(batches[0].sources,
+                                             minlength=len(SOURCES)))
 
     state.step += 1
     return StepMetrics(step=state.step, train_losses=tuple(train_losses),
-                       mask_ratio=ratio, pseudo_acc=acc, source_counts=hist)
+                       mask_ratio=ratio, pseudo_acc=acc, source_counts=hist,
+                       weak_probs=weak_probs)
 
 
 def evaluate(params, test: MaskedDataset) -> tuple[float, float]:
@@ -470,12 +417,11 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
     for step in range(1, cfg.steps + 1):
         labeled, u_feats, u_true = draw_batches(labeled_cyclers,
                                                 unlabeled_cycler)
-        if cfg.dump_predictions_every and step % cfg.dump_predictions_every == 0:
-            weak_u = copy.deepcopy(state.weak_unlabeled).apply_batch(u_feats)
-            probs = np.stack([predict_proba(p, weak_u) for p in state.params])
-            _dump_predictions(
-                os.path.join(out_dir, f"predictions-step{step}.csv"), probs)
         last = train_step(state, labeled, u_feats, cfg, u_true)
+        if cfg.dump_predictions_every and step % cfg.dump_predictions_every == 0:
+            _dump_predictions(
+                os.path.join(out_dir, f"predictions-step{step}.csv"),
+                last.weak_probs)
         if step % cfg.eval_every == 0 or step == cfg.steps:
             record(last, eval_step=step)
 

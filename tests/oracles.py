@@ -4,10 +4,19 @@ These deliberately avoid the code paths they are used to check: the
 finite-difference routine evaluates the loss only through predict_proba,
 never through the analytic gradient code; the pair-fusion oracle is a
 flat if/elif chain structured differently from the library's branch
-table.
+table; the cascade oracle decides one item at a time with Python lists
+and dicts, where the library works level by level on arrays.
 """
 import numpy as np
 
+from copseudo.fusion import (
+    SOURCE_BOTH,
+    SOURCE_CONFLICT,
+    SOURCE_CONSENSUS,
+    SOURCE_NONE,
+    SOURCE_OWN,
+    FusionDecision,
+)
 from copseudo.predictor import ModelParams, predict_proba
 
 
@@ -56,6 +65,64 @@ def reference_pair_decision(q1, q2, tau, tau2, w, stream):
     else:
         label = None
     return label, (m1, m2)
+
+
+def reference_cascade_decision(qs, cfg, stream) -> FusionDecision:
+    """n-model fusion of one item by agreement levels, n >= 1.
+
+    Level 1: any single model over tau proposes its own argmax.  Level
+    k >= 2: any k models all over the level's threshold and sharing one
+    argmax propose that consensus label.  The smallest level with a
+    proposal wins; distinct proposed labels at that level, in the order of
+    their first supporter's model index, are resolved by a uniform draw
+    from ``stream``.  Inputs are assumed to be valid distributions.
+    """
+    n = len(qs)
+    rows = np.asarray(qs, dtype=np.float64)
+    peaks = rows.max(axis=1)
+    tops = [int(v) for v in rows.argmax(axis=1)]
+    own = [bool(p > cfg.tau) for p in peaks]
+    kept = tuple(cfg.pseudo_weight if o else 1.0 for o in own)
+    absent = (0.0,) * n
+
+    if any(own):
+        labels, proposers = [], {}
+        for i in range(n):
+            if own[i] and tops[i] not in proposers:
+                labels.append(tops[i])
+                proposers[tops[i]] = i
+        if len(labels) == 1:
+            backers = [i for i in range(n) if own[i]]
+            if len(backers) >= 2:
+                return FusionDecision(labels[0], kept, SOURCE_BOTH)
+            return FusionDecision(labels[0], kept, SOURCE_OWN,
+                                  source_model=backers[0] + 1)
+        label = labels[int(stream.integers(len(labels)))]
+        if cfg.conflict_drop:
+            return FusionDecision(None, absent, SOURCE_CONFLICT,
+                                  source_model=proposers[label] + 1)
+        return FusionDecision(label, kept, SOURCE_CONFLICT,
+                              source_model=proposers[label] + 1)
+
+    for level in range(2, n + 1):
+        threshold = cfg.tau_cascade[level - 2]
+        support = {}
+        for i in range(n):
+            if peaks[i] > threshold:
+                support.setdefault(tops[i], []).append(i)
+        labels = [lab for lab, members in support.items() if len(members) >= level]
+        if not labels:
+            continue
+        labels.sort(key=lambda lab: support[lab][0])
+        if len(labels) == 1:
+            label = labels[0]
+        else:
+            label = labels[int(stream.integers(len(labels)))]
+            if cfg.conflict_drop:
+                return FusionDecision(None, absent, SOURCE_CONFLICT,
+                                      source_level=level)
+        return FusionDecision(label, kept, SOURCE_CONSENSUS, source_level=level)
+    return FusionDecision(None, absent, SOURCE_NONE)
 
 
 def peaked_vector(num_classes, peak_class, peak_value):

@@ -399,6 +399,27 @@ class TestFuseTrace:
         assert main(["fuse-trace", str(src)]) == 2
         assert "seed required" in capsys.readouterr().err
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        code, out = self.trace(tmp_path, seed="-1")
+        assert code == 2
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_step_is_config_error(self, tmp_path, capsys):
+        code, out = self.trace(tmp_path, extra=("--step", "-1"))
+        assert code == 2
+        assert "--step must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_item_id_names_line(self, tmp_path, capsys):
+        # no item reaches a coin flip, so only the parser can reject it
+        text = ("item,model,p0,p1,p2\n0,1,0.97,0.02,0.01\n0,2,0.96,0.03,0.01\n"
+                "-3,1,0.50,0.45,0.05\n-3,2,0.50,0.45,0.05\n")
+        code, out = self.trace(tmp_path, text=text)
+        assert code == 3
+        assert ":4: negative item id -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_model_mode_needs_one_model_file(self, tmp_path, capsys):
         code, _ = self.trace(tmp_path, extra=("--single-model-mode",))
         assert code == 2

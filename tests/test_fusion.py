@@ -10,15 +10,21 @@ from copseudo.fusion import (
     SOURCE_CONSENSUS,
     SOURCE_NONE,
     SOURCE_OWN,
+    SOURCES,
     FusionConfig,
     FusionDecision,
+    fuse_batch,
     fuse_cascade,
     fuse_pair,
     fuse_single,
     mask_ratio,
     select_debias_subset,
 )
-from oracles import peaked_vector, reference_pair_decision
+from oracles import (
+    peaked_vector,
+    reference_cascade_decision,
+    reference_pair_decision,
+)
 
 CFG = FusionConfig()  # tau=0.95, tau2=0.75, w=0.75
 
@@ -382,6 +388,112 @@ class TestFuseCascadeFourModels:
             fuse_cascade([peaked_vector(3, 0, 0.9)] * 3, self.CFG4, rng())
         with pytest.raises(ConfigError):
             fuse_cascade([peaked_vector(3, 0, 0.9)], CFG, rng())
+
+
+class CountingStream:
+    """Generator stand-in that records the size of every draw."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def integers(self, k):
+        self.draws.append(int(k))
+        return self._rng.integers(k)
+
+
+class TestFuseBatchAgainstCascadeOracle:
+    """The array engine against the per-item oracle, item by item, with
+    each item's draw keyed (fusion seed, step, item) on both sides."""
+
+    def random_case(self, gen, n, conflict_drop):
+        num_classes = int(gen.integers(2, 6))
+        batch = int(gen.integers(8, 33))
+        alpha = float(gen.choice([0.05, 0.3, 1.0, 3.0]))
+        probs = gen.dirichlet(np.full(num_classes, alpha), size=(n, batch))
+        # copy some rows across models so agreement, ties and exact
+        # peak equalities occur
+        for _ in range(batch):
+            src, dst = gen.integers(n, size=2)
+            b = gen.integers(batch)
+            probs[dst, b] = probs[src, b]
+        tau = float(gen.uniform(0.5, 0.99))
+        cascade = np.sort(gen.uniform(0.2, tau, size=max(n - 1, 0)))[::-1]
+        if n == 1:
+            cfg = FusionConfig(tau=tau, tau_cascade=(), num_models=1,
+                               single_model_mode=True,
+                               pseudo_weight=float(gen.choice([0.75, 1.0])))
+        else:
+            cfg = cascade_cfg(n, cascade, tau=tau, conflict_drop=conflict_drop)
+        return probs, cfg
+
+    def test_engine_matches_oracle(self):
+        gen = np.random.default_rng(2024)
+        seen = set()
+        checked = 0
+        for n in (1, 2, 3, 4):
+            for conflict_drop in (False, True):
+                for case in range(120):
+                    probs, cfg = self.random_case(gen, n, conflict_drop)
+                    seed, step = int(gen.integers(2 ** 32)), case
+                    fused = fuse_batch(probs, cfg, seed, step)
+                    if cfg.single_model_mode:
+                        (fused,) = fused
+                    assert len(fused) == probs.shape[1]
+                    for b, got in enumerate(fused):
+                        stream = CountingStream([seed, step, b])
+                        want = reference_cascade_decision(
+                            list(probs[:, b]), cfg, stream)
+                        assert got == want, (n, conflict_drop, case, b)
+                        assert type(got.masks[0]) is float
+                        if got.has_label:
+                            assert type(got.pseudo_label) is int
+                        if stream.draws:
+                            level = want.source_level or 1
+                            seen.add((n, level))
+                        checked += 1
+        assert checked > 10_000
+        # the comparison covered both kinds of draw
+        assert (4, 1) in seen and (4, 2) in seen
+
+    def test_single_model_mode_fuses_each_model_alone(self):
+        gen = np.random.default_rng(7)
+        probs = gen.dirichlet(np.full(3, 0.3), size=(3, 40))
+        cfg = FusionConfig(tau=0.8, tau_cascade=(0.5, 0.4), num_models=3,
+                           single_model_mode=True)
+        per_model = fuse_batch(probs, cfg, 1, 1)
+        assert len(per_model) == 3
+        for m, fused in enumerate(per_model):
+            assert fused.masks.shape == (40, 1)
+            for b, got in enumerate(fused):
+                assert got == fuse_single(probs[m, b], cfg)
+
+    def test_arrays_agree_with_item_view(self):
+        gen = np.random.default_rng(3)
+        probs = gen.dirichlet(np.full(3, 0.2), size=(3, 64))
+        fused = fuse_batch(probs, cascade_cfg(3, (0.7, 0.5), tau=0.9), 5, 2)
+        for b, d in enumerate(fused):
+            assert fused.labels[b] == (-1 if d.pseudo_label is None
+                                       else d.pseudo_label)
+            assert fused.masks[b].tolist() == list(d.masks)
+            assert SOURCES[fused.sources[b]] == d.source
+            assert fused.source_models[b] == (d.source_model or 0)
+            assert fused.source_levels[b] == (d.source_level or 0)
+
+    def test_block_validation_names_first_bad_row_in_item_order(self):
+        probs = np.full((3, 6, 2), 0.5)
+        probs[0, 4] = (0.9, 0.6)   # item 4, model 1: sum
+        probs[2, 3] = (0.7, 0.2)   # item 3, model 3: sum (first in item order)
+        probs[1, 3] = (np.nan, 0.5)  # item 3, model 2: invalid, earlier model
+        cfg = cascade_cfg(3, (0.7, 0.5))
+        with pytest.raises(ConfigError,
+                           match="^model 2 prediction is not a valid distribution$"):
+            fuse_batch(probs, cfg, 0, 1)
+        probs[1, 3] = 0.5
+        with pytest.raises(ConfigError, match="^model 3 prediction does not sum to 1$"):
+            fuse_batch(probs, cfg, 0, 1)
+        with pytest.raises(ConfigError, match="3-model config"):
+            fuse_batch(np.full((2, 6, 2), 0.5), cfg, 0, 1)
 
 
 class TestSelectDebiasSubset:
