@@ -28,7 +28,6 @@ from .fusion import (
     fuse_cascade,
     fuse_pair,
     fuse_single,
-    mask_ratio,
     select_debias_subset,
 )
 from .losses import (
@@ -39,7 +38,6 @@ from .losses import (
     estimate_propensity,
     supervised_loss,
     total_objective,
-    unlabeled_loss,
 )
 from .metrics import MetricsRow, RunComparison, RunMetrics, compare_runs, read_csv
 from .predictor import (
@@ -58,7 +56,6 @@ from .trainer import (
     TrainConfig,
     TrainerState,
     evaluate,
-    pseudo_label_accuracy,
     train,
     train_step,
 )
@@ -105,9 +102,7 @@ __all__ = [
     "load_cifar10",
     "load_dataset",
     "loss_and_grad",
-    "mask_ratio",
     "predict_proba",
-    "pseudo_label_accuracy",
     "read_csv",
     "save_checkpoint",
     "save_dataset",
@@ -117,5 +112,4 @@ __all__ = [
     "total_objective",
     "train",
     "train_step",
-    "unlabeled_loss",
 ]

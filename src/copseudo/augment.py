@@ -1,10 +1,14 @@
-"""Weak and strong stochastic input transforms.
+"""Weak and strong stochastic input transforms, one batch at a time.
 
 Vectors get Gaussian jitter (weak) or heavier jitter plus coordinate
 dropout (strong).  Images get flip/translate (weak) or two operations
-drawn from {flip, translate, brightness, cutout} (strong).  Each
-``AugmentStream`` owns its generator so call order alone determines the
-sequence of views.
+drawn from {flip, translate, brightness, cutout} (strong).  Each kind
+and modality has one batch function, and ``AugmentStream.apply_batch``
+is the only entry point.  Every batch function draws its random numbers
+row by row, in the order a loop over single rows would draw them, so
+the stream, and with it every view, does not depend on how rows are
+grouped into batches.  Each ``AugmentStream`` owns its generator, so
+call order alone determines the sequence of views.
 """
 from __future__ import annotations
 
@@ -47,66 +51,95 @@ class AugmentConfig:
             raise ConfigError("invalid augment config: " + "; ".join(problems))
 
 
-def weak_vector(x: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
-    return x + cfg.sigma_weak * rng.standard_normal(x.shape)
+def weak_vectors(xs: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+    """(B, d) rows plus Gaussian jitter; one draw yields the rows' normals
+    in row order."""
+    return xs + cfg.sigma_weak * rng.standard_normal(xs.shape)
 
 
-def strong_vector(x: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
-    out = x + cfg.sigma_strong * rng.standard_normal(x.shape)
-    drop = rng.random(x.shape) < cfg.vector_drop_prob
-    out[drop] = 0.0
+def strong_vectors(xs: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+    """(B, d) rows plus heavier jitter, then coordinate dropout.  Each row
+    draws its d normals and then its d uniforms."""
+    noise = np.empty_like(xs)
+    drop = np.empty_like(xs)
+    for i in range(xs.shape[0]):
+        rng.standard_normal(out=noise[i])
+        rng.random(out=drop[i])
+    out = xs + cfg.sigma_strong * noise
+    out[drop < cfg.vector_drop_prob] = 0.0
     return out
 
 
-def _flip(img: np.ndarray) -> np.ndarray:
-    return img[:, :, ::-1]
-
-
-def _translate(img: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """Shift content by dx columns and dy rows, zero-filling exposed pixels."""
-    _, h, w = img.shape
-    out = np.zeros_like(img)
+def _draw_shift(rng, s: int, h: int, w: int):
+    """Draw a column shift dx, then a row shift dy, each uniform on
+    [-s, s]; return the (destination, source) index tuples over (C, H, W)
+    that move content by dx columns and dy rows, or None when the shift
+    leaves nothing in view."""
+    dx = int(rng.integers(-s, s + 1))
+    dy = int(rng.integers(-s, s + 1))
     if abs(dx) >= w or abs(dy) >= h:
-        return out
-    dst_r = slice(max(dy, 0), h + min(dy, 0))
-    dst_c = slice(max(dx, 0), w + min(dx, 0))
-    src_r = slice(max(-dy, 0), h + min(-dy, 0))
-    src_c = slice(max(-dx, 0), w + min(-dx, 0))
-    out[:, dst_r, dst_c] = img[:, src_r, src_c]
+        return None
+    dst = (slice(None), slice(max(dy, 0), h + min(dy, 0)),
+           slice(max(dx, 0), w + min(dx, 0)))
+    src = (slice(None), slice(max(-dy, 0), h + min(-dy, 0)),
+           slice(max(-dx, 0), w + min(-dx, 0)))
+    return dst, src
+
+
+def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+    """(B, C, H, W) images, each flipped with probability 1/2 and then
+    shifted, with exposed pixels zero.  Each row draws the flip, then dx,
+    then dy."""
+    _, _, h, w = imgs.shape
+    out = np.zeros_like(imgs)
+    for i in range(imgs.shape[0]):
+        img = imgs[i, :, :, ::-1] if rng.random() < 0.5 else imgs[i]
+        shift = _draw_shift(rng, cfg.image_shift_weak, h, w)
+        if shift is not None:
+            dst, src = shift
+            out[i][dst] = img[src]
     return out
 
 
-def weak_image(img: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
-    if rng.random() < 0.5:
-        img = _flip(img)
-    s = cfg.image_shift_weak
-    dx, dy = (int(v) for v in rng.integers(-s, s + 1, size=2))
-    return _translate(img, dx, dy).copy()
-
-
-def _draw_strong_ops(rng) -> np.ndarray:
-    """Two independent draws from the four strong image operations."""
-    return rng.integers(0, _STRONG_OP_COUNT, size=NUM_STRONG_OPS)
-
-
-def strong_image(img: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
-    out = img.copy()
-    for op in _draw_strong_ops(rng):
-        if op == 0:
-            out = _flip(out).copy()
-        elif op == 1:
-            s = cfg.image_shift_strong
-            dx, dy = (int(v) for v in rng.integers(-s, s + 1, size=2))
-            out = _translate(out, dx, dy)
-        elif op == 2:
-            factor = rng.uniform(*BRIGHTNESS_RANGE)
-            out = np.clip(out * factor, 0.0, 1.0)
-        else:
-            _, h, w = out.shape
-            top, left = (int(v) for v in
-                         rng.integers(0, min(h, w) - CUTOUT_SIZE + 1, size=2))
-            out[:, top:top + CUTOUT_SIZE, left:left + CUTOUT_SIZE] = CUTOUT_FILL
+def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+    """(B, C, H, W) images, each put through two operations drawn with
+    replacement from {flip, translate, brightness, cutout}.  Each row
+    draws both operations, then each operation's parameters in order, and
+    is transformed in place in a copy of the batch."""
+    _, _, h, w = imgs.shape
+    out = imgs.copy()
+    scratch = np.empty(imgs.shape[1:])
+    cut_range = min(h, w) - CUTOUT_SIZE + 1
+    for i in range(out.shape[0]):
+        cur = out[i]
+        ops = [int(rng.integers(0, _STRONG_OP_COUNT))
+               for _ in range(NUM_STRONG_OPS)]
+        for op in ops:
+            if op == 0:
+                cur[...] = cur[:, :, ::-1]
+            elif op == 1:
+                shift = _draw_shift(rng, cfg.image_shift_strong, h, w)
+                np.copyto(scratch, cur)
+                cur.fill(0.0)
+                if shift is not None:
+                    dst, src = shift
+                    cur[dst] = scratch[src]
+            elif op == 2:
+                np.multiply(cur, rng.uniform(*BRIGHTNESS_RANGE), out=cur)
+                np.clip(cur, 0.0, 1.0, out=cur)
+            else:
+                top = int(rng.integers(0, cut_range))
+                left = int(rng.integers(0, cut_range))
+                cur[:, top:top + CUTOUT_SIZE, left:left + CUTOUT_SIZE] = CUTOUT_FILL
     return out
+
+
+_BATCH_FNS = {
+    ("weak", "vector"): weak_vectors,
+    ("strong", "vector"): strong_vectors,
+    ("weak", "image"): weak_images,
+    ("strong", "image"): strong_images,
+}
 
 
 class AugmentStream:
@@ -135,19 +168,18 @@ class AugmentStream:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Augment one flat feature vector; returns a new flat array."""
-        x = np.asarray(x, dtype=np.float64)
-        if self.modality == "vector":
-            fn = weak_vector if self.kind == "weak" else strong_vector
-            return fn(x, self.rng, self.config)
-        img = x.reshape(self.feature_shape)
-        fn = weak_image if self.kind == "weak" else strong_image
-        return fn(img, self.rng, self.config).reshape(-1)
+        return self.apply_batch(np.asarray(x, dtype=np.float64)[None])[0]
 
     def apply_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Augment each row independently, in row order."""
+        """Augment each row independently; the stream advances exactly as
+        it would for the rows one at a time, in row order."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
             raise ConfigError("apply_batch expects a 2-d array")
         if xs.shape[0] == 0:
             return xs.copy()
-        return np.stack([self.apply(row) for row in xs])
+        fn = _BATCH_FNS[(self.kind, self.modality)]
+        if self.modality == "vector":
+            return fn(xs, self.rng, self.config)
+        imgs = xs.reshape((xs.shape[0],) + self.feature_shape)
+        return fn(imgs, self.rng, self.config).reshape(xs.shape[0], -1)

@@ -306,6 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _negative_values(named_values) -> list:
+    """A problem for each (name, value) whose value is negative: seeds and
+    steps key numpy seed sequences, which take no negative entropy."""
+    return [f"{name} must be a non-negative integer, got {value}"
+            for name, value in named_values if value < 0]
+
+
 def _derived_seeds(seed: int, count: int) -> list:
     return [int(v) for v in np.random.SeedSequence(seed).generate_state(count)]
 
@@ -317,6 +324,9 @@ def cmd_gen_data(args) -> int:
         raise ConfigError("choose at most one of --mcar and --mnar")
     if args.seed is None:
         raise ConfigError("seed required")
+    problems = _negative_values([("--seed", args.seed)])
+    if problems:
+        raise ConfigError("; ".join(problems))
     gen_seed, miss_seed = _derived_seeds(args.seed, 2)
 
     if args.synthetic is not None:
@@ -402,6 +412,9 @@ def cmd_train(args) -> int:
         problems.append("--out is required")
     if seed is None:
         problems.append("seed required")
+    else:
+        name = "--seed" if args.seed is not None else "config key seed"
+        problems += _negative_values([(name, seed)])
 
     profile = r.get("profile", "paper", str)
     if profile not in PROFILES:
@@ -511,11 +524,9 @@ def read_predictions(path):
 def cmd_fuse_trace(args) -> int:
     if args.seed is None:
         raise ConfigError("seed required")
-    # both key the per-item random streams, which take no negative entropy
-    for flag, value in (("--seed", args.seed), ("--step", args.step)):
-        if value < 0:
-            raise ConfigError(f"{flag} must be a non-negative integer, "
-                              f"got {value}")
+    problems = _negative_values([("--seed", args.seed), ("--step", args.step)])
+    if problems:
+        raise ConfigError("; ".join(problems))
     item_ids, preds = read_predictions(args.predictions)
     models = len(preds[0])
     single = bool(args.single_model_mode)

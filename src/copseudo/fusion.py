@@ -315,11 +315,3 @@ def select_debias_subset(preds, epsilon: float) -> DebiasSubset:
     selected = np.flatnonzero(same_argmax & (agreement <= epsilon + 1e-12))
     return DebiasSubset(selected=selected, agreement=agreement,
                         same_argmax=same_argmax)
-
-
-def mask_ratio(decisions) -> float:
-    """Fraction of items that received a pseudo-label."""
-    decisions = list(decisions)
-    if not decisions:
-        raise ConfigError("mask_ratio of an empty decision list")
-    return sum(d.has_label for d in decisions) / len(decisions)

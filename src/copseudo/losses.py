@@ -62,34 +62,6 @@ def supervised_loss(probs, labels) -> float:
     return float(-np.log(np.maximum(picked, _PROB_FLOOR)).mean())
 
 
-def unlabeled_loss(probs_strong, decisions, model_index: int) -> float:
-    """Mask-weighted mean cross-entropy against pseudo-labels.
-
-    ``probs_strong`` holds this model's predictions on its strong views of
-    the unlabeled batch; items without a pseudo-label contribute zero.
-    """
-    probs_strong = np.asarray(probs_strong, dtype=np.float64)
-    decisions = list(decisions)
-    if probs_strong.ndim != 2 or probs_strong.shape[0] != len(decisions):
-        raise ConfigError("predictions and decisions must have equal length")
-    if not decisions:
-        raise ConfigError("unlabeled_loss needs a non-empty batch")
-    total = 0.0
-    for row, decision in zip(probs_strong, decisions):
-        if model_index >= len(decision.masks):
-            raise ConfigError(
-                f"model_index {model_index} out of range for "
-                f"{len(decision.masks)}-model decisions")
-        if not decision.has_label:
-            continue
-        mask = decision.masks[model_index]
-        if mask == 0.0:
-            continue
-        p = max(float(row[decision.pseudo_label]), _PROB_FLOOR)
-        total += mask * -math.log(p)
-    return total / len(decisions)
-
-
 def total_objective(l_s: float, l_u_all, model_index: int,
                     cfg: ObjectiveConfig) -> float:
     """Supervised term plus the weighted unlabeled term.

@@ -156,11 +156,6 @@ def loss_and_grad(params: ModelParams, xs, targets, weights) -> tuple[float, Gra
     return loss, Gradients(weights=tuple(g_w), biases=tuple(g_b))
 
 
-def zero_gradients(params: ModelParams) -> Gradients:
-    return Gradients(weights=tuple(np.zeros_like(w) for w in params.weights),
-                     biases=tuple(np.zeros_like(b) for b in params.biases))
-
-
 def add_scaled(a: Gradients, b: Gradients, scale: float) -> Gradients:
     """a + scale * b, elementwise."""
     return Gradients(

@@ -195,17 +195,6 @@ class TrainerState:
         return copy.deepcopy(self)
 
 
-def pseudo_label_accuracy(decisions, true_labels) -> float:
-    """Fraction of present pseudo-labels matching the hidden truth;
-    1.0 when nothing is present (n=0 case)."""
-    true_labels = np.asarray(true_labels, dtype=np.int64)
-    present = [(d.pseudo_label, t) for d, t in zip(decisions, true_labels)
-               if d.has_label]
-    if not present:
-        return 1.0
-    return sum(int(p == t) for p, t in present) / len(present)
-
-
 def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig,
                unlabeled_true_labels_eval_only) -> StepMetrics:
     """Advance every model one step; mutates ``state`` in place.

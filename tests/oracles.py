@@ -5,10 +5,28 @@ finite-difference routine evaluates the loss only through predict_proba,
 never through the analytic gradient code; the pair-fusion oracle is a
 flat if/elif chain structured differently from the library's branch
 table; the cascade oracle decides one item at a time with Python lists
-and dicts, where the library works level by level on arrays.
+and dicts, where the library works level by level on arrays; the
+augmentation oracles transform one row at a time, each into a fresh
+array, drawing paired integers with one ``size=2`` call, where the
+library draws scalars and writes a whole batch in place.
+
+The per-decision helpers at the end (``mask_ratio``,
+``pseudo_label_accuracy``, ``unlabeled_loss``, ``zero_gradients``) were
+once library functions; the library now reads the same numbers from
+arrays, and they stay here as readable references.
 """
+import math
+
 import numpy as np
 
+from copseudo.augment import (
+    BRIGHTNESS_RANGE,
+    CUTOUT_FILL,
+    CUTOUT_SIZE,
+    NUM_STRONG_OPS,
+    AugmentConfig,
+)
+from copseudo.errors import ConfigError
 from copseudo.fusion import (
     SOURCE_BOTH,
     SOURCE_CONFLICT,
@@ -17,7 +35,8 @@ from copseudo.fusion import (
     SOURCE_OWN,
     FusionDecision,
 )
-from copseudo.predictor import ModelParams, predict_proba
+from copseudo.losses import _PROB_FLOOR
+from copseudo.predictor import Gradients, ModelParams, predict_proba
 
 
 def weighted_ce_loss(params: ModelParams, xs, targets, weights) -> float:
@@ -156,3 +175,122 @@ def fd_max_rel_error(params: ModelParams, grads, xs, targets, weights,
                 rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
                 worst = max(worst, rel)
     return worst
+
+
+# --- augmentation, one row at a time -------------------------------------
+
+def weak_vector(x: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+    return x + cfg.sigma_weak * rng.standard_normal(x.shape)
+
+
+def strong_vector(x: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+    out = x + cfg.sigma_strong * rng.standard_normal(x.shape)
+    drop = rng.random(x.shape) < cfg.vector_drop_prob
+    out[drop] = 0.0
+    return out
+
+
+def _flip(img: np.ndarray) -> np.ndarray:
+    return img[:, :, ::-1]
+
+
+def _translate(img: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """Shift content by dx columns and dy rows, zero-filling exposed pixels."""
+    _, h, w = img.shape
+    out = np.zeros_like(img)
+    if abs(dx) >= w or abs(dy) >= h:
+        return out
+    dst_r = slice(max(dy, 0), h + min(dy, 0))
+    dst_c = slice(max(dx, 0), w + min(dx, 0))
+    src_r = slice(max(-dy, 0), h + min(-dy, 0))
+    src_c = slice(max(-dx, 0), w + min(-dx, 0))
+    out[:, dst_r, dst_c] = img[:, src_r, src_c]
+    return out
+
+
+def weak_image(img: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+    if rng.random() < 0.5:
+        img = _flip(img)
+    s = cfg.image_shift_weak
+    dx, dy = (int(v) for v in rng.integers(-s, s + 1, size=2))
+    return _translate(img, dx, dy).copy()
+
+
+def _draw_strong_ops(rng) -> np.ndarray:
+    """Two independent draws from the four strong image operations
+    (flip, translate, brightness, cutout)."""
+    return rng.integers(0, 4, size=NUM_STRONG_OPS)
+
+
+def strong_image(img: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+    out = img.copy()
+    for op in _draw_strong_ops(rng):
+        if op == 0:
+            out = _flip(out).copy()
+        elif op == 1:
+            s = cfg.image_shift_strong
+            dx, dy = (int(v) for v in rng.integers(-s, s + 1, size=2))
+            out = _translate(out, dx, dy)
+        elif op == 2:
+            factor = rng.uniform(*BRIGHTNESS_RANGE)
+            out = np.clip(out * factor, 0.0, 1.0)
+        else:
+            _, h, w = out.shape
+            top, left = (int(v) for v in
+                         rng.integers(0, min(h, w) - CUTOUT_SIZE + 1, size=2))
+            out[:, top:top + CUTOUT_SIZE, left:left + CUTOUT_SIZE] = CUTOUT_FILL
+    return out
+
+
+# --- per-decision reductions ---------------------------------------------
+
+def mask_ratio(decisions) -> float:
+    """Fraction of items that received a pseudo-label."""
+    decisions = list(decisions)
+    if not decisions:
+        raise ConfigError("mask_ratio of an empty decision list")
+    return sum(d.has_label for d in decisions) / len(decisions)
+
+
+def pseudo_label_accuracy(decisions, true_labels) -> float:
+    """Fraction of present pseudo-labels matching the hidden truth;
+    1.0 when nothing is present (n=0 case)."""
+    true_labels = np.asarray(true_labels, dtype=np.int64)
+    present = [(d.pseudo_label, t) for d, t in zip(decisions, true_labels)
+               if d.has_label]
+    if not present:
+        return 1.0
+    return sum(int(p == t) for p, t in present) / len(present)
+
+
+def unlabeled_loss(probs_strong, decisions, model_index: int) -> float:
+    """Mask-weighted mean cross-entropy against pseudo-labels.
+
+    ``probs_strong`` holds this model's predictions on its strong views of
+    the unlabeled batch; items without a pseudo-label contribute zero.
+    """
+    probs_strong = np.asarray(probs_strong, dtype=np.float64)
+    decisions = list(decisions)
+    if probs_strong.ndim != 2 or probs_strong.shape[0] != len(decisions):
+        raise ConfigError("predictions and decisions must have equal length")
+    if not decisions:
+        raise ConfigError("unlabeled_loss needs a non-empty batch")
+    total = 0.0
+    for row, decision in zip(probs_strong, decisions):
+        if model_index >= len(decision.masks):
+            raise ConfigError(
+                f"model_index {model_index} out of range for "
+                f"{len(decision.masks)}-model decisions")
+        if not decision.has_label:
+            continue
+        mask = decision.masks[model_index]
+        if mask == 0.0:
+            continue
+        p = max(float(row[decision.pseudo_label]), _PROB_FLOOR)
+        total += mask * -math.log(p)
+    return total / len(decisions)
+
+
+def zero_gradients(params: ModelParams) -> Gradients:
+    return Gradients(weights=tuple(np.zeros_like(w) for w in params.weights),
+                     biases=tuple(np.zeros_like(b) for b in params.biases))

@@ -7,6 +7,13 @@ from hypothesis.extra import numpy as hnp
 from copseudo.augment import (
     AugmentConfig,
     AugmentStream,
+    strong_images,
+    strong_vectors,
+    weak_images,
+    weak_vectors,
+)
+from copseudo.errors import ConfigError
+from oracles import (
     _draw_strong_ops,
     _flip,
     _translate,
@@ -15,7 +22,6 @@ from copseudo.augment import (
     weak_image,
     weak_vector,
 )
-from copseudo.errors import ConfigError
 
 
 class ScriptedRng:
@@ -30,9 +36,15 @@ class ScriptedRng:
         assert name == method, f"expected call {name}, got {method}"
         return value
 
-    def random(self, size=None):
-        v = self._next("random")
-        return v if size is None else np.asarray(v, dtype=float)
+    @staticmethod
+    def _shaped(v, size, out):
+        if out is not None:
+            out[...] = v
+            return out
+        return v if size is None else np.asarray(v, dtype=float).reshape(size)
+
+    def random(self, size=None, out=None):
+        return self._shaped(self._next("random"), size, out)
 
     def integers(self, low, high=None, size=None):
         v = self._next("integers")
@@ -41,8 +53,8 @@ class ScriptedRng:
     def uniform(self, low, high):
         return self._next("uniform")
 
-    def standard_normal(self, shape=None):
-        return np.asarray(self._next("standard_normal"), dtype=float)
+    def standard_normal(self, size=None, out=None):
+        return self._shaped(self._next("standard_normal"), size, out)
 
 
 def ramp_image(c=1, h=4, w=4):
@@ -50,6 +62,10 @@ def ramp_image(c=1, h=4, w=4):
 
 
 CFG = AugmentConfig()
+
+# (kind, modality, feature_shape) for the four batch functions
+PAIRS = (("weak", "vector", None), ("strong", "vector", None),
+         ("weak", "image", (3, 8, 8)), ("strong", "image", (3, 8, 8)))
 
 
 class TestDefaults:
@@ -76,7 +92,7 @@ class TestVectorTransforms:
     def test_weak_is_additive_noise(self):
         x = np.array([1.0, -2.0, 0.5])
         rng = ScriptedRng([("standard_normal", [1.0, 0.0, -2.0])])
-        out = weak_vector(x, rng, CFG)
+        out = weak_vectors(x[None], rng, CFG)[0]
         np.testing.assert_allclose(out, [1.05, -2.0, 0.4])
 
     def test_strong_noise_then_dropout(self):
@@ -85,25 +101,25 @@ class TestVectorTransforms:
             ("standard_normal", [1.0, 1.0, 1.0]),
             ("random", [0.05, 0.5, 0.09]),  # coords 0 and 2 fall under p=0.1
         ])
-        out = strong_vector(x, rng, CFG)
+        out = strong_vectors(x[None], rng, CFG)[0]
         np.testing.assert_allclose(out, [0.0, 2.25, 0.0])
 
     def test_zero_sigma_weak_is_identity(self):
         cfg = AugmentConfig(sigma_weak=0.0)
         x = np.array([3.0, 4.0])
         rng = ScriptedRng([("standard_normal", [5.0, 5.0])])
-        np.testing.assert_array_equal(weak_vector(x, rng, cfg), x)
+        np.testing.assert_array_equal(weak_vectors(x[None], rng, cfg)[0], x)
 
     def test_weak_noise_scale_statistics(self):
         rng = np.random.default_rng(0)
         x = np.zeros(40000)
-        out = weak_vector(x, rng, CFG)
+        out = weak_vectors(x[None], rng, CFG)[0]
         assert abs(out.std() - CFG.sigma_weak) < 0.002
 
     def test_strong_dropout_rate_statistics(self):
         rng = np.random.default_rng(1)
         x = np.ones(40000)
-        out = strong_vector(x, rng, CFG)
+        out = strong_vectors(x[None], rng, CFG)[0]
         zero_rate = (out == 0.0).mean()
         assert abs(zero_rate - CFG.vector_drop_prob) < 0.01
 
@@ -142,14 +158,14 @@ class TestImagePrimitives:
 class TestWeakImage:
     def test_flip_then_no_shift(self):
         img = ramp_image()
-        rng = ScriptedRng([("random", 0.3), ("integers", [0, 0])])
-        out = weak_image(img, rng, CFG)
+        rng = ScriptedRng([("random", 0.3), ("integers", 0), ("integers", 0)])
+        out = weak_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out, img[:, :, ::-1])
 
     def test_no_flip_with_shift(self):
         img = ramp_image(1, 3, 3)
-        rng = ScriptedRng([("random", 0.7), ("integers", [1, 0])])
-        out = weak_image(img, rng, CFG)
+        rng = ScriptedRng([("random", 0.7), ("integers", 1), ("integers", 0)])
+        out = weak_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out, _translate(img, 1, 0))
 
     def test_flip_frequency(self):
@@ -157,24 +173,24 @@ class TestWeakImage:
         rng = np.random.default_rng(5)
         img = ramp_image()
         flipped = img[:, :, ::-1]
-        hits = sum(
-            np.array_equal(weak_image(img, rng, cfg), flipped) for _ in range(4000)
-        )
+        out = weak_images(np.broadcast_to(img, (4000,) + img.shape), rng, cfg)
+        hits = sum(np.array_equal(view, flipped) for view in out)
         assert abs(hits / 4000 - 0.5) < 0.03
 
 
 class TestStrongImage:
     def test_flip_then_unit_brightness(self):
         img = ramp_image()
-        rng = ScriptedRng([("integers", [0, 2]), ("uniform", 1.0)])
-        out = strong_image(img, rng, CFG)
+        rng = ScriptedRng([("integers", 0), ("integers", 2), ("uniform", 1.0)])
+        out = strong_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out, img[:, :, ::-1])
 
     def test_cutout_patch_value_and_extent(self):
         img = np.full((3, 32, 32), 0.25)
-        rng = ScriptedRng([("integers", [3, 3]), ("integers", [3, 5]),
-                           ("integers", [3, 5])])
-        out = strong_image(img, rng, CFG)
+        rng = ScriptedRng([("integers", 3), ("integers", 3),
+                           ("integers", 3), ("integers", 5),
+                           ("integers", 3), ("integers", 5)])
+        out = strong_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out[:, 3:11, 5:13], 0.5)
         mask = np.ones((32, 32), dtype=bool)
         mask[3:11, 5:13] = False
@@ -182,21 +198,23 @@ class TestStrongImage:
 
     def test_brightness_clamps_to_unit_range(self):
         img = np.full((1, 8, 8), 0.9)
-        rng = ScriptedRng([("integers", [2, 2]), ("uniform", 1.4), ("uniform", 1.4)])
-        out = strong_image(img, rng, CFG)
+        rng = ScriptedRng([("integers", 2), ("integers", 2),
+                           ("uniform", 1.4), ("uniform", 1.4)])
+        out = strong_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out, 1.0)
 
     def test_two_translations_compose(self):
         img = ramp_image(1, 6, 6)
-        rng = ScriptedRng([("integers", [1, 1]), ("integers", [2, 0]),
-                           ("integers", [0, 1])])
-        out = strong_image(img, rng, CFG)
+        rng = ScriptedRng([("integers", 1), ("integers", 1),
+                           ("integers", 2), ("integers", 0),
+                           ("integers", 0), ("integers", 1)])
+        out = strong_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out, _translate(_translate(img, 2, 0), 0, 1))
 
     def test_does_not_mutate_input(self):
         img = ramp_image(3, 32, 32)
         keep = img.copy()
-        strong_image(img, np.random.default_rng(0), CFG)
+        strong_images(img[None], np.random.default_rng(0), CFG)
         np.testing.assert_array_equal(img, keep)
 
     def test_op_pair_includes_any_given_op_at_expected_rate(self):
@@ -239,11 +257,15 @@ class TestStream:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_apply_batch_matches_sequential_apply(self):
-        xs = np.random.default_rng(8).random((5, 10))
-        batch = AugmentStream("strong", "vector", seed=21).apply_batch(xs)
-        seq = AugmentStream("strong", "vector", seed=21)
-        rows = [seq.apply(row) for row in xs]
-        np.testing.assert_array_equal(batch, np.stack(rows))
+        for kind, modality, shape in PAIRS:
+            width = 10 if shape is None else int(np.prod(shape))
+            xs = np.random.default_rng(8).random((5, width))
+            whole = AugmentStream(kind, modality, seed=21, feature_shape=shape)
+            batch = whole.apply_batch(xs)
+            seq = AugmentStream(kind, modality, seed=21, feature_shape=shape)
+            rows = [seq.apply(row) for row in xs]
+            np.testing.assert_array_equal(batch, np.stack(rows))
+            assert whole.rng.bit_generator.state == seq.rng.bit_generator.state
 
     def test_empty_batch(self):
         s = AugmentStream("weak", "vector", seed=0)
@@ -293,14 +315,71 @@ class TestProperties:
     def test_vector_transforms_preserve_shape(self, seed, dim):
         rng = np.random.default_rng(seed)
         x = rng.random(dim)
-        assert weak_vector(x, rng, CFG).shape == (dim,)
-        assert strong_vector(x, rng, CFG).shape == (dim,)
+        assert weak_vectors(x[None], rng, CFG)[0].shape == (dim,)
+        assert strong_vectors(x[None], rng, CFG)[0].shape == (dim,)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_strong_image_stays_in_unit_box(self, seed):
         rng = np.random.default_rng(seed)
         img = rng.random((3, 32, 32))
-        out = strong_image(img, rng, CFG)
+        out = strong_images(img[None], rng, CFG)[0]
         assert out.shape == img.shape
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+ORACLES = {("weak", "vector"): weak_vector, ("strong", "vector"): strong_vector,
+           ("weak", "image"): weak_image, ("strong", "image"): strong_image}
+
+
+class TestBatchAgainstOracle:
+    """``apply_batch`` against the one-row-at-a-time reference transforms:
+    equal outputs and an equal generator state after every call."""
+
+    SHIFTS = (None, 0, 10, 40)  # None keeps the defaults (4 weak, 8 strong)
+
+    @staticmethod
+    def run_pair(kind, modality, shape, cfg, seed, sizes):
+        data = np.random.default_rng(seed + 10_000)
+        width = data.integers(1, 20) if shape is None else int(np.prod(shape))
+        stream = AugmentStream(kind, modality, seed=seed, config=cfg,
+                               feature_shape=shape)
+        ref_rng = np.random.default_rng(seed)
+        oracle = ORACLES[(kind, modality)]
+        for size in sizes:  # consecutive calls on one stream
+            xs = data.uniform(-0.5, 1.5, size=(size, width))
+            got = stream.apply_batch(xs)
+            want = np.stack([
+                oracle(row if shape is None else row.reshape(shape),
+                       ref_rng, cfg).reshape(-1)
+                for row in xs])
+            assert np.array_equal(got, want), (kind, modality, shape, cfg, seed)
+            assert stream.rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind,modality", sorted(ORACLES))
+    def test_batch_equals_rows(self, kind, modality):
+        shapes = (None,) if modality == "vector" else ((3, 32, 32), (1, 8, 12))
+        size_rng = np.random.default_rng(99)
+        for shape in shapes:
+            for shift in self.SHIFTS:
+                cfg = CFG if shift is None else AugmentConfig(
+                    image_shift_weak=shift, image_shift_strong=shift)
+                for seed in range(3):
+                    sizes = [1, 200, int(size_rng.integers(2, 200))]
+                    self.run_pair(kind, modality, shape, cfg, seed, sizes)
+
+    def test_scalar_integer_pairs_match_size_two_draws(self):
+        # the batch functions draw each (dx, dy) or (top, left) pair as two
+        # scalar calls; the references draw one size=2 array
+        ranges = ((-4, 5), (-8, 9), (0, 4), (0, 25), (0, 1), (-40, 41))
+        for seed in range(50):
+            pair_rng = np.random.default_rng(seed)
+            scalar_rng = np.random.default_rng(seed)
+            for step in range(40):
+                lo, hi = ranges[step % len(ranges)]
+                assert pair_rng.random() == scalar_rng.random()
+                pair = [int(v) for v in pair_rng.integers(lo, hi, size=2)]
+                assert pair == [int(scalar_rng.integers(lo, hi)),
+                                int(scalar_rng.integers(lo, hi))]
+                assert pair_rng.uniform(0.6, 1.4) == scalar_rng.uniform(0.6, 1.4)
+            assert pair_rng.bit_generator.state == scalar_rng.bit_generator.state

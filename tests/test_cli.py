@@ -103,6 +103,15 @@ class TestGenData:
         assert code == 2
         assert "ptail" in capsys.readouterr().err
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "d.txt"
+        code = main(["gen-data", "--synthetic", "C=3", "n=20", "--mcar", "6",
+                     "--seed", "-1", "--out", str(out)])
+        assert code == 2
+        assert "--seed must be a non-negative integer, got -1" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_mnar_retention_excludes_other_keys(self, tmp_path):
         code = main(["gen-data", "--synthetic", "C=4", "n=10", "--mnar",
                      "retention=1,1,0,0", "p0=0.5", "--seed", "1",
@@ -169,6 +178,28 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "r")])
         assert code == 2
         assert "seed required" in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, synth_files, tmp_path, capsys):
+        train_f, test_f = synth_files
+        out = tmp_path / "run"
+        code = main(["train", "--data", str(train_f), "--test", str(test_f),
+                     "--out", str(out), "--seed", "-1"])
+        assert code == 2
+        assert "--seed must be a non-negative integer, got -1" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_config_seed_names_key(self, synth_files, tmp_path, capsys):
+        train_f, test_f = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-3\n")
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(cfg), "--data", str(train_f),
+                     "--test", str(test_f), "--out", str(out)])
+        assert code == 2
+        assert "config key seed must be a non-negative integer, got -3" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_problems_listed_all_at_once(self, capsys):
         assert main(["train"]) == 2

@@ -17,10 +17,10 @@ from copseudo.fusion import (
     fuse_cascade,
     fuse_pair,
     fuse_single,
-    mask_ratio,
     select_debias_subset,
 )
 from oracles import (
+    mask_ratio,
     peaked_vector,
     reference_cascade_decision,
     reference_pair_decision,

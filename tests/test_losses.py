@@ -16,8 +16,8 @@ from copseudo.losses import (
     estimate_propensity,
     supervised_loss,
     total_objective,
-    unlabeled_loss,
 )
+from oracles import unlabeled_loss
 
 
 def present(label, masks, source=SOURCE_BOTH):

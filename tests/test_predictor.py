@@ -18,9 +18,8 @@ from copseudo.predictor import (
     predict_proba,
     save_checkpoint,
     sgd_step,
-    zero_gradients,
 )
-from oracles import fd_max_rel_error, weighted_ce_loss
+from oracles import fd_max_rel_error, weighted_ce_loss, zero_gradients
 
 
 def zero_model(arch):

@@ -31,11 +31,11 @@ from copseudo.trainer import (
     TrainerState,
     evaluate,
     fuse_batch,
-    pseudo_label_accuracy,
     resolved_config_lines,
     train,
     train_step,
 )
+from oracles import pseudo_label_accuracy
 
 
 def tiny_dataset(seed=0, samples_per_class=12, num_labeled=16, sigma=0.4):
