@@ -5,11 +5,18 @@ per-sample indicator saying whether the label is observed (0) or hidden
 (1).  Training code may only read labels through ``observed_labels`` /
 ``sample``, which refuse hidden entries; evaluation code uses the
 clearly named ``eval_labels`` / ``eval_sample`` escape hatch.
+
+Datasets are stored in the binary ``copseudo-ds v2`` container: one ascii
+header line giving the size, class count and feature shape, then the
+missing flags (``u1``), labels (``<i8``) and features (``<f8``) as raw
+arrays (see ``save_dataset``).  ``load_dataset`` also reads the
+``copseudo-ds v1`` text container of earlier versions.
 """
 from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +30,9 @@ CIFAR_CLASSES = 10
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 CIFAR_TEST_FILE = "test_batch.bin"
 
-DATASET_MAGIC = "copseudo-ds v1"
+DATASET_MAGIC = "copseudo-ds v2"
+_V1_MAGIC = "copseudo-ds v1"
+_HEADER_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -306,32 +315,78 @@ def load_cifar10(path, split: str) -> MaskedDataset:
 
 
 def save_dataset(ds: MaskedDataset, path) -> None:
-    """Write the portable text container (labels included even when hidden;
-    consumers must honor the mask)."""
-    labels = ds.eval_labels()
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{DATASET_MAGIC} {len(ds)} {ds.num_classes} {ds.features.shape[1]}\n")
-        for i in range(len(ds)):
-            feats = ",".join(repr(float(v)) for v in ds.features[i])
-            fh.write(f"{i},{int(ds.missing[i])},{int(labels[i])},{feats}\n")
+    """Write the binary ``copseudo-ds v2`` container.
+
+    One ascii header line, ``copseudo-ds v2 <n> <num_classes> <shape>``,
+    with the feature shape comma-joined (``3,32,32`` or ``2``).  Then three
+    raw arrays with no padding: ``missing`` as ``u1[n]``, labels as
+    ``<i8[n]`` (hidden ones included; consumers must honor the mask) and
+    features as ``<f8[n * prod(shape)]`` in row-major order.  The file
+    ends there.
+    """
+    shape = ",".join(str(d) for d in ds.feature_shape)
+    with open(path, "wb") as fh:
+        fh.write(f"{DATASET_MAGIC} {len(ds)} {ds.num_classes} {shape}\n".encode("ascii"))
+        for arr, dtype in ((ds.missing, "u1"), (ds._labels, "<i8"), (ds.features, "<f8")):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def load_dataset(path) -> MaskedDataset:
+    """Read a ``copseudo-ds v2`` container (see ``save_dataset``) or the
+    ``copseudo-ds v1`` text records of earlier versions.
+
+    v1 stores only the feature width and infers ``(3, 32, 32)`` from 3072.
+    A malformed file of either version raises ``DataError`` naming ``path``.
+    """
     if not os.path.isfile(path):
         raise DataError(f"missing dataset file: {path}")
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or " ".join(header[:2]) != DATASET_MAGIC:
+    with open(path, "rb") as fh:
+        line = fh.readline(_HEADER_LIMIT)
+        header = line.decode("ascii", "replace").split()
+        magic = " ".join(header[:2])
+        if not line.endswith(b"\n") or len(header) != 5 or magic not in _READERS:
             raise DataError(f"bad dataset header in {path}")
         try:
-            n, num_classes, dim = (int(v) for v in header[2:])
+            n, num_classes = int(header[2]), int(header[3])
+            shape = tuple(int(v) for v in header[4].split(","))
         except ValueError as exc:
             raise DataError(f"bad dataset header in {path}") from exc
-        features = np.empty((n, dim))
-        labels = np.empty(n, dtype=np.int64)
-        missing = np.empty(n, dtype=np.uint8)
+        width = math.prod(shape)
+        # numpy caps an array's size in bytes at sys.maxsize
+        if (n < 0 or min(shape) < 0 or 8 * width > sys.maxsize
+                or (magic == _V1_MAGIC and len(shape) != 1)):
+            raise DataError(f"bad dataset header in {path}")
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        missing, labels, features = _READERS[magic](fh, path, n, width, payload)
+    if magic == _V1_MAGIC and shape == (CIFAR_PIXELS,):
+        shape = CIFAR_IMAGE_SHAPE
+    try:
+        return MaskedDataset(features, labels, missing, num_classes, feature_shape=shape)
+    except ConfigError as exc:
+        raise DataError(f"invalid dataset in {path}: {exc}") from exc
+
+
+def _read_v2(fh, path, n, width, payload):
+    expected = n * (1 + 8 + 8 * width)
+    if payload != expected:
+        raise DataError(f"dataset file {path} holds {payload} payload bytes, "
+                        f"expected {expected}")
+    missing = np.fromfile(fh, dtype="u1", count=n)
+    labels = np.fromfile(fh, dtype="<i8", count=n)
+    features = np.fromfile(fh, dtype="<f8", count=n * width).reshape(n, width)
+    return missing, labels, features
+
+
+def _read_v1(fh, path, n, dim, payload):
+    # a record is 3 + dim fields of one char or more, their commas and a newline
+    if n * 2 * (3 + dim) - 1 > payload:
+        raise DataError(f"dataset file {path} is too short for {n} records")
+    features = np.empty((n, dim))
+    labels = np.empty(n, dtype=np.int64)
+    missing = np.empty(n, dtype=np.uint8)
+    try:
         for i in range(n):
-            line = fh.readline()
+            line = fh.readline().decode("ascii")
             if not line:
                 raise DataError(f"dataset file {path} ends after {i} of {n} records")
             parts = line.rstrip("\n").split(",")
@@ -343,5 +398,11 @@ def load_dataset(path) -> MaskedDataset:
             missing[i] = int(parts[1])
             labels[i] = int(parts[2])
             features[i] = [float(v) for v in parts[3:]]
-    shape = CIFAR_IMAGE_SHAPE if dim == CIFAR_PIXELS else None
-    return MaskedDataset(features, labels, missing, num_classes, feature_shape=shape)
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"record {i} in {path}: {exc}") from exc
+    if fh.read(1):
+        raise DataError(f"dataset file {path} has data after its {n} records")
+    return missing, labels, features
+
+
+_READERS = {DATASET_MAGIC: _read_v2, _V1_MAGIC: _read_v1}

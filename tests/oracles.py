@@ -14,6 +14,9 @@ The per-decision helpers at the end (``mask_ratio``,
 ``pseudo_label_accuracy``, ``unlabeled_loss``, ``zero_gradients``) were
 once library functions; the library now reads the same numbers from
 arrays, and they stay here as readable references.
+
+``save_dataset_v1`` is the text writer of the ``copseudo-ds v1``
+container, which the library no longer writes but still reads.
 """
 import math
 
@@ -294,3 +297,17 @@ def unlabeled_loss(probs_strong, decisions, model_index: int) -> float:
 def zero_gradients(params: ModelParams) -> Gradients:
     return Gradients(weights=tuple(np.zeros_like(w) for w in params.weights),
                      biases=tuple(np.zeros_like(b) for b in params.biases))
+
+
+# --- dataset container -----------------------------------------------------
+
+def save_dataset_v1(ds, path) -> None:
+    """Write ``ds`` as ``copseudo-ds v1`` text: a header with the feature
+    width, then one ``index,missing,label,features...`` record per line,
+    each float written with ``repr``."""
+    labels = ds.eval_labels()
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"copseudo-ds v1 {len(ds)} {ds.num_classes} {ds.features.shape[1]}\n")
+        for i in range(len(ds)):
+            feats = ",".join(repr(float(v)) for v in ds.features[i])
+            fh.write(f"{i},{int(ds.missing[i])},{int(labels[i])},{feats}\n")

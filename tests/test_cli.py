@@ -20,6 +20,7 @@ from copseudo.data import (
 from copseudo.fusion import FusionConfig, fuse_cascade, fuse_pair
 from copseudo.metrics import compare_runs, read_csv
 from copseudo.predictor import init_model, save_checkpoint
+from oracles import save_dataset_v1
 
 
 def gen_synth(path, classes=4, per_class=20, labeled=None, seed=7, sigma=0.5):
@@ -321,6 +322,41 @@ class TestTrainCommand:
                      "--seed", "5"])
         assert code == 3
         assert "missing dataset file" in capsys.readouterr().err
+
+    def test_malformed_dataset_is_data_error(self, synth_files, tmp_path, capsys):
+        train_f, test_f = synth_files
+        bad = tmp_path / "bad.ds"
+        bad.write_text("copseudo-ds v1 1 2 2\n0,2,1,0.5,0.5\n")
+        code = main(["train", "--data", str(bad), "--test", str(test_f),
+                     "--out", str(tmp_path / "r"), "--seed", "5"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "missing indicators must be 0 or 1" in err
+
+
+def tree_bytes(root):
+    """Map each file under ``root`` to its bytes, keyed by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+class TestContainerVersions:
+    def test_v1_and_v2_inputs_train_identically(self, synth_files, tmp_path):
+        # the same desk data as v2 (what gen-data writes) and as v1 text
+        v1_files = []
+        for path in synth_files:
+            v1 = tmp_path / f"v1-{path.name}"
+            save_dataset_v1(load_dataset(path), v1)
+            assert v1.read_bytes().startswith(b"copseudo-ds v1 ")
+            assert path.read_bytes().startswith(b"copseudo-ds v2 ")
+            v1_files.append(v1)
+        extra = ("--dump-predictions-every", "2")
+        assert quick_train(*synth_files, tmp_path / "run-v2", extra) == 0
+        assert quick_train(*v1_files, tmp_path / "run-v1", extra) == 0
+        v2_tree = tree_bytes(tmp_path / "run-v2")
+        assert "metrics.csv" in v2_tree
+        assert v2_tree == tree_bytes(tmp_path / "run-v1")
 
 
 PAIR_EXAMPLES = """\

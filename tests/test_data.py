@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from copseudo.data import (
     write_cifar10_batch,
 )
 from copseudo.errors import ConfigError, DataError, TaintError
+from oracles import save_dataset_v1
 
 
 def make_spec(**kw):
@@ -230,6 +233,30 @@ class TestTaint:
             ds.missing[0] = 0
 
 
+def v2_file(path, n, num_classes, shape, missing, labels, features):
+    """Hand-assemble a ``copseudo-ds v2`` file from raw arrays."""
+    head = f"copseudo-ds v2 {n} {num_classes} {shape}\n".encode("ascii")
+    path.write_bytes(head + np.asarray(missing, dtype="u1").tobytes()
+                     + np.asarray(labels, dtype="<i8").tobytes()
+                     + np.asarray(features, dtype="<f8").tobytes())
+    return path
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a.features.view(np.uint64), b.features.view(np.uint64))
+    np.testing.assert_array_equal(a.eval_labels(), b.eval_labels())
+    np.testing.assert_array_equal(a.missing, b.missing)
+    assert a.num_classes == b.num_classes
+    assert a.feature_shape == b.feature_shape
+
+
+# finite doubles that a careless encoder loses: signed zero, subnormals,
+# the extremes and values with no short decimal form
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+               2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1 / 3, -2.0 ** -1060]
+
+
 class TestContainer:
     def test_round_trip(self, tmp_path):
         ds = generate_synthetic(make_spec(samples_per_class=7, dim=3), seed=13)
@@ -247,19 +274,37 @@ class TestContainer:
         ds = generate_synthetic(make_spec(samples_per_class=1), seed=0)
         path = tmp_path / "ds.txt"
         save_dataset(ds, path)
-        first = path.read_text().splitlines()[0]
-        assert first == "copseudo-ds v1 4 4 2"
+        raw = path.read_bytes()
+        head = b"copseudo-ds v2 4 4 2\n"
+        assert raw.startswith(head)
+        assert len(raw) == len(head) + 4 * (1 + 8 + 2 * 8)
+
+    def test_payload_layout(self, tmp_path):
+        ds = apply_missingness(generate_synthetic(make_spec(samples_per_class=2), seed=0),
+                               MissingnessSpec.mcar(num_labeled=3, seed=1))
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        raw = path.read_bytes()
+        body = raw[raw.index(b"\n") + 1:]
+        n = len(ds)
+        assert body[:n] == ds.missing.tobytes()
+        assert body[n:9 * n] == ds.eval_labels().astype("<i8").tobytes()
+        assert body[9 * n:] == ds.features.astype("<f8").tobytes()
 
     def test_hidden_labels_still_serialized(self, tmp_path):
         ds = generate_synthetic(make_spec(samples_per_class=2), seed=0)
         ds = apply_missingness(ds, MissingnessSpec.mcar(num_labeled=1, seed=1))
         path = tmp_path / "ds.txt"
         save_dataset(ds, path)
-        lines = path.read_text().splitlines()[1:]
-        hidden = int(ds.missing_indices()[0])
-        parts = lines[hidden].split(",")
-        assert parts[1] == "1"
-        assert int(parts[2]) == int(ds.eval_labels([hidden])[0])
+        raw = path.read_bytes()
+        body = raw[raw.index(b"\n") + 1:]
+        n = len(ds)
+        missing = np.frombuffer(body[:n], dtype="u1")
+        labels = np.frombuffer(body[n:9 * n], dtype="<i8")
+        hidden = ds.missing_indices()
+        assert hidden.size == n - 1
+        assert (missing[hidden] == 1).all()
+        np.testing.assert_array_equal(labels[hidden], ds.eval_labels(hidden))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "ds.txt"
@@ -268,13 +313,10 @@ class TestContainer:
             load_dataset(path)
 
     def test_truncated_body(self, tmp_path):
-        ds = generate_synthetic(make_spec(samples_per_class=3), seed=0)
-        path = tmp_path / "ds.txt"
-        save_dataset(ds, path)
-        lines = path.read_text().splitlines(keepends=True)
-        (tmp_path / "cut.txt").write_text("".join(lines[:-2]))
-        with pytest.raises(DataError):
-            load_dataset(tmp_path / "cut.txt")
+        path = tmp_path / "cut.txt"
+        path.write_text("copseudo-ds v1 3 2 2\n0,0,1,0.5,0.5\n1,1,0,0.25,-1.0\n")
+        with pytest.raises(DataError, match="ends after 2 of 3 records"):
+            load_dataset(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -285,6 +327,141 @@ class TestContainer:
         path.write_text("copseudo-ds v1 1 2 3\n0,0,1,0.5,0.5\n")
         with pytest.raises(DataError):
             load_dataset(path)
+
+    def test_v2_truncated_at_every_offset(self, tmp_path):
+        ds = apply_missingness(generate_synthetic(make_spec(samples_per_class=1), seed=3),
+                               MissingnessSpec.mcar(num_labeled=2, seed=0))
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.txt"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(DataError, match=re.escape(str(cut))):
+                load_dataset(cut)
+
+    @pytest.mark.parametrize("tail", [b"\0", b"\n", b"0,0,1,0.5,0.5\n"])
+    def test_v2_trailing_bytes(self, tmp_path, tail):
+        ds = generate_synthetic(make_spec(samples_per_class=1), seed=3)
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(DataError, match="payload bytes"):
+            load_dataset(path)
+
+    def test_round_trip_bits(self, tmp_path):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2 ** 64, size=600, dtype=np.uint64).view(np.float64)
+        values = np.concatenate([EDGE_FLOATS, bits[np.isfinite(bits)]])
+        values = values[: len(values) // 4 * 4].reshape(-1, 4)
+        n = len(values)
+        ds = MaskedDataset(values, rng.integers(0, 3, size=n), rng.integers(0, 2, size=n), 3)
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert_same_bits(back, ds)
+        assert np.signbit(back.features[0, 1]) and back.features[0, 2] == 5e-324
+
+    def test_v1_and_v2_load_the_same_bits(self, tmp_path):
+        ds = apply_missingness(generate_synthetic(make_spec(samples_per_class=9, dim=5), seed=4),
+                               MissingnessSpec.mnar(geometric_retention(4, 0.5, p_tail=0.1),
+                                                    seed=6))
+        save_dataset_v1(ds, tmp_path / "v1.txt")
+        save_dataset(ds, tmp_path / "v2.txt")
+        assert_same_bits(load_dataset(tmp_path / "v1.txt"), load_dataset(tmp_path / "v2.txt"))
+        assert_same_bits(load_dataset(tmp_path / "v2.txt"), ds)
+
+
+class TestFeatureShape:
+    def test_wide_vector_stays_vector(self, tmp_path):
+        rng = np.random.default_rng(0)
+        ds = MaskedDataset(rng.standard_normal((3, 3072)), [0, 1, 1], [0, 0, 1], 2)
+        assert ds.modality == "vector"
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        assert path.read_bytes().startswith(b"copseudo-ds v2 3 2 3072\n")
+        back = load_dataset(path)
+        assert back.feature_shape == (3072,)
+        assert back.modality == "vector"
+        # v1 stored only the width, so its reader still infers an image
+        save_dataset_v1(ds, tmp_path / "v1.txt")
+        assert load_dataset(tmp_path / "v1.txt").feature_shape == CIFAR_IMAGE_SHAPE
+
+    def test_cifar_keeps_image_shape(self, tmp_path):
+        rng = np.random.default_rng(1)
+        write_cifar10_batch(tmp_path / "test_batch.bin", rng.integers(0, 10, size=4),
+                            rng.integers(0, 256, size=(4, 3072)))
+        ds = load_cifar10(tmp_path, "test")
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        assert path.read_bytes().startswith(b"copseudo-ds v2 4 10 3,32,32\n")
+        back = load_dataset(path)
+        assert back.modality == "image"
+        assert_same_bits(back, ds)
+        save_dataset_v1(ds, tmp_path / "v1.txt")
+        assert_same_bits(load_dataset(tmp_path / "v1.txt"), back)
+
+
+V1_BAD_BODIES = {
+    "negative_count": "copseudo-ds v1 -1 2 2\n",
+    "count_beyond_file": "copseudo-ds v1 1000000000000 2 2\n0,0,1,0.5,0.5\n",
+    "non_numeric_feature": "copseudo-ds v1 1 2 2\n0,0,1,abc,0.5\n",
+    "non_numeric_label": "copseudo-ds v1 1 2 2\n0,0,x,0.5,0.5\n",
+    "missing_flag_2": "copseudo-ds v1 1 2 2\n0,2,1,0.5,0.5\n",
+    "missing_flag_overflow": "copseudo-ds v1 1 2 2\n0,300,1,0.5,0.5\n",
+    "label_out_of_range": "copseudo-ds v1 1 2 2\n0,0,2,0.5,0.5\n",
+    "nan_feature": "copseudo-ds v1 1 2 2\n0,0,1,nan,0.5\n",
+    "zero_classes": "copseudo-ds v1 1 0 2\n0,0,0,0.5,0.5\n",
+    "trailing_record": "copseudo-ds v1 1 2 2\n0,0,1,0.5,0.5\n1,0,1,0.5,0.5\n",
+    "trailing_blank_line": "copseudo-ds v1 1 2 2\n0,0,1,0.5,0.5\n\n",
+    "v1_with_shape": "copseudo-ds v1 1 2 1,2\n0,0,1,0.5,0.5\n",
+}
+
+V2_BAD = {
+    "negative_count": ("-1", "2", "2", [], [], []),
+    "negative_dim": ("1", "2", "-2", [0], [1], []),
+    "bad_shape": ("1", "2", "3,x", [0], [1], [0.5] * 3),
+    "missing_flag_2": ("1", "2", "2", [2], [1], [0.5, 0.5]),
+    "label_out_of_range": ("1", "2", "2", [0], [2], [0.5, 0.5]),
+    "negative_label": ("1", "2", "2", [0], [-1], [0.5, 0.5]),
+    "nan_feature": ("1", "2", "2", [0], [1], [np.nan, 0.5]),
+    "inf_feature": ("1", "2", "2", [0], [1], [np.inf, 0.5]),
+    "zero_classes": ("1", "0", "2", [0], [0], [0.5, 0.5]),
+    "huge_shape": ("0", "2", "4294967296,4294967296", [], [], []),
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("name", sorted(V1_BAD_BODIES))
+    def test_v1_is_data_error_naming_path(self, tmp_path, name):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(V1_BAD_BODIES[name])
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("name", sorted(V2_BAD))
+    def test_v2_is_data_error_naming_path(self, tmp_path, name):
+        path = v2_file(tmp_path / f"{name}.txt", *V2_BAD[name])
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_dataset(path)
+
+    def test_non_ascii_record(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_bytes(b"copseudo-ds v1 1 2 2\n0,0,1,\xff,0.5\n")
+        with pytest.raises(DataError, match="record 0"):
+            load_dataset(path)
+
+    def test_header_without_newline(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_bytes(b"copseudo-ds v2 0 2 2")
+        with pytest.raises(DataError, match="bad dataset header"):
+            load_dataset(path)
+
+    def test_empty_dataset_round_trips(self, tmp_path):
+        ds = MaskedDataset(np.empty((0, 2)), [], [], 2)
+        path = tmp_path / "ds.txt"
+        save_dataset(ds, path)
+        assert_same_bits(load_dataset(path), ds)
 
 
 class TestCifar:
