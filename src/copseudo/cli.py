@@ -395,6 +395,20 @@ def _resolve_cascade(resolver, models: int, problems: list):
     return tuple(cascade)
 
 
+def _fusion_kw(resolver, models: int, problems: list) -> dict:
+    """FusionConfig keywords with the defaults train and fuse-trace share."""
+    single = resolver.get("single_model_mode", False, _parse_bool)
+    cascade = _resolve_cascade(resolver, models, problems)
+    return dict(
+        tau=resolver.get("tau", 0.95, float),
+        tau_cascade=cascade,
+        pseudo_weight=resolver.get("pseudo_weight", 1.0 if single else 0.75,
+                                   float),
+        num_models=models,
+        single_model_mode=single,
+        conflict_drop=resolver.get("conflict_drop", False, _parse_bool))
+
+
 def cmd_train(args) -> int:
     file_cfg = read_config_file(args.config) if args.config else {}
     r = Resolver(args, file_cfg)
@@ -423,16 +437,7 @@ def cmd_train(args) -> int:
     preset = PROFILES[profile]
 
     models = r.get("models", 2, int)
-    single = r.get("single_model_mode", False, _parse_bool)
-    cascade = _resolve_cascade(r, models, problems)
-    default_weight = 1.0 if single else 0.75
-    fusion_kw = dict(
-        tau=r.get("tau", 0.95, float),
-        tau_cascade=cascade,
-        pseudo_weight=r.get("pseudo_weight", default_weight, float),
-        num_models=models,
-        single_model_mode=single,
-        conflict_drop=r.get("conflict_drop", False, _parse_bool))
+    fusion_kw = _fusion_kw(r, models, problems)
     objective_kw = dict(
         lambda_u=r.get("lambda_u", 1.0, float),
         shared_unlabeled=r.get("shared_unlabeled", True, _parse_bool),
@@ -529,21 +534,14 @@ def cmd_fuse_trace(args) -> int:
         raise ConfigError("; ".join(problems))
     item_ids, preds = read_predictions(args.predictions)
     models = len(preds[0])
-    single = bool(args.single_model_mode)
+    fusion_kw = _fusion_kw(Resolver(args, {}), models, problems)
+    single = fusion_kw["single_model_mode"]
     if single and models != 1:
         raise ConfigError("single-model mode expects one model per item, "
                           f"file has {models}")
-    problems: list = []
-    helper = Resolver(args, {})
-    cascade = _resolve_cascade(helper, models, problems)
     if problems:
         raise ConfigError("; ".join(problems))
-    default_weight = 1.0 if single else 0.75
-    weight = args.pseudo_weight if args.pseudo_weight is not None else default_weight
-    cfg = FusionConfig(tau=args.tau if args.tau is not None else 0.95,
-                       tau_cascade=cascade, pseudo_weight=weight,
-                       num_models=models, single_model_mode=single,
-                       conflict_drop=bool(args.conflict_drop))
+    cfg = FusionConfig(**fusion_kw)
 
     probs = np.stack([np.stack(p) for p in preds], axis=1)
     fused = fuse_batch(probs, cfg, args.seed, args.step, items=item_ids)

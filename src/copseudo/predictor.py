@@ -44,7 +44,6 @@ class OptState:
     lr: float
     momentum: float
     weight_decay: float
-    step: int
     weight_bufs: tuple[np.ndarray, ...]
     bias_bufs: tuple[np.ndarray, ...]
 
@@ -79,7 +78,7 @@ def init_opt_state(params: ModelParams, lr: float, momentum: float,
     if not (weight_decay >= 0 and math.isfinite(weight_decay)):
         raise ConfigError("weight_decay must be a non-negative finite real")
     return OptState(
-        lr=lr, momentum=momentum, weight_decay=weight_decay, step=0,
+        lr=lr, momentum=momentum, weight_decay=weight_decay,
         weight_bufs=tuple(np.zeros_like(w) for w in params.weights),
         bias_bufs=tuple(np.zeros_like(b) for b in params.biases),
     )
@@ -186,7 +185,6 @@ def sgd_step(params: ModelParams, grads: Gradients, opt: OptState):
                     weights=tuple(p[0] for p in w_pairs),
                     biases=tuple(p[0] for p in b_pairs)),
         OptState(lr=opt.lr, momentum=opt.momentum, weight_decay=opt.weight_decay,
-                 step=opt.step + 1,
                  weight_bufs=tuple(p[1] for p in w_pairs),
                  bias_bufs=tuple(p[1] for p in b_pairs)),
     )

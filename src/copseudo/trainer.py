@@ -10,7 +10,6 @@ mid-step.
 """
 from __future__ import annotations
 
-import copy
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -191,9 +190,6 @@ class TrainerState:
             feature_shape=shape)
         self.step = 0
 
-    def clone(self) -> "TrainerState":
-        return copy.deepcopy(self)
-
 
 def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig,
                unlabeled_true_labels_eval_only) -> StepMetrics:
@@ -370,16 +366,16 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
                                      seed=cfg.seeds.unlabeled_order)
     metrics = RunMetrics(num_models=cfg.num_models)
 
-    def draw_batches(cyclers, ucycler):
+    def draw_batches():
         labeled = []
         for i in range(cfg.num_models):
-            idx = cyclers[i].take(cfg.objective.batch_size)
+            idx = labeled_cyclers[i].take(cfg.objective.batch_size)
             labeled.append((ds.features[idx], ds.observed_labels(idx)))
-        u_idx = ucycler.take(cfg.objective.unlabeled_batch_size)
+        u_idx = unlabeled_cycler.take(cfg.objective.unlabeled_batch_size)
         return labeled, ds.features[u_idx], ds.eval_labels(u_idx)
 
-    def record(step_metrics: StepMetrics, eval_step: int) -> None:
-        acc, loss = _evaluate_models(state.params, test)
+    def record(step_metrics: StepMetrics, eval_step: int, evaluated) -> None:
+        acc, loss = evaluated
         metrics.append(MetricsRow(
             step=eval_step, test_acc=acc, test_loss=loss,
             train_losses=step_metrics.train_losses,
@@ -391,32 +387,28 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
             src_consensus=step_metrics.source_counts[3],
             src_none=step_metrics.source_counts[4]))
 
-    # step-0 row: probe one step on throwaway copies so the stream state
-    # of the real loop is untouched
-    probe_state = state.clone()
-    probe_labeled, probe_u, probe_true = draw_batches(
-        [copy.deepcopy(c) for c in labeled_cyclers],
-        copy.deepcopy(unlabeled_cycler))
-    probe_metrics = train_step(probe_state, probe_labeled, probe_u, cfg,
-                               probe_true)
-    record(probe_metrics, eval_step=0)
-    del probe_state
-
-    last = None
-    for step in range(1, cfg.steps + 1):
-        labeled, u_feats, u_true = draw_batches(labeled_cyclers,
-                                                unlabeled_cycler)
+    # row 0 evaluates the initial parameters and takes its train-side
+    # numbers from step 1, which train_step measures on the parameters it
+    # starts from; with steps=0 that one step runs only to fill the row
+    initial = list(state.params)  # sgd_step returns new arrays
+    initial_eval = _evaluate_models(initial, test)
+    for step in range(1, max(cfg.steps, 1) + 1):
+        labeled, u_feats, u_true = draw_batches()
         last = train_step(state, labeled, u_feats, cfg, u_true)
+        if step == 1:
+            record(last, 0, initial_eval)
+        if step > cfg.steps:
+            break
         if cfg.dump_predictions_every and step % cfg.dump_predictions_every == 0:
             _dump_predictions(
                 os.path.join(out_dir, f"predictions-step{step}.csv"),
                 last.weak_probs)
         if step % cfg.eval_every == 0 or step == cfg.steps:
-            record(last, eval_step=step)
+            record(last, step, _evaluate_models(state.params, test))
 
     emit_csv(metrics, os.path.join(out_dir, METRICS_FILENAME))
     emit_plot_columns(metrics, out_dir)
-    for i, params in enumerate(state.params):
+    for i, params in enumerate(state.params if cfg.steps else initial):
         save_checkpoint(params, os.path.join(
             out_dir, f"ckpt-model{i + 1}-step{cfg.steps}"))
     return str(out_dir)

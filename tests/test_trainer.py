@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import copseudo.trainer as trainer_mod
 from copseudo.augment import AugmentConfig
 from copseudo.data import (
     MaskedDataset,
@@ -155,7 +156,7 @@ class TestTrainStepOracle:
     agreement with train_step."""
 
     def manual_step(self, state, labeled, unlabeled, cfg, step_index):
-        clone = state.clone()
+        clone = copy.deepcopy(state)
         n = cfg.num_models
         lam = cfg.objective.lambda_u
         sup = []
@@ -238,7 +239,7 @@ class TestTrainStepOracle:
         idx = ds.observed_indices()[:4]
         labeled = [(ds.features[idx], ds.observed_labels(idx))] * 2
         u_idx = ds.missing_indices()[:8]
-        clone = state.clone()
+        clone = copy.deepcopy(state)
         metrics = train_step(state, labeled, ds.features[u_idx], cfg,
                              ds.eval_labels(u_idx))
         assert isinstance(metrics, StepMetrics)
@@ -454,6 +455,39 @@ class TestTrainRunDirectory:
         cfg = small_config()
         with pytest.raises(ConfigError, match="exceeds"):
             train(cfg, ds, eval_set(), tmp_path / "x")
+
+
+class TestOneTrainStepPerStep:
+    """train runs each step once; row 0 reuses step 1's train-side numbers,
+    which train_step measures on the initial parameters."""
+
+    @pytest.mark.parametrize("num_models", [2, 1])
+    @pytest.mark.parametrize("steps", [0, 1, 4])
+    def test_call_count_and_row_zero(self, tmp_path, monkeypatch, num_models,
+                                     steps):
+        returned = []
+
+        def counting(*args, **kwargs):
+            returned.append(train_step(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(trainer_mod, "train_step", counting)
+        cfg = small_config(num_models=num_models, steps=steps, eval_every=2)
+        train(cfg, tiny_dataset(), eval_set(), tmp_path / "run")
+        assert len(returned) == max(steps, 1)
+
+        def as_written(value):
+            return float(format(value, ".9g"))
+
+        first = returned[0]
+        row0 = read_csv(tmp_path / "run" / "metrics.csv").rows[0]
+        assert first.step == 1
+        assert row0.step == 0
+        assert row0.train_losses == tuple(as_written(v)
+                                          for v in first.train_losses)
+        assert row0.mask_ratio == as_written(first.mask_ratio)
+        assert row0.pseudo_acc == as_written(first.pseudo_acc)
+        assert row0.source_counts() == first.source_counts
 
 
 class TestHiddenLabelIsolation:
