@@ -5,7 +5,9 @@
 #
 # Each tree is a checkout of the repository; its package is imported from
 # <tree>/src. For each tree the script generates the datasets, trains the
-# eight desk-profile configurations below, replays every prediction dump
+# nine configurations below (eight desk-profile runs on 2-wide vectors and
+# one paper-profile run on 3072-wide CIFAR-format images written by the
+# script itself), replays every prediction dump
 # with `copseudo fuse-trace`, and records each command's stdout, stderr and
 # exit code. It then compares the two result directories with `diff -r`.
 # Every command runs from inside the result directory with relative paths,
@@ -31,17 +33,36 @@ work=${3:-$(mktemp -d)}
 mkdir -p "$work"
 work=$(cd "$work" && pwd)
 
-# name|dataset|train flags|fusion flags (passed to fuse-trace as well)
+# name|train set|test set|train flags|fusion flags (passed to fuse-trace
+# as well)
+DESK="--profile desk"
 CONFIGS=(
-    "pair|mcar|--models 2 --steps 60 --eval-every 10 --dump-predictions-every 20|"
-    "cascade3-mnar|mnar|--models 3 --steps 60 --eval-every 10 --dump-predictions-every 20|--tau-cascade 0.85,0.75"
-    "conflict-drop4|mcar|--models 4 --steps 40 --eval-every 20 --dump-predictions-every 20|--tau-cascade 0.85,0.75,0.65 --conflict-drop"
-    "single3|mcar|--models 3 --steps 40 --eval-every 20|--single-model-mode --tau-cascade 0.85,0.75"
-    "cosine-every1|mcar|--models 2 --steps 12 --eval-every 1 --cosine-lr|"
-    "steps0|mcar|--models 2 --steps 0|"
-    "steps1|mcar|--models 2 --steps 1|"
-    "low-tau|mcar|--models 2 --steps 40 --eval-every 20 --dump-predictions-every 20|--tau 0.4 --tau2 0.3"
+    "pair|mcar|test|$DESK --models 2 --steps 60 --eval-every 10 --dump-predictions-every 20|"
+    "cascade3-mnar|mnar|test|$DESK --models 3 --steps 60 --eval-every 10 --dump-predictions-every 20|--tau-cascade 0.85,0.75"
+    "conflict-drop4|mcar|test|$DESK --models 4 --steps 40 --eval-every 20 --dump-predictions-every 20|--tau-cascade 0.85,0.75,0.65 --conflict-drop"
+    "single3|mcar|test|$DESK --models 3 --steps 40 --eval-every 20|--single-model-mode --tau-cascade 0.85,0.75"
+    "cosine-every1|mcar|test|$DESK --models 2 --steps 12 --eval-every 1 --cosine-lr|"
+    "steps0|mcar|test|$DESK --models 2 --steps 0|"
+    "steps1|mcar|test|$DESK --models 2 --steps 1|"
+    "low-tau|mcar|test|$DESK --models 2 --steps 40 --eval-every 20 --dump-predictions-every 20|--tau 0.4 --tau2 0.3"
+    "image|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2|--tau 0.3 --tau2 0.2"
 )
+
+# CIFAR-format batches: five train files of 120 images and a test file of
+# 60, each image a noisy copy of its class's random prototype
+WRITE_CIFAR='
+import os, sys
+import numpy as np
+from copseudo.data import CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, write_cifar10_batch
+rng = np.random.default_rng(21)
+protos = rng.integers(0, 256, size=(10, 3072))
+os.makedirs(sys.argv[1])
+for name, count in [(f, 120) for f in CIFAR_TRAIN_FILES] + [(CIFAR_TEST_FILE, 60)]:
+    labels = rng.integers(0, 10, size=count)
+    noise = rng.integers(-48, 49, size=(count, 3072))
+    pixels = np.clip(protos[labels] + noise, 0, 255)
+    write_cifar10_batch(os.path.join(sys.argv[1], name), labels, pixels)
+'
 
 run_tree() {
     local tree=$1 out=$2
@@ -49,13 +70,18 @@ run_tree() {
     mkdir -p "$out"
     (
         cd "$out" || exit 2
+        py() {
+            local log=$1
+            shift
+            PYTHONPATH="$tree/src" python3 -c "$@" > "$log.out" 2> "$log.err"
+            echo "$?" > "$log.code"
+        }
         cli() {
             local log=$1
             shift
-            PYTHONPATH="$tree/src" python3 -c \
+            py "$log" \
                 'import sys; from copseudo.cli import main; sys.exit(main(sys.argv[1:]))' \
-                "$@" > "$log.out" 2> "$log.err"
-            echo "$?" > "$log.code"
+                "$@"
         }
         mkdir -p logs
         cli logs/gen-mcar gen-data --synthetic C=4 n=100 sigma=1.0 \
@@ -64,12 +90,17 @@ run_tree() {
             --mnar p0=0.2 ptail=0.01 --seed 12 --out mnar.ds
         cli logs/gen-test gen-data --synthetic C=4 n=50 sigma=1.0 \
             --seed 13 --out test.ds
-        local entry name data flags fusion seed dump step
+        py logs/write-cifar "$WRITE_CIFAR" cifar
+        cli logs/gen-image gen-data --cifar10 cifar --mcar 120 --seed 14 \
+            --out image.ds
+        cli logs/gen-image-test gen-data --cifar10 cifar --split test \
+            --seed 15 --out image-test.ds
+        local entry name data test flags fusion seed dump step
         for entry in "${CONFIGS[@]}"; do
-            IFS='|' read -r name data flags fusion <<< "$entry"
+            IFS='|' read -r name data test flags fusion <<< "$entry"
             # shellcheck disable=SC2086
-            cli "logs/train-$name" train --profile desk --seed 5 \
-                --data "$data.ds" --test test.ds --out "run-$name" \
+            cli "logs/train-$name" train --seed 5 \
+                --data "$data.ds" --test "$test.ds" --out "run-$name" \
                 $flags $fusion
             seed=$(sed -n 's/^seed\.fusion=//p' "run-$name/config.resolved" 2>/dev/null)
             for dump in "run-$name"/predictions-step*.csv; do

@@ -2,7 +2,8 @@
 learning under labels that are not missing at random.
 
 The pieces: ``data`` builds and masks datasets, ``augment`` provides
-weak/strong views, ``predictor`` is a small from-scratch MLP, ``fusion``
+weak/strong views, ``predictor`` is a small from-scratch MLP whose
+``ModelStack`` trains the n models as one set of stacked tensors, ``fusion``
 turns per-model predictions into pseudo-labels and loss masks,
 ``losses`` assembles the training objectives, ``trainer`` runs the
 lock-step multi-model loop, ``metrics`` records and compares runs, and
@@ -42,6 +43,7 @@ from .losses import (
 from .metrics import MetricsRow, RunComparison, RunMetrics, compare_runs, read_csv
 from .predictor import (
     ModelParams,
+    ModelStack,
     OptState,
     init_model,
     init_opt_state,
@@ -76,6 +78,7 @@ __all__ = [
     "MetricsRow",
     "MissingnessSpec",
     "ModelParams",
+    "ModelStack",
     "ObjectiveConfig",
     "OptState",
     "RunComparison",

@@ -3,8 +3,9 @@
 Vectors get Gaussian jitter (weak) or heavier jitter plus coordinate
 dropout (strong).  Images get flip/translate (weak) or two operations
 drawn from {flip, translate, brightness, cutout} (strong).  Each kind
-and modality has one batch function, and ``AugmentStream.apply_batch``
-is the only entry point.  Every batch function draws its random numbers
+and modality has one batch function, which writes into ``out`` when given
+one; ``AugmentStream.apply_batch`` and ``apply_batch_into`` are the only
+entry points.  Every batch function draws its random numbers
 row by row, in the order a loop over single rows would draw them, so
 the stream, and with it every view, does not depend on how rows are
 grouped into batches.  Each ``AugmentStream`` owns its generator, so
@@ -51,21 +52,30 @@ class AugmentConfig:
             raise ConfigError("invalid augment config: " + "; ".join(problems))
 
 
-def weak_vectors(xs: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+def weak_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """(B, d) rows plus Gaussian jitter; one draw yields the rows' normals
     in row order."""
-    return xs + cfg.sigma_weak * rng.standard_normal(xs.shape)
+    if out is None:
+        out = np.empty_like(xs)
+    noise = rng.standard_normal(xs.shape)
+    noise *= cfg.sigma_weak
+    return np.add(xs, noise, out=out)
 
 
-def strong_vectors(xs: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+def strong_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """(B, d) rows plus heavier jitter, then coordinate dropout.  Each row
     draws its d normals and then its d uniforms."""
+    if out is None:
+        out = np.empty_like(xs)
     noise = np.empty_like(xs)
     drop = np.empty_like(xs)
     for i in range(xs.shape[0]):
         rng.standard_normal(out=noise[i])
         rng.random(out=drop[i])
-    out = xs + cfg.sigma_strong * noise
+    noise *= cfg.sigma_strong
+    np.add(xs, noise, out=out)
     out[drop < cfg.vector_drop_prob] = 0.0
     return out
 
@@ -86,12 +96,15 @@ def _draw_shift(rng, s: int, h: int, w: int):
     return dst, src
 
 
-def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
+                out: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) images, each flipped with probability 1/2 and then
     shifted, with exposed pixels zero.  Each row draws the flip, then dx,
     then dy."""
+    if out is None:
+        out = np.empty_like(imgs)
     _, _, h, w = imgs.shape
-    out = np.zeros_like(imgs)
+    out.fill(0.0)
     for i in range(imgs.shape[0]):
         img = imgs[i, :, :, ::-1] if rng.random() < 0.5 else imgs[i]
         shift = _draw_shift(rng, cfg.image_shift_weak, h, w)
@@ -101,13 +114,16 @@ def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
     return out
 
 
-def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
+def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) images, each put through two operations drawn with
     replacement from {flip, translate, brightness, cutout}.  Each row
     draws both operations, then each operation's parameters in order, and
-    is transformed in place in a copy of the batch."""
+    is transformed in place in ``out``, a copy of the batch."""
+    if out is None:
+        out = np.empty_like(imgs)
     _, _, h, w = imgs.shape
-    out = imgs.copy()
+    np.copyto(out, imgs)
     scratch = np.empty(imgs.shape[1:])
     cut_range = min(h, w) - CUTOUT_SIZE + 1
     for i in range(out.shape[0]):
@@ -174,12 +190,23 @@ class AugmentStream:
         """Augment each row independently; the stream advances exactly as
         it would for the rows one at a time, in row order."""
         xs = np.asarray(xs, dtype=np.float64)
+        return self.apply_batch_into(xs, np.empty(xs.shape))
+
+    def apply_batch_into(self, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``apply_batch`` writing into ``out``, a C-contiguous float64
+        array of the batch's shape; returns ``out``."""
+        xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
             raise ConfigError("apply_batch expects a 2-d array")
+        if (out.shape != xs.shape or out.dtype != np.float64
+                or not out.flags.c_contiguous):
+            raise ConfigError("out must be a C-contiguous float64 array of "
+                              "the batch's shape")
         if xs.shape[0] == 0:
-            return xs.copy()
+            return out
         fn = _BATCH_FNS[(self.kind, self.modality)]
         if self.modality == "vector":
-            return fn(xs, self.rng, self.config)
-        imgs = xs.reshape((xs.shape[0],) + self.feature_shape)
-        return fn(imgs, self.rng, self.config).reshape(xs.shape[0], -1)
+            return fn(xs, self.rng, self.config, out)
+        shape = (xs.shape[0],) + self.feature_shape
+        fn(xs.reshape(shape), self.rng, self.config, out.reshape(shape))
+        return out

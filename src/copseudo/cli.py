@@ -34,7 +34,7 @@ from .errors import ConfigError, CopseudoError, DataError
 from .fusion import FusionConfig, fuse_batch, select_debias_subset
 from .losses import ObjectiveConfig
 from .metrics import compare_runs, read_csv
-from .predictor import load_checkpoint, predict_proba
+from .predictor import load_checkpoint, predict_models
 from .trainer import METRICS_FILENAME, SeedPlan, TrainConfig, train
 
 # profile presets: "paper" mirrors the image-benchmark hyperparameters,
@@ -375,7 +375,7 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _resolve_cascade(resolver, models: int, problems: list):
+def _resolve_cascade(resolver, models: int, single: bool, problems: list):
     tau2 = resolver.get("tau2", None, float)
     cascade = resolver.get("tau_cascade", None, _float_list)
     if tau2 is not None and cascade is not None:
@@ -384,7 +384,8 @@ def _resolve_cascade(resolver, models: int, problems: list):
     if cascade is None and tau2 is not None:
         cascade = (tau2,)
     if cascade is None:
-        if models == 1:
+        # single-model mode never consults the cascade
+        if models == 1 or (single and models > 2):
             cascade = ()
         elif models == 2:
             cascade = (0.75,)
@@ -398,7 +399,7 @@ def _resolve_cascade(resolver, models: int, problems: list):
 def _fusion_kw(resolver, models: int, problems: list) -> dict:
     """FusionConfig keywords with the defaults train and fuse-trace share."""
     single = resolver.get("single_model_mode", False, _parse_bool)
-    cascade = _resolve_cascade(resolver, models, problems)
+    cascade = _resolve_cascade(resolver, models, single, problems)
     return dict(
         tau=resolver.get("tau", 0.95, float),
         tau_cascade=cascade,
@@ -586,7 +587,7 @@ def cmd_select_subset(args) -> int:
     if missing.size == 0:
         raise ConfigError("dataset has no unlabeled items to select from")
     feats = ds.features[missing]
-    preds = [predict_proba(p, feats) for p in params]
+    preds = predict_models(params, feats)
     subset = select_debias_subset(preds, args.epsilon)
     agreed = preds[0].argmax(axis=1)
 

@@ -1,6 +1,13 @@
 """Reference classifier: a small MLP (tanh hidden layers, softmax output)
 with exact analytic gradients and momentum SGD.
 
+``ModelStack`` is the training path: it holds n models of one
+architecture as stacked tensors and runs the forward pass, the loss with
+its gradient, and the momentum-SGD update of all n with one
+``np.matmul`` per layer.  ``predict_proba``, ``loss_and_grad`` and
+``sgd_step`` are one-model wrappers over it.  ``ModelParams`` is the
+per-model view that checkpoints are written from and read into.
+
 Everything is plain numpy so the arithmetic is easy to audit; no autograd.
 """
 from __future__ import annotations
@@ -84,75 +91,209 @@ def init_opt_state(params: ModelParams, lr: float, momentum: float,
     )
 
 
-def _check_batch(params: ModelParams, xs: np.ndarray) -> np.ndarray:
+def _as_batch(xs) -> np.ndarray:
+    """The one-model wrappers take a (B, d) batch only."""
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
         raise ConfigError("xs must be a 2-d batch")
-    if xs.shape[1] != params.arch[0]:
-        raise ConfigError(
-            f"feature width {xs.shape[1]} does not match input layer {params.arch[0]}")
-    if not np.isfinite(xs).all():
-        raise ConfigError("non-finite input features")
     return xs
 
 
-def _forward(params: ModelParams, xs: np.ndarray):
-    """Returns (per-layer activations starting with xs, log-probabilities)."""
-    acts = [xs]
-    h = xs
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.tanh(h @ w + b)
-        acts.append(h)
-    logits = h @ params.weights[-1] + params.biases[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return acts, logp
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes: one transposed operand per model."""
+    return np.swapaxes(a, -1, -2)
+
+
+class ModelStack:
+    """n models of one architecture as stacked tensors, trained together.
+
+    ``weights[l]`` is a C-contiguous (n, fan_in, fan_out) array and
+    ``biases[l]`` an (n, fan_out) array; ``weight_bufs`` and ``bias_bufs``
+    are the momentum buffers, of the same shapes.  Each method runs one
+    ``np.matmul`` per layer for all n models.  A stacked matmul computes
+    every model's slice with the same BLAS call as that model's own
+    ``@``, and the rest of the arithmetic is elementwise or reduces along
+    one model's axis, so every number equals the one-model computation
+    bit for bit.  Inputs are either a (B, d) batch shared by every model
+    or an (n, B, d) block of per-model batches.  ``sgd_step`` updates the
+    stack in place.
+    """
+
+    def __init__(self, models, opts=None):
+        models = list(models)
+        if not models:
+            raise ConfigError("a model stack needs at least one model")
+        self.arch = models[0].arch
+        if any(m.arch != self.arch for m in models):
+            raise ConfigError("stacked models must share one architecture")
+        layers = range(len(self.arch) - 1)
+        self.weights = [np.stack([m.weights[l] for m in models]).astype(
+            np.float64, copy=False) for l in layers]
+        self.biases = [np.stack([m.biases[l] for m in models]).astype(
+            np.float64, copy=False) for l in layers]
+        if opts is None:
+            self.momentum = self.weight_decay = 0.0
+            self.weight_bufs = [np.zeros_like(w) for w in self.weights]
+            self.bias_bufs = [np.zeros_like(b) for b in self.biases]
+            return
+        opts = list(opts)
+        if len(opts) != len(models):
+            raise ConfigError("need one optimizer state per model")
+        if len({(o.momentum, o.weight_decay) for o in opts}) != 1:
+            raise ConfigError("stacked models must share momentum and "
+                              "weight decay")
+        self.momentum = opts[0].momentum
+        self.weight_decay = opts[0].weight_decay
+        self.weight_bufs = [np.stack([o.weight_bufs[l] for o in opts])
+                            for l in layers]
+        self.bias_bufs = [np.stack([o.bias_bufs[l] for o in opts])
+                          for l in layers]
+
+    @property
+    def size(self) -> int:
+        return self.weights[0].shape[0]
+
+    @property
+    def num_classes(self) -> int:
+        return self.arch[-1]
+
+    def models(self) -> list[ModelParams]:
+        """Per-model views of the parameters; they follow later updates."""
+        return [ModelParams(arch=self.arch,
+                            weights=tuple(w[i] for w in self.weights),
+                            biases=tuple(b[i] for b in self.biases))
+                for i in range(self.size)]
+
+    def opt_states(self, lr: float) -> list[OptState]:
+        """Per-model views of the momentum buffers, labelled with ``lr``."""
+        return [OptState(lr=lr, momentum=self.momentum,
+                         weight_decay=self.weight_decay,
+                         weight_bufs=tuple(w[i] for w in self.weight_bufs),
+                         bias_bufs=tuple(b[i] for b in self.bias_bufs))
+                for i in range(self.size)]
+
+    def _check_batch(self, xs) -> np.ndarray:
+        xs = np.asarray(xs, dtype=np.float64)
+        if xs.ndim not in (2, 3) or (xs.ndim == 3 and xs.shape[0] != self.size):
+            raise ConfigError(f"xs must be a (B, d) batch or an "
+                              f"({self.size}, B, d) block")
+        if xs.shape[-1] != self.arch[0]:
+            raise ConfigError(f"feature width {xs.shape[-1]} does not match "
+                              f"input layer {self.arch[0]}")
+        if not np.isfinite(xs).all():
+            raise ConfigError("non-finite input features")
+        return xs
+
+    def _forward(self, xs: np.ndarray):
+        """Returns (per-layer activations starting with xs, log-probabilities
+        of shape (n, B, C))."""
+        acts = [xs]
+        h = xs
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = np.matmul(h, w)
+            h += b[:, None, :]
+            np.tanh(h, out=h)
+            acts.append(h)
+        logp = np.matmul(h, self.weights[-1])
+        logp += self.biases[-1][:, None, :]
+        logp -= logp.max(axis=-1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+        return acts, logp
+
+    def predict_proba(self, xs) -> np.ndarray:
+        """(n, B, C) class probabilities of every model."""
+        _, logp = self._forward(self._check_batch(xs))
+        return np.exp(logp)
+
+    def loss_and_grad(self, xs, targets, weights) -> tuple[np.ndarray, Gradients]:
+        """Per model, the mean over the batch of weights_b *
+        cross_entropy(targets_b, p(xs_b)), with its exact gradient.
+        ``targets`` and ``weights`` are (n, B); returns the (n,) losses
+        and stacked gradients."""
+        xs = self._check_batch(xs)
+        n, batch = self.size, xs.shape[-2]
+        if batch == 0:
+            raise ConfigError("empty batch")
+        targets = np.asarray(targets, dtype=np.int64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if targets.shape != (n, batch) or weights.shape != (n, batch):
+            raise ConfigError("targets and weights must match the batch length")
+        if targets.min() < 0 or targets.max() >= self.num_classes:
+            raise ConfigError("target class out of range")
+        if (weights < 0).any() or not np.isfinite(weights).all():
+            raise ConfigError("weights must be non-negative finite reals")
+
+        acts, logp = self._forward(xs)
+        # flat positions of each (model, row, target) entry of the C-contiguous
+        # (n, B, C) block
+        picks = np.arange(0, n * batch * self.num_classes, self.num_classes)
+        picks += targets.reshape(-1)
+        losses = -(weights * logp.reshape(-1)[picks].reshape(n, batch)).sum(
+            axis=1) / batch
+
+        dlogits = np.exp(logp)
+        dlogits.reshape(-1)[picks] -= 1.0
+        dlogits *= (weights / batch)[:, :, None]
+
+        num_layers = len(self.weights)
+        g_w = [None] * num_layers
+        g_b = [None] * num_layers
+        g_w[-1] = np.matmul(_t(acts[-1]), dlogits)
+        g_b[-1] = dlogits.sum(axis=1)
+        dh = np.matmul(dlogits, _t(self.weights[-1]))
+        for layer in range(num_layers - 2, -1, -1):
+            dz = acts[layer + 1] ** 2
+            np.subtract(1.0, dz, out=dz)
+            dz *= dh
+            g_w[layer] = np.matmul(_t(acts[layer]), dz)
+            g_b[layer] = dz.sum(axis=1)
+            if layer:
+                dh = np.matmul(dz, _t(self.weights[layer]))
+        return losses, Gradients(weights=tuple(g_w), biases=tuple(g_b))
+
+    def sgd_step(self, grads: Gradients, lr: float) -> None:
+        """buf <- m*buf + grad + wd*theta; theta <- theta - lr*buf, in
+        place for every model."""
+        tensors = list(zip(self.weights, grads.weights, self.weight_bufs))
+        tensors += list(zip(self.biases, grads.biases, self.bias_bufs))
+        for theta, g, _ in tensors:
+            if theta.shape != g.shape:
+                raise ConfigError("gradient/buffer shape mismatch")
+            if not np.isfinite(g).all():
+                raise ConfigError("non-finite gradient")
+        for theta, g, buf in tensors:
+            buf *= self.momentum
+            buf += g
+            buf += self.weight_decay * theta
+            theta -= lr * buf
+
+
+def predict_models(models, xs) -> list[np.ndarray]:
+    """Each model's (B, C) probabilities on one shared batch; models of
+    one architecture share a stack."""
+    groups: dict = {}
+    for i, m in enumerate(models):
+        groups.setdefault(m.arch, []).append(i)
+    out = [None] * len(models)
+    for members in groups.values():
+        probs = ModelStack([models[i] for i in members]).predict_proba(xs)
+        for i, p in zip(members, probs):
+            out[i] = p
+    return out
 
 
 def predict_proba(params: ModelParams, xs) -> np.ndarray:
-    xs = _check_batch(params, xs)
-    _, logp = _forward(params, xs)
-    return np.exp(logp)
+    return ModelStack([params]).predict_proba(_as_batch(xs))[0]
 
 
 def loss_and_grad(params: ModelParams, xs, targets, weights) -> tuple[float, Gradients]:
     """Mean over the batch of weights_b * cross_entropy(targets_b, p(xs_b)),
     with its exact gradient."""
-    xs = _check_batch(params, xs)
-    n = xs.shape[0]
-    if n == 0:
-        raise ConfigError("empty batch")
-    targets = np.asarray(targets, dtype=np.int64)
-    weights_arr = np.asarray(weights, dtype=np.float64)
-    if targets.shape != (n,) or weights_arr.shape != (n,):
-        raise ConfigError("targets and weights must match the batch length")
-    if targets.min() < 0 or targets.max() >= params.num_classes:
-        raise ConfigError("target class out of range")
-    if (weights_arr < 0).any() or not np.isfinite(weights_arr).all():
-        raise ConfigError("weights must be non-negative finite reals")
-
-    acts, logp = _forward(params, xs)
-    rows = np.arange(n)
-    loss = float(-(weights_arr * logp[rows, targets]).sum() / n)
-
-    probs = np.exp(logp)
-    dlogits = probs.copy()
-    dlogits[rows, targets] -= 1.0
-    dlogits *= (weights_arr / n)[:, None]
-
-    num_layers = len(params.weights)
-    g_w = [None] * num_layers
-    g_b = [None] * num_layers
-    g_w[-1] = acts[-1].T @ dlogits
-    g_b[-1] = dlogits.sum(axis=0)
-    dh = dlogits @ params.weights[-1].T
-    for layer in range(num_layers - 2, -1, -1):
-        dz = dh * (1.0 - acts[layer + 1] ** 2)
-        g_w[layer] = acts[layer].T @ dz
-        g_b[layer] = dz.sum(axis=0)
-        if layer:
-            dh = dz @ params.weights[layer].T
-    return loss, Gradients(weights=tuple(g_w), biases=tuple(g_b))
+    xs = _as_batch(xs)
+    losses, grads = ModelStack([params]).loss_and_grad(
+        xs, np.asarray(targets)[None], np.asarray(weights)[None])
+    return float(losses[0]), Gradients(weights=tuple(g[0] for g in grads.weights),
+                                       biases=tuple(g[0] for g in grads.biases))
 
 
 def add_scaled(a: Gradients, b: Gradients, scale: float) -> Gradients:
@@ -164,30 +305,19 @@ def add_scaled(a: Gradients, b: Gradients, scale: float) -> Gradients:
 
 
 def sgd_step(params: ModelParams, grads: Gradients, opt: OptState):
-    """buf <- m*buf + grad + wd*theta; theta <- theta - lr*buf."""
+    """buf <- m*buf + grad + wd*theta; theta <- theta - lr*buf.  Returns new
+    parameters and state; the inputs are left unchanged."""
     tensors = list(zip(params.weights, grads.weights, opt.weight_bufs))
     tensors += list(zip(params.biases, grads.biases, opt.bias_bufs))
-    for theta, g, buf in tensors:
-        if theta.shape != g.shape or theta.shape != buf.shape:
-            raise ConfigError("gradient/buffer shape mismatch")
-        if not np.isfinite(g).all():
-            raise ConfigError("non-finite gradient")
-    def update(theta, g, buf):
-        nbuf = opt.momentum * buf + g + opt.weight_decay * theta
-        return theta - opt.lr * nbuf, nbuf
-
-    w_pairs = [update(w, g, b) for w, g, b in
-               zip(params.weights, grads.weights, opt.weight_bufs)]
-    b_pairs = [update(b, g, bb) for b, g, bb in
-               zip(params.biases, grads.biases, opt.bias_bufs)]
-    return (
-        ModelParams(arch=params.arch,
-                    weights=tuple(p[0] for p in w_pairs),
-                    biases=tuple(p[0] for p in b_pairs)),
-        OptState(lr=opt.lr, momentum=opt.momentum, weight_decay=opt.weight_decay,
-                 weight_bufs=tuple(p[1] for p in w_pairs),
-                 bias_bufs=tuple(p[1] for p in b_pairs)),
-    )
+    if any(t.shape != g.shape or t.shape != buf.shape for t, g, buf in tensors):
+        raise ConfigError("gradient/buffer shape mismatch")
+    stack = ModelStack([params], [opt])
+    stack.sgd_step(Gradients(weights=tuple(g[None] for g in grads.weights),
+                             biases=tuple(g[None] for g in grads.biases)),
+                   opt.lr)
+    (new_params,) = stack.models()
+    (new_opt,) = stack.opt_states(opt.lr)
+    return new_params, new_opt
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -10,9 +10,10 @@ mid-step.
 """
 from __future__ import annotations
 
+import copy
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,13 +24,13 @@ from .fusion import SOURCES, FusionConfig, fuse_batch
 from .losses import ObjectiveConfig, supervised_loss, total_objective
 from .metrics import MetricsRow, RunMetrics, emit_csv, emit_plot_columns
 from .predictor import (
+    ModelParams,
+    ModelStack,
+    OptState,
     add_scaled,
     init_model,
     init_opt_state,
-    loss_and_grad,
-    predict_proba,
     save_checkpoint,
-    sgd_step,
 )
 
 CONFIG_FILENAME = "config.resolved"
@@ -167,14 +168,22 @@ class ShuffleCycler:
 
 
 class TrainerState:
-    """Per-model parameters and every stateful stream of the loop."""
+    """The stacked models and every stateful stream of the loop."""
 
     def __init__(self, cfg: TrainConfig, ds: MaskedDataset):
-        arch = (ds.features.shape[1],) + tuple(cfg.hidden) + (ds.num_classes,)
-        self.params = [init_model(arch, seed=cfg.seeds.init[i])
-                       for i in range(cfg.num_models)]
-        self.opts = [init_opt_state(p, cfg.lr, cfg.momentum, cfg.weight_decay)
-                     for p in self.params]
+        width = ds.features.shape[1]
+        arch = (width,) + tuple(cfg.hidden) + (ds.num_classes,)
+        params = [init_model(arch, seed=cfg.seeds.init[i])
+                  for i in range(cfg.num_models)]
+        self.stack = ModelStack(params, [
+            init_opt_state(p, cfg.lr, cfg.momentum, cfg.weight_decay)
+            for p in params])
+        self.lr = cfg.lr
+        # each step writes its per-model views straight into these blocks
+        self.labeled_views = np.empty(
+            (cfg.num_models, cfg.objective.batch_size, width))
+        self.strong_views = np.empty(
+            (cfg.num_models, cfg.objective.unlabeled_batch_size, width))
         mod = ds.modality
         shape = ds.feature_shape if mod == "image" else None
         self.weak_labeled = [
@@ -189,6 +198,16 @@ class TrainerState:
             "weak", mod, seed=cfg.seeds.unlabeled_weak, config=cfg.aug,
             feature_shape=shape)
         self.step = 0
+
+    @property
+    def params(self) -> list[ModelParams]:
+        """Per-model views of the stacked parameters."""
+        return self.stack.models()
+
+    @property
+    def opts(self) -> list[OptState]:
+        """Per-model views of the momentum buffers, at the configured lr."""
+        return self.stack.opt_states(self.lr)
 
 
 def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig,
@@ -209,16 +228,18 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
     if unlabeled.shape[0] != cfg.objective.unlabeled_batch_size:
         raise ConfigError("unlabeled batch size mismatch")
 
-    # supervised pass, per model
-    sup = []
-    for i, (xs, ys) in enumerate(labeled_batches):
-        weak_xs = state.weak_labeled[i].apply_batch(xs)
-        sup.append(loss_and_grad(state.params[i], weak_xs, ys,
-                                 np.ones(len(ys))))
+    stack = state.stack
 
-    # one shared weak view of the unlabeled batch, predictions per model
-    weak_u = state.weak_unlabeled.apply_batch(unlabeled)
-    weak_probs = np.stack([predict_proba(p, weak_u) for p in state.params])
+    # supervised pass on each model's own weak view of its labeled batch
+    for i, (xs, _) in enumerate(labeled_batches):
+        state.weak_labeled[i].apply_batch_into(xs, state.labeled_views[i])
+    sup_targets = np.stack([ys for _, ys in labeled_batches])
+    l_s, g_s = stack.loss_and_grad(state.labeled_views, sup_targets,
+                                   np.ones(sup_targets.shape))
+
+    # one shared weak view of the unlabeled batch, predicted by every model
+    weak_probs = stack.predict_proba(
+        state.weak_unlabeled.apply_batch(unlabeled))
 
     # fusion streams are keyed by the 1-based update index, the same index
     # that names a predictions dump, so offline re-fusion of a dump can
@@ -230,28 +251,26 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
     # unlabeled pass on per-model strong views; single-model decisions
     # carry one mask, fused decisions one per model.  Absent labels (-1)
     # become class 0 at mask 0.
-    unsup = []
     for i in range(n):
-        strong_xs = state.strong_unlabeled[i].apply_batch(unlabeled)
-        decided = batches[i] if single else fused
-        targets = np.maximum(decided.labels, 0)
-        weights = decided.masks[:, 0 if single else i]
-        unsup.append(loss_and_grad(state.params[i], strong_xs, targets, weights))
+        state.strong_unlabeled[i].apply_batch_into(unlabeled,
+                                                   state.strong_views[i])
+    if single:
+        targets = np.stack([f.labels for f in batches])
+        weights = np.stack([f.masks[:, 0] for f in batches])
+    else:
+        targets = fused.labels[None].repeat(n, axis=0)
+        weights = fused.masks.T
+    l_u, g_u = stack.loss_and_grad(state.strong_views,
+                                   np.maximum(targets, 0), weights)
 
-    # apply updates only after every model's gradients exist
-    l_u_all = tuple(l for l, _ in unsup)
-    train_losses = []
-    lam = cfg.objective.lambda_u
-    for i in range(n):
-        grad = add_scaled(sup[i][1], unsup[i][1], lam)
-        opt = state.opts[i]
-        if cfg.cosine_lr and cfg.steps > 0:
-            cur = cfg.lr * math.cos(7.0 * math.pi * state.step / (16.0 * cfg.steps))
-            opt = replace(opt, lr=cur)
-        state.params[i], state.opts[i] = sgd_step(state.params[i], grad, opt)
-        if cfg.cosine_lr:
-            state.opts[i] = replace(state.opts[i], lr=cfg.lr)
-        train_losses.append(total_objective(sup[i][0], l_u_all, i, cfg.objective))
+    # one update of every model, after all gradients exist
+    lr = cfg.lr
+    if cfg.cosine_lr and cfg.steps > 0:
+        lr *= math.cos(7.0 * math.pi * state.step / (16.0 * cfg.steps))
+    stack.sgd_step(add_scaled(g_s, g_u, cfg.objective.lambda_u), lr)
+    l_u_all = tuple(float(v) for v in l_u)
+    train_losses = [total_objective(float(l_s[i]), l_u_all, i, cfg.objective)
+                    for i in range(n)]
 
     # single-model mode pools every model's decisions
     labels = np.concatenate([f.labels for f in batches])
@@ -268,22 +287,22 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
                        weak_probs=weak_probs)
 
 
-def evaluate(params, test: MaskedDataset) -> tuple[float, float]:
+def evaluate(params: ModelParams, test: MaskedDataset) -> tuple[float, float]:
     """Accuracy and mean loss on a fully observed set, no augmentation."""
+    return _evaluate_models(ModelStack([params]), test)
+
+
+def _evaluate_models(stack: ModelStack, test) -> tuple[float, float]:
+    """``evaluate`` averaged over the models of ``stack``."""
     if len(test) == 0:
         raise ConfigError("empty test set")
     if test.num_missing:
         raise ConfigError("test set must be fully observed")
-    probs = predict_proba(params, test.features)
+    probs = stack.predict_proba(test.features)
     labels = test.eval_labels()
-    acc = float((probs.argmax(axis=1) == labels).mean())
-    return acc, supervised_loss(probs, labels)
-
-
-def _evaluate_models(params_list, test) -> tuple[float, float]:
-    pairs = [evaluate(p, test) for p in params_list]
-    return (float(np.mean([a for a, _ in pairs])),
-            float(np.mean([l for _, l in pairs])))
+    accs = (probs.argmax(axis=2) == labels).mean(axis=1)
+    losses = [supervised_loss(p, labels) for p in probs]
+    return float(np.mean(accs)), float(np.mean(losses))
 
 
 def resolved_config_lines(cfg: TrainConfig) -> list[str]:
@@ -389,9 +408,11 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
 
     # row 0 evaluates the initial parameters and takes its train-side
     # numbers from step 1, which train_step measures on the parameters it
-    # starts from; with steps=0 that one step runs only to fill the row
-    initial = list(state.params)  # sgd_step returns new arrays
-    initial_eval = _evaluate_models(initial, test)
+    # starts from; with steps=0 that one step runs only to fill the row, so
+    # the checkpoints come from a copy of the initial stack, which the step
+    # updates in place
+    initial_eval = _evaluate_models(state.stack, test)
+    final = state.stack if cfg.steps else copy.deepcopy(state.stack)
     for step in range(1, max(cfg.steps, 1) + 1):
         labeled, u_feats, u_true = draw_batches()
         last = train_step(state, labeled, u_feats, cfg, u_true)
@@ -404,11 +425,11 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
                 os.path.join(out_dir, f"predictions-step{step}.csv"),
                 last.weak_probs)
         if step % cfg.eval_every == 0 or step == cfg.steps:
-            record(last, step, _evaluate_models(state.params, test))
+            record(last, step, _evaluate_models(state.stack, test))
 
     emit_csv(metrics, os.path.join(out_dir, METRICS_FILENAME))
     emit_plot_columns(metrics, out_dir)
-    for i, params in enumerate(state.params if cfg.steps else initial):
+    for i, params in enumerate(final.models()):
         save_checkpoint(params, os.path.join(
             out_dir, f"ckpt-model{i + 1}-step{cfg.steps}"))
     return str(out_dir)

@@ -17,6 +17,11 @@ arrays, and they stay here as readable references.
 
 ``save_dataset_v1`` is the text writer of the ``copseudo-ds v1``
 container, which the library no longer writes but still reads.
+
+``reference_forward``, ``reference_predict_proba``,
+``reference_loss_and_grad`` and ``reference_sgd_step`` are the one-model
+MLP the library ran before it trained every model as one stack: a chain
+of 2-d ``@`` calls per model.  The stack must reproduce them bit for bit.
 """
 import math
 
@@ -39,7 +44,7 @@ from copseudo.fusion import (
     FusionDecision,
 )
 from copseudo.losses import _PROB_FLOOR
-from copseudo.predictor import Gradients, ModelParams, predict_proba
+from copseudo.predictor import Gradients, ModelParams, OptState, predict_proba
 
 
 def weighted_ce_loss(params: ModelParams, xs, targets, weights) -> float:
@@ -311,3 +316,97 @@ def save_dataset_v1(ds, path) -> None:
         for i in range(len(ds)):
             feats = ",".join(repr(float(v)) for v in ds.features[i])
             fh.write(f"{i},{int(ds.missing[i])},{int(labels[i])},{feats}\n")
+
+
+# --- the one-model MLP -----------------------------------------------------
+
+def _reference_check_batch(params: ModelParams, xs: np.ndarray) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2:
+        raise ConfigError("xs must be a 2-d batch")
+    if xs.shape[1] != params.arch[0]:
+        raise ConfigError(
+            f"feature width {xs.shape[1]} does not match input layer {params.arch[0]}")
+    if not np.isfinite(xs).all():
+        raise ConfigError("non-finite input features")
+    return xs
+
+
+def reference_forward(params: ModelParams, xs: np.ndarray):
+    """Returns (per-layer activations starting with xs, log-probabilities)."""
+    acts = [xs]
+    h = xs
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = np.tanh(h @ w + b)
+        acts.append(h)
+    logits = h @ params.weights[-1] + params.biases[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    return acts, logp
+
+
+def reference_predict_proba(params: ModelParams, xs) -> np.ndarray:
+    xs = _reference_check_batch(params, xs)
+    _, logp = reference_forward(params, xs)
+    return np.exp(logp)
+
+
+def reference_loss_and_grad(params: ModelParams, xs, targets,
+                            weights) -> tuple[float, Gradients]:
+    """Mean over the batch of weights_b * cross_entropy(targets_b, p(xs_b)),
+    with its exact gradient."""
+    xs = _reference_check_batch(params, xs)
+    n = xs.shape[0]
+    if n == 0:
+        raise ConfigError("empty batch")
+    targets = np.asarray(targets, dtype=np.int64)
+    weights_arr = np.asarray(weights, dtype=np.float64)
+    if targets.shape != (n,) or weights_arr.shape != (n,):
+        raise ConfigError("targets and weights must match the batch length")
+    if targets.min() < 0 or targets.max() >= params.num_classes:
+        raise ConfigError("target class out of range")
+    if (weights_arr < 0).any() or not np.isfinite(weights_arr).all():
+        raise ConfigError("weights must be non-negative finite reals")
+
+    acts, logp = reference_forward(params, xs)
+    rows = np.arange(n)
+    loss = float(-(weights_arr * logp[rows, targets]).sum() / n)
+
+    probs = np.exp(logp)
+    dlogits = probs.copy()
+    dlogits[rows, targets] -= 1.0
+    dlogits *= (weights_arr / n)[:, None]
+
+    num_layers = len(params.weights)
+    g_w = [None] * num_layers
+    g_b = [None] * num_layers
+    g_w[-1] = acts[-1].T @ dlogits
+    g_b[-1] = dlogits.sum(axis=0)
+    dh = dlogits @ params.weights[-1].T
+    for layer in range(num_layers - 2, -1, -1):
+        dz = dh * (1.0 - acts[layer + 1] ** 2)
+        g_w[layer] = acts[layer].T @ dz
+        g_b[layer] = dz.sum(axis=0)
+        if layer:
+            dh = dz @ params.weights[layer].T
+    return loss, Gradients(weights=tuple(g_w), biases=tuple(g_b))
+
+
+def reference_sgd_step(params: ModelParams, grads: Gradients, opt: OptState):
+    """buf <- m*buf + grad + wd*theta; theta <- theta - lr*buf."""
+    def update(theta, g, buf):
+        nbuf = opt.momentum * buf + g + opt.weight_decay * theta
+        return theta - opt.lr * nbuf, nbuf
+
+    w_pairs = [update(w, g, b) for w, g, b in
+               zip(params.weights, grads.weights, opt.weight_bufs)]
+    b_pairs = [update(b, g, bb) for b, g, bb in
+               zip(params.biases, grads.biases, opt.bias_bufs)]
+    return (
+        ModelParams(arch=params.arch,
+                    weights=tuple(p[0] for p in w_pairs),
+                    biases=tuple(p[0] for p in b_pairs)),
+        OptState(lr=opt.lr, momentum=opt.momentum, weight_decay=opt.weight_decay,
+                 weight_bufs=tuple(p[1] for p in w_pairs),
+                 bias_bufs=tuple(p[1] for p in b_pairs)),
+    )

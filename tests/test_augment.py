@@ -267,6 +267,30 @@ class TestStream:
             np.testing.assert_array_equal(batch, np.stack(rows))
             assert whole.rng.bit_generator.state == seq.rng.bit_generator.state
 
+    def test_apply_batch_into_matches_apply_batch(self):
+        # written into a row of a stacked block, as the trainer does
+        for kind, modality, shape in PAIRS:
+            width = 10 if shape is None else int(np.prod(shape))
+            xs = np.random.default_rng(8).random((5, width))
+            fresh = AugmentStream(kind, modality, seed=21, feature_shape=shape)
+            into = AugmentStream(kind, modality, seed=21, feature_shape=shape)
+            block = np.full((3, 5, width), np.nan)
+            for _ in range(2):
+                want = fresh.apply_batch(xs)
+                got = into.apply_batch_into(xs, block[1])
+                assert np.shares_memory(got, block[1])
+                np.testing.assert_array_equal(block[1], want)
+            assert np.isnan(block[[0, 2]]).all()
+            assert into.rng.bit_generator.state == fresh.rng.bit_generator.state
+
+    def test_apply_batch_into_rejects_bad_out(self):
+        s = AugmentStream("weak", "vector", seed=0)
+        xs = np.zeros((4, 6))
+        for out in (np.empty((4, 5)), np.empty((4, 6), dtype=np.float32),
+                    np.empty((6, 4)).T):
+            with pytest.raises(ConfigError, match="out must be"):
+                s.apply_batch_into(xs, out)
+
     def test_empty_batch(self):
         s = AugmentStream("weak", "vector", seed=0)
         out = s.apply_batch(np.zeros((0, 4)))

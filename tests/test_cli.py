@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import copseudo
+import copseudo.cli as cli_mod
 from copseudo.cli import build_parser, main
 from copseudo.data import (
     CIFAR_TEST_FILE,
@@ -20,7 +21,7 @@ from copseudo.data import (
 from copseudo.fusion import FusionConfig, fuse_cascade, fuse_pair
 from copseudo.metrics import compare_runs, read_csv
 from copseudo.predictor import init_model, save_checkpoint
-from oracles import save_dataset_v1
+from oracles import reference_predict_proba, save_dataset_v1
 
 
 def gen_synth(path, classes=4, per_class=20, labeled=None, seed=7, sigma=0.5):
@@ -305,6 +306,17 @@ class TestTrainCommand:
                      "--models", "3"])
         assert code == 2
         assert "--tau-cascade" in capsys.readouterr().err
+
+    def test_single_model_mode_needs_no_cascade(self, synth_files, tmp_path):
+        # single-model mode never consults the cascade, so three models run
+        # without --tau-cascade
+        train_f, test_f = synth_files
+        out = tmp_path / "run"
+        code = quick_train(train_f, test_f, out,
+                           extra=("--models", "3", "--single-model-mode"))
+        assert code == 0
+        assert "tau_cascade=\n" in (out / "config.resolved").read_text()
+        assert read_csv(out / "metrics.csv").num_models == 3
 
     def test_three_model_run(self, synth_files, tmp_path):
         train_f, test_f = synth_files
@@ -611,6 +623,31 @@ class TestSelectSubset:
                 assert after.missing[int(item)] == 1
         test_f = gen_synth(tmp_path / "test.txt", per_class=5, seed=9)
         assert quick_train(out, test_f, tmp_path / "retrain") == 0
+
+    def test_mixed_hidden_widths_match_one_model_path(self, tmp_path,
+                                                      monkeypatch):
+        # checkpoints of different hidden widths go through separate stacks;
+        # the files written equal those of one forward pass per model
+        data = self.dataset(tmp_path)
+        wide, narrow = tmp_path / "wide.ckpt", tmp_path / "narrow.ckpt"
+        save_checkpoint(init_model((2, 32, 4), seed=0), wide)
+        save_checkpoint(init_model((2, 16, 4), seed=1), narrow)
+
+        def select(name):
+            out, report = tmp_path / f"{name}.ds", tmp_path / f"{name}.csv"
+            code = main(["select-subset", "--data", str(data), "--ckpt",
+                         str(wide), "--ckpt", str(narrow), "--epsilon", "1.0",
+                         "--out", str(out), "--report", str(report)])
+            assert code == 0
+            return out.read_bytes(), report.read_bytes()
+
+        stacked = select("stacked")
+        monkeypatch.setattr(
+            cli_mod, "predict_models",
+            lambda models, xs: [reference_predict_proba(m, xs) for m in models])
+        assert stacked == select("one-model")
+        before, after = load_dataset(data), load_dataset(tmp_path / "stacked.ds")
+        assert before.num_observed < after.num_observed < len(after)
 
     def test_fully_observed_input_rejected(self, tmp_path, capsys):
         data = gen_synth(tmp_path / "full.txt", per_class=5, seed=3)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,16 +11,25 @@ from copseudo.errors import ConfigError, DataError
 from copseudo.predictor import (
     Gradients,
     ModelParams,
+    ModelStack,
     add_scaled,
     init_model,
     init_opt_state,
     load_checkpoint,
     loss_and_grad,
+    predict_models,
     predict_proba,
     save_checkpoint,
     sgd_step,
 )
-from oracles import fd_max_rel_error, weighted_ce_loss, zero_gradients
+from oracles import (
+    fd_max_rel_error,
+    reference_loss_and_grad,
+    reference_predict_proba,
+    reference_sgd_step,
+    weighted_ce_loss,
+    zero_gradients,
+)
 
 
 def zero_model(arch):
@@ -319,6 +329,138 @@ class TestTrainingDynamics:
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
         preds = predict_proba(params, xs).argmax(axis=1)
         assert (preds == ys).mean() == 1.0
+
+
+def assert_same_tensors(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+class TestStackAgainstOracle:
+    """The stack against the one-model reference, bit for bit: the
+    probabilities, losses, gradients, parameters and momentum buffers of
+    every model over several updates in a row."""
+
+    LR, MOMENTUM, WEIGHT_DECAY, LAMBDA_U, STEPS = 0.03, 0.9, 5e-4, 1.0, 3
+
+    def models(self, n, width, hidden, classes=10):
+        arch = (width,) + hidden + (classes,)
+        params = [init_model(arch, seed=100 + i) for i in range(n)]
+        opts = [init_opt_state(p, self.LR, self.MOMENTUM, self.WEIGHT_DECAY)
+                for p in params]
+        return params, opts
+
+    def inputs(self, rng, n, batch, width, shared):
+        shape = (batch, width) if shared else (n, batch, width)
+        return rng.random(shape)
+
+    def mask_weights(self, rng, n, batch):
+        # fusion masks: 0 where no pseudo-label, pseudo_weight or 1 else
+        return rng.choice([0.0, 0.75, 1.0], size=(n, batch))
+
+    def view(self, xs, i):
+        return xs if xs.ndim == 2 else xs[i]
+
+    def run(self, n, width, hidden, shared, batch, u_batch=None):
+        u_batch = u_batch or 2 * batch
+        rng = np.random.default_rng([n, width, len(hidden), int(shared)])
+        params, opts = self.models(n, width, hidden)
+        stack = ModelStack(params, opts)
+        for step in range(self.STEPS):
+            lr = self.LR * math.cos(7.0 * math.pi * step / (16.0 * self.STEPS))
+            sup_xs = self.inputs(rng, n, batch, width, shared)
+            u_xs = self.inputs(rng, n, u_batch, width, shared)
+            sup_t = rng.integers(0, 10, size=(n, batch))
+            u_t = rng.integers(0, 10, size=(n, u_batch))
+            u_w = self.mask_weights(rng, n, u_batch)
+            u_w[:, 0] = 0.0
+
+            probs = stack.predict_proba(u_xs)
+            l_s, g_s = stack.loss_and_grad(sup_xs, sup_t, np.ones((n, batch)))
+            l_u, g_u = stack.loss_and_grad(u_xs, u_t, u_w)
+            stack.sgd_step(add_scaled(g_s, g_u, self.LAMBDA_U), lr)
+
+            for i in range(n):
+                p_i = reference_predict_proba(params[i], self.view(u_xs, i))
+                assert np.array_equal(probs[i], p_i)
+                ls_i, gs_i = reference_loss_and_grad(
+                    params[i], self.view(sup_xs, i), sup_t[i], np.ones(batch))
+                lu_i, gu_i = reference_loss_and_grad(
+                    params[i], self.view(u_xs, i), u_t[i], u_w[i])
+                assert float(l_s[i]) == ls_i
+                assert float(l_u[i]) == lu_i
+                assert_same_tensors([g[i] for g in g_s.weights + g_s.biases],
+                                    gs_i.weights + gs_i.biases)
+                assert_same_tensors([g[i] for g in g_u.weights + g_u.biases],
+                                    gu_i.weights + gu_i.biases)
+                opt = dataclasses.replace(opts[i], lr=lr)
+                params[i], opts[i] = reference_sgd_step(
+                    params[i], add_scaled(gs_i, gu_i, self.LAMBDA_U), opt)
+            got_params = stack.models()
+            got_opts = stack.opt_states(self.LR)
+            for i in range(n):
+                assert_same_tensors(got_params[i].weights + got_params[i].biases,
+                                    params[i].weights + params[i].biases)
+                assert_same_tensors(got_opts[i].weight_bufs + got_opts[i].bias_bufs,
+                                    opts[i].weight_bufs + opts[i].bias_bufs)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-model"])
+    @pytest.mark.parametrize("hidden", [(32,), (16, 8)], ids=["h32", "h16-8"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_desk_width(self, n, hidden, shared):
+        self.run(n, 2, hidden, shared, batch=16)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-model"])
+    @pytest.mark.parametrize("hidden", [(32,), (16, 8)], ids=["h32", "h16-8"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_image_width(self, n, hidden, shared):
+        self.run(n, 3072, hidden, shared, batch=8)
+
+    def test_paper_image_shapes(self):
+        # B = 64 labeled and mu * B = 448 unlabeled rows, two models
+        self.run(2, 3072, (32,), False, batch=64, u_batch=448)
+
+    def test_stack_copies_its_inputs(self):
+        params, opts = self.models(2, 2, (8,))
+        keep = [w.copy() for w in params[0].weights]
+        stack = ModelStack(params, opts)
+        rng = np.random.default_rng(0)
+        _, grads = stack.loss_and_grad(rng.random((4, 2)),
+                                       rng.integers(0, 10, size=(2, 4)),
+                                       np.ones((2, 4)))
+        stack.sgd_step(grads, 0.1)
+        assert_same_tensors(params[0].weights, keep)
+        np.testing.assert_array_equal(opts[0].weight_bufs[0], 0.0)
+        assert all(w.flags.c_contiguous for w in stack.weights + stack.biases)
+
+    def test_validation(self):
+        params, _ = self.models(2, 3, (8,))
+        stack = ModelStack(params)
+        with pytest.raises(ConfigError, match="architecture"):
+            ModelStack([params[0], init_model((3, 9, 10), seed=0)])
+        with pytest.raises(ConfigError, match="at least one"):
+            ModelStack([])
+        with pytest.raises(ConfigError, match="block"):
+            stack.predict_proba(np.zeros((3, 4, 3)))
+        with pytest.raises(ConfigError, match="feature width"):
+            stack.predict_proba(np.zeros((4, 2)))
+        with pytest.raises(ConfigError, match="batch length"):
+            stack.loss_and_grad(np.zeros((4, 3)), np.zeros(4), np.ones(4))
+        bad = stack.loss_and_grad(np.zeros((4, 3)), np.zeros((2, 4)),
+                                  np.ones((2, 4)))[1]
+        bad.biases[0][1, 0] = np.inf
+        with pytest.raises(ConfigError, match="non-finite gradient"):
+            stack.sgd_step(bad, 0.1)
+
+    def test_predict_models_mixes_architectures(self):
+        models = [init_model((2, 32, 4), seed=1), init_model((2, 16, 4), seed=2),
+                  init_model((2, 32, 4), seed=3)]
+        xs = np.random.default_rng(5).random((7, 2))
+        got = predict_models(models, xs)
+        for g, m in zip(got, models):
+            assert np.array_equal(g, reference_predict_proba(m, xs))
 
 
 class TestCheckpoint:

@@ -259,6 +259,30 @@ class TestTrainStepOracle:
         got_gap = metrics.train_losses[0] - metrics.train_losses[1]
         assert got_gap == pytest.approx(sup[0] - sup[1], abs=1e-12)
 
+    def test_views_are_written_into_the_state_blocks(self):
+        # the per-model views land in blocks allocated once per run, not in
+        # per-step copies
+        ds = tiny_dataset()
+        cfg = small_config()
+        state = TrainerState(cfg, ds)
+        blocks = (state.labeled_views, state.strong_views)
+        idx = ds.observed_indices()[:4]
+        labeled = [(ds.features[idx], ds.observed_labels(idx))] * 2
+        u_idx = ds.missing_indices()[:8]
+        for _ in range(2):
+            clone = copy.deepcopy(state)
+            train_step(state, labeled, ds.features[u_idx], cfg,
+                       ds.eval_labels(u_idx))
+            assert state.labeled_views is blocks[0]
+            assert state.strong_views is blocks[1]
+            for i in range(2):
+                np.testing.assert_array_equal(
+                    state.labeled_views[i],
+                    clone.weak_labeled[i].apply_batch(ds.features[idx]))
+                np.testing.assert_array_equal(
+                    state.strong_views[i],
+                    clone.strong_unlabeled[i].apply_batch(ds.features[u_idx]))
+
     def test_batch_size_validation(self):
         ds = tiny_dataset()
         cfg = small_config()
