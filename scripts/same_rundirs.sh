@@ -9,7 +9,12 @@
 # one paper-profile run on 3072-wide CIFAR-format images written by the
 # script itself), replays every prediction dump
 # with `copseudo fuse-trace`, and records each command's stdout, stderr and
-# exit code. It then compares the two result directories with `diff -r`.
+# exit code. It also decodes every dataset file with that tree's own loader
+# and logs a digest of its content: size, classes, feature shape, and a
+# sha256 of the missing flags, the labels and the float64 feature bytes.
+# It then compares the two result directories with `diff -r`, except for
+# the bytes of image.ds and image-test.ds: their container may change
+# between trees, so only their content digests are compared.
 # Every command runs from inside the result directory with relative paths,
 # so the logs of identical code are identical too.
 #
@@ -64,6 +69,21 @@ for name, count in [(f, 120) for f in CIFAR_TRAIN_FILES] + [(CIFAR_TEST_FILE, 60
     write_cifar10_batch(os.path.join(sys.argv[1], name), labels, pixels)
 '
 
+# one line per dataset file: name, size, classes, shape, content sha256
+DIGEST_DATASETS='
+import hashlib, sys
+import numpy as np
+from copseudo.data import load_dataset
+for path in sys.argv[1:]:
+    ds = load_dataset(path)
+    h = hashlib.sha256()
+    for arr, dtype in ((ds.missing, "u1"), (ds.eval_labels(), "<i8"),
+                       (ds.features, "<f8")):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    shape = ",".join(str(d) for d in ds.feature_shape)
+    print(path, len(ds), ds.num_classes, shape, h.hexdigest())
+'
+
 run_tree() {
     local tree=$1 out=$2
     rm -rf "$out"
@@ -95,6 +115,7 @@ run_tree() {
             --out image.ds
         cli logs/gen-image-test gen-data --cifar10 cifar --split test \
             --seed 15 --out image-test.ds
+        py logs/digest-datasets "$DIGEST_DATASETS" ./*.ds
         local entry name data test flags fusion seed dump step
         for entry in "${CONFIGS[@]}"; do
             IFS='|' read -r name data test flags fusion <<< "$entry"
@@ -122,7 +143,7 @@ run_tree "$change_tree" "$work/change"
 files=$(find "$work/parent" -type f | wc -l)
 traces=$(find "$work/parent" -name 'trace-*.csv' | wc -l)
 failed=$(grep -L '^0$' "$work"/parent/logs/*.code "$work"/change/logs/*.code)
-if ! diff -r "$work/parent" "$work/change"; then
+if ! diff -r -x image.ds -x image-test.ds "$work/parent" "$work/change"; then
     echo "differ: see diff above ($work)"
     exit 1
 fi

@@ -21,7 +21,7 @@ from .data import (
     load_dataset,
     save_dataset,
 )
-from .errors import ConfigError, CopseudoError, DataError, TaintError
+from .errors import ConfigError, CopseudoError, DataError, DivergenceError, TaintError
 from .fusion import (
     DebiasSubset,
     FusionConfig,
@@ -72,6 +72,7 @@ __all__ = [
     "CopseudoError",
     "DataError",
     "DebiasSubset",
+    "DivergenceError",
     "FusionConfig",
     "FusionDecision",
     "MaskedDataset",

@@ -80,20 +80,25 @@ def strong_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
     return out
 
 
-def _draw_shift(rng, s: int, h: int, w: int):
+def _shift_slices(s: int, n: int) -> list:
+    """For each shift d in [-s, s] along an axis of length n, the
+    (destination, source) slices that move content by d, or None when
+    the shift leaves nothing in view; entry ``d + s`` is shift d."""
+    return [(slice(max(d, 0), n + min(d, 0)), slice(max(-d, 0), n + min(-d, 0)))
+            if abs(d) < n else None for d in range(-s, s + 1)]
+
+
+def _draw_shift(rng, s: int, rows: list, cols: list):
     """Draw a column shift dx, then a row shift dy, each uniform on
     [-s, s]; return the (destination, source) index tuples over (C, H, W)
     that move content by dx columns and dy rows, or None when the shift
-    leaves nothing in view."""
-    dx = int(rng.integers(-s, s + 1))
-    dy = int(rng.integers(-s, s + 1))
-    if abs(dx) >= w or abs(dy) >= h:
+    leaves nothing in view.  ``rows`` and ``cols`` are the axes'
+    ``_shift_slices``."""
+    col = cols[int(rng.integers(-s, s + 1)) + s]
+    row = rows[int(rng.integers(-s, s + 1)) + s]
+    if row is None or col is None:
         return None
-    dst = (slice(None), slice(max(dy, 0), h + min(dy, 0)),
-           slice(max(dx, 0), w + min(dx, 0)))
-    src = (slice(None), slice(max(-dy, 0), h + min(-dy, 0)),
-           slice(max(-dx, 0), w + min(-dx, 0)))
-    return dst, src
+    return (slice(None), row[0], col[0]), (slice(None), row[1], col[1])
 
 
 def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
@@ -104,10 +109,12 @@ def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     if out is None:
         out = np.empty_like(imgs)
     _, _, h, w = imgs.shape
+    s = cfg.image_shift_weak
+    rows, cols = _shift_slices(s, h), _shift_slices(s, w)
     out.fill(0.0)
     for i in range(imgs.shape[0]):
         img = imgs[i, :, :, ::-1] if rng.random() < 0.5 else imgs[i]
-        shift = _draw_shift(rng, cfg.image_shift_weak, h, w)
+        shift = _draw_shift(rng, s, rows, cols)
         if shift is not None:
             dst, src = shift
             out[i][dst] = img[src]
@@ -118,35 +125,46 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
                   out: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) images, each put through two operations drawn with
     replacement from {flip, translate, brightness, cutout}.  Each row
-    draws both operations, then each operation's parameters in order, and
-    is transformed in place in ``out``, a copy of the batch."""
+    draws both operations, then each operation's parameters in order.
+    A row's first operation reads the source image and writes ``out``;
+    the second transforms ``out`` in place."""
     if out is None:
         out = np.empty_like(imgs)
     _, _, h, w = imgs.shape
-    np.copyto(out, imgs)
+    s = cfg.image_shift_strong
+    rows, cols = _shift_slices(s, h), _shift_slices(s, w)
     scratch = np.empty(imgs.shape[1:])
     cut_range = min(h, w) - CUTOUT_SIZE + 1
     for i in range(out.shape[0]):
         cur = out[i]
-        ops = [int(rng.integers(0, _STRONG_OP_COUNT))
-               for _ in range(NUM_STRONG_OPS)]
-        for op in ops:
+        src = imgs[i]
+        op1 = int(rng.integers(0, _STRONG_OP_COUNT))
+        op2 = int(rng.integers(0, _STRONG_OP_COUNT))
+        for op in (op1, op2):
             if op == 0:
-                cur[...] = cur[:, :, ::-1]
+                if src is cur:
+                    np.copyto(scratch, cur)
+                    src = scratch
+                np.copyto(cur, src[:, :, ::-1])
             elif op == 1:
-                shift = _draw_shift(rng, cfg.image_shift_strong, h, w)
-                np.copyto(scratch, cur)
+                shift = _draw_shift(rng, s, rows, cols)
+                if src is cur:
+                    np.copyto(scratch, cur)
+                    src = scratch
                 cur.fill(0.0)
                 if shift is not None:
-                    dst, src = shift
-                    cur[dst] = scratch[src]
+                    dst, from_ = shift
+                    cur[dst] = src[from_]
             elif op == 2:
-                np.multiply(cur, rng.uniform(*BRIGHTNESS_RANGE), out=cur)
+                np.multiply(src, rng.uniform(*BRIGHTNESS_RANGE), out=cur)
                 np.clip(cur, 0.0, 1.0, out=cur)
             else:
                 top = int(rng.integers(0, cut_range))
                 left = int(rng.integers(0, cut_range))
+                if src is not cur:
+                    np.copyto(cur, src)
                 cur[:, top:top + CUTOUT_SIZE, left:left + CUTOUT_SIZE] = CUTOUT_FILL
+            src = cur
     return out
 
 
@@ -194,7 +212,8 @@ class AugmentStream:
 
     def apply_batch_into(self, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``apply_batch`` writing into ``out``, a C-contiguous float64
-        array of the batch's shape; returns ``out``."""
+        array of the batch's shape that does not overlap ``xs``; returns
+        ``out``."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
             raise ConfigError("apply_batch expects a 2-d array")

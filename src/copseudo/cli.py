@@ -8,7 +8,8 @@ select-then-retrain recipe), and ``compare`` (delta report between two
 runs).
 
 Seeds are always explicit; nothing is seeded from the clock.  Exit
-codes: 0 success, 2 bad configuration, 3 bad data, 4 runtime failure.
+codes: 0 success, 2 bad configuration, 3 bad data, 4 runtime failure,
+including a training run that diverged (``DivergenceError``).
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from .augment import AugmentConfig
 from .data import (
-    MaskedDataset,
     MissingnessSpec,
     SyntheticSpec,
     apply_missingness,
@@ -577,17 +577,16 @@ def cmd_select_subset(args) -> int:
     ds = load_dataset(args.data)
     params = [load_checkpoint(p) for p in args.ckpt]
     for path, p in zip(args.ckpt, params):
-        if p.arch[0] != ds.features.shape[1]:
+        if p.arch[0] != ds.width:
             raise ConfigError(f"{path}: expects {p.arch[0]} input features, "
-                              f"dataset has {ds.features.shape[1]}")
+                              f"dataset has {ds.width}")
         if p.num_classes != ds.num_classes:
             raise ConfigError(f"{path}: predicts {p.num_classes} classes, "
                               f"dataset has {ds.num_classes}")
     missing = ds.missing_indices()
     if missing.size == 0:
         raise ConfigError("dataset has no unlabeled items to select from")
-    feats = ds.features[missing]
-    preds = predict_models(params, feats)
+    preds = predict_models(params, ds.rows(missing))
     subset = select_debias_subset(preds, args.epsilon)
     agreed = preds[0].argmax(axis=1)
 
@@ -599,9 +598,7 @@ def cmd_select_subset(args) -> int:
     chosen = missing[subset.selected]
     new_labels[chosen] = agreed[subset.selected]
     new_missing[chosen] = 0
-    out_ds = MaskedDataset(ds.features, new_labels, new_missing,
-                           ds.num_classes, ds.feature_shape)
-    save_dataset(out_ds, args.out)
+    save_dataset(ds.with_labels(new_labels, new_missing), args.out)
 
     if args.report:
         with open(args.report, "w", encoding="ascii") as fh:

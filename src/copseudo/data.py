@@ -6,10 +6,17 @@ per-sample indicator saying whether the label is observed (0) or hidden
 ``sample``, which refuse hidden entries; evaluation code uses the
 clearly named ``eval_labels`` / ``eval_sample`` escape hatch.
 
-Datasets are stored in the binary ``copseudo-ds v2`` container: one ascii
-header line giving the size, class count and feature shape, then the
-missing flags (``u1``), labels (``<i8``) and features (``<f8``) as raw
-arrays (see ``save_dataset``).  ``load_dataset`` also reads the
+A dataset holds its features in one of two storage forms, set by how it
+was made: float64 rows, or, for datasets built by ``load_cifar10`` or
+``MaskedDataset.from_pixels``, uint8 pixels whose features are
+``pixels / 255``.  ``rows`` returns float64 rows in either form, so code
+that asks for a batch never sees the difference.
+
+Datasets are stored in a binary container: one ascii header line giving
+the size, class count and feature shape, then the missing flags (``u1``),
+labels (``<i8``) and features as raw arrays, ``<f8`` under a
+``copseudo-ds v2`` header or pixels (``u1``) under a ``copseudo-ds v3``
+header (see ``save_dataset``).  ``load_dataset`` also reads the
 ``copseudo-ds v1`` text container of earlier versions.
 """
 from __future__ import annotations
@@ -18,6 +25,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +39,9 @@ CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 CIFAR_TEST_FILE = "test_batch.bin"
 
 DATASET_MAGIC = "copseudo-ds v2"
+PIXELS_MAGIC = "copseudo-ds v3"
 _V1_MAGIC = "copseudo-ds v1"
+PIXEL_SCALE = 255.0
 _HEADER_LIMIT = 256
 
 
@@ -129,19 +139,39 @@ class MaskedDataset:
     """Immutable feature/label arrays with an observed/missing label mask.
 
     ``missing[i] == 1`` means sample i's label is hidden from training.
+    Features are stored as float64 rows, or, for a dataset made by
+    ``from_pixels``, as uint8 pixels whose features are ``pixels / 255``;
+    ``storage`` names the form (``"f8"`` or ``"u1"``).
     """
 
     def __init__(self, features: np.ndarray, labels: np.ndarray, missing: np.ndarray,
                  num_classes: int, feature_shape: tuple[int, ...] | None = None):
-        features = np.ascontiguousarray(features, dtype=np.float64)
+        self._init(np.ascontiguousarray(features, dtype=np.float64), labels, missing,
+                   num_classes, feature_shape)
+
+    @classmethod
+    def from_pixels(cls, pixels: np.ndarray, labels: np.ndarray, missing: np.ndarray,
+                    num_classes: int,
+                    feature_shape: tuple[int, ...] | None = None) -> "MaskedDataset":
+        """A dataset that stores ``pixels``, a uint8 (n, width) array, and
+        whose features are ``pixels / 255`` in float64."""
+        pixels = np.asarray(pixels)
+        if pixels.dtype != np.uint8:
+            raise ConfigError(f"pixels must be uint8, got {pixels.dtype}")
+        ds = cls.__new__(cls)
+        ds._init(np.ascontiguousarray(pixels), labels, missing, num_classes,
+                 feature_shape)
+        return ds
+
+    def _init(self, store, labels, missing, num_classes, feature_shape) -> None:
         labels = np.ascontiguousarray(labels, dtype=np.int64)
         missing = np.ascontiguousarray(missing, dtype=np.uint8)
-        if features.ndim != 2:
+        if store.ndim != 2:
             raise ConfigError("features must be a 2-d array (samples x dims)")
-        n = features.shape[0]
+        n = store.shape[0]
         if labels.shape != (n,) or missing.shape != (n,):
             raise ConfigError("features, labels, and missing must have matching length")
-        if not np.isfinite(features).all():
+        if store.dtype == np.float64 and not np.isfinite(store).all():
             raise ConfigError("features must be finite")
         if num_classes < 1:
             raise ConfigError("num_classes must be >= 1")
@@ -149,19 +179,48 @@ class MaskedDataset:
             raise ConfigError("labels must lie in [0, num_classes)")
         if not np.isin(missing, (0, 1)).all():
             raise ConfigError("missing indicators must be 0 or 1")
-        shape = tuple(feature_shape) if feature_shape else (features.shape[1],)
-        if int(np.prod(shape)) != features.shape[1]:
+        shape = tuple(feature_shape) if feature_shape else (store.shape[1],)
+        if int(np.prod(shape)) != store.shape[1]:
             raise ConfigError("feature_shape does not match feature width")
-        for arr in (features, labels, missing):
+        for arr in (store, labels, missing):
             arr.setflags(write=False)
-        self.features = features
+        self._store = store
         self._labels = labels
         self.missing = missing
         self.num_classes = int(num_classes)
         self.feature_shape = shape
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self._store.shape[0]
+
+    @property
+    def storage(self) -> str:
+        """``"u1"`` for pixel storage, ``"f8"`` for float64 rows."""
+        return "u1" if self._store.dtype == np.uint8 else "f8"
+
+    @property
+    def width(self) -> int:
+        """Features per sample."""
+        return self._store.shape[1]
+
+    def rows(self, idx) -> np.ndarray:
+        """Float64 features of the rows ``idx`` selects (an index, an index
+        array or a slice).  Pixel storage divides just those rows by 255,
+        so each value equals ``pixels.astype(float64) / 255`` bit for bit."""
+        if self._store.dtype == np.uint8:
+            return np.divide(self._store[idx], PIXEL_SCALE, dtype=np.float64)
+        return self._store[idx]
+
+    @property
+    def features(self) -> np.ndarray:
+        """The full (n, width) float64 feature matrix, read-only.  Pixel
+        storage builds it anew on every access and keeps no copy; batch
+        code asks ``rows`` for the rows it needs instead."""
+        if self._store.dtype != np.uint8:
+            return self._store
+        full = self.rows(slice(None))
+        full.setflags(write=False)
+        return full
 
     @property
     def num_observed(self) -> int:
@@ -200,15 +259,21 @@ class MaskedDataset:
     def sample(self, i: int) -> Sample:
         if self.missing[i]:
             raise TaintError(f"sample {i} has a hidden label")
-        return Sample(features=self.features[i], true_label=int(self._labels[i]), index=int(i))
+        return Sample(features=self.rows(i), true_label=int(self._labels[i]), index=int(i))
 
     def eval_sample(self, i: int) -> Sample:
         """Evaluation-only accessor; exposes the label even when hidden."""
-        return Sample(features=self.features[i], true_label=int(self._labels[i]), index=int(i))
+        return Sample(features=self.rows(i), true_label=int(self._labels[i]), index=int(i))
+
+    def with_labels(self, labels: np.ndarray, missing: np.ndarray) -> "MaskedDataset":
+        """A dataset with new labels and missing flags that shares this
+        one's feature storage."""
+        ds = type(self).__new__(type(self))
+        ds._init(self._store, labels, missing, self.num_classes, self.feature_shape)
+        return ds
 
     def with_missing(self, missing: np.ndarray) -> "MaskedDataset":
-        return MaskedDataset(self.features, self._labels, missing, self.num_classes,
-                             self.feature_shape)
+        return self.with_labels(self._labels, missing)
 
 
 def _unit_circle(c: int, num_classes: int) -> tuple[float, float]:
@@ -295,7 +360,8 @@ def write_cifar10_batch(path, labels: np.ndarray, pixels: np.ndarray) -> None:
 
 
 def load_cifar10(path, split: str) -> MaskedDataset:
-    """Load the binary batch files under ``path``; pixels scaled to [0, 1]."""
+    """Load the binary batch files under ``path`` into a pixel-backed
+    dataset: the uint8 pixels are kept, and features are pixels / 255."""
     if split == "train":
         files = CIFAR_TRAIN_FILES
     elif split == "test":
@@ -308,35 +374,42 @@ def load_cifar10(path, split: str) -> MaskedDataset:
         labels_parts.append(labels)
         pixel_parts.append(pixels)
     labels = np.concatenate(labels_parts)
-    features = np.concatenate(pixel_parts).astype(np.float64) / 255.0
     missing = np.zeros(len(labels), dtype=np.uint8)
-    return MaskedDataset(features, labels, missing, CIFAR_CLASSES,
-                         feature_shape=CIFAR_IMAGE_SHAPE)
+    return MaskedDataset.from_pixels(np.concatenate(pixel_parts), labels, missing,
+                                     CIFAR_CLASSES, feature_shape=CIFAR_IMAGE_SHAPE)
 
 
 def save_dataset(ds: MaskedDataset, path) -> None:
-    """Write the binary ``copseudo-ds v2`` container.
+    """Write the binary container in the dataset's storage form.
 
-    One ascii header line, ``copseudo-ds v2 <n> <num_classes> <shape>``,
-    with the feature shape comma-joined (``3,32,32`` or ``2``).  Then three
-    raw arrays with no padding: ``missing`` as ``u1[n]``, labels as
-    ``<i8[n]`` (hidden ones included; consumers must honor the mask) and
-    features as ``<f8[n * prod(shape)]`` in row-major order.  The file
-    ends there.
+    One ascii header line: ``copseudo-ds v2 <n> <num_classes> <shape>`` for
+    float64 features, ``copseudo-ds v3 <n> <num_classes> <shape> u1`` for
+    pixel storage, with the feature shape comma-joined (``3,32,32`` or
+    ``2``).  Then three raw arrays with no padding: ``missing`` as
+    ``u1[n]``, labels as ``<i8[n]`` (hidden ones included; consumers must
+    honor the mask) and the features in row-major order, as
+    ``<f8[n * prod(shape)]`` (v2) or as the pixels, ``u1[n * prod(shape)]``
+    (v3).  The file ends there.
     """
     shape = ",".join(str(d) for d in ds.feature_shape)
+    if ds.storage == "u1":
+        head = f"{PIXELS_MAGIC} {len(ds)} {ds.num_classes} {shape} u1\n"
+    else:
+        head = f"{DATASET_MAGIC} {len(ds)} {ds.num_classes} {shape}\n"
     with open(path, "wb") as fh:
-        fh.write(f"{DATASET_MAGIC} {len(ds)} {ds.num_classes} {shape}\n".encode("ascii"))
-        for arr, dtype in ((ds.missing, "u1"), (ds._labels, "<i8"), (ds.features, "<f8")):
+        fh.write(head.encode("ascii"))
+        for arr, dtype in ((ds.missing, "u1"), (ds._labels, "<i8"),
+                           (ds._store, "u1" if ds.storage == "u1" else "<f8")):
             fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def load_dataset(path) -> MaskedDataset:
-    """Read a ``copseudo-ds v2`` container (see ``save_dataset``) or the
-    ``copseudo-ds v1`` text records of earlier versions.
+    """Read a ``copseudo-ds v2`` or ``v3`` container (see ``save_dataset``)
+    or the ``copseudo-ds v1`` text records of earlier versions.
 
+    A v3 file gives a pixel-backed dataset, v1 and v2 files float64 ones.
     v1 stores only the feature width and infers ``(3, 32, 32)`` from 3072.
-    A malformed file of either version raises ``DataError`` naming ``path``.
+    A malformed file of any version raises ``DataError`` naming ``path``.
     """
     if not os.path.isfile(path):
         raise DataError(f"missing dataset file: {path}")
@@ -344,7 +417,8 @@ def load_dataset(path) -> MaskedDataset:
         line = fh.readline(_HEADER_LIMIT)
         header = line.decode("ascii", "replace").split()
         magic = " ".join(header[:2])
-        if not line.endswith(b"\n") or len(header) != 5 or magic not in _READERS:
+        if (not line.endswith(b"\n") or magic not in _READERS
+                or len(header) < 5 or header[5:] != _READERS[magic][0]):
             raise DataError(f"bad dataset header in {path}")
         try:
             n, num_classes = int(header[2]), int(header[3])
@@ -357,23 +431,24 @@ def load_dataset(path) -> MaskedDataset:
                 or (magic == _V1_MAGIC and len(shape) != 1)):
             raise DataError(f"bad dataset header in {path}")
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        missing, labels, features = _READERS[magic](fh, path, n, width, payload)
+        missing, labels, features = _READERS[magic][1](fh, path, n, width, payload)
     if magic == _V1_MAGIC and shape == (CIFAR_PIXELS,):
         shape = CIFAR_IMAGE_SHAPE
+    make = MaskedDataset.from_pixels if magic == PIXELS_MAGIC else MaskedDataset
     try:
-        return MaskedDataset(features, labels, missing, num_classes, feature_shape=shape)
+        return make(features, labels, missing, num_classes, feature_shape=shape)
     except ConfigError as exc:
         raise DataError(f"invalid dataset in {path}: {exc}") from exc
 
 
-def _read_v2(fh, path, n, width, payload):
-    expected = n * (1 + 8 + 8 * width)
+def _read_raw(fh, path, n, width, payload, dtype):
+    expected = n * (1 + 8 + np.dtype(dtype).itemsize * width)
     if payload != expected:
         raise DataError(f"dataset file {path} holds {payload} payload bytes, "
                         f"expected {expected}")
     missing = np.fromfile(fh, dtype="u1", count=n)
     labels = np.fromfile(fh, dtype="<i8", count=n)
-    features = np.fromfile(fh, dtype="<f8", count=n * width).reshape(n, width)
+    features = np.fromfile(fh, dtype=dtype, count=n * width).reshape(n, width)
     return missing, labels, features
 
 
@@ -405,4 +480,9 @@ def _read_v1(fh, path, n, dim, payload):
     return missing, labels, features
 
 
-_READERS = {DATASET_MAGIC: _read_v2, _V1_MAGIC: _read_v1}
+# magic -> (header fields after the shape, payload reader)
+_READERS = {
+    _V1_MAGIC: ([], _read_v1),
+    DATASET_MAGIC: ([], partial(_read_raw, dtype="<f8")),
+    PIXELS_MAGIC: (["u1"], partial(_read_raw, dtype="u1")),
+}

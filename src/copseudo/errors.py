@@ -15,3 +15,7 @@ class DataError(CopseudoError):
 
 class TaintError(CopseudoError):
     """A hidden ground-truth label was requested outside the evaluation path."""
+
+
+class DivergenceError(CopseudoError):
+    """Training produced a non-finite loss or prediction."""

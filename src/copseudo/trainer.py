@@ -19,7 +19,7 @@ import numpy as np
 
 from .augment import AugmentConfig, AugmentStream
 from .data import MaskedDataset
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .fusion import SOURCES, FusionConfig, fuse_batch
 from .losses import ObjectiveConfig, supervised_loss, total_objective
 from .metrics import MetricsRow, RunMetrics, emit_csv, emit_plot_columns
@@ -171,7 +171,7 @@ class TrainerState:
     """The stacked models and every stateful stream of the loop."""
 
     def __init__(self, cfg: TrainConfig, ds: MaskedDataset):
-        width = ds.features.shape[1]
+        width = ds.width
         arch = (width,) + tuple(cfg.hidden) + (ds.num_classes,)
         params = [init_model(arch, seed=cfg.seeds.init[i])
                   for i in range(cfg.num_models)]
@@ -218,6 +218,8 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
     ``unlabeled`` is the shared (mu*B, d) feature block.  The true labels
     of the unlabeled items are accepted ONLY to score pseudo-label
     accuracy for the metrics row; they never touch a loss or gradient.
+    A non-finite loss or weak-view prediction raises ``DivergenceError``
+    naming the step.
     """
     n = cfg.num_models
     if len(labeled_batches) != n:
@@ -240,6 +242,10 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
     # one shared weak view of the unlabeled batch, predicted by every model
     weak_probs = stack.predict_proba(
         state.weak_unlabeled.apply_batch(unlabeled))
+    # a diverged model shows here first; stop before fusion's input
+    # validation reports it as a bad prediction
+    _check_finite(state.step + 1, "supervised loss", l_s)
+    _check_finite(state.step + 1, "weak-view prediction", weak_probs)
 
     # fusion streams are keyed by the 1-based update index, the same index
     # that names a predictions dump, so offline re-fusion of a dump can
@@ -262,6 +268,7 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
         weights = fused.masks.T
     l_u, g_u = stack.loss_and_grad(state.strong_views,
                                    np.maximum(targets, 0), weights)
+    _check_finite(state.step + 1, "unlabeled loss", l_u)
 
     # one update of every model, after all gradients exist
     lr = cfg.lr
@@ -287,6 +294,16 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
                        weak_probs=weak_probs)
 
 
+def _check_finite(step: int, what: str, values: np.ndarray) -> None:
+    """Raise ``DivergenceError`` naming ``step`` and the first model whose
+    ``values`` (model-major) hold a non-finite entry."""
+    if np.isfinite(values).all():
+        return
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    raise DivergenceError(f"training diverged at step {step}: model "
+                          f"{int(np.argmin(finite)) + 1} {what} is not finite")
+
+
 def evaluate(params: ModelParams, test: MaskedDataset) -> tuple[float, float]:
     """Accuracy and mean loss on a fully observed set, no augmentation."""
     return _evaluate_models(ModelStack([params]), test)
@@ -298,7 +315,7 @@ def _evaluate_models(stack: ModelStack, test) -> tuple[float, float]:
         raise ConfigError("empty test set")
     if test.num_missing:
         raise ConfigError("test set must be fully observed")
-    probs = stack.predict_proba(test.features)
+    probs = stack.predict_proba(test.rows(slice(None)))
     labels = test.eval_labels()
     accs = (probs.argmax(axis=2) == labels).mean(axis=1)
     losses = [supervised_loss(p, labels) for p in probs]
@@ -346,16 +363,19 @@ def _dump_predictions(path, weak_probs) -> None:
     """Offline-fusion input format: item,model,p0..p{C-1}; model is 1-based.
 
     Values carry 17 significant digits so re-parsing restores the exact
-    doubles the in-run fusion saw.
+    doubles the in-run fusion saw.  The rows are formatted in one ``%``
+    operation over the whole block.
     """
     n, batch, num_classes = weak_probs.shape
+    row = "%d,%d," + ",".join(["%.17g"] * num_classes) + "\n"
+    probs = weak_probs.transpose(1, 0, 2).reshape(batch * n, num_classes)
+    values = []
+    for r, p in enumerate(probs.tolist()):
+        values += (r // n, r % n + 1, *p)
     with open(path, "w", encoding="ascii") as fh:
         cols = ",".join(f"p{c}" for c in range(num_classes))
         fh.write(f"item,model,{cols}\n")
-        for b in range(batch):
-            for m in range(n):
-                vals = ",".join(format(v, ".17g") for v in weak_probs[m, b])
-                fh.write(f"{b},{m + 1},{vals}\n")
+        fh.write(row * (batch * n) % tuple(values))
 
 
 def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
@@ -389,9 +409,9 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
         labeled = []
         for i in range(cfg.num_models):
             idx = labeled_cyclers[i].take(cfg.objective.batch_size)
-            labeled.append((ds.features[idx], ds.observed_labels(idx)))
+            labeled.append((ds.rows(idx), ds.observed_labels(idx)))
         u_idx = unlabeled_cycler.take(cfg.objective.unlabeled_batch_size)
-        return labeled, ds.features[u_idx], ds.eval_labels(u_idx)
+        return labeled, ds.rows(u_idx), ds.eval_labels(u_idx)
 
     def record(step_metrics: StepMetrics, eval_step: int, evaluated) -> None:
         acc, loss = evaluated

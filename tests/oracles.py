@@ -318,6 +318,21 @@ def save_dataset_v1(ds, path) -> None:
             fh.write(f"{i},{int(ds.missing[i])},{int(labels[i])},{feats}\n")
 
 
+# --- prediction dumps ------------------------------------------------------
+
+def reference_dump_predictions(path, weak_probs) -> None:
+    """The value-at-a-time writer of ``item,model,p0..`` dumps: each
+    value formatted with its own ``format(v, ".17g")``."""
+    n, batch, num_classes = weak_probs.shape
+    with open(path, "w", encoding="ascii") as fh:
+        cols = ",".join(f"p{c}" for c in range(num_classes))
+        fh.write(f"item,model,{cols}\n")
+        for b in range(batch):
+            for m in range(n):
+                vals = ",".join(format(v, ".17g") for v in weak_probs[m, b])
+                fh.write(f"{b},{m + 1},{vals}\n")
+
+
 # --- the one-model MLP -----------------------------------------------------
 
 def _reference_check_batch(params: ModelParams, xs: np.ndarray) -> np.ndarray:

@@ -392,6 +392,19 @@ class TestBatchAgainstOracle:
                     sizes = [1, 200, int(size_rng.integers(2, 200))]
                     self.run_pair(kind, modality, shape, cfg, seed, sizes)
 
+    @pytest.mark.parametrize("kind", ["weak", "strong"])
+    def test_edge_pixels_keep_their_bits(self, kind):
+        # signed zeros, negatives and values above 1 through every operation
+        data = np.random.default_rng(7)
+        xs = data.choice([-0.0, 0.0, -1.5, 1.0, 2.5, 0.25], size=(300, 3072))
+        stream = AugmentStream(kind, "image", seed=3)
+        ref_rng = np.random.default_rng(3)
+        got = stream.apply_batch(xs)
+        want = np.stack([ORACLES[(kind, "image")](row.reshape(3, 32, 32), ref_rng,
+                                                  CFG).reshape(-1) for row in xs])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert stream.rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_scalar_integer_pairs_match_size_two_draws(self):
         # the batch functions draw each (dx, dy) or (top, left) pair as two
         # scalar calls; the references draw one size=2 array

@@ -15,7 +15,9 @@ from copseudo.cli import build_parser, main
 from copseudo.data import (
     CIFAR_TEST_FILE,
     CIFAR_TRAIN_FILES,
+    MaskedDataset,
     load_dataset,
+    save_dataset,
     write_cifar10_batch,
 )
 from copseudo.fusion import FusionConfig, fuse_cascade, fuse_pair
@@ -347,6 +349,15 @@ class TestTrainCommand:
         assert "missing indicators must be 0 or 1" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_exits_4_naming_the_step(synth_files, tmp_path, capsys):
+    code = quick_train(*synth_files, tmp_path / "run",
+                       ("--steps", "400", "--lr", "1e8"))
+    assert code == 4
+    assert re.search(r"error: training diverged at step \d+: model \d",
+                     capsys.readouterr().err)
+
+
 def tree_bytes(root):
     """Map each file under ``root`` to its bytes, keyed by relative path."""
     return {p.relative_to(root).as_posix(): p.read_bytes()
@@ -369,6 +380,86 @@ class TestContainerVersions:
         v2_tree = tree_bytes(tmp_path / "run-v2")
         assert "metrics.csv" in v2_tree
         assert v2_tree == tree_bytes(tmp_path / "run-v1")
+
+
+@pytest.fixture
+def image_files(tmp_path):
+    """CIFAR-format batches made into a u1 train file with 70 of 120 labels
+    observed (the paper profile's labeled batch is 64) and a test file."""
+    rng = np.random.default_rng(3)
+    src = tmp_path / "cifar"
+    src.mkdir()
+    for name, count in [(n, 24) for n in CIFAR_TRAIN_FILES] + [(CIFAR_TEST_FILE, 12)]:
+        write_cifar10_batch(src / name, rng.integers(0, 10, size=count),
+                            rng.integers(0, 256, size=(count, 3072)))
+    train, test = tmp_path / "image.ds", tmp_path / "image-test.ds"
+    assert main(["gen-data", "--cifar10", str(src), "--mcar", "70", "--seed", "4",
+                 "--out", str(train)]) == 0
+    assert main(["gen-data", "--cifar10", str(src), "--split", "test",
+                 "--seed", "5", "--out", str(test)]) == 0
+    return train, test
+
+
+def image_train(train, test, out):
+    return main(["train", "--data", str(train), "--test", str(test),
+                 "--out", str(out), "--seed", "5", "--profile", "paper",
+                 "--steps", "2", "--eval-every", "1", "--hidden", "8",
+                 "--dump-predictions-every", "1", "--tau", "0.3", "--tau2", "0.2"])
+
+
+class TestPixelDatasets:
+    def test_gen_data_writes_u1_payload(self, image_files):
+        for path in image_files:
+            assert path.read_bytes().startswith(b"copseudo-ds v3 ")
+            assert load_dataset(path).storage == "u1"
+
+    def test_v2_and_u1_inputs_train_identically(self, image_files, tmp_path):
+        # the same images as float64 rows in a v2 file, as earlier versions
+        # of gen-data wrote them
+        v2_files = []
+        for path in image_files:
+            ds = load_dataset(path)
+            v2 = tmp_path / f"v2-{path.name}"
+            save_dataset(MaskedDataset(ds.features, ds.eval_labels(), ds.missing,
+                                       ds.num_classes, ds.feature_shape), v2)
+            assert v2.read_bytes().startswith(b"copseudo-ds v2 ")
+            v2_files.append(v2)
+        assert image_train(*image_files, tmp_path / "run-u1") == 0
+        assert image_train(*v2_files, tmp_path / "run-v2") == 0
+        u1_tree = tree_bytes(tmp_path / "run-u1")
+        assert "predictions-step2.csv" in u1_tree
+        assert u1_tree == tree_bytes(tmp_path / "run-v2")
+
+    def test_train_and_select_never_build_the_full_matrix(self, image_files,
+                                                          tmp_path, monkeypatch):
+        full = MaskedDataset.features
+
+        def guarded(ds):
+            if ds.storage == "u1":
+                raise AssertionError("built the full float64 feature matrix")
+            return full.fget(ds)
+
+        monkeypatch.setattr(MaskedDataset, "features", property(guarded))
+        run = tmp_path / "run"
+        assert image_train(*image_files, run) == 0
+        out = tmp_path / "selected.ds"
+        assert main(["select-subset", "--data", str(image_files[0]),
+                     "--ckpt", str(run / "ckpt-model1-step2"),
+                     "--ckpt", str(run / "ckpt-model2-step2"),
+                     "--epsilon", "1", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        before, after = load_dataset(image_files[0]), load_dataset(out)
+        assert after.storage == "u1" and after.num_missing < before.num_missing
+        np.testing.assert_array_equal(after.features, before.features)
+        assert out.read_bytes().startswith(b"copseudo-ds v3 ")
+
+    def test_malformed_u1_file_exits_3_naming_it(self, image_files, tmp_path,
+                                                 capsys):
+        train, test = image_files
+        bad = tmp_path / "cut.ds"
+        bad.write_bytes(train.read_bytes()[:-1])
+        assert image_train(bad, test, tmp_path / "run") == 3
+        assert str(bad) in capsys.readouterr().err
 
 
 PAIR_EXAMPLES = """\

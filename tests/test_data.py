@@ -394,12 +394,145 @@ class TestFeatureShape:
         ds = load_cifar10(tmp_path, "test")
         path = tmp_path / "ds.txt"
         save_dataset(ds, path)
-        assert path.read_bytes().startswith(b"copseudo-ds v2 4 10 3,32,32\n")
+        assert path.read_bytes().startswith(b"copseudo-ds v3 4 10 3,32,32 u1\n")
         back = load_dataset(path)
         assert back.modality == "image"
+        assert back.storage == "u1"
         assert_same_bits(back, ds)
         save_dataset_v1(ds, tmp_path / "v1.txt")
         assert_same_bits(load_dataset(tmp_path / "v1.txt"), back)
+
+
+def v3_file(path, n, num_classes, shape, missing, labels, pixels, dtype="u1"):
+    """Hand-assemble a ``copseudo-ds v3`` file from raw arrays."""
+    head = f"copseudo-ds v3 {n} {num_classes} {shape} {dtype}\n".encode("ascii")
+    path.write_bytes(head + np.asarray(missing, dtype="u1").tobytes()
+                     + np.asarray(labels, dtype="<i8").tobytes()
+                     + np.asarray(pixels, dtype="u1").tobytes())
+    return path
+
+
+def pixel_dataset(rng, n, missing=None):
+    pixels = rng.integers(0, 256, size=(n, 3072)).astype(np.uint8)
+    labels = rng.integers(0, 10, size=n)
+    missing = np.zeros(n) if missing is None else missing
+    return MaskedDataset.from_pixels(pixels, labels, missing, 10, CIFAR_IMAGE_SHAPE)
+
+
+class TestPixelStorage:
+    def test_rows_match_float_division_for_every_value(self):
+        values = np.arange(256, dtype=np.uint8)
+        ds = MaskedDataset.from_pixels(values.reshape(2, 128), [0, 1], [0, 0], 2)
+        want = values.astype(np.float64) / 255.0
+        assert ds.rows(slice(None)).dtype == np.float64
+        np.testing.assert_array_equal(ds.rows(slice(None)).reshape(-1).view(np.uint64),
+                                      want.view(np.uint64))
+        np.testing.assert_array_equal(ds.features.reshape(-1).view(np.uint64),
+                                      want.view(np.uint64))
+        np.testing.assert_array_equal(ds.rows([1, 0, 1]).view(np.uint64),
+                                      want.reshape(2, 128)[[1, 0, 1]].view(np.uint64))
+
+    def test_load_cifar10_keeps_uint8_pixels(self, tmp_path):
+        rng = np.random.default_rng(5)
+        labels = rng.integers(0, 10, size=6)
+        pixels = rng.integers(0, 256, size=(6, 3072)).astype(np.uint8)
+        write_cifar10_batch(tmp_path / "test_batch.bin", labels, pixels)
+        ds = load_cifar10(tmp_path, "test")
+        assert ds.storage == "u1" and ds.width == 3072
+        want = pixels.astype(np.float64) / 255.0
+        np.testing.assert_array_equal(ds.features.view(np.uint64), want.view(np.uint64))
+        idx = np.array([5, 0, 5, 2])
+        np.testing.assert_array_equal(ds.rows(idx).view(np.uint64), want[idx].view(np.uint64))
+
+    def test_storage_follows_construction(self):
+        rng = np.random.default_rng(6)
+        ds = pixel_dataset(rng, 3)
+        assert ds.storage == "u1"
+        # the same values as float64 rows stay float64 rows: no sniffing
+        floats = MaskedDataset(ds.features, ds.eval_labels(), ds.missing, 10,
+                               CIFAR_IMAGE_SHAPE)
+        assert floats.storage == "f8" and floats.width == 3072
+        assert generate_synthetic(make_spec(), seed=0).storage == "f8"
+
+    def test_derived_datasets_keep_pixel_storage(self):
+        ds = pixel_dataset(np.random.default_rng(7), 20)
+        hidden = apply_missingness(ds, MissingnessSpec.mcar(num_labeled=5, seed=1))
+        assert hidden.storage == "u1" and hidden.num_observed == 5
+        relabeled = hidden.with_labels(np.zeros(20, dtype=np.int64), np.zeros(20))
+        assert relabeled.storage == "u1"
+        np.testing.assert_array_equal(relabeled.eval_labels(), 0)
+        for d in (hidden, relabeled):
+            np.testing.assert_array_equal(d.features.view(np.uint64),
+                                          ds.features.view(np.uint64))
+
+    def test_samples_are_float_rows(self):
+        ds = pixel_dataset(np.random.default_rng(8), 4, missing=[0, 1, 0, 1])
+        np.testing.assert_array_equal(ds.sample(2).features, ds.features[2])
+        assert ds.eval_sample(1).features.dtype == np.float64
+        np.testing.assert_array_equal(ds.eval_sample(1).features, ds.features[1])
+        with pytest.raises(TaintError):
+            ds.sample(1)
+
+    def test_features_are_built_per_access_and_read_only(self):
+        ds = pixel_dataset(np.random.default_rng(9), 2)
+        first, second = ds.features, ds.features
+        assert first is not second
+        np.testing.assert_array_equal(first, second)
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
+    def test_from_pixels_wants_uint8(self):
+        with pytest.raises(ConfigError, match="uint8"):
+            MaskedDataset.from_pixels(np.zeros((2, 2), dtype=np.int64), [0, 1], [0, 0], 2)
+
+    def test_u1_container_layout(self, tmp_path):
+        ds = apply_missingness(pixel_dataset(np.random.default_rng(10), 5),
+                               MissingnessSpec.mcar(num_labeled=2, seed=0))
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        raw = path.read_bytes()
+        head = b"copseudo-ds v3 5 10 3,32,32 u1\n"
+        assert raw.startswith(head)
+        body = raw[len(head):]
+        assert body[:5] == ds.missing.tobytes()
+        assert body[5:45] == ds.eval_labels().astype("<i8").tobytes()
+        assert body[45:] == np.rint(ds.features * 255.0).astype(np.uint8).tobytes()
+        back = load_dataset(path)
+        assert back.storage == "u1"
+        assert_same_bits(back, ds)
+
+    def test_float_datasets_keep_v2_bytes(self, tmp_path):
+        ds = pixel_dataset(np.random.default_rng(11), 3)
+        floats = MaskedDataset(ds.features, ds.eval_labels(), ds.missing, 10,
+                               CIFAR_IMAGE_SHAPE)
+        save_dataset(floats, tmp_path / "f8.bin")
+        want = v2_file(tmp_path / "want.bin", 3, 10, "3,32,32", ds.missing,
+                       ds.eval_labels(), ds.features)
+        assert (tmp_path / "f8.bin").read_bytes() == want.read_bytes()
+        back = load_dataset(tmp_path / "f8.bin")
+        assert back.storage == "f8"
+        assert_same_bits(back, load_dataset(v3_file(
+            tmp_path / "u1.bin", 3, 10, "3,32,32", ds.missing, ds.eval_labels(),
+            np.rint(ds.features * 255.0))))
+
+    def test_u1_truncated_at_every_offset(self, tmp_path):
+        ds = MaskedDataset.from_pixels(np.arange(6, dtype=np.uint8).reshape(2, 3),
+                                       [0, 1], [0, 1], 2)
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for size in range(len(raw)):
+            cut.write_bytes(raw[:size])
+            with pytest.raises(DataError, match=re.escape(str(cut))):
+                load_dataset(cut)
+
+    @pytest.mark.parametrize("tail", [b"\0", b"\n", np.zeros(3, "<f8").tobytes()])
+    def test_u1_trailing_bytes(self, tmp_path, tail):
+        path = v3_file(tmp_path / "ds.bin", 1, 2, "3", [0], [1], [1, 2, 3])
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(DataError, match="payload bytes"):
+            load_dataset(path)
 
 
 V1_BAD_BODIES = {
@@ -431,6 +564,24 @@ V2_BAD = {
 }
 
 
+V3_BAD = {
+    "negative_count": ("-1", "2", "2", [], [], []),
+    "negative_dim": ("1", "2", "-2", [0], [1], []),
+    "bad_shape": ("1", "2", "3,x", [0], [1], [5] * 3),
+    "missing_flag_2": ("1", "2", "2", [2], [1], [5, 5]),
+    "label_out_of_range": ("1", "2", "2", [0], [2], [5, 5]),
+    "negative_label": ("1", "2", "2", [0], [-1], [5, 5]),
+    "zero_classes": ("1", "0", "2", [0], [0], [5, 5]),
+    "huge_shape": ("0", "2", "4294967296,4294967296", [], [], []),
+    # the payload type must be u1; f8 rows belong in a v2 file
+    "f8_payload": ("1", "2", "2", [0], [1], [5, 5], "f8"),
+    "no_payload_type": ("1", "2", "2", [0], [1], [5, 5], ""),
+    "extra_field": ("1", "2", "2", [0], [1], [5, 5], "u1 u1"),
+    # the pixels of 2 features padded with 14 bytes, as if they were <f8
+    "f8_sized_payload": ("1", "2", "2", [0], [1], [5] * 16),
+}
+
+
 class TestMalformedFiles:
     @pytest.mark.parametrize("name", sorted(V1_BAD_BODIES))
     def test_v1_is_data_error_naming_path(self, tmp_path, name):
@@ -444,6 +595,26 @@ class TestMalformedFiles:
         path = v2_file(tmp_path / f"{name}.txt", *V2_BAD[name])
         with pytest.raises(DataError, match=re.escape(str(path))):
             load_dataset(path)
+
+    @pytest.mark.parametrize("name", sorted(V3_BAD))
+    def test_v3_is_data_error_naming_path(self, tmp_path, name):
+        path = v3_file(tmp_path / f"{name}.bin", *V3_BAD[name])
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_dataset(path)
+
+    def test_v2_header_with_payload_type(self, tmp_path):
+        path = v2_file(tmp_path / "ds.bin", "1", "2", "2", [0], [1], [0.5, 0.5])
+        path.write_bytes(path.read_bytes().replace(b" 2\n", b" 2 u1\n", 1))
+        with pytest.raises(DataError, match="bad dataset header"):
+            load_dataset(path)
+
+    def test_empty_pixel_dataset_round_trips(self, tmp_path):
+        ds = MaskedDataset.from_pixels(np.empty((0, 3), dtype=np.uint8), [], [], 2)
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert back.storage == "u1" and back.width == 3
+        assert_same_bits(back, ds)
 
     def test_non_ascii_record(self, tmp_path):
         path = tmp_path / "ds.txt"

@@ -13,7 +13,7 @@ from copseudo.data import (
     apply_missingness,
     generate_synthetic,
 )
-from copseudo.errors import ConfigError
+from copseudo.errors import ConfigError, DivergenceError
 from copseudo.fusion import FusionConfig, FusionDecision, SOURCE_NONE, SOURCE_OWN, fuse_pair
 from copseudo.losses import ObjectiveConfig
 from copseudo.metrics import read_csv
@@ -36,7 +36,7 @@ from copseudo.trainer import (
     train,
     train_step,
 )
-from oracles import pseudo_label_accuracy
+from oracles import pseudo_label_accuracy, reference_dump_predictions
 
 
 def tiny_dataset(seed=0, samples_per_class=12, num_labeled=16, sigma=0.4):
@@ -512,6 +512,64 @@ class TestOneTrainStepPerStep:
         assert row0.mask_ratio == as_written(first.mask_ratio)
         assert row0.pseudo_acc == as_written(first.pseudo_acc)
         assert row0.source_counts() == first.source_counts
+
+
+class TestPredictionDumpWriter:
+    # doubles whose shortest and 17-digit forms differ, the extremes, and
+    # values a probability block can hold: exact 0 and 1, tiny tails
+    EDGES = [1.0, 0.0, -0.0, 1e-300, 5e-324, 2.2250738585072009e-308,
+             2.2250738585072014e-308, 0.1, 1 / 3, 0.9999999999999999,
+             1.7976931348623157e308, 123456789.0, 1e16, 1e17, 2.5e-5]
+
+    @pytest.mark.parametrize("n,batch,classes", [(1, 1, 2), (2, 16, 4),
+                                                 (3, 7, 3), (4, 40, 10)])
+    def test_bytes_match_value_at_a_time_writer(self, tmp_path, n, batch, classes):
+        rng = np.random.default_rng(n * 100 + batch)
+        probs = rng.dirichlet(np.ones(classes) * 0.3, size=(n, batch))
+        flat = probs.reshape(-1)
+        flat[:len(self.EDGES)] = self.EDGES[:flat.size]
+        trainer_mod._dump_predictions(tmp_path / "got.csv", probs)
+        reference_dump_predictions(tmp_path / "want.csv", probs)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_random_doubles_round_trip(self, tmp_path):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2 ** 64, size=2 * 9 * 5, dtype=np.uint64)
+        probs = bits.view(np.float64).reshape(2, 9, 5)
+        probs[~np.isfinite(probs)] = 0.5
+        trainer_mod._dump_predictions(tmp_path / "got.csv", probs)
+        reference_dump_predictions(tmp_path / "want.csv", probs)
+        got = (tmp_path / "got.csv").read_text()
+        assert got == (tmp_path / "want.csv").read_text()
+        rows = [line.split(",") for line in got.splitlines()[1:]]
+        back = np.array([[float(v) for v in r[2:]] for r in rows])
+        np.testing.assert_array_equal(
+            back.view(np.uint64),
+            probs.transpose(1, 0, 2).reshape(-1, 5).view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergence:
+    def test_non_finite_step_raises_naming_the_step(self, tmp_path):
+        cfg = small_config(steps=400, lr=1e8)
+        with pytest.raises(DivergenceError,
+                           match=r"diverged at step \d+: model \d"):
+            train(cfg, tiny_dataset(), eval_set(), tmp_path / "run")
+
+    def test_poisoned_parameters_stop_before_fusion(self, monkeypatch):
+        cfg = small_config()
+        ds = tiny_dataset()
+        state = TrainerState(cfg, ds)
+        state.stack.weights[-1][1, 0, 0] = np.inf
+        state.step = 41
+        monkeypatch.setattr(trainer_mod, "fuse_batch", None)  # never reached
+        idx = ds.observed_indices()[:4]
+        batch = (ds.rows(idx), ds.observed_labels(idx))
+        u_idx = ds.missing_indices()[:8]
+        with pytest.raises(DivergenceError,
+                           match="diverged at step 42: model 2 supervised loss"):
+            train_step(state, [batch, batch], ds.rows(u_idx), cfg,
+                       ds.eval_labels(u_idx))
 
 
 class TestHiddenLabelIsolation:
