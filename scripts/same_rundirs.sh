@@ -5,8 +5,8 @@
 #
 # Each tree is a checkout of the repository; its package is imported from
 # <tree>/src. For each tree the script generates the datasets, trains the
-# nine configurations below (eight desk-profile runs on 2-wide vectors and
-# one paper-profile run on 3072-wide CIFAR-format images written by the
+# eleven configurations below (eight desk-profile runs on 2-wide vectors and
+# three paper-profile runs on 3072-wide CIFAR-format images written by the
 # script itself), replays every prediction dump
 # with `copseudo fuse-trace`, and records each command's stdout, stderr and
 # exit code. It also decodes every dataset file with that tree's own loader
@@ -39,7 +39,10 @@ mkdir -p "$work"
 work=$(cd "$work" && pwd)
 
 # name|train set|test set|train flags|fusion flags (passed to fuse-trace
-# as well)
+# as well). The thresholds of image-cascade3 and image-single2 make the
+# share of strong-view rows that carry a loss pass through 0, values
+# between 0 and 1 and 1 within their 12 steps, so rows whose strong view
+# is skipped meet rows that are built.
 DESK="--profile desk"
 CONFIGS=(
     "pair|mcar|test|$DESK --models 2 --steps 60 --eval-every 10 --dump-predictions-every 20|"
@@ -51,6 +54,8 @@ CONFIGS=(
     "steps1|mcar|test|$DESK --models 2 --steps 1|"
     "low-tau|mcar|test|$DESK --models 2 --steps 40 --eval-every 20 --dump-predictions-every 20|--tau 0.4 --tau2 0.3"
     "image|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2|--tau 0.3 --tau2 0.2"
+    "image-cascade3|image|image-test|--profile paper --models 3 --steps 12 --eval-every 4 --dump-predictions-every 4|--tau 0.2 --tau-cascade 0.18,0.16"
+    "image-single2|image|image-test|--profile paper --models 2 --steps 12 --eval-every 4|--single-model-mode --tau 0.22"
 )
 
 # CIFAR-format batches: five train files of 120 images and a test file of

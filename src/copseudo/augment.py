@@ -10,6 +10,12 @@ row by row, in the order a loop over single rows would draw them, so
 the stream, and with it every view, does not depend on how rows are
 grouped into batches.  Each ``AugmentStream`` owns its generator, so
 call order alone determines the sequence of views.
+
+``apply_batch_into`` takes an optional per-row ``keep`` mask.  The strong
+image transform makes every draw of a row whose entry is False, in the
+same order, but writes zeros instead of moving pixels; the other
+transforms, whose per-row cost is their draws, build every row.  Either
+way the stream advances exactly as without ``keep``.
 """
 from __future__ import annotations
 
@@ -122,12 +128,25 @@ def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
 
 
 def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None,
+                  keep: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) images, each put through two operations drawn with
     replacement from {flip, translate, brightness, cutout}.  Each row
     draws both operations, then each operation's parameters in order.
     A row's first operation reads the source image and writes ``out``;
-    the second transforms ``out`` in place."""
+    the second transforms ``out`` in place.
+
+    A row whose ``keep`` entry is False makes the same draws in the same
+    order (both operations, then dx and dy, the brightness factor or the
+    cutout corner) and is written as +0.0.  The trainer masks the rows
+    whose unlabeled-loss weight is 0, and that leaves every loss and
+    gradient bit unchanged: such a row adds only signed zeros (its finite
+    activations times a zero weight) to each loss sum and gradient
+    matmul, whatever its pixels are.  A signed zero added to a nonzero
+    partial sum leaves it as it was, and ±0 + x is x, so every sum with a
+    nonzero term keeps its bits.  A sum whose terms are all zero may flip
+    the sign of its zero; a gradient entry reaches the parameters only
+    through a momentum buffer, which starts at +0, and +0 + (±0) is +0."""
     if out is None:
         out = np.empty_like(imgs)
     _, _, h, w = imgs.shape
@@ -140,6 +159,18 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
         src = imgs[i]
         op1 = int(rng.integers(0, _STRONG_OP_COUNT))
         op2 = int(rng.integers(0, _STRONG_OP_COUNT))
+        if keep is not None and not keep[i]:
+            for op in (op1, op2):
+                if op == 1:
+                    rng.integers(-s, s + 1)
+                    rng.integers(-s, s + 1)
+                elif op == 2:
+                    rng.uniform(*BRIGHTNESS_RANGE)
+                elif op == 3:
+                    rng.integers(0, cut_range)
+                    rng.integers(0, cut_range)
+            cur.fill(0.0)
+            continue
         for op in (op1, op2):
             if op == 0:
                 if src is cur:
@@ -210,10 +241,14 @@ class AugmentStream:
         xs = np.asarray(xs, dtype=np.float64)
         return self.apply_batch_into(xs, np.empty(xs.shape))
 
-    def apply_batch_into(self, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def apply_batch_into(self, xs: np.ndarray, out: np.ndarray,
+                         keep: np.ndarray | None = None) -> np.ndarray:
         """``apply_batch`` writing into ``out``, a C-contiguous float64
         array of the batch's shape that does not overlap ``xs``; returns
-        ``out``."""
+        ``out``.  ``keep``, a bool array with one entry per row, marks the
+        rows whose view is used: a strong image stream writes +0.0 rows
+        for the others (see ``strong_images``), every other stream builds
+        all rows.  The stream advances as it does without ``keep``."""
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim != 2:
             raise ConfigError("apply_batch expects a 2-d array")
@@ -221,11 +256,20 @@ class AugmentStream:
                 or not out.flags.c_contiguous):
             raise ConfigError("out must be a C-contiguous float64 array of "
                               "the batch's shape")
+        if keep is not None and (not isinstance(keep, np.ndarray)
+                                 or keep.dtype != np.bool_
+                                 or keep.shape != xs.shape[:1]):
+            raise ConfigError("keep must be a bool array with one entry per "
+                              "row")
         if xs.shape[0] == 0:
             return out
         fn = _BATCH_FNS[(self.kind, self.modality)]
         if self.modality == "vector":
             return fn(xs, self.rng, self.config, out)
         shape = (xs.shape[0],) + self.feature_shape
-        fn(xs.reshape(shape), self.rng, self.config, out.reshape(shape))
+        if fn is strong_images:
+            fn(xs.reshape(shape), self.rng, self.config, out.reshape(shape),
+               keep)
+        else:
+            fn(xs.reshape(shape), self.rng, self.config, out.reshape(shape))
         return out

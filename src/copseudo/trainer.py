@@ -7,6 +7,12 @@ pseudo-labels and per-model masks; every model computes its unlabeled
 loss on its own strong views; all parameter updates are applied after
 every gradient is computed, so the models never see each other
 mid-step.
+
+The shared weak view is written into model 1's slot of the strong-view
+block, which is free until the strong views are built.  Each strong
+stream gets its model's ``weights > 0`` as ``keep``, so an image row
+that carries no loss costs only its draws (see
+``augment.strong_images`` for why that leaves every bit unchanged).
 """
 from __future__ import annotations
 
@@ -239,9 +245,10 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
     l_s, g_s = stack.loss_and_grad(state.labeled_views, sup_targets,
                                    np.ones(sup_targets.shape))
 
-    # one shared weak view of the unlabeled batch, predicted by every model
-    weak_probs = stack.predict_proba(
-        state.weak_unlabeled.apply_batch(unlabeled))
+    # one shared weak view of the unlabeled batch, predicted by every model;
+    # it lives in model 1's strong-view slot until the strong views are built
+    weak_probs = stack.predict_proba(state.weak_unlabeled.apply_batch_into(
+        unlabeled, state.strong_views[0]))
     # a diverged model shows here first; stop before fusion's input
     # validation reports it as a bad prediction
     _check_finite(state.step + 1, "supervised loss", l_s)
@@ -256,16 +263,17 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
 
     # unlabeled pass on per-model strong views; single-model decisions
     # carry one mask, fused decisions one per model.  Absent labels (-1)
-    # become class 0 at mask 0.
-    for i in range(n):
-        state.strong_unlabeled[i].apply_batch_into(unlabeled,
-                                                   state.strong_views[i])
+    # become class 0 at mask 0.  Rows of weight 0 need no pixels.
     if single:
         targets = np.stack([f.labels for f in batches])
         weights = np.stack([f.masks[:, 0] for f in batches])
     else:
         targets = fused.labels[None].repeat(n, axis=0)
         weights = fused.masks.T
+    keep = weights > 0
+    for i in range(n):
+        state.strong_unlabeled[i].apply_batch_into(
+            unlabeled, state.strong_views[i], keep=keep[i])
     l_u, g_u = stack.loss_and_grad(state.strong_views,
                                    np.maximum(targets, 0), weights)
     _check_finite(state.step + 1, "unlabeled loss", l_u)
@@ -433,19 +441,29 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
     # updates in place
     initial_eval = _evaluate_models(state.stack, test)
     final = state.stack if cfg.steps else copy.deepcopy(state.stack)
-    for step in range(1, max(cfg.steps, 1) + 1):
-        labeled, u_feats, u_true = draw_batches()
-        last = train_step(state, labeled, u_feats, cfg, u_true)
-        if step == 1:
-            record(last, 0, initial_eval)
-        if step > cfg.steps:
-            break
-        if cfg.dump_predictions_every and step % cfg.dump_predictions_every == 0:
-            _dump_predictions(
-                os.path.join(out_dir, f"predictions-step{step}.csv"),
-                last.weak_probs)
-        if step % cfg.eval_every == 0 or step == cfg.steps:
-            record(last, step, _evaluate_models(state.stack, test))
+    # a diverging run overflows before train_step names the step in a
+    # DivergenceError; numpy's warnings about it would only come first
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(1, max(cfg.steps, 1) + 1):
+            labeled, u_feats, u_true = draw_batches()
+            last = train_step(state, labeled, u_feats, cfg, u_true)
+            # free this step's batch before the next one is drawn
+            del labeled, u_feats, u_true
+            if step == 1:
+                record(last, 0, initial_eval)
+            if step > cfg.steps:
+                break
+            if (cfg.dump_predictions_every
+                    and step % cfg.dump_predictions_every == 0):
+                _dump_predictions(
+                    os.path.join(out_dir, f"predictions-step{step}.csv"),
+                    last.weak_probs)
+            if step % cfg.eval_every == 0 or step == cfg.steps:
+                record(last, step, _evaluate_models(state.stack, test))
+    # a later step's losses catch a diverged update; the last has no later
+    # step, and with the warnings off nothing else would report it
+    for tensor in final.weights + final.biases:
+        _check_finite(cfg.steps, "parameter", tensor)
 
     emit_csv(metrics, os.path.join(out_dir, METRICS_FILENAME))
     emit_plot_columns(metrics, out_dir)

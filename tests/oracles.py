@@ -18,6 +18,11 @@ arrays, and they stay here as readable references.
 ``save_dataset_v1`` is the text writer of the ``copseudo-ds v1``
 container, which the library no longer writes but still reads.
 
+``full_strong_pass`` is ``AugmentStream.apply_batch_into`` as it was
+before it took a ``keep`` mask: it builds every row.  Patched over the
+method, it trains the reference that a run skipping the rows without a
+loss must match bit for bit.
+
 ``reference_forward``, ``reference_predict_proba``,
 ``reference_loss_and_grad`` and ``reference_sgd_step`` are the one-model
 MLP the library ran before it trained every model as one stack: a chain
@@ -33,6 +38,7 @@ from copseudo.augment import (
     CUTOUT_SIZE,
     NUM_STRONG_OPS,
     AugmentConfig,
+    AugmentStream,
 )
 from copseudo.errors import ConfigError
 from copseudo.fusion import (
@@ -248,6 +254,15 @@ def strong_image(img: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
                          rng.integers(0, min(h, w) - CUTOUT_SIZE + 1, size=2))
             out[:, top:top + CUTOUT_SIZE, left:left + CUTOUT_SIZE] = CUTOUT_FILL
     return out
+
+
+_APPLY_BATCH_INTO = AugmentStream.apply_batch_into
+
+
+def full_strong_pass(stream, xs, out, keep=None):
+    """``AugmentStream.apply_batch_into`` building every row, whatever
+    ``keep`` says."""
+    return _APPLY_BATCH_INTO(stream, xs, out)
 
 
 # --- per-decision reductions ---------------------------------------------

@@ -420,3 +420,63 @@ class TestBatchAgainstOracle:
                                 int(scalar_rng.integers(lo, hi))]
                 assert pair_rng.uniform(0.6, 1.4) == scalar_rng.uniform(0.6, 1.4)
             assert pair_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+class TestKeepMask:
+    """``keep`` against the same call without it: kept rows equal, masked
+    strong image rows +0.0, and an equal generator state after every
+    call."""
+
+    SHIFTS = (None, 0, 10, 40)  # None keeps the default (8)
+
+    @staticmethod
+    def make_keep(pattern, size, rng):
+        if pattern == "all":
+            return np.ones(size, dtype=bool)
+        if pattern == "none":
+            return np.zeros(size, dtype=bool)
+        return rng.random(size) < 0.5
+
+    @pytest.mark.parametrize("pattern", ["all", "none", "random"])
+    @pytest.mark.parametrize("shape", [(3, 32, 32), (1, 8, 12)])
+    def test_strong_images_skip_masked_rows(self, shape, pattern):
+        width = int(np.prod(shape))
+        for shift in self.SHIFTS:
+            cfg = CFG if shift is None else AugmentConfig(image_shift_strong=shift)
+            for seed in range(2):
+                data = np.random.default_rng(seed + 500)
+                masked = AugmentStream("strong", "image", seed=seed, config=cfg,
+                                       feature_shape=shape)
+                full = AugmentStream("strong", "image", seed=seed, config=cfg,
+                                     feature_shape=shape)
+                # three calls in a row on one stream
+                for size in (1, 150, int(data.integers(2, 150))):
+                    xs = data.uniform(-0.5, 1.5, size=(size, width))
+                    keep = self.make_keep(pattern, size, data)
+                    want = full.apply_batch(xs)
+                    got = masked.apply_batch_into(
+                        xs, np.full((size, width), np.nan), keep=keep)
+                    assert (masked.rng.bit_generator.state
+                            == full.rng.bit_generator.state)
+                    assert np.array_equal(got[keep], want[keep])
+                    assert (got[~keep].view(np.uint64) == 0).all()
+
+    @pytest.mark.parametrize("kind,modality,shape", PAIRS[:3])
+    def test_other_streams_build_every_row(self, kind, modality, shape):
+        width = 10 if shape is None else int(np.prod(shape))
+        xs = np.random.default_rng(8).random((5, width))
+        masked = AugmentStream(kind, modality, seed=21, feature_shape=shape)
+        full = AugmentStream(kind, modality, seed=21, feature_shape=shape)
+        got = masked.apply_batch_into(xs, np.empty((5, width)),
+                                      keep=np.zeros(5, dtype=bool))
+        np.testing.assert_array_equal(got, full.apply_batch(xs))
+        assert masked.rng.bit_generator.state == full.rng.bit_generator.state
+
+    def test_rejects_bad_keep(self):
+        s = AugmentStream("strong", "image", seed=0, feature_shape=(1, 8, 12))
+        xs = np.zeros((4, 96))
+        for keep in (np.ones(3, dtype=bool), np.ones(5, dtype=bool),
+                     np.ones((4, 1), dtype=bool), np.ones(4, dtype=np.int64),
+                     np.ones(4), [True] * 4):
+            with pytest.raises(ConfigError, match="keep must be"):
+                s.apply_batch_into(xs, np.empty((4, 96)), keep=keep)

@@ -358,6 +358,26 @@ def test_divergence_exits_4_naming_the_step(synth_files, tmp_path, capsys):
                      capsys.readouterr().err)
 
 
+def test_divergence_prints_only_its_error_line(tmp_path):
+    # numpy's overflow warnings from the steps before train_step names the
+    # divergence stay silent, even with every warning shown (-W default)
+    train_f = gen_synth(tmp_path / "mcar.ds", per_class=100, labeled=20,
+                        seed=11, sigma=1.0)
+    test_f = gen_synth(tmp_path / "test.ds", per_class=50, seed=13, sigma=1.0)
+    env = dict(os.environ, PYTHONPATH=str(Path(copseudo.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "copseudo.cli", "train",
+         "--profile", "desk", "--lr", "1e8", "--seed", "3",
+         "--data", str(train_f), "--test", str(test_f),
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert result.returncode == 4
+    assert re.fullmatch(r"error: training diverged at step \d+: model \d "
+                        r"supervised loss is not finite\n", result.stderr), \
+        result.stderr
+
+
 def tree_bytes(root):
     """Map each file under ``root`` to its bytes, keyed by relative path."""
     return {p.relative_to(root).as_posix(): p.read_bytes()

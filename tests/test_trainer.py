@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import copseudo.trainer as trainer_mod
-from copseudo.augment import AugmentConfig
+from copseudo.augment import AugmentConfig, AugmentStream
 from copseudo.data import (
+    CIFAR_IMAGE_SHAPE,
     MaskedDataset,
     MissingnessSpec,
     SyntheticSpec,
@@ -18,6 +19,7 @@ from copseudo.fusion import FusionConfig, FusionDecision, SOURCE_NONE, SOURCE_OW
 from copseudo.losses import ObjectiveConfig
 from copseudo.metrics import read_csv
 from copseudo.predictor import (
+    ModelStack,
     add_scaled,
     load_checkpoint,
     loss_and_grad,
@@ -36,7 +38,11 @@ from copseudo.trainer import (
     train,
     train_step,
 )
-from oracles import pseudo_label_accuracy, reference_dump_predictions
+from oracles import (
+    full_strong_pass,
+    pseudo_label_accuracy,
+    reference_dump_predictions,
+)
 
 
 def tiny_dataset(seed=0, samples_per_class=12, num_labeled=16, sigma=0.4):
@@ -51,6 +57,57 @@ def eval_set(seed=99, samples_per_class=10):
     spec = SyntheticSpec(num_classes=4, dim=2, samples_per_class=samples_per_class,
                          class_separation=3.0, noise_sigma=0.4)
     return generate_synthetic(spec, seed=seed)
+
+
+def image_dataset(seed=0, size=64, num_classes=4, num_labeled=16):
+    """CIFAR-shaped uint8 images, each a noisy copy of its class's random
+    prototype."""
+    rng = np.random.default_rng(seed)
+    protos = rng.integers(0, 256, size=(num_classes, 3072))
+    labels = rng.integers(0, num_classes, size=size)
+    noise = rng.integers(-64, 65, size=(size, 3072))
+    pixels = np.clip(protos[labels] + noise, 0, 255).astype(np.uint8)
+    missing = np.ones(size, dtype=np.uint8)
+    missing[rng.choice(size, num_labeled, replace=False)] = 0
+    return MaskedDataset.from_pixels(pixels, labels, missing, num_classes,
+                                     CIFAR_IMAGE_SHAPE)
+
+
+# thresholds low enough that some strong-view rows carry a loss and
+# others do not within the first steps on ``image_dataset``
+IMAGE_FUSION = {
+    "pair": FusionConfig(num_models=2, tau=0.3, tau_cascade=(0.27,)),
+    "cascade3": FusionConfig(num_models=3, tau=0.3, tau_cascade=(0.27, 0.24)),
+    "single": FusionConfig(num_models=2, tau=0.3, single_model_mode=True,
+                           pseudo_weight=1.0),
+}
+
+
+def image_config(mode, hidden=(32,), steps=8):
+    fusion = IMAGE_FUSION[mode]
+    return TrainConfig(seeds=SeedPlan.from_master(3, fusion.num_models),
+                       num_models=fusion.num_models, steps=steps, hidden=hidden,
+                       fusion=fusion,
+                       objective=ObjectiveConfig(mu=4.0, batch_size=8))
+
+
+def run_steps(cfg, ds):
+    """``cfg.steps`` calls of train_step on cycled batches; returns the
+    state and each step's train losses."""
+    state = TrainerState(cfg, ds)
+    cyclers = [ShuffleCycler(ds.observed_indices(), seed)
+               for seed in cfg.seeds.data_order]
+    unlabeled = ShuffleCycler(ds.missing_indices(), cfg.seeds.unlabeled_order)
+    losses = []
+    for _ in range(cfg.steps):
+        labeled = []
+        for cycler in cyclers:
+            idx = cycler.take(cfg.objective.batch_size)
+            labeled.append((ds.rows(idx), ds.observed_labels(idx)))
+        u_idx = unlabeled.take(cfg.objective.unlabeled_batch_size)
+        losses.append(train_step(state, labeled, ds.rows(u_idx), cfg,
+                                 ds.eval_labels(u_idx)).train_losses)
+    return state, losses
 
 
 def small_config(master=7, num_models=2, steps=3, **kw):
@@ -261,27 +318,45 @@ class TestTrainStepOracle:
 
     def test_views_are_written_into_the_state_blocks(self):
         # the per-model views land in blocks allocated once per run, not in
-        # per-step copies
-        ds = tiny_dataset()
-        cfg = small_config()
+        # per-step copies; a strong-view row whose weight is 0 is +0.0, the
+        # others are the rows apply_batch builds, and every stream advances
+        # as it does under apply_batch
+        ds = image_dataset()
+        cfg = image_config("pair")
         state = TrainerState(cfg, ds)
         blocks = (state.labeled_views, state.strong_views)
-        idx = ds.observed_indices()[:4]
-        labeled = [(ds.features[idx], ds.observed_labels(idx))] * 2
-        u_idx = ds.missing_indices()[:8]
+        idx = ds.observed_indices()[:8]
+        labeled = [(ds.rows(idx), ds.observed_labels(idx))] * 2
+        u_feats = ds.rows(ds.missing_indices()[:32])
+        u_true = ds.eval_labels(ds.missing_indices()[:32])
+        kept = []
         for _ in range(2):
             clone = copy.deepcopy(state)
-            train_step(state, labeled, ds.features[u_idx], cfg,
-                       ds.eval_labels(u_idx))
+            metrics = train_step(state, labeled, u_feats, cfg, u_true)
             assert state.labeled_views is blocks[0]
             assert state.strong_views is blocks[1]
+            weak = clone.weak_unlabeled.apply_batch(u_feats)
+            np.testing.assert_array_equal(metrics.weak_probs,
+                                          clone.stack.predict_proba(weak))
+            keep = fuse_batch(metrics.weak_probs, cfg.fusion, cfg.seeds.fusion,
+                              state.step).masks.T > 0
+            kept.append(keep)
             for i in range(2):
                 np.testing.assert_array_equal(
                     state.labeled_views[i],
-                    clone.weak_labeled[i].apply_batch(ds.features[idx]))
-                np.testing.assert_array_equal(
-                    state.strong_views[i],
-                    clone.strong_unlabeled[i].apply_batch(ds.features[u_idx]))
+                    clone.weak_labeled[i].apply_batch(ds.rows(idx)))
+                strong = clone.strong_unlabeled[i].apply_batch(u_feats)
+                got = state.strong_views[i]
+                np.testing.assert_array_equal(got[keep[i]], strong[keep[i]])
+                assert (got[~keep[i]].view(np.uint64) == 0).all()
+            for got_s, want_s in zip(
+                    state.weak_labeled + state.strong_unlabeled
+                    + [state.weak_unlabeled],
+                    clone.weak_labeled + clone.strong_unlabeled
+                    + [clone.weak_unlabeled]):
+                assert (got_s.rng.bit_generator.state
+                        == want_s.rng.bit_generator.state)
+        assert 0 < np.mean(kept) < 1
 
     def test_batch_size_validation(self):
         ds = tiny_dataset()
@@ -291,6 +366,39 @@ class TestTrainStepOracle:
         labeled = [(ds.features[idx], ds.observed_labels(idx))] * 2
         with pytest.raises(ConfigError, match="batch size"):
             train_step(state, labeled, ds.features[:8], cfg, np.zeros(8))
+
+
+class TestSkippedStrongRowsAreExact:
+    """A run that skips the strong views of zero-weight rows against one
+    that builds every row: the same parameter, momentum and loss bits."""
+
+    @pytest.mark.parametrize("hidden", [(32,), (16, 8)])
+    @pytest.mark.parametrize("mode", sorted(IMAGE_FUSION))
+    def test_matches_run_building_every_row(self, monkeypatch, mode, hidden):
+        ds = image_dataset()
+        cfg = image_config(mode, hidden)
+        keeps = []
+        real = AugmentStream.apply_batch_into
+
+        def recording(stream, xs, out, keep=None):
+            if keep is not None:
+                keeps.append(keep.copy())
+            return real(stream, xs, out, keep=keep)
+
+        monkeypatch.setattr(AugmentStream, "apply_batch_into", recording)
+        got, got_losses = run_steps(cfg, ds)
+        monkeypatch.setattr(AugmentStream, "apply_batch_into", full_strong_pass)
+        want, want_losses = run_steps(cfg, ds)
+
+        shares = np.reshape(keeps, (cfg.steps, cfg.num_models, -1)).mean(
+            axis=(1, 2))
+        assert ((shares > 0) & (shares < 1)).any(), shares
+        assert got_losses == want_losses
+        for name in ("weights", "biases", "weight_bufs", "bias_bufs"):
+            for g, w in zip(getattr(got.stack, name), getattr(want.stack, name)):
+                assert g.tobytes() == w.tobytes(), name
+        for g, w in zip(got.strong_unlabeled, want.strong_unlabeled):
+            assert g.rng.bit_generator.state == w.rng.bit_generator.state
 
 
 class TestFuseBatch:
@@ -570,6 +678,21 @@ class TestDivergence:
                            match="diverged at step 42: model 2 supervised loss"):
             train_step(state, [batch, batch], ds.rows(u_idx), cfg,
                        ds.eval_labels(u_idx))
+
+
+    def test_diverged_last_update_raises(self, tmp_path, monkeypatch):
+        real = ModelStack.sgd_step
+
+        def poisoned(stack, grads, lr):
+            real(stack, grads, lr)
+            stack.biases[0][1, 0] = np.nan
+
+        monkeypatch.setattr(ModelStack, "sgd_step", poisoned)
+        with pytest.raises(DivergenceError,
+                           match="diverged at step 1: model 2 parameter"):
+            train(small_config(steps=1), tiny_dataset(), eval_set(),
+                  tmp_path / "run")
+        assert not (tmp_path / "run" / "metrics.csv").exists()
 
 
 class TestHiddenLabelIsolation:
