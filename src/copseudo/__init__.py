@@ -3,11 +3,12 @@ learning under labels that are not missing at random.
 
 The pieces: ``data`` builds and masks datasets, ``augment`` provides
 weak/strong views, ``predictor`` is a small from-scratch MLP whose
-``ModelStack`` trains the n models as one set of stacked tensors, ``fusion``
-turns per-model predictions into pseudo-labels and loss masks,
-``losses`` assembles the training objectives, ``trainer`` runs the
-lock-step multi-model loop, ``metrics`` records and compares runs, and
-``cli`` wires it all into a command-line tool.
+``ModelStack``, the one model API, trains and evaluates the n models as
+one set of stacked tensors, ``fusion`` turns per-model predictions into
+pseudo-labels and loss masks, ``losses`` assembles the training
+objectives, ``trainer`` runs the lock-step multi-model loop, ``metrics``
+records and compares runs, and ``cli`` wires it all into a command-line
+tool.
 """
 from .augment import AugmentConfig, AugmentStream
 from .data import (
@@ -44,14 +45,10 @@ from .metrics import MetricsRow, RunComparison, RunMetrics, compare_runs, read_c
 from .predictor import (
     ModelParams,
     ModelStack,
-    OptState,
     init_model,
-    init_opt_state,
     load_checkpoint,
     loss_and_grad,
-    predict_proba,
     save_checkpoint,
-    sgd_step,
 )
 from .trainer import (
     SeedPlan,
@@ -81,7 +78,6 @@ __all__ = [
     "ModelParams",
     "ModelStack",
     "ObjectiveConfig",
-    "OptState",
     "RunComparison",
     "RunMetrics",
     "SeedPlan",
@@ -101,17 +97,14 @@ __all__ = [
     "generate_synthetic",
     "geometric_retention",
     "init_model",
-    "init_opt_state",
     "load_checkpoint",
     "load_cifar10",
     "load_dataset",
     "loss_and_grad",
-    "predict_proba",
     "read_csv",
     "save_checkpoint",
     "save_dataset",
     "select_debias_subset",
-    "sgd_step",
     "supervised_loss",
     "total_objective",
     "train",

@@ -231,10 +231,6 @@ class AugmentStream:
             self.feature_shape = tuple(feature_shape) if feature_shape else None
         self.rng = np.random.default_rng(seed)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Augment one flat feature vector; returns a new flat array."""
-        return self.apply_batch(np.asarray(x, dtype=np.float64)[None])[0]
-
     def apply_batch(self, xs: np.ndarray) -> np.ndarray:
         """Augment each row independently; the stream advances exactly as
         it would for the rows one at a time, in row order."""

@@ -85,19 +85,23 @@ def read_config_file(path) -> dict:
     """Flat key=value file; '#' starts a comment."""
     if not os.path.isfile(path):
         raise ConfigError(f"missing config file: {path}")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     out = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in out:
-                raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-            out[key] = value.strip()
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -483,8 +487,11 @@ def read_predictions(path):
     """Parse item,model,p0.. rows into (item_ids, per-item model prob lists)."""
     if not os.path.isfile(path):
         raise DataError(f"missing predictions file: {path}")
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not lines or not lines[0]:
         raise DataError(f"{path}: empty predictions file")
     header = lines[0].split(",")

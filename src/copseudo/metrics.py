@@ -7,6 +7,7 @@ source counters.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass, field
 
@@ -82,38 +83,42 @@ def emit_csv(metrics: RunMetrics, path) -> None:
 def read_csv(path) -> RunMetrics:
     if not os.path.isfile(path):
         raise DataError(f"missing metrics file: {path}")
-    with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, "r", newline="", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"empty metrics file: {path}") from None
+    train_cols = [c for c in header if c.startswith("train_loss_m")]
+    expected = RunMetrics(num_models=len(train_cols)).header()
+    if header != expected:
+        raise DataError(f"unexpected metrics header in {path}")
+    metrics = RunMetrics(num_models=len(train_cols))
+    n = len(train_cols)
+    for line_no, parts in enumerate(reader, start=2):
+        if len(parts) != len(header):
+            raise DataError(f"{path}:{line_no}: wrong field count")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty metrics file: {path}") from None
-        train_cols = [c for c in header if c.startswith("train_loss_m")]
-        expected = RunMetrics(num_models=len(train_cols)).header()
-        if header != expected:
-            raise DataError(f"unexpected metrics header in {path}")
-        metrics = RunMetrics(num_models=len(train_cols))
-        n = len(train_cols)
-        for line_no, parts in enumerate(reader, start=2):
-            if len(parts) != len(header):
-                raise DataError(f"{path}:{line_no}: wrong field count")
-            try:
-                row = MetricsRow(
-                    step=int(parts[0]),
-                    test_acc=float(parts[1]),
-                    test_loss=float(parts[2]),
-                    train_losses=tuple(float(v) for v in parts[3:3 + n]),
-                    mask_ratio=float(parts[3 + n]),
-                    pseudo_acc=float(parts[4 + n]),
-                    src_both=int(parts[5 + n]),
-                    src_conflict=int(parts[6 + n]),
-                    src_own=int(parts[7 + n]),
-                    src_consensus=int(parts[8 + n]),
-                    src_none=int(parts[9 + n]),
-                )
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from exc
-            metrics.append(row)
+            row = MetricsRow(
+                step=int(parts[0]),
+                test_acc=float(parts[1]),
+                test_loss=float(parts[2]),
+                train_losses=tuple(float(v) for v in parts[3:3 + n]),
+                mask_ratio=float(parts[3 + n]),
+                pseudo_acc=float(parts[4 + n]),
+                src_both=int(parts[5 + n]),
+                src_conflict=int(parts[6 + n]),
+                src_own=int(parts[7 + n]),
+                src_consensus=int(parts[8 + n]),
+                src_none=int(parts[9 + n]),
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from exc
+        metrics.append(row)
     if not metrics.rows:
         raise DataError(f"no data rows in {path}")
     return metrics

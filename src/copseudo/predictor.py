@@ -1,12 +1,14 @@
 """Reference classifier: a small MLP (tanh hidden layers, softmax output)
 with exact analytic gradients and momentum SGD.
 
-``ModelStack`` is the training path: it holds n models of one
-architecture as stacked tensors and runs the forward pass, the loss with
-its gradient, and the momentum-SGD update of all n with one
-``np.matmul`` per layer.  ``predict_proba``, ``loss_and_grad`` and
-``sgd_step`` are one-model wrappers over it.  ``ModelParams`` is the
-per-model view that checkpoints are written from and read into.
+``ModelStack`` is the one model API: it holds n models of one
+architecture as stacked tensors, with their momentum buffers, and runs
+the forward pass, the loss with its gradient, and the momentum-SGD
+update of all n with one ``np.matmul`` per layer; a single model is a
+stack of one.  ``ModelParams`` is the per-model view that checkpoints
+are written from and read into.  ``loss_and_grad`` is a one-model
+wrapper kept for gradient checks, and ``predict_models`` predicts with
+models of mixed architectures.
 
 Everything is plain numpy so the arithmetic is easy to audit; no autograd.
 """
@@ -46,15 +48,6 @@ class Gradients:
     biases: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True)
-class OptState:
-    lr: float
-    momentum: float
-    weight_decay: float
-    weight_bufs: tuple[np.ndarray, ...]
-    bias_bufs: tuple[np.ndarray, ...]
-
-
 def _check_arch(arch) -> tuple[int, ...]:
     arch = tuple(int(v) for v in arch)
     if len(arch) < 2:
@@ -76,29 +69,6 @@ def init_model(arch, seed) -> ModelParams:
     return ModelParams(arch=arch, weights=tuple(weights), biases=tuple(biases))
 
 
-def init_opt_state(params: ModelParams, lr: float, momentum: float,
-                   weight_decay: float) -> OptState:
-    if not (lr > 0 and math.isfinite(lr)):
-        raise ConfigError("lr must be a positive finite real")
-    if not (0.0 <= momentum < 1.0):
-        raise ConfigError("momentum must lie in [0, 1)")
-    if not (weight_decay >= 0 and math.isfinite(weight_decay)):
-        raise ConfigError("weight_decay must be a non-negative finite real")
-    return OptState(
-        lr=lr, momentum=momentum, weight_decay=weight_decay,
-        weight_bufs=tuple(np.zeros_like(w) for w in params.weights),
-        bias_bufs=tuple(np.zeros_like(b) for b in params.biases),
-    )
-
-
-def _as_batch(xs) -> np.ndarray:
-    """The one-model wrappers take a (B, d) batch only."""
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2:
-        raise ConfigError("xs must be a 2-d batch")
-    return xs
-
-
 def _t(a: np.ndarray) -> np.ndarray:
     """Transpose the last two axes: one transposed operand per model."""
     return np.swapaxes(a, -1, -2)
@@ -109,20 +79,25 @@ class ModelStack:
 
     ``weights[l]`` is a C-contiguous (n, fan_in, fan_out) array and
     ``biases[l]`` an (n, fan_out) array; ``weight_bufs`` and ``bias_bufs``
-    are the momentum buffers, of the same shapes.  Each method runs one
-    ``np.matmul`` per layer for all n models.  A stacked matmul computes
-    every model's slice with the same BLAS call as that model's own
-    ``@``, and the rest of the arithmetic is elementwise or reduces along
-    one model's axis, so every number equals the one-model computation
-    bit for bit.  Inputs are either a (B, d) batch shared by every model
+    are the momentum buffers, of the same shapes, and start at zero.
+    Each method runs one ``np.matmul`` per layer for all n models.  A
+    stacked matmul computes every model's slice with the same BLAS call
+    as that model's own ``@``, and the rest of the arithmetic is
+    elementwise or reduces along one model's axis, so every number equals
+    the one-model computation bit for bit.  Inputs are either a (B, d) batch shared by every model
     or an (n, B, d) block of per-model batches.  ``sgd_step`` updates the
     stack in place.
     """
 
-    def __init__(self, models, opts=None):
+    def __init__(self, models, momentum: float = 0.0,
+                 weight_decay: float = 0.0):
         models = list(models)
         if not models:
             raise ConfigError("a model stack needs at least one model")
+        if not (0.0 <= momentum < 1.0):
+            raise ConfigError("momentum must lie in [0, 1)")
+        if not (weight_decay >= 0 and math.isfinite(weight_decay)):
+            raise ConfigError("weight_decay must be a non-negative finite real")
         self.arch = models[0].arch
         if any(m.arch != self.arch for m in models):
             raise ConfigError("stacked models must share one architecture")
@@ -131,23 +106,10 @@ class ModelStack:
             np.float64, copy=False) for l in layers]
         self.biases = [np.stack([m.biases[l] for m in models]).astype(
             np.float64, copy=False) for l in layers]
-        if opts is None:
-            self.momentum = self.weight_decay = 0.0
-            self.weight_bufs = [np.zeros_like(w) for w in self.weights]
-            self.bias_bufs = [np.zeros_like(b) for b in self.biases]
-            return
-        opts = list(opts)
-        if len(opts) != len(models):
-            raise ConfigError("need one optimizer state per model")
-        if len({(o.momentum, o.weight_decay) for o in opts}) != 1:
-            raise ConfigError("stacked models must share momentum and "
-                              "weight decay")
-        self.momentum = opts[0].momentum
-        self.weight_decay = opts[0].weight_decay
-        self.weight_bufs = [np.stack([o.weight_bufs[l] for o in opts])
-                            for l in layers]
-        self.bias_bufs = [np.stack([o.bias_bufs[l] for o in opts])
-                          for l in layers]
+        self.momentum = momentum
+        self.weight_decay = weight_decay
+        self.weight_bufs = [np.zeros_like(w) for w in self.weights]
+        self.bias_bufs = [np.zeros_like(b) for b in self.biases]
 
     @property
     def size(self) -> int:
@@ -162,14 +124,6 @@ class ModelStack:
         return [ModelParams(arch=self.arch,
                             weights=tuple(w[i] for w in self.weights),
                             biases=tuple(b[i] for b in self.biases))
-                for i in range(self.size)]
-
-    def opt_states(self, lr: float) -> list[OptState]:
-        """Per-model views of the momentum buffers, labelled with ``lr``."""
-        return [OptState(lr=lr, momentum=self.momentum,
-                         weight_decay=self.weight_decay,
-                         weight_bufs=tuple(w[i] for w in self.weight_bufs),
-                         bias_bufs=tuple(b[i] for b in self.bias_bufs))
                 for i in range(self.size)]
 
     def _check_batch(self, xs) -> np.ndarray:
@@ -282,14 +236,12 @@ def predict_models(models, xs) -> list[np.ndarray]:
     return out
 
 
-def predict_proba(params: ModelParams, xs) -> np.ndarray:
-    return ModelStack([params]).predict_proba(_as_batch(xs))[0]
-
-
 def loss_and_grad(params: ModelParams, xs, targets, weights) -> tuple[float, Gradients]:
     """Mean over the batch of weights_b * cross_entropy(targets_b, p(xs_b)),
-    with its exact gradient."""
-    xs = _as_batch(xs)
+    with its exact gradient, for a (B, d) batch."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2:
+        raise ConfigError("xs must be a 2-d batch")
     losses, grads = ModelStack([params]).loss_and_grad(
         xs, np.asarray(targets)[None], np.asarray(weights)[None])
     return float(losses[0]), Gradients(weights=tuple(g[0] for g in grads.weights),
@@ -302,22 +254,6 @@ def add_scaled(a: Gradients, b: Gradients, scale: float) -> Gradients:
         weights=tuple(x + scale * y for x, y in zip(a.weights, b.weights)),
         biases=tuple(x + scale * y for x, y in zip(a.biases, b.biases)),
     )
-
-
-def sgd_step(params: ModelParams, grads: Gradients, opt: OptState):
-    """buf <- m*buf + grad + wd*theta; theta <- theta - lr*buf.  Returns new
-    parameters and state; the inputs are left unchanged."""
-    tensors = list(zip(params.weights, grads.weights, opt.weight_bufs))
-    tensors += list(zip(params.biases, grads.biases, opt.bias_bufs))
-    if any(t.shape != g.shape or t.shape != buf.shape for t, g, buf in tensors):
-        raise ConfigError("gradient/buffer shape mismatch")
-    stack = ModelStack([params], [opt])
-    stack.sgd_step(Gradients(weights=tuple(g[None] for g in grads.weights),
-                             biases=tuple(g[None] for g in grads.biases)),
-                   opt.lr)
-    (new_params,) = stack.models()
-    (new_opt,) = stack.opt_states(opt.lr)
-    return new_params, new_opt
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -13,6 +13,10 @@ block, which is free until the strong views are built.  Each strong
 stream gets its model's ``weights > 0`` as ``keep``, so an image row
 that carries no loss costs only its draws (see
 ``augment.strong_images`` for why that leaves every bit unchanged).
+
+``TrainerState`` holds the n models and their momentum buffers as one
+``predictor.ModelStack``; ``evaluate`` scores a stack on the test set,
+each number averaged over its models.
 """
 from __future__ import annotations
 
@@ -29,15 +33,7 @@ from .errors import ConfigError, DivergenceError
 from .fusion import SOURCES, FusionConfig, fuse_batch
 from .losses import ObjectiveConfig, supervised_loss, total_objective
 from .metrics import MetricsRow, RunMetrics, emit_csv, emit_plot_columns
-from .predictor import (
-    ModelParams,
-    ModelStack,
-    OptState,
-    add_scaled,
-    init_model,
-    init_opt_state,
-    save_checkpoint,
-)
+from .predictor import ModelStack, add_scaled, init_model, save_checkpoint
 
 CONFIG_FILENAME = "config.resolved"
 METRICS_FILENAME = "metrics.csv"
@@ -181,10 +177,7 @@ class TrainerState:
         arch = (width,) + tuple(cfg.hidden) + (ds.num_classes,)
         params = [init_model(arch, seed=cfg.seeds.init[i])
                   for i in range(cfg.num_models)]
-        self.stack = ModelStack(params, [
-            init_opt_state(p, cfg.lr, cfg.momentum, cfg.weight_decay)
-            for p in params])
-        self.lr = cfg.lr
+        self.stack = ModelStack(params, cfg.momentum, cfg.weight_decay)
         # each step writes its per-model views straight into these blocks
         self.labeled_views = np.empty(
             (cfg.num_models, cfg.objective.batch_size, width))
@@ -204,16 +197,6 @@ class TrainerState:
             "weak", mod, seed=cfg.seeds.unlabeled_weak, config=cfg.aug,
             feature_shape=shape)
         self.step = 0
-
-    @property
-    def params(self) -> list[ModelParams]:
-        """Per-model views of the stacked parameters."""
-        return self.stack.models()
-
-    @property
-    def opts(self) -> list[OptState]:
-        """Per-model views of the momentum buffers, at the configured lr."""
-        return self.stack.opt_states(self.lr)
 
 
 def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig,
@@ -312,13 +295,9 @@ def _check_finite(step: int, what: str, values: np.ndarray) -> None:
                           f"{int(np.argmin(finite)) + 1} {what} is not finite")
 
 
-def evaluate(params: ModelParams, test: MaskedDataset) -> tuple[float, float]:
-    """Accuracy and mean loss on a fully observed set, no augmentation."""
-    return _evaluate_models(ModelStack([params]), test)
-
-
-def _evaluate_models(stack: ModelStack, test) -> tuple[float, float]:
-    """``evaluate`` averaged over the models of ``stack``."""
+def evaluate(stack: ModelStack, test: MaskedDataset) -> tuple[float, float]:
+    """Accuracy and mean loss on a fully observed set, no augmentation,
+    each averaged over the models of ``stack``."""
     if len(test) == 0:
         raise ConfigError("empty test set")
     if test.num_missing:
@@ -439,7 +418,7 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
     # starts from; with steps=0 that one step runs only to fill the row, so
     # the checkpoints come from a copy of the initial stack, which the step
     # updates in place
-    initial_eval = _evaluate_models(state.stack, test)
+    initial_eval = evaluate(state.stack, test)
     final = state.stack if cfg.steps else copy.deepcopy(state.stack)
     # a diverging run overflows before train_step names the step in a
     # DivergenceError; numpy's warnings about it would only come first
@@ -459,7 +438,7 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
                     os.path.join(out_dir, f"predictions-step{step}.csv"),
                     last.weak_probs)
             if step % cfg.eval_every == 0 or step == cfg.steps:
-                record(last, step, _evaluate_models(state.stack, test))
+                record(last, step, evaluate(state.stack, test))
     # a later step's losses catch a diverged update; the last has no later
     # step, and with the warnings off nothing else would report it
     for tensor in final.weights + final.biases:

@@ -1,14 +1,14 @@
 """Independent oracles shared by unit and acceptance tests.
 
 These deliberately avoid the code paths they are used to check: the
-finite-difference routine evaluates the loss only through predict_proba,
-never through the analytic gradient code; the pair-fusion oracle is a
-flat if/elif chain structured differently from the library's branch
-table; the cascade oracle decides one item at a time with Python lists
-and dicts, where the library works level by level on arrays; the
-augmentation oracles transform one row at a time, each into a fresh
-array, drawing paired integers with one ``size=2`` call, where the
-library draws scalars and writes a whole batch in place.
+finite-difference routine evaluates the loss only through
+``reference_predict_proba``, never through the library's model code; the
+pair-fusion oracle is a flat if/elif chain structured differently from
+the library's branch table; the cascade oracle decides one item at a
+time with Python lists and dicts, where the library works level by level
+on arrays; the augmentation oracles transform one row at a time, each
+into a fresh array, drawing paired integers with one ``size=2`` call,
+where the library draws scalars and writes a whole batch in place.
 
 The per-decision helpers at the end (``mask_ratio``,
 ``pseudo_label_accuracy``, ``unlabeled_loss``, ``zero_gradients``) were
@@ -27,8 +27,12 @@ loss must match bit for bit.
 ``reference_loss_and_grad`` and ``reference_sgd_step`` are the one-model
 MLP the library ran before it trained every model as one stack: a chain
 of 2-d ``@`` calls per model.  The stack must reproduce them bit for bit.
+``ReferenceOpt`` is one model's momentum-SGD state for
+``reference_sgd_step``; the library keeps every model's buffers in the
+stack.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +54,12 @@ from copseudo.fusion import (
     FusionDecision,
 )
 from copseudo.losses import _PROB_FLOOR
-from copseudo.predictor import Gradients, ModelParams, OptState, predict_proba
+from copseudo.predictor import Gradients, ModelParams
 
 
 def weighted_ce_loss(params: ModelParams, xs, targets, weights) -> float:
     """Loss recomputed from predicted probabilities alone."""
-    probs = predict_proba(params, xs)
+    probs = reference_predict_proba(params, xs)
     rows = np.arange(len(targets))
     picked = probs[rows, np.asarray(targets)]
     return float(-(np.asarray(weights) * np.log(picked)).sum() / len(targets))
@@ -422,7 +426,24 @@ def reference_loss_and_grad(params: ModelParams, xs, targets,
     return loss, Gradients(weights=tuple(g_w), biases=tuple(g_b))
 
 
-def reference_sgd_step(params: ModelParams, grads: Gradients, opt: OptState):
+@dataclass(frozen=True)
+class ReferenceOpt:
+    lr: float
+    momentum: float
+    weight_decay: float
+    weight_bufs: tuple
+    bias_bufs: tuple
+
+
+def reference_opt(params: ModelParams, lr, momentum, weight_decay) -> ReferenceOpt:
+    """Zero momentum buffers, one per tensor of ``params``."""
+    return ReferenceOpt(
+        lr=lr, momentum=momentum, weight_decay=weight_decay,
+        weight_bufs=tuple(np.zeros_like(w) for w in params.weights),
+        bias_bufs=tuple(np.zeros_like(b) for b in params.biases))
+
+
+def reference_sgd_step(params: ModelParams, grads: Gradients, opt: ReferenceOpt):
     """buf <- m*buf + grad + wd*theta; theta <- theta - lr*buf."""
     def update(theta, g, buf):
         nbuf = opt.momentum * buf + g + opt.weight_decay * theta
@@ -436,7 +457,8 @@ def reference_sgd_step(params: ModelParams, grads: Gradients, opt: OptState):
         ModelParams(arch=params.arch,
                     weights=tuple(p[0] for p in w_pairs),
                     biases=tuple(p[0] for p in b_pairs)),
-        OptState(lr=opt.lr, momentum=opt.momentum, weight_decay=opt.weight_decay,
-                 weight_bufs=tuple(p[1] for p in w_pairs),
-                 bias_bufs=tuple(p[1] for p in b_pairs)),
+        ReferenceOpt(lr=opt.lr, momentum=opt.momentum,
+                     weight_decay=opt.weight_decay,
+                     weight_bufs=tuple(p[1] for p in w_pairs),
+                     bias_bufs=tuple(p[1] for p in b_pairs)),
     )

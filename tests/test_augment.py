@@ -230,29 +230,34 @@ class TestStrongImage:
         np.testing.assert_allclose(counts, 0.25, atol=0.02)
 
 
+def apply_one(stream, x):
+    """One flat feature vector through ``stream``, as a batch of one."""
+    return stream.apply_batch(x[None])[0]
+
+
 class TestStream:
     def test_deterministic_replay(self):
         x = np.linspace(-1, 1, 12)
         a = AugmentStream("strong", "vector", seed=9)
         b = AugmentStream("strong", "vector", seed=9)
         for _ in range(5):
-            np.testing.assert_array_equal(a.apply(x), b.apply(x))
+            np.testing.assert_array_equal(apply_one(a, x), apply_one(b, x))
 
     def test_distinct_seeds_differ(self):
         x = np.linspace(-1, 1, 12)
         a = AugmentStream("weak", "vector", seed=1)
         b = AugmentStream("weak", "vector", seed=2)
-        assert not np.array_equal(a.apply(x), b.apply(x))
+        assert not np.array_equal(apply_one(a, x), apply_one(b, x))
 
     def test_stream_advances(self):
         x = np.ones(6)
         s = AugmentStream("weak", "vector", seed=3)
-        assert not np.array_equal(s.apply(x), s.apply(x))
+        assert not np.array_equal(apply_one(s, x), apply_one(s, x))
 
     def test_image_stream_round_trips_flat_features(self):
         flat = np.random.default_rng(4).random(3 * 32 * 32)
         s = AugmentStream("strong", "image", seed=0)
-        out = s.apply(flat)
+        out = apply_one(s, flat)
         assert out.shape == flat.shape
         assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -263,7 +268,7 @@ class TestStream:
             whole = AugmentStream(kind, modality, seed=21, feature_shape=shape)
             batch = whole.apply_batch(xs)
             seq = AugmentStream(kind, modality, seed=21, feature_shape=shape)
-            rows = [seq.apply(row) for row in xs]
+            rows = [apply_one(seq, row) for row in xs]
             np.testing.assert_array_equal(batch, np.stack(rows))
             assert whole.rng.bit_generator.state == seq.rng.bit_generator.state
 

@@ -205,6 +205,18 @@ class TestTrainCommand:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_ascii_config_names_file(self, synth_files, tmp_path, capsys):
+        train_f, test_f = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"steps=6\ntau=0.9\xff\n")
+        out = tmp_path / "run"
+        code = main(["train", "--config", str(cfg), "--data", str(train_f),
+                     "--test", str(test_f), "--out", str(out), "--seed", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "0xff" in err
+        assert not out.exists()
+
     def test_problems_listed_all_at_once(self, capsys):
         assert main(["train"]) == 2
         err = capsys.readouterr().err
@@ -610,6 +622,16 @@ class TestFuseTrace:
         assert ":4: negative item id -3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_ascii_dump_names_file(self, tmp_path, capsys):
+        src = tmp_path / "preds.csv"
+        src.write_bytes(PAIR_EXAMPLES.encode("ascii").replace(b"0.97", b"0.9\xff"))
+        out = tmp_path / "trace.csv"
+        code = main(["fuse-trace", str(src), "--seed", "0", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(src) in err and "0xff" in err
+        assert not out.exists()
+
     def test_single_model_mode_needs_one_model_file(self, tmp_path, capsys):
         code, _ = self.trace(tmp_path, extra=("--single-model-mode",))
         assert code == 2
@@ -828,6 +850,18 @@ class TestCompareCommand:
                      str(tmp_path / "empty")])
         assert code == 3
         assert "missing metrics file" in capsys.readouterr().err
+
+    def test_non_ascii_metrics_names_file(self, synth_files, tmp_path, capsys):
+        train_f, test_f = synth_files
+        run_dir = tmp_path / "run"
+        assert quick_train(train_f, test_f, run_dir) == 0
+        metrics = run_dir / "metrics.csv"
+        metrics.write_bytes(metrics.read_bytes() + b"\xff\n")
+        capsys.readouterr()
+        code = main(["compare", str(run_dir), str(run_dir)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(metrics) in err and "0xff" in err
 
     def test_disjoint_grids(self, tmp_path, capsys):
         header = ("step,test_acc,test_loss,train_loss_m1,mask_ratio,"

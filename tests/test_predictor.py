@@ -14,17 +14,15 @@ from copseudo.predictor import (
     ModelStack,
     add_scaled,
     init_model,
-    init_opt_state,
     load_checkpoint,
     loss_and_grad,
     predict_models,
-    predict_proba,
     save_checkpoint,
-    sgd_step,
 )
 from oracles import (
     fd_max_rel_error,
     reference_loss_and_grad,
+    reference_opt,
     reference_predict_proba,
     reference_sgd_step,
     weighted_ce_loss,
@@ -47,6 +45,11 @@ def with_output_bias(arch, bias):
     biases = list(params.biases)
     biases[-1] = np.asarray(bias, dtype=np.float64)
     return ModelParams(arch=params.arch, weights=params.weights, biases=tuple(biases))
+
+
+def predict_proba(params, xs):
+    """One model's (B, C) probabilities, from a stack of one."""
+    return ModelStack([params]).predict_proba(xs)[0]
 
 
 class TestInit:
@@ -242,71 +245,63 @@ class TestGradientAlgebra:
             np.testing.assert_array_equal(a, 2.0 * b)
 
 
-def scalar_state(theta, lr, momentum, wd):
+def scalar_stack(theta, momentum, wd):
     params = ModelParams(arch=(1, 1), weights=(np.array([[theta]]),),
                          biases=(np.zeros(1),))
-    opt = init_opt_state(params, lr=lr, momentum=momentum, weight_decay=wd)
-    return params, opt
+    return ModelStack([params], momentum=momentum, weight_decay=wd)
 
 
 def scalar_grad(value):
-    return Gradients(weights=(np.array([[value]]),), biases=(np.zeros(1),))
+    return Gradients(weights=(np.array([[[value]]]),), biases=(np.zeros((1, 1)),))
 
 
 class TestSgdStep:
     def test_plain_sgd_arithmetic(self):
-        params, opt = scalar_state(1.0, lr=0.1, momentum=0.0, wd=0.0)
-        new_params, _ = sgd_step(params, scalar_grad(2.0), opt)
-        assert new_params.weights[0][0, 0] == pytest.approx(0.8, abs=1e-15)
+        stack = scalar_stack(1.0, momentum=0.0, wd=0.0)
+        stack.sgd_step(scalar_grad(2.0), 0.1)
+        assert stack.weights[0][0, 0, 0] == pytest.approx(0.8, abs=1e-15)
 
     def test_zero_gradient_keeps_params(self):
-        params, opt = scalar_state(0.7, lr=0.1, momentum=0.9, wd=0.0)
-        new_params, new_opt = sgd_step(params, scalar_grad(0.0), opt)
-        assert new_params.weights[0][0, 0] == 0.7
-        np.testing.assert_array_equal(new_opt.weight_bufs[0], 0.0)
+        stack = scalar_stack(0.7, momentum=0.9, wd=0.0)
+        stack.sgd_step(scalar_grad(0.0), 0.1)
+        assert stack.weights[0][0, 0, 0] == 0.7
+        np.testing.assert_array_equal(stack.weight_bufs[0], 0.0)
 
     def test_two_step_momentum_unroll(self):
         # hand unroll: buf1=1, theta1=-0.1; buf2=0.9+1=1.9, theta2=-0.29
-        params, opt = scalar_state(0.0, lr=0.1, momentum=0.9, wd=0.0)
-        params, opt = sgd_step(params, scalar_grad(1.0), opt)
-        assert params.weights[0][0, 0] == pytest.approx(-0.1, abs=1e-15)
-        params, opt = sgd_step(params, scalar_grad(1.0), opt)
-        assert params.weights[0][0, 0] == pytest.approx(-0.29, abs=1e-12)
+        stack = scalar_stack(0.0, momentum=0.9, wd=0.0)
+        stack.sgd_step(scalar_grad(1.0), 0.1)
+        assert stack.weights[0][0, 0, 0] == pytest.approx(-0.1, abs=1e-15)
+        stack.sgd_step(scalar_grad(1.0), 0.1)
+        assert stack.weights[0][0, 0, 0] == pytest.approx(-0.29, abs=1e-12)
 
     def test_weight_decay_pulls_toward_zero(self):
-        params, opt = scalar_state(1.0, lr=0.1, momentum=0.0, wd=0.1)
-        new_params, _ = sgd_step(params, scalar_grad(0.0), opt)
-        assert new_params.weights[0][0, 0] == pytest.approx(0.99, abs=1e-15)
-
-    def test_functional_no_mutation(self):
-        params = init_model((2, 4, 2), seed=3)
-        opt = init_opt_state(params, lr=0.05, momentum=0.9, weight_decay=1e-4)
-        keep = params.weights[0].copy()
-        _, grads = loss_and_grad(params, np.ones((2, 2)), [0, 1], [1.0, 1.0])
-        sgd_step(params, grads, opt)
-        np.testing.assert_array_equal(params.weights[0], keep)
-        np.testing.assert_array_equal(opt.weight_bufs[0], 0.0)
+        stack = scalar_stack(1.0, momentum=0.0, wd=0.1)
+        stack.sgd_step(scalar_grad(0.0), 0.1)
+        assert stack.weights[0][0, 0, 0] == pytest.approx(0.99, abs=1e-15)
 
     def test_shape_and_finite_validation(self):
-        params = init_model((2, 4, 2), seed=3)
-        opt = init_opt_state(params, lr=0.05, momentum=0.9, weight_decay=0.0)
-        bad = Gradients(weights=(np.zeros((2, 3)), np.zeros((4, 2))),
-                        biases=(np.zeros(4), np.zeros(2)))
-        with pytest.raises(ConfigError):
-            sgd_step(params, bad, opt)
-        nan_grad = zero_gradients(params)
-        nan_grad.weights[0][0, 0] = np.nan
-        with pytest.raises(ConfigError):
-            sgd_step(params, nan_grad, opt)
+        stack = ModelStack([init_model((2, 4, 2), seed=3)], momentum=0.9)
+        bad = Gradients(weights=(np.zeros((1, 2, 3)), np.zeros((1, 4, 2))),
+                        biases=(np.zeros((1, 4)), np.zeros((1, 2))))
+        with pytest.raises(ConfigError, match="shape mismatch"):
+            stack.sgd_step(bad, 0.1)
+        nan_grad = Gradients(weights=tuple(np.zeros_like(w) for w in stack.weights),
+                             biases=tuple(np.zeros_like(b) for b in stack.biases))
+        nan_grad.weights[0][0, 0, 0] = np.nan
+        with pytest.raises(ConfigError, match="non-finite gradient"):
+            stack.sgd_step(nan_grad, 0.1)
 
-    def test_opt_state_validation(self):
-        params = init_model((2, 4, 2), seed=3)
-        with pytest.raises(ConfigError):
-            init_opt_state(params, lr=0.0, momentum=0.9, weight_decay=0.0)
-        with pytest.raises(ConfigError):
-            init_opt_state(params, lr=0.1, momentum=1.0, weight_decay=0.0)
-        with pytest.raises(ConfigError):
-            init_opt_state(params, lr=0.1, momentum=0.5, weight_decay=-1.0)
+    def test_momentum_and_weight_decay_validation(self):
+        params = [init_model((2, 4, 2), seed=3)]
+        for momentum in (1.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="momentum"):
+                ModelStack(params, momentum=momentum)
+        for wd in (-1.0, math.inf, math.nan):
+            with pytest.raises(ConfigError, match="weight_decay"):
+                ModelStack(params, weight_decay=wd)
+        stack = ModelStack(params, momentum=0.0, weight_decay=0.0)
+        assert (stack.momentum, stack.weight_decay) == (0.0, 0.0)
 
 
 class TestTrainingDynamics:
@@ -316,18 +311,17 @@ class TestTrainingDynamics:
         ds = generate_synthetic(spec, seed=21)
         xs = ds.features
         ys = ds.observed_labels()
-        params = init_model((2, 32, 2), seed=7)
         # weight decay off: it adds a competing objective term, and this
         # check is about descent on the supervised loss itself
-        opt = init_opt_state(params, lr=0.03, momentum=0.9, weight_decay=0.0)
+        stack = ModelStack([init_model((2, 32, 2), seed=7)], momentum=0.9)
         losses = []
         for _ in range(500):
-            loss, grads = loss_and_grad(params, xs, ys, np.ones(len(ys)))
-            losses.append(loss)
-            params, opt = sgd_step(params, grads, opt)
+            loss, grads = stack.loss_and_grad(xs, ys[None], np.ones((1, len(ys))))
+            losses.append(float(loss[0]))
+            stack.sgd_step(grads, 0.03)
         tail = losses[-50:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
-        preds = predict_proba(params, xs).argmax(axis=1)
+        preds = stack.predict_proba(xs)[0].argmax(axis=1)
         assert (preds == ys).mean() == 1.0
 
 
@@ -348,7 +342,7 @@ class TestStackAgainstOracle:
     def models(self, n, width, hidden, classes=10):
         arch = (width,) + hidden + (classes,)
         params = [init_model(arch, seed=100 + i) for i in range(n)]
-        opts = [init_opt_state(p, self.LR, self.MOMENTUM, self.WEIGHT_DECAY)
+        opts = [reference_opt(p, self.LR, self.MOMENTUM, self.WEIGHT_DECAY)
                 for p in params]
         return params, opts
 
@@ -367,7 +361,7 @@ class TestStackAgainstOracle:
         u_batch = u_batch or 2 * batch
         rng = np.random.default_rng([n, width, len(hidden), int(shared)])
         params, opts = self.models(n, width, hidden)
-        stack = ModelStack(params, opts)
+        stack = ModelStack(params, self.MOMENTUM, self.WEIGHT_DECAY)
         for step in range(self.STEPS):
             lr = self.LR * math.cos(7.0 * math.pi * step / (16.0 * self.STEPS))
             sup_xs = self.inputs(rng, n, batch, width, shared)
@@ -399,12 +393,12 @@ class TestStackAgainstOracle:
                 params[i], opts[i] = reference_sgd_step(
                     params[i], add_scaled(gs_i, gu_i, self.LAMBDA_U), opt)
             got_params = stack.models()
-            got_opts = stack.opt_states(self.LR)
             for i in range(n):
                 assert_same_tensors(got_params[i].weights + got_params[i].biases,
                                     params[i].weights + params[i].biases)
-                assert_same_tensors(got_opts[i].weight_bufs + got_opts[i].bias_bufs,
-                                    opts[i].weight_bufs + opts[i].bias_bufs)
+                assert_same_tensors(
+                    [buf[i] for buf in stack.weight_bufs + stack.bias_bufs],
+                    opts[i].weight_bufs + opts[i].bias_bufs)
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-model"])
     @pytest.mark.parametrize("hidden", [(32,), (16, 8)], ids=["h32", "h16-8"])
@@ -423,16 +417,15 @@ class TestStackAgainstOracle:
         self.run(2, 3072, (32,), False, batch=64, u_batch=448)
 
     def test_stack_copies_its_inputs(self):
-        params, opts = self.models(2, 2, (8,))
+        params, _ = self.models(2, 2, (8,))
         keep = [w.copy() for w in params[0].weights]
-        stack = ModelStack(params, opts)
+        stack = ModelStack(params, self.MOMENTUM, self.WEIGHT_DECAY)
         rng = np.random.default_rng(0)
         _, grads = stack.loss_and_grad(rng.random((4, 2)),
                                        rng.integers(0, 10, size=(2, 4)),
                                        np.ones((2, 4)))
         stack.sgd_step(grads, 0.1)
         assert_same_tensors(params[0].weights, keep)
-        np.testing.assert_array_equal(opts[0].weight_bufs[0], 0.0)
         assert all(w.flags.c_contiguous for w in stack.weights + stack.biases)
 
     def test_validation(self):

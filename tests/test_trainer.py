@@ -19,12 +19,11 @@ from copseudo.fusion import FusionConfig, FusionDecision, SOURCE_NONE, SOURCE_OW
 from copseudo.losses import ObjectiveConfig
 from copseudo.metrics import read_csv
 from copseudo.predictor import (
+    Gradients,
     ModelStack,
     add_scaled,
     load_checkpoint,
     loss_and_grad,
-    predict_proba,
-    sgd_step,
 )
 from copseudo.trainer import (
     SeedPlan,
@@ -39,10 +38,20 @@ from copseudo.trainer import (
     train_step,
 )
 from oracles import (
+    ReferenceOpt,
     full_strong_pass,
     pseudo_label_accuracy,
     reference_dump_predictions,
+    reference_sgd_step,
 )
+
+
+def model_opt(stack, i, lr):
+    """Model i's momentum buffers in ``stack``, as a one-model oracle state."""
+    return ReferenceOpt(lr=lr, momentum=stack.momentum,
+                        weight_decay=stack.weight_decay,
+                        weight_bufs=tuple(b[i] for b in stack.weight_bufs),
+                        bias_bufs=tuple(b[i] for b in stack.bias_bufs))
 
 
 def tiny_dataset(seed=0, samples_per_class=12, num_labeled=16, sigma=0.4):
@@ -214,14 +223,15 @@ class TestTrainStepOracle:
 
     def manual_step(self, state, labeled, unlabeled, cfg, step_index):
         clone = copy.deepcopy(state)
+        models = clone.stack.models()
         n = cfg.num_models
         lam = cfg.objective.lambda_u
         sup = []
         for i, (xs, ys) in enumerate(labeled):
             weak = clone.weak_labeled[i].apply_batch(xs)
-            sup.append(loss_and_grad(clone.params[i], weak, ys, np.ones(len(ys))))
+            sup.append(loss_and_grad(models[i], weak, ys, np.ones(len(ys))))
         weak_u = clone.weak_unlabeled.apply_batch(unlabeled)
-        probs = [predict_proba(p, weak_u) for p in clone.params]
+        probs = [ModelStack([p]).predict_proba(weak_u)[0] for p in models]
         decisions = [
             fuse_pair(probs[0][b], probs[1][b], cfg.fusion,
                       np.random.default_rng([cfg.seeds.fusion, step_index, b]))
@@ -233,9 +243,10 @@ class TestTrainStepOracle:
                                 for d in decisions])
             weights = np.array([d.masks[i] if d.has_label else 0.0
                                 for d in decisions])
-            _, g_u = loss_and_grad(clone.params[i], strong, targets, weights)
+            _, g_u = loss_and_grad(models[i], strong, targets, weights)
             total = add_scaled(sup[i][1], g_u, lam)
-            params, _ = sgd_step(clone.params[i], total, clone.opts[i])
+            params, _ = reference_sgd_step(models[i], total,
+                                           model_opt(clone.stack, i, cfg.lr))
             out_params.append(params)
         return out_params
 
@@ -253,7 +264,7 @@ class TestTrainStepOracle:
 
         expected = self.manual_step(state, labeled, unlabeled, cfg, step_index=1)
         train_step(state, labeled, unlabeled, cfg, ds.eval_labels(u_idx))
-        for got, want in zip(state.params, expected):
+        for got, want in zip(state.stack.models(), expected):
             for gw, ww in zip(got.weights, want.weights):
                 assert (gw == ww).all()
             for gb, wb in zip(got.biases, want.biases):
@@ -262,7 +273,7 @@ class TestTrainStepOracle:
         # second step continues the same streams and fusion sub-streams
         expected = self.manual_step(state, labeled, unlabeled, cfg, step_index=2)
         train_step(state, labeled, unlabeled, cfg, ds.eval_labels(u_idx))
-        for got, want in zip(state.params, expected):
+        for got, want in zip(state.stack.models(), expected):
             for gw, ww in zip(got.weights, want.weights):
                 assert (gw == ww).all()
 
@@ -286,8 +297,8 @@ class TestTrainStepOracle:
         for _ in range(3):
             train_step(state, labeled, ds.features[u_idx], cfg,
                        ds.eval_labels(u_idx))
-        for w0, w1 in zip(state.params[0].weights, state.params[1].weights):
-            assert (w0 == w1).all()
+        for w in state.stack.weights:
+            assert (w[0] == w[1]).all()
 
     def test_reported_loss_includes_shared_unlabeled_terms(self):
         ds = tiny_dataset()
@@ -308,9 +319,9 @@ class TestTrainStepOracle:
         # both models see the same l_u sum, so the reported losses differ
         # exactly by the difference of supervised losses
         sup = []
-        for i in range(2):
+        for i, params in enumerate(clone.stack.models()):
             weak = clone.weak_labeled[i].apply_batch(ds.features[idx])
-            l, _ = loss_and_grad(clone.params[i], weak,
+            l, _ = loss_and_grad(params, weak,
                                  ds.observed_labels(idx), np.ones(4))
             sup.append(l)
         got_gap = metrics.train_losses[0] - metrics.train_losses[1]
@@ -524,8 +535,8 @@ class TestTrainRunDirectory:
         train(cfg, ds, eval_set(), out)
         metrics = read_csv(out / "metrics.csv")
         state = TrainerState(cfg, ds)
-        acc0, loss0 = evaluate(state.params[0], eval_set())
-        acc1, loss1 = evaluate(state.params[1], eval_set())
+        (acc0, loss0), (acc1, loss1) = [evaluate(ModelStack([p]), eval_set())
+                                        for p in state.stack.models()]
         row0 = metrics.rows[0]
         assert row0.step == 0
         assert row0.test_acc == pytest.approx((acc0 + acc1) / 2, abs=1e-8)
@@ -540,7 +551,7 @@ class TestTrainRunDirectory:
         assert metrics.steps() == [0]
         ckpt = load_checkpoint(out / "ckpt-model1-step0")
         state = TrainerState(cfg, ds)
-        for a, b in zip(ckpt.weights, state.params[0].weights):
+        for a, b in zip(ckpt.weights, state.stack.models()[0].weights):
             assert (a == b).all()
 
     def test_deterministic_reruns_are_byte_identical(self, tmp_path):
@@ -748,7 +759,7 @@ class TestCosineLr:
         train_step(s_cos, labeled, ds.features[u_idx], cfg_cos,
                    ds.eval_labels(u_idx))
         # cos(0) = 1, so the first update is identical either way
-        for a, b in zip(s_flat.params[0].weights, s_cos.params[0].weights):
+        for a, b in zip(s_flat.stack.weights, s_cos.stack.weights):
             assert (a == b).all()
         # later steps shrink the rate, so the histories diverge
         for _ in range(3):
@@ -757,18 +768,42 @@ class TestCosineLr:
             train_step(s_cos, labeled, ds.features[u_idx], cfg_cos,
                        ds.eval_labels(u_idx))
         assert not all((a == b).all() for a, b in
-                       zip(s_flat.params[0].weights, s_cos.params[0].weights))
+                       zip(s_flat.stack.weights, s_cos.stack.weights))
 
-    def test_schedule_leaves_configured_lr_untouched(self):
+    def test_update_k_uses_the_scheduled_rate(self, monkeypatch):
+        # update k (0-based) steps at lr * cos(7 pi k / (16 steps)): every
+        # model's new parameters equal the one-model reference update at
+        # that rate, from the gradient train_step hands to the stack
         ds = tiny_dataset()
         cfg = small_config(steps=4, cosine_lr=True)
         state = TrainerState(cfg, ds)
         idx = ds.observed_indices()[:4]
         labeled = [(ds.features[idx], ds.observed_labels(idx))] * 2
         u_idx = ds.missing_indices()[:8]
-        train_step(state, labeled, ds.features[u_idx], cfg,
-                   ds.eval_labels(u_idx))
-        assert state.opts[0].lr == cfg.lr
+        real = ModelStack.sgd_step
+        seen = []
+
+        def spy(stack, grads, lr):
+            seen.append(grads)
+            real(stack, grads, lr)
+
+        monkeypatch.setattr(ModelStack, "sgd_step", spy)
+        for k in range(cfg.steps):
+            rate = cfg.lr * math.cos(7.0 * math.pi * k / (16.0 * cfg.steps))
+            before = copy.deepcopy(state.stack)
+            train_step(state, labeled, ds.features[u_idx], cfg,
+                       ds.eval_labels(u_idx))
+            grads = seen[-1]
+            for i, (got, params) in enumerate(zip(state.stack.models(),
+                                                  before.models())):
+                want, _ = reference_sgd_step(
+                    params,
+                    Gradients(weights=tuple(g[i] for g in grads.weights),
+                              biases=tuple(g[i] for g in grads.biases)),
+                    model_opt(before, i, rate))
+                for a, b in zip(got.weights + got.biases,
+                                want.weights + want.biases):
+                    assert np.array_equal(a, b), (k, i)
 
 
 class TestEvaluate:
@@ -787,9 +822,9 @@ class TestEvaluate:
         feats = np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, -1.0]])
         labels = np.array([0, 1, 1])  # last item is predicted 0, labeled 1
         test = MaskedDataset(feats, labels, np.zeros(3, dtype=np.uint8), 3)
-        acc, loss = evaluate(params, test)
+        acc, loss = evaluate(ModelStack([params]), test)
         assert acc == pytest.approx(2 / 3)
-        probs = predict_proba(params, feats)
+        probs = ModelStack([params]).predict_proba(feats)[0]
         want = -np.log(probs[np.arange(3), labels]).mean()
         assert loss == pytest.approx(want, abs=1e-12)
 
@@ -798,13 +833,13 @@ class TestEvaluate:
         test = MaskedDataset(feats, np.array([0, 1]),
                              np.array([0, 1], dtype=np.uint8), 3)
         with pytest.raises(ConfigError, match="fully observed"):
-            evaluate(self.crafted_params(), test)
+            evaluate(ModelStack([self.crafted_params()]), test)
 
     def test_rejects_empty(self):
         test = MaskedDataset(np.empty((0, 2)), np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.uint8), 3)
         with pytest.raises(ConfigError, match="empty"):
-            evaluate(self.crafted_params(), test)
+            evaluate(ModelStack([self.crafted_params()]), test)
 
 
 class TestPseudoLabelAccuracy:
