@@ -2,11 +2,12 @@
 
 Given each model's predicted class distribution for an unlabeled item,
 decide whether the item gets a pseudo-label, which label, and what loss
-weight each model applies to it.  One array engine, ``fuse_batch``,
-decides a (models, items, classes) block by agreement levels; a tie is
-settled by a uniform draw from the item's own generator.  ``fuse_pair``,
-``fuse_cascade`` and ``fuse_single`` are one-item wrappers over it that
-draw from the caller's generator.
+weight each model applies to it.  One array engine, ``fuse_batch`` (or
+``fuse_valid_batch``, which skips its row checks), decides a (models,
+items, classes) block by agreement levels; a tie is settled by a uniform
+draw from the item's own generator.  ``fuse_pair``, ``fuse_cascade`` and
+``fuse_single`` are one-item wrappers over it that draw from the
+caller's generator.
 """
 from __future__ import annotations
 
@@ -144,8 +145,6 @@ class DebiasSubset:
 def _check_block(probs: np.ndarray) -> None:
     """Reject a block holding any row that is not a distribution, naming
     the first bad (item, model) row in item order."""
-    if probs.shape[1] and probs.shape[2] < 2:
-        raise ConfigError("model 1 prediction is not a probability vector")
     with np.errstate(invalid="ignore", over="ignore"):
         invalid = (~np.isfinite(probs).all(axis=2)
                    | (probs.min(axis=2) < -1e-12)
@@ -168,7 +167,8 @@ def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
     by their first supporter's model index, are settled by a uniform draw
     from ``stream_for(b)``, which is called only for such items.
     """
-    _check_block(probs)
+    if probs.shape[1] and probs.shape[2] < 2:
+        raise ConfigError("model 1 prediction is not a probability vector")
     n, batch, _ = probs.shape
     peaks = probs.max(axis=2)
     tops = probs.argmax(axis=2)
@@ -224,9 +224,18 @@ def fuse_batch(probs, cfg: FusionConfig, fusion_seed: int, step: int,
     one-model ``FusedBatch`` per model.  Item b's coin flip draws from
     ``default_rng([fusion_seed, step, items[b]])`` (``items`` defaults to
     the batch positions), so items fuse identically in any order and a
-    predictions dump replays exactly.
+    predictions dump replays exactly.  Rejects a block holding any row
+    that is not a distribution.
     """
     probs = np.asarray(probs, dtype=np.float64)
+    _check_block(probs)
+    return fuse_valid_batch(probs, cfg, fusion_seed, step, items)
+
+
+def fuse_valid_batch(probs: np.ndarray, cfg: FusionConfig, fusion_seed: int,
+                     step: int, items=None):
+    """``fuse_batch`` without its scan of the rows, for a float64 block
+    whose rows are known to be distributions (a finite softmax)."""
     ids = range(probs.shape[1]) if items is None else items
 
     def stream_for(b):
@@ -255,7 +264,9 @@ def _fuse_one(qs, cfg: FusionConfig, stream) -> FusionDecision:
         if i:
             _check_block(np.stack(rows[:i])[:, None, :])
         raise ConfigError(problem)
-    return _fuse(np.stack(rows)[:, None, :], cfg, lambda b: stream)[0]
+    block = np.stack(rows)[:, None, :]
+    _check_block(block)
+    return _fuse(block, cfg, lambda b: stream)[0]
 
 
 def fuse_pair(q1, q2, cfg: FusionConfig, stream) -> FusionDecision:

@@ -370,6 +370,25 @@ def test_divergence_exits_4_naming_the_step(synth_files, tmp_path, capsys):
                      capsys.readouterr().err)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_augmented_view_exits_4_at_step_1(tmp_path, capsys):
+    # the dataset is finite, so it passes the boundary; its weak views
+    # overflow to inf inside the loop, where only the divergence check
+    # reports a non-finite value
+    rng = np.random.default_rng(0)
+    feats = np.where(rng.random((80, 2)) < 0.5, -1.0, 1.0) * 1.7e308
+    missing = (np.arange(80) >= 25).astype(np.int8)
+    big = tmp_path / "big.ds"
+    save_dataset(MaskedDataset(feats, np.arange(80) % 4, missing, 4), big)
+    test = gen_synth(tmp_path / "test.ds", per_class=10, seed=8)
+    code = quick_train(big, test, tmp_path / "run",
+                       ("--aug-sigma-weak", "1e308"))
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: training diverged at step 1: model "), err
+    assert "non-finite input features" not in err
+
+
 def test_divergence_prints_only_its_error_line(tmp_path):
     # numpy's overflow warnings from the steps before train_step names the
     # divergence stay silent, even with every warning shown (-W default)

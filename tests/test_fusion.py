@@ -494,6 +494,11 @@ class TestFuseBatchAgainstCascadeOracle:
             fuse_batch(probs, cfg, 0, 1)
         with pytest.raises(ConfigError, match="3-model config"):
             fuse_batch(np.full((2, 6, 2), 0.5), cfg, 0, 1)
+        # single-model mode checks the whole block too, so the message
+        # names the model the bad row belongs to
+        single = FusionConfig(num_models=3, single_model_mode=True)
+        with pytest.raises(ConfigError, match="^model 3 prediction does not sum to 1$"):
+            fuse_batch(probs, single, 0, 1)
 
 
 class TestSelectDebiasSubset:

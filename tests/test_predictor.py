@@ -54,8 +54,11 @@ def predict_proba(params, xs):
 
 class TestInit:
     def test_parameter_counts(self):
-        assert init_model((2, 32, 4), seed=1).param_count == 228
-        assert init_model((3072, 64, 10), seed=3).param_count == 197_322
+        for arch, count in (((2, 32, 4), 228), ((3072, 64, 10), 197_322)):
+            params = init_model(arch, seed=1)
+            assert [w.shape for w in params.weights] == list(zip(arch, arch[1:]))
+            assert [b.shape for b in params.biases] == [(o,) for o in arch[1:]]
+            assert sum(t.size for t in params.weights + params.biases) == count
 
     def test_same_seed_bit_identical(self):
         a = init_model((2, 32, 4), seed=5)
@@ -203,6 +206,10 @@ class TestLossAndGrad:
             loss_and_grad(params, np.zeros((1, 2)), [0], [-0.5])
         with pytest.raises(ConfigError):
             loss_and_grad(params, np.zeros((2, 2)), [0], [1.0])
+        with pytest.raises(ConfigError, match="non-negative finite"):
+            loss_and_grad(params, np.zeros((1, 2)), [0], [np.nan])
+        with pytest.raises(ConfigError, match="non-finite input features"):
+            loss_and_grad(params, np.full((1, 2), np.inf), [0], [1.0])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(77)
@@ -446,6 +453,8 @@ class TestStackAgainstOracle:
         bad.biases[0][1, 0] = np.inf
         with pytest.raises(ConfigError, match="non-finite gradient"):
             stack.sgd_step(bad, 0.1)
+        with pytest.raises(ConfigError, match="non-finite input features"):
+            predict_models(params, np.full((4, 3), np.nan))
 
     def test_predict_models_mixes_architectures(self):
         models = [init_model((2, 32, 4), seed=1), init_model((2, 16, 4), seed=2),
@@ -454,6 +463,38 @@ class TestStackAgainstOracle:
         got = predict_models(models, xs)
         for g, m in zip(got, models):
             assert np.array_equal(g, reference_predict_proba(m, xs))
+
+
+class TestGradientBits:
+    """``loss_and_grad`` against the one-model reference by ``.tobytes()``,
+    which, unlike ``np.array_equal``, tells -0.0 from +0.0.  The stack
+    computes each weight gradient as (dz^T a)^T and the reference as
+    a^T dz, so this pins that the two orientations give the same bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("hidden", [(32,), (16, 8)], ids=["h32", "h16-8"])
+    @pytest.mark.parametrize("width", [2, 3072])
+    def test_rows_sweep(self, width, hidden, n):
+        params = [init_model((width,) + hidden + (10,), seed=200 + i)
+                  for i in range(n)]
+        stack = ModelStack(params)
+        rng = np.random.default_rng([width, len(hidden), n])
+        for rows in (1, 7, 8, 16, 17, 60, 64, 120, 448):
+            xs = rng.random((n, rows, width)) - 0.5
+            targets = rng.integers(0, 10, size=(n, rows))
+            weights = rng.choice([0.0, 0.75, 1.0], size=(n, rows))
+            weights[:, 0] = 0.0
+            # a row of weight 0 holds +0.0, as the keep mask writes it;
+            # its dlogits entries are +-0.0
+            xs[weights == 0] = 0.0
+            losses, grads = stack.loss_and_grad(xs, targets, weights)
+            for i in range(n):
+                loss, want = reference_loss_and_grad(
+                    params[i], xs[i], targets[i], weights[i])
+                assert losses[i].tobytes() == np.float64(loss).tobytes()
+                for got, ref in zip(grads.weights + grads.biases,
+                                    want.weights + want.biases):
+                    assert got[i].tobytes() == ref.tobytes(), (rows, i)
 
 
 class TestCheckpoint:

@@ -692,13 +692,13 @@ class TestDivergence:
 
 
     def test_diverged_last_update_raises(self, tmp_path, monkeypatch):
-        real = ModelStack.sgd_step
+        real = ModelStack._sgd_step
 
         def poisoned(stack, grads, lr):
             real(stack, grads, lr)
             stack.biases[0][1, 0] = np.nan
 
-        monkeypatch.setattr(ModelStack, "sgd_step", poisoned)
+        monkeypatch.setattr(ModelStack, "_sgd_step", poisoned)
         with pytest.raises(DivergenceError,
                            match="diverged at step 1: model 2 parameter"):
             train(small_config(steps=1), tiny_dataset(), eval_set(),
@@ -780,14 +780,14 @@ class TestCosineLr:
         idx = ds.observed_indices()[:4]
         labeled = [(ds.features[idx], ds.observed_labels(idx))] * 2
         u_idx = ds.missing_indices()[:8]
-        real = ModelStack.sgd_step
+        real = ModelStack._sgd_step
         seen = []
 
         def spy(stack, grads, lr):
             seen.append(grads)
             real(stack, grads, lr)
 
-        monkeypatch.setattr(ModelStack, "sgd_step", spy)
+        monkeypatch.setattr(ModelStack, "_sgd_step", spy)
         for k in range(cfg.steps):
             rate = cfg.lr * math.cos(7.0 * math.pi * k / (16.0 * cfg.steps))
             before = copy.deepcopy(state.stack)
@@ -840,6 +840,30 @@ class TestEvaluate:
                              np.empty(0, dtype=np.uint8), 3)
         with pytest.raises(ConfigError, match="empty"):
             evaluate(ModelStack([self.crafted_params()]), test)
+
+    def test_rejects_a_width_the_stack_does_not_take(self):
+        test = MaskedDataset(np.zeros((2, 3)), np.array([0, 1]),
+                             np.zeros(2, dtype=np.uint8), 3)
+        with pytest.raises(ConfigError,
+                           match="^feature width 3 does not match input layer 2$"):
+            evaluate(ModelStack([self.crafted_params()]), test)
+
+
+class TestValidateOnce:
+    def test_train_path_runs_no_input_scans(self, tmp_path, monkeypatch):
+        # the loop's blocks come from a validated dataset; the public
+        # checks of the stack and of fusion stay off its path
+        def scan(*args, **kwargs):
+            raise AssertionError("the train path scanned a block")
+
+        monkeypatch.setattr(ModelStack, "_check_batch", scan)
+        monkeypatch.setattr(ModelStack, "sgd_step", scan)
+        monkeypatch.setattr("copseudo.fusion._check_block", scan)
+        cascade = FusionConfig(num_models=3, tau_cascade=(0.85, 0.75))
+        for cfg in (small_config(num_models=1), small_config(),
+                    small_config(num_models=3, fusion=cascade)):
+            train(cfg, tiny_dataset(), eval_set(),
+                  tmp_path / f"run{cfg.num_models}")
 
 
 class TestPseudoLabelAccuracy:
