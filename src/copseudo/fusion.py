@@ -2,12 +2,11 @@
 
 Given each model's predicted class distribution for an unlabeled item,
 decide whether the item gets a pseudo-label, which label, and what loss
-weight each model applies to it.  One array engine, ``fuse_batch`` (or
-``fuse_valid_batch``, which skips its row checks), decides a (models,
-items, classes) block by agreement levels; a tie is settled by a uniform
-draw from the item's own generator.  ``fuse_pair``, ``fuse_cascade`` and
-``fuse_single`` are one-item wrappers over it that draw from the
-caller's generator.
+weight each model applies to it.  One array engine, ``fuse_batch``,
+decides a (models, items, classes) block by agreement levels; a tie is
+settled by a uniform draw from the item's own generator.  ``fuse_pair``,
+``fuse_cascade`` and ``fuse_single`` are one-item wrappers over it that
+draw from the caller's generator.
 """
 from __future__ import annotations
 
@@ -142,7 +141,7 @@ class DebiasSubset:
     same_argmax: np.ndarray
 
 
-def _check_block(probs: np.ndarray) -> None:
+def _check_block(probs: np.ndarray) -> np.ndarray:
     """Reject a block holding any row that is not a distribution, naming
     the first bad (item, model) row in item order."""
     with np.errstate(invalid="ignore", over="ignore"):
@@ -155,6 +154,7 @@ def _check_block(probs: np.ndarray) -> None:
         b, m = np.argwhere(bad.T)[0]
         what = "is not a valid distribution" if invalid[m, b] else "does not sum to 1"
         raise ConfigError(f"model {m + 1} prediction {what}")
+    return probs
 
 
 def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
@@ -224,18 +224,16 @@ def fuse_batch(probs, cfg: FusionConfig, fusion_seed: int, step: int,
     one-model ``FusedBatch`` per model.  Item b's coin flip draws from
     ``default_rng([fusion_seed, step, items[b]])`` (``items`` defaults to
     the batch positions), so items fuse identically in any order and a
-    predictions dump replays exactly.  Rejects a block holding any row
-    that is not a distribution.
+    predictions dump replays exactly.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    _check_block(probs)
-    return fuse_valid_batch(probs, cfg, fusion_seed, step, items)
+    return fuse_valid_batch(_check_block(np.asarray(probs, dtype=np.float64)),
+                            cfg, fusion_seed, step, items)
 
 
 def fuse_valid_batch(probs: np.ndarray, cfg: FusionConfig, fusion_seed: int,
                      step: int, items=None):
-    """``fuse_batch`` without its scan of the rows, for a float64 block
-    whose rows are known to be distributions (a finite softmax)."""
+    """``fuse_batch`` for a float64 block of finite softmax rows, which
+    it does not scan."""
     ids = range(probs.shape[1]) if items is None else items
 
     def stream_for(b):
@@ -264,8 +262,7 @@ def _fuse_one(qs, cfg: FusionConfig, stream) -> FusionDecision:
         if i:
             _check_block(np.stack(rows[:i])[:, None, :])
         raise ConfigError(problem)
-    block = np.stack(rows)[:, None, :]
-    _check_block(block)
+    block = _check_block(np.stack(rows)[:, None, :])
     return _fuse(block, cfg, lambda b: stream)[0]
 
 

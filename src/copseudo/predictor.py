@@ -10,11 +10,10 @@ are written from and read into.  ``loss_and_grad`` is a one-model
 wrapper kept for gradient checks, and ``predict_models`` predicts with
 models of mixed architectures.
 
-Public methods validate their inputs, then run a private path that
-scans nothing (``_predict_proba``, ``_loss_and_grad``, ``_sgd_step``);
-the trainer calls that path on blocks of a ``MaskedDataset``, whose
-features are known to be finite.  Everything is plain numpy so the
-arithmetic is easy to audit; no autograd.
+Public methods validate their inputs; the trainer calls the private
+``_predict_proba``, ``_loss_and_grad`` and ``_sgd_step``, which scan
+nothing, on blocks it built from a finite dataset.  Everything is plain
+numpy so the arithmetic is easy to audit; no autograd.
 """
 from __future__ import annotations
 
@@ -82,13 +81,13 @@ class ModelStack:
     are the momentum buffers, of the same shapes, and start at zero.
     Each method runs one ``np.matmul`` per layer for all n models.  A
     stacked matmul computes every model's slice with the same BLAS call
-    as that model's own ``@``; each weight gradient is (dz^T a)^T, which
-    reduces over the same rows in the same order as a^T dz and is the
-    faster call at a 3072-wide input.  The rest of the arithmetic is
-    elementwise or reduces along one model's axis, so every number equals
-    the one-model computation bit for bit.  Inputs are either a (B, d)
-    batch shared by every model or an (n, B, d) block of per-model
-    batches.  ``sgd_step`` updates the stack in place.
+    as that model's own ``@``; a weight gradient is (dz^T a)^T, the same
+    row sums in the same order as a^T dz but the faster call at a wide
+    input.  The rest of the arithmetic is elementwise or reduces along
+    one model's axis, so every number equals the one-model computation
+    bit for bit.  Inputs are either a (B, d) batch shared by every model
+    or an (n, B, d) block of per-model batches.  ``sgd_step`` updates the
+    stack in place.
     """
 
     def __init__(self, models, momentum: float = 0.0,
@@ -129,6 +128,12 @@ class ModelStack:
                 for i in range(self.size)]
 
     def _check_batch(self, xs) -> np.ndarray:
+        xs = self._check_shape(xs)
+        if not np.isfinite(xs).all():
+            raise ConfigError("non-finite input features")
+        return xs
+
+    def _check_shape(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim not in (2, 3) or (xs.ndim == 3 and xs.shape[0] != self.size):
             raise ConfigError(f"xs must be a (B, d) batch or an "
@@ -136,8 +141,6 @@ class ModelStack:
         if xs.shape[-1] != self.arch[0]:
             raise ConfigError(f"feature width {xs.shape[-1]} does not match "
                               f"input layer {self.arch[0]}")
-        if not np.isfinite(xs).all():
-            raise ConfigError("non-finite input features")
         return xs
 
     def _forward(self, xs: np.ndarray):

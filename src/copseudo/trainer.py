@@ -16,11 +16,8 @@ that carries no loss costs only its draws (see
 
 ``TrainerState`` holds the n models and their momentum buffers as one
 ``predictor.ModelStack``; ``evaluate`` scores a stack on the test set,
-each number averaged over its models.  Their inputs were validated at
-the boundary, so they run the stack's private path and
-``fusion.fuse_valid_batch``, which scan nothing; ``DivergenceError``
-reports a non-finite value inside the loop.  The fusion call keeps the
-name ``fuse_batch``, by which the benchmark's tracer finds it.
+each number averaged over its models.  ``DivergenceError`` is the one
+report of a non-finite value inside the loop.
 """
 from __future__ import annotations
 
@@ -35,6 +32,7 @@ from .augment import AugmentConfig, AugmentStream
 from .data import MaskedDataset
 from .errors import ConfigError, DivergenceError
 from .fusion import SOURCES, FusionConfig
+# benchmarks/tracing.py and bench.py's replay check look it up by this name
 from .fusion import fuse_valid_batch as fuse_batch
 from .losses import ObjectiveConfig, supervised_loss, total_objective
 from .metrics import MetricsRow, RunMetrics, emit_csv, emit_plot_columns
@@ -218,18 +216,20 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
     n = cfg.num_models
     if len(labeled_batches) != n:
         raise ConfigError(f"need {n} labeled batches, got {len(labeled_batches)}")
-    batch_sizes = {xs.shape[0] for xs, _ in labeled_batches}
+    batch_sizes = {len(part) for batch in labeled_batches for part in batch}
     if batch_sizes != {cfg.objective.batch_size}:
         raise ConfigError("labeled batch size mismatch")
     if unlabeled.shape[0] != cfg.objective.unlabeled_batch_size:
         raise ConfigError("unlabeled batch size mismatch")
 
     stack = state.stack
+    sup_targets = np.stack([ys for _, ys in labeled_batches]).astype(np.int64)
+    if sup_targets.min() < 0 or sup_targets.max() >= stack.num_classes:
+        raise ConfigError("target class out of range")
 
     # supervised pass on each model's own weak view of its labeled batch
     for i, (xs, _) in enumerate(labeled_batches):
         state.weak_labeled[i].apply_batch_into(xs, state.labeled_views[i])
-    sup_targets = np.stack([ys for _, ys in labeled_batches])
     l_s, g_s = stack._loss_and_grad(state.labeled_views, sup_targets,
                                     np.ones(sup_targets.shape))
 
@@ -309,10 +309,7 @@ def evaluate(stack: ModelStack, test: MaskedDataset) -> tuple[float, float]:
         raise ConfigError("empty test set")
     if test.num_missing:
         raise ConfigError("test set must be fully observed")
-    if test.width != stack.arch[0]:
-        raise ConfigError(f"feature width {test.width} does not match "
-                          f"input layer {stack.arch[0]}")
-    probs = stack._predict_proba(test.rows(slice(None)))
+    probs = stack._predict_proba(stack._check_shape(test.rows(slice(None))))
     labels = test.eval_labels()
     accs = (probs.argmax(axis=2) == labels).mean(axis=1)
     losses = [supervised_loss(p, labels) for p in probs]

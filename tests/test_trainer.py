@@ -377,6 +377,32 @@ class TestTrainStepOracle:
         labeled = [(ds.features[idx], ds.observed_labels(idx))] * 2
         with pytest.raises(ConfigError, match="batch size"):
             train_step(state, labeled, ds.features[:8], cfg, np.zeros(8))
+        idx = ds.observed_indices()[:4]
+        short = [(ds.features[idx], ds.observed_labels(idx)[:3])] * 2
+        with pytest.raises(ConfigError, match="labeled batch size"):
+            train_step(state, short, ds.features[:8], cfg, np.zeros(8))
+
+    @pytest.mark.parametrize("bad", [7, 4, -1])
+    def test_label_range_validation(self, bad):
+        # the supervised pass indexes the log-probability block with the
+        # caller's labels, so one out of range would read another row
+        ds = tiny_dataset()
+        cfg = small_config()
+        state = TrainerState(cfg, ds)
+        before = copy.deepcopy(state)
+        idx = ds.observed_indices()[:4]
+        labels = ds.observed_labels(idx)
+        labels[-1] = bad
+        labeled = [(ds.features[idx], ds.observed_labels(idx)),
+                   (ds.features[idx], labels)]
+        with pytest.raises(ConfigError, match="^target class out of range$"):
+            train_step(state, labeled, ds.features[:8], cfg, np.zeros(8))
+        assert state.step == 0
+        for got, want in zip(state.stack.weights + state.stack.biases,
+                             before.stack.weights + before.stack.biases):
+            assert got.tobytes() == want.tobytes()
+        assert (state.weak_labeled[1].rng.bit_generator.state
+                == before.weak_labeled[1].rng.bit_generator.state)
 
 
 class TestSkippedStrongRowsAreExact:
