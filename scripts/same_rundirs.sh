@@ -5,7 +5,7 @@
 #
 # Each tree is a checkout of the repository; its package is imported from
 # <tree>/src. For each tree the script generates the datasets, trains the
-# eleven configurations below (eight desk-profile runs on 2-wide vectors and
+# twelve configurations below (nine desk-profile runs on 2-wide vectors and
 # three paper-profile runs on 3072-wide CIFAR-format images written by the
 # script itself), replays every prediction dump
 # with `copseudo fuse-trace`, and records each command's stdout, stderr and
@@ -49,6 +49,7 @@ CONFIGS=(
     "cascade3-mnar|mnar|test|$DESK --models 3 --steps 60 --eval-every 10 --dump-predictions-every 20|--tau-cascade 0.85,0.75"
     "conflict-drop4|mcar|test|$DESK --models 4 --steps 40 --eval-every 20 --dump-predictions-every 20|--tau-cascade 0.85,0.75,0.65 --conflict-drop"
     "single3|mcar|test|$DESK --models 3 --steps 40 --eval-every 20|--single-model-mode --tau-cascade 0.85,0.75"
+    "single1|mcar|test|$DESK --models 1 --steps 40 --eval-every 20 --dump-predictions-every 20|--single-model-mode"
     "cosine-every1|mcar|test|$DESK --models 2 --steps 12 --eval-every 1 --cosine-lr|"
     "steps0|mcar|test|$DESK --models 2 --steps 0|"
     "steps1|mcar|test|$DESK --models 2 --steps 1|"

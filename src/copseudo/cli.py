@@ -543,8 +543,7 @@ def cmd_fuse_trace(args) -> int:
     item_ids, preds = read_predictions(args.predictions)
     models = len(preds[0])
     fusion_kw = _fusion_kw(Resolver(args, {}), models, problems)
-    single = fusion_kw["single_model_mode"]
-    if single and models != 1:
+    if fusion_kw["single_model_mode"] and models != 1:
         raise ConfigError("single-model mode expects one model per item, "
                           f"file has {models}")
     if problems:
@@ -553,8 +552,6 @@ def cmd_fuse_trace(args) -> int:
 
     probs = np.stack([np.stack(p) for p in preds], axis=1)
     fused = fuse_batch(probs, cfg, args.seed, args.step, items=item_ids)
-    if single:
-        fused = fused[0]
 
     def blank_if_none(value):
         return "" if value is None else str(value)

@@ -2,9 +2,9 @@
 
 Every dataset keeps the full ground-truth labels internally, plus a
 per-sample indicator saying whether the label is observed (0) or hidden
-(1).  Training code may only read labels through ``observed_labels`` /
-``sample``, which refuse hidden entries; evaluation code uses the
-clearly named ``eval_labels`` / ``eval_sample`` escape hatch.
+(1).  Training code may only read labels through ``observed_labels``,
+which refuses hidden entries; evaluation code uses the clearly named
+``eval_labels`` escape hatch.
 
 A dataset holds its features in one of two storage forms, set by how it
 was made: float64 rows, or, for datasets built by ``load_cifar10`` or
@@ -43,15 +43,6 @@ PIXELS_MAGIC = "copseudo-ds v3"
 _V1_MAGIC = "copseudo-ds v1"
 PIXEL_SCALE = 255.0
 _HEADER_LIMIT = 256
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One input vector with its ground-truth class and stable id."""
-
-    features: np.ndarray
-    true_label: int
-    index: int
 
 
 @dataclass(frozen=True)
@@ -255,15 +246,6 @@ class MaskedDataset:
         """Evaluation-only accessor returning labels regardless of the mask."""
         idx = np.arange(len(self)) if indices is None else np.asarray(indices, dtype=np.int64)
         return self._labels[idx].copy()
-
-    def sample(self, i: int) -> Sample:
-        if self.missing[i]:
-            raise TaintError(f"sample {i} has a hidden label")
-        return Sample(features=self.rows(i), true_label=int(self._labels[i]), index=int(i))
-
-    def eval_sample(self, i: int) -> Sample:
-        """Evaluation-only accessor; exposes the label even when hidden."""
-        return Sample(features=self.rows(i), true_label=int(self._labels[i]), index=int(i))
 
     def with_labels(self, labels: np.ndarray, missing: np.ndarray) -> "MaskedDataset":
         """A dataset with new labels and missing flags that shares this

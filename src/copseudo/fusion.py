@@ -4,9 +4,11 @@ Given each model's predicted class distribution for an unlabeled item,
 decide whether the item gets a pseudo-label, which label, and what loss
 weight each model applies to it.  One array engine, ``fuse_batch``,
 decides a (models, items, classes) block by agreement levels; a tie is
-settled by a uniform draw from the item's own generator.  ``fuse_pair``,
-``fuse_cascade`` and ``fuse_single`` are one-item wrappers over it that
-draw from the caller's generator.
+settled by a uniform draw from the item's own generator.  In single-model
+mode it decides the block's (model, item) pairs, model-major, as one
+one-model block, which never ties.  ``fuse_pair``, ``fuse_cascade`` and
+``fuse_single`` are one-item wrappers over it that draw from the caller's
+generator.
 """
 from __future__ import annotations
 
@@ -104,7 +106,9 @@ class FusedBatch:
     (items, models) and zero wherever the label is absent; ``sources``
     indexes ``SOURCES``; ``source_models`` (1-based) and ``source_levels``
     hold 0 where the decision has none.  ``len``, indexing and iteration
-    give the per-item ``FusionDecision`` view.
+    give the per-item ``FusionDecision`` view.  In single-model mode an
+    entry is one (model, item) pair, model-major, with one mask column and
+    ``source_model`` 1.
     """
 
     labels: np.ndarray
@@ -220,8 +224,9 @@ def fuse_batch(probs, cfg: FusionConfig, fusion_seed: int, step: int,
                items=None):
     """Fuse a batch of per-model predictions of shape (models, batch, C).
 
-    Returns a ``FusedBatch``, or in single-model mode a list with one
-    one-model ``FusedBatch`` per model.  Item b's coin flip draws from
+    Returns a ``FusedBatch``; in single-model mode its n * batch entries
+    are the (model, item) pairs, model-major, fused as one one-model
+    block.  Item b's coin flip draws from
     ``default_rng([fusion_seed, step, items[b]])`` (``items`` defaults to
     the batch positions), so items fuse identically in any order and a
     predictions dump replays exactly.
@@ -240,8 +245,8 @@ def fuse_valid_batch(probs: np.ndarray, cfg: FusionConfig, fusion_seed: int,
         return np.random.default_rng([fusion_seed, step, int(ids[b])])
 
     if cfg.single_model_mode:
-        return [_fuse(probs[m:m + 1], cfg, stream_for)
-                for m in range(probs.shape[0])]
+        n, batch, num_classes = probs.shape
+        return _fuse(probs.reshape(1, n * batch, num_classes), cfg, stream_for)
     if probs.shape[0] != cfg.num_models:
         raise ConfigError(f"got {probs.shape[0]} predictions for a "
                           f"{cfg.num_models}-model config")

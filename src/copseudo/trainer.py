@@ -111,8 +111,6 @@ class TrainConfig:
             problems.append(
                 f"fusion config is for {self.fusion.num_models} models, "
                 f"trainer for {self.num_models}")
-        if self.num_models == 1 and not self.fusion.single_model_mode:
-            problems.append("a one-model run requires single_model_mode")
         if self.seeds.num_models != self.num_models:
             problems.append(
                 f"seed plan covers {self.seeds.num_models} models, "
@@ -246,24 +244,20 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
     # that names a predictions dump, so offline re-fusion of a dump can
     # replay the exact coin flips
     fused = fuse_batch(weak_probs, cfg.fusion, cfg.seeds.fusion, state.step + 1)
-    single = cfg.fusion.single_model_mode
-    batches = fused if single else [fused]
+    # one label row that every model shares, or in single-model mode one
+    # row per model; absent labels (-1) become class 0 at mask 0
+    batch = unlabeled.shape[0]
+    rows = fused.labels.reshape(-1, batch)
+    targets = np.broadcast_to(np.maximum(rows, 0), (n, batch))
+    weights = fused.masks.T.reshape(n, batch)
 
-    # unlabeled pass on per-model strong views; single-model decisions
-    # carry one mask, fused decisions one per model.  Absent labels (-1)
-    # become class 0 at mask 0.  Rows of weight 0 need no pixels.
-    if single:
-        targets = np.stack([f.labels for f in batches])
-        weights = np.stack([f.masks[:, 0] for f in batches])
-    else:
-        targets = fused.labels[None].repeat(n, axis=0)
-        weights = fused.masks.T
+    # unlabeled pass on per-model strong views; rows of weight 0 need no
+    # pixels
     keep = weights > 0
     for i in range(n):
         state.strong_unlabeled[i].apply_batch_into(
             unlabeled, state.strong_views[i], keep=keep[i])
-    l_u, g_u = stack._loss_and_grad(state.strong_views,
-                                    np.maximum(targets, 0), weights)
+    l_u, g_u = stack._loss_and_grad(state.strong_views, targets, weights)
     _check_finite(state.step + 1, "unlabeled loss", l_u)
 
     # one update of every model, after all gradients exist
@@ -278,12 +272,11 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
                     for i in range(n)]
 
     # single-model mode pools every model's decisions
-    labels = np.concatenate([f.labels for f in batches])
-    hits = labels == np.tile(unlabeled_true_labels_eval_only, len(batches))
-    present = labels >= 0
-    ratio = float(np.mean([np.mean(f.labels >= 0) for f in batches]))
+    present = rows >= 0
+    hits = rows == unlabeled_true_labels_eval_only
+    ratio = float(np.mean(present.mean(axis=1)))
     acc = float(hits[present].mean()) if present.any() else 1.0
-    hist = tuple(int(c) for c in np.bincount(batches[0].sources,
+    hist = tuple(int(c) for c in np.bincount(fused.sources[:batch],
                                              minlength=len(SOURCES)))
 
     state.step += 1

@@ -137,7 +137,7 @@ def test_04_single_model_mode_is_plain_confidence_masking():
         weight = 1.0 if b % 2 else 0.75
         cfg = FusionConfig(tau=0.95, tau_cascade=(), pseudo_weight=weight,
                            num_models=1, single_model_mode=True)
-        decisions = fuse_batch(probs[None], cfg, fusion_seed=0, step=1)[0]
+        decisions = fuse_batch(probs[None], cfg, fusion_seed=0, step=1)
 
         conf = probs.max(axis=1)
         argmax = probs.argmax(axis=1)

@@ -208,21 +208,15 @@ class TestTaint:
             ds.observed_labels([hidden])
         with pytest.raises(TaintError):
             ds.observed_labels()  # full read includes hidden entries
-        with pytest.raises(TaintError):
-            ds.sample(int(hidden))
 
     def test_observed_path_works_for_visible(self):
         ds = self.make_masked()
         idx = ds.observed_indices()
         labels = ds.observed_labels(idx)
         np.testing.assert_array_equal(labels, ds.eval_labels(idx))
-        s = ds.sample(int(idx[0]))
-        assert s.true_label == labels[0]
 
     def test_eval_path_is_exempt(self):
         ds = self.make_masked()
-        hidden = int(ds.missing_indices()[0])
-        assert ds.eval_sample(hidden).true_label in range(4)
         assert len(ds.eval_labels()) == len(ds)
 
     def test_arrays_are_read_only(self):
@@ -412,11 +406,11 @@ def v3_file(path, n, num_classes, shape, missing, labels, pixels, dtype="u1"):
     return path
 
 
-def pixel_dataset(rng, n, missing=None):
+def pixel_dataset(rng, n):
     pixels = rng.integers(0, 256, size=(n, 3072)).astype(np.uint8)
     labels = rng.integers(0, 10, size=n)
-    missing = np.zeros(n) if missing is None else missing
-    return MaskedDataset.from_pixels(pixels, labels, missing, 10, CIFAR_IMAGE_SHAPE)
+    return MaskedDataset.from_pixels(pixels, labels, np.zeros(n), 10,
+                                     CIFAR_IMAGE_SHAPE)
 
 
 class TestPixelStorage:
@@ -464,14 +458,6 @@ class TestPixelStorage:
         for d in (hidden, relabeled):
             np.testing.assert_array_equal(d.features.view(np.uint64),
                                           ds.features.view(np.uint64))
-
-    def test_samples_are_float_rows(self):
-        ds = pixel_dataset(np.random.default_rng(8), 4, missing=[0, 1, 0, 1])
-        np.testing.assert_array_equal(ds.sample(2).features, ds.features[2])
-        assert ds.eval_sample(1).features.dtype == np.float64
-        np.testing.assert_array_equal(ds.eval_sample(1).features, ds.features[1])
-        with pytest.raises(TaintError):
-            ds.sample(1)
 
     def test_features_are_built_per_access_and_read_only(self):
         ds = pixel_dataset(np.random.default_rng(9), 2)

@@ -11,6 +11,7 @@ from copseudo.fusion import (
     SOURCE_NONE,
     SOURCE_OWN,
     SOURCES,
+    FusedBatch,
     FusionConfig,
     FusionDecision,
     fuse_batch,
@@ -437,8 +438,6 @@ class TestFuseBatchAgainstCascadeOracle:
                     probs, cfg = self.random_case(gen, n, conflict_drop)
                     seed, step = int(gen.integers(2 ** 32)), case
                     fused = fuse_batch(probs, cfg, seed, step)
-                    if cfg.single_model_mode:
-                        (fused,) = fused
                     assert len(fused) == probs.shape[1]
                     for b, got in enumerate(fused):
                         stream = CountingStream([seed, step, b])
@@ -456,17 +455,30 @@ class TestFuseBatchAgainstCascadeOracle:
         # the comparison covered both kinds of draw
         assert (4, 1) in seen and (4, 2) in seen
 
-    def test_single_model_mode_fuses_each_model_alone(self):
+    def test_single_model_mode_fuses_each_model_alone(self, monkeypatch):
         gen = np.random.default_rng(7)
         probs = gen.dirichlet(np.full(3, 0.3), size=(3, 40))
         cfg = FusionConfig(tau=0.8, tau_cascade=(0.5, 0.4), num_models=3,
                            single_model_mode=True)
-        per_model = fuse_batch(probs, cfg, 1, 1)
-        assert len(per_model) == 3
-        for m, fused in enumerate(per_model):
-            assert fused.masks.shape == (40, 1)
-            for b, got in enumerate(fused):
-                assert got == fuse_single(probs[m, b], cfg)
+        built = []
+        real = np.random.default_rng
+
+        def recording(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        fused = fuse_batch(probs, cfg, 1, 1)
+        # one one-model block of (model, item) pairs, model-major: a
+        # single model never ties, so no item builds a generator
+        assert built == []
+        assert isinstance(fused, FusedBatch)
+        assert fused.masks.shape == (3 * 40, 1)
+        for k, got in enumerate(fused):
+            m, b = divmod(k, 40)
+            assert got == fuse_single(probs[m, b], cfg)
+        assert 0 < np.mean(fused.labels >= 0) < 1
+        assert set(fused.source_models[fused.labels >= 0]) == {1}
 
     def test_arrays_agree_with_item_view(self):
         gen = np.random.default_rng(3)

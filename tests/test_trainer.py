@@ -15,7 +15,15 @@ from copseudo.data import (
     generate_synthetic,
 )
 from copseudo.errors import ConfigError, DivergenceError
-from copseudo.fusion import FusionConfig, FusionDecision, SOURCE_NONE, SOURCE_OWN, fuse_pair
+from copseudo.fusion import (
+    SOURCE_NONE,
+    SOURCE_OWN,
+    SOURCES,
+    FusionConfig,
+    FusionDecision,
+    fuse_pair,
+    fuse_single,
+)
 from copseudo.losses import ObjectiveConfig
 from copseudo.metrics import read_csv
 from copseudo.predictor import (
@@ -40,6 +48,7 @@ from copseudo.trainer import (
 from oracles import (
     ReferenceOpt,
     full_strong_pass,
+    mask_ratio,
     pseudo_label_accuracy,
     reference_dump_predictions,
     reference_sgd_step,
@@ -222,6 +231,9 @@ class TestTrainStepOracle:
     agreement with train_step."""
 
     def manual_step(self, state, labeled, unlabeled, cfg, step_index):
+        """Each model's parameters after the step, and each model's
+        decisions: one shared list under fusion (model i applies mask i),
+        its own ``fuse_single`` list in single-model mode."""
         clone = copy.deepcopy(state)
         models = clone.stack.models()
         n = cfg.num_models
@@ -232,23 +244,28 @@ class TestTrainStepOracle:
             sup.append(loss_and_grad(models[i], weak, ys, np.ones(len(ys))))
         weak_u = clone.weak_unlabeled.apply_batch(unlabeled)
         probs = [ModelStack([p]).predict_proba(weak_u)[0] for p in models]
-        decisions = [
-            fuse_pair(probs[0][b], probs[1][b], cfg.fusion,
-                      np.random.default_rng([cfg.seeds.fusion, step_index, b]))
-            for b in range(unlabeled.shape[0])]
+        if cfg.fusion.single_model_mode:
+            per_model = [([fuse_single(q, cfg.fusion) for q in p], 0)
+                         for p in probs]
+        else:
+            decisions = [
+                fuse_pair(probs[0][b], probs[1][b], cfg.fusion,
+                          np.random.default_rng([cfg.seeds.fusion, step_index, b]))
+                for b in range(unlabeled.shape[0])]
+            per_model = [(decisions, i) for i in range(n)]
         out_params = []
-        for i in range(n):
+        for i, (decisions, k) in enumerate(per_model):
             strong = clone.strong_unlabeled[i].apply_batch(unlabeled)
             targets = np.array([d.pseudo_label if d.has_label else 0
                                 for d in decisions])
-            weights = np.array([d.masks[i] if d.has_label else 0.0
+            weights = np.array([d.masks[k] if d.has_label else 0.0
                                 for d in decisions])
             _, g_u = loss_and_grad(models[i], strong, targets, weights)
             total = add_scaled(sup[i][1], g_u, lam)
             params, _ = reference_sgd_step(models[i], total,
                                            model_opt(clone.stack, i, cfg.lr))
             out_params.append(params)
-        return out_params
+        return out_params, [decisions for decisions, _ in per_model]
 
     def test_two_model_step_matches_manual_replication(self):
         ds = tiny_dataset()
@@ -262,7 +279,8 @@ class TestTrainStepOracle:
         u_idx = rng.choice(ds.missing_indices(), size=8, replace=False)
         unlabeled = ds.features[u_idx]
 
-        expected = self.manual_step(state, labeled, unlabeled, cfg, step_index=1)
+        expected, _ = self.manual_step(state, labeled, unlabeled, cfg,
+                                       step_index=1)
         train_step(state, labeled, unlabeled, cfg, ds.eval_labels(u_idx))
         for got, want in zip(state.stack.models(), expected):
             for gw, ww in zip(got.weights, want.weights):
@@ -271,11 +289,49 @@ class TestTrainStepOracle:
                 assert (gb == wb).all()
 
         # second step continues the same streams and fusion sub-streams
-        expected = self.manual_step(state, labeled, unlabeled, cfg, step_index=2)
+        expected, _ = self.manual_step(state, labeled, unlabeled, cfg,
+                                       step_index=2)
         train_step(state, labeled, unlabeled, cfg, ds.eval_labels(u_idx))
         for got, want in zip(state.stack.models(), expected):
             for gw, ww in zip(got.weights, want.weights):
                 assert (gw == ww).all()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_single_model_step_matches_per_model_thresholding(self, n):
+        # each model trains on its own fuse_single decisions; mask_ratio
+        # averages the models' label shares, pseudo_acc pools every
+        # model's labels and source_counts come from model 1
+        ds = tiny_dataset()
+        cfg = small_config(num_models=n, fusion=FusionConfig(
+            num_models=n, single_model_mode=True, tau=0.35, pseudo_weight=0.75))
+        state = TrainerState(cfg, ds)
+        rng = np.random.default_rng(5)
+        labeled = []
+        for _ in range(n):
+            idx = rng.choice(ds.observed_indices(), size=4, replace=False)
+            labeled.append((ds.features[idx], ds.observed_labels(idx)))
+        u_idx = rng.choice(ds.missing_indices(), size=8, replace=False)
+        unlabeled, truth = ds.features[u_idx], ds.eval_labels(u_idx)
+
+        ratios = []
+        for step_index in (1, 2):
+            expected, decisions = self.manual_step(state, labeled, unlabeled,
+                                                   cfg, step_index)
+            metrics = train_step(state, labeled, unlabeled, cfg, truth)
+            ratios.append(metrics.mask_ratio)
+            assert metrics.mask_ratio == np.mean([mask_ratio(d)
+                                                  for d in decisions])
+            assert metrics.pseudo_acc == pseudo_label_accuracy(
+                [d for per_model in decisions for d in per_model],
+                np.tile(truth, n))
+            assert metrics.source_counts == tuple(
+                sum(d.source == s for d in decisions[0]) for s in SOURCES)
+            for got, want in zip(state.stack.models(), expected):
+                for gw, ww in zip(got.weights + got.biases,
+                                  want.weights + want.biases):
+                    assert gw.tobytes() == ww.tobytes()
+        # the thresholds keep some of the items and drop others
+        assert any(0 < r < 1 for r in ratios), ratios
 
     def test_updates_are_step_synchronous(self):
         # both models share one seed, so they are identical clones; after a
@@ -445,9 +501,9 @@ class TestFuseBatch:
         probs = raw / raw.sum(axis=2, keepdims=True)
         cfg = FusionConfig(num_models=1, single_model_mode=True, tau=0.4,
                            pseudo_weight=1.0)
-        per_model = fuse_batch(probs, cfg, fusion_seed=1, step=0)
-        assert len(per_model) == 1
-        for b, decision in enumerate(per_model[0]):
+        fused = fuse_batch(probs, cfg, fusion_seed=1, step=0)
+        assert len(fused) == 16
+        for b, decision in enumerate(fused):
             conf = probs[0, b].max()
             if conf > 0.4:
                 assert decision.pseudo_label == probs[0, b].argmax()
