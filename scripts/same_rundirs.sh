@@ -7,11 +7,14 @@
 # <tree>/src. For each tree the script generates the datasets, trains the
 # twelve configurations below (nine desk-profile runs on 2-wide vectors and
 # three paper-profile runs on 3072-wide CIFAR-format images written by the
-# script itself), replays every prediction dump
-# with `copseudo fuse-trace`, and records each command's stdout, stderr and
-# exit code. It also decodes every dataset file with that tree's own loader
-# and logs a digest of its content: size, classes, feature shape, and a
-# sha256 of the missing flags, the labels and the float64 feature bytes.
+# script itself), replays every prediction dump with `copseudo fuse-trace`,
+# and records each command's stdout, stderr and exit code. It also decodes
+# every generated dataset file with that tree's own loader and logs a digest
+# of its content: size, classes, feature shape, and a sha256 of the missing
+# flags, the labels and the float64 feature bytes. After the runs it selects
+# and retrains: `copseudo select-subset --epsilon 0.02 --report` promotes
+# the unlabeled items of mnar.ds on which the three cascade3-mnar
+# checkpoints agree, and a 2-model desk run trains on the promoted dataset.
 # It then compares the two result directories with `diff -r`, except for
 # the bytes of image.ds and image-test.ds: their container may change
 # between trees, so only their content digests are compared.
@@ -140,6 +143,14 @@ run_tree() {
                     --out "trace-$name-step$step.csv"
             done
         done
+        cli logs/select-cascade3-mnar select-subset --data mnar.ds \
+            --ckpt run-cascade3-mnar/ckpt-model1-step60 \
+            --ckpt run-cascade3-mnar/ckpt-model2-step60 \
+            --ckpt run-cascade3-mnar/ckpt-model3-step60 \
+            --epsilon 0.02 --report selected-mnar.csv --out selected-mnar.ds
+        cli logs/train-retrain train --seed 5 --data selected-mnar.ds \
+            --test test.ds --out run-retrain $DESK --models 2 --steps 40 \
+            --eval-every 20
     )
 }
 

@@ -132,21 +132,21 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
                   keep: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) images, each put through two operations drawn with
     replacement from {flip, translate, brightness, cutout}.  Each row
-    draws both operations, then each operation's parameters in order.
-    A row's first operation reads the source image and writes ``out``;
-    the second transforms ``out`` in place.
+    draws both operations, then each operation's parameters in order
+    (dx and dy, the brightness factor or the cutout corner), and only then
+    moves pixels.  A row's first operation reads the source image and
+    writes ``out``; the second transforms ``out`` in place.
 
-    A row whose ``keep`` entry is False makes the same draws in the same
-    order (both operations, then dx and dy, the brightness factor or the
-    cutout corner) and is written as +0.0.  The trainer masks the rows
-    whose unlabeled-loss weight is 0, and that leaves every loss and
-    gradient bit unchanged: such a row adds only signed zeros (its finite
-    activations times a zero weight) to each loss sum and gradient
-    matmul, whatever its pixels are.  A signed zero added to a nonzero
-    partial sum leaves it as it was, and ±0 + x is x, so every sum with a
-    nonzero term keeps its bits.  A sum whose terms are all zero may flip
-    the sign of its zero; a gradient entry reaches the parameters only
-    through a momentum buffer, which starts at +0, and +0 + (±0) is +0."""
+    A row whose ``keep`` entry is False makes the same draws and is
+    written as +0.0.  The trainer masks the rows whose unlabeled-loss
+    weight is 0, and that leaves every loss and gradient bit unchanged:
+    such a row adds only signed zeros (its finite activations times a
+    zero weight) to each loss sum and gradient matmul, whatever its pixels
+    are.  A signed zero added to a nonzero partial sum leaves it as it
+    was, and ±0 + x is x, so every sum with a nonzero term keeps its bits.
+    A sum whose terms are all zero may flip the sign of its zero; a
+    gradient entry reaches the parameters only through a momentum buffer,
+    which starts at +0, and +0 + (±0) is +0."""
     if out is None:
         out = np.empty_like(imgs)
     _, _, h, w = imgs.shape
@@ -154,44 +154,39 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
     scratch = np.empty(imgs.shape[1:])
     cut_range = min(h, w) - CUTOUT_SIZE + 1
+    # each operation's parameter draws, indexed by its code; flip has none
+    draw_params = (
+        lambda: None,
+        lambda: _draw_shift(rng, s, rows, cols),
+        lambda: rng.uniform(*BRIGHTNESS_RANGE),
+        lambda: (int(rng.integers(0, cut_range)),
+                 int(rng.integers(0, cut_range))),
+    )
     for i in range(out.shape[0]):
-        cur = out[i]
-        src = imgs[i]
         op1 = int(rng.integers(0, _STRONG_OP_COUNT))
         op2 = int(rng.integers(0, _STRONG_OP_COUNT))
+        steps = ((op1, draw_params[op1]()), (op2, draw_params[op2]()))
+        cur = out[i]
         if keep is not None and not keep[i]:
-            for op in (op1, op2):
-                if op == 1:
-                    rng.integers(-s, s + 1)
-                    rng.integers(-s, s + 1)
-                elif op == 2:
-                    rng.uniform(*BRIGHTNESS_RANGE)
-                elif op == 3:
-                    rng.integers(0, cut_range)
-                    rng.integers(0, cut_range)
             cur.fill(0.0)
             continue
-        for op in (op1, op2):
+        src = imgs[i]
+        for op, param in steps:
+            if op < 2 and src is cur:  # flip and translate overwrite their input
+                np.copyto(scratch, cur)
+                src = scratch
             if op == 0:
-                if src is cur:
-                    np.copyto(scratch, cur)
-                    src = scratch
                 np.copyto(cur, src[:, :, ::-1])
             elif op == 1:
-                shift = _draw_shift(rng, s, rows, cols)
-                if src is cur:
-                    np.copyto(scratch, cur)
-                    src = scratch
                 cur.fill(0.0)
-                if shift is not None:
-                    dst, from_ = shift
+                if param is not None:
+                    dst, from_ = param
                     cur[dst] = src[from_]
             elif op == 2:
-                np.multiply(src, rng.uniform(*BRIGHTNESS_RANGE), out=cur)
+                np.multiply(src, param, out=cur)
                 np.clip(cur, 0.0, 1.0, out=cur)
             else:
-                top = int(rng.integers(0, cut_range))
-                left = int(rng.integers(0, cut_range))
+                top, left = param
                 if src is not cur:
                     np.copyto(cur, src)
                 cur[:, top:top + CUTOUT_SIZE, left:left + CUTOUT_SIZE] = CUTOUT_FILL

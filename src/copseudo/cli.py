@@ -30,7 +30,7 @@ from .data import (
     load_dataset,
     save_dataset,
 )
-from .errors import ConfigError, CopseudoError, DataError
+from .errors import ConfigError, DataError
 from .fusion import FusionConfig, fuse_batch, select_debias_subset
 from .losses import ObjectiveConfig
 from .metrics import compare_runs, read_csv
@@ -264,7 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-run fusion on a predictions CSV",
         description="Read item,model,p0.. rows and emit one fusion decision "
                     "per item. With the run's fusion seed and the dump's "
-                    "step index, reproduces the in-run decisions exactly.")
+                    "step index, reproduces the in-run decisions exactly. "
+                    "With --single-model-mode each model decides alone: "
+                    "one row per (model, item) pair, all of model 1's "
+                    "items first, with one mask column.")
     f.add_argument("predictions", help="predictions CSV (item,model,p0,...)")
     f.add_argument("--seed", type=int, default=None,
                    help="fusion seed (required)")
@@ -543,9 +546,6 @@ def cmd_fuse_trace(args) -> int:
     item_ids, preds = read_predictions(args.predictions)
     models = len(preds[0])
     fusion_kw = _fusion_kw(Resolver(args, {}), models, problems)
-    if fusion_kw["single_model_mode"] and models != 1:
-        raise ConfigError("single-model mode expects one model per item, "
-                          f"file has {models}")
     if problems:
         raise ConfigError("; ".join(problems))
     cfg = FusionConfig(**fusion_kw)
@@ -557,9 +557,10 @@ def cmd_fuse_trace(args) -> int:
         return "" if value is None else str(value)
 
     header = ["item", "pseudo_label", "source", "source_model", "source_level"]
-    header += [f"mask_m{i + 1}" for i in range(models)]
+    header += [f"mask_m{i + 1}" for i in range(fused.masks.shape[1])]
     lines = [",".join(header)]
-    for item, d in zip(item_ids, fused):
+    # single-model mode fuses (model, item) pairs, model-major
+    for item, d in zip(item_ids * (len(fused) // len(item_ids)), fused):
         parts = [str(item), blank_if_none(d.pseudo_label), d.source,
                  blank_if_none(d.source_model), blank_if_none(d.source_level)]
         parts += [format(m, ".9g") for m in d.masks]
@@ -663,9 +664,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except CopseudoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -320,11 +319,8 @@ def select_debias_subset(preds, epsilon: float) -> DebiasSubset:
     stacked = np.stack(arrays)  # (models, items, classes)
     tops = stacked.argmax(axis=2)
     same_argmax = (tops == tops[0]).all(axis=0)
-    num_items = shape[0]
-    agreement = np.zeros(num_items)
-    for a, b in combinations(range(len(arrays)), 2):
-        dist = np.abs(stacked[a] - stacked[b]).max(axis=1)
-        agreement = np.maximum(agreement, dist)
+    # the largest pairwise gap in a coordinate is its max minus its min
+    agreement = (stacked.max(axis=0) - stacked.min(axis=0)).max(axis=1)
     selected = np.flatnonzero(same_argmax & (agreement <= epsilon + 1e-12))
     return DebiasSubset(selected=selected, agreement=agreement,
                         same_argmax=same_argmax)

@@ -6,7 +6,9 @@ finite-difference routine evaluates the loss only through
 pair-fusion oracle is a flat if/elif chain structured differently from
 the library's branch table; the cascade oracle decides one item at a
 time with Python lists and dicts, where the library works level by level
-on arrays; the augmentation oracles transform one row at a time, each
+on arrays; the select-subset agreement oracle takes the largest gap over
+every pair of models, where the library takes each coordinate's max minus
+its min; the augmentation oracles transform one row at a time, each
 into a fresh array, drawing paired integers with one ``size=2`` call,
 where the library draws scalars and writes a whole batch in place.
 
@@ -33,6 +35,7 @@ stack.
 """
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -160,6 +163,17 @@ def reference_cascade_decision(qs, cfg, stream) -> FusionDecision:
                                       source_level=level)
         return FusionDecision(label, kept, SOURCE_CONSENSUS, source_level=level)
     return FusionDecision(None, absent, SOURCE_NONE)
+
+
+def reference_debias_agreement(preds) -> np.ndarray:
+    """Each item's largest pairwise L-infinity distance between the
+    models' (items, classes) predictions, pair by pair."""
+    stacked = np.stack([np.asarray(p, dtype=np.float64) for p in preds])
+    agreement = np.zeros(stacked.shape[1])
+    for a, b in combinations(range(len(stacked)), 2):
+        dist = np.abs(stacked[a] - stacked[b]).max(axis=1)
+        agreement = np.maximum(agreement, dist)
+    return agreement
 
 
 def peaked_vector(num_classes, peak_class, peak_value):

@@ -20,7 +20,7 @@ from copseudo.data import (
     save_dataset,
     write_cifar10_batch,
 )
-from copseudo.fusion import FusionConfig, fuse_cascade, fuse_pair
+from copseudo.fusion import FusionConfig, fuse_cascade, fuse_pair, fuse_single
 from copseudo.metrics import compare_runs, read_csv
 from copseudo.predictor import init_model, save_checkpoint
 from oracles import reference_predict_proba, save_dataset_v1
@@ -651,10 +651,20 @@ class TestFuseTrace:
         assert str(src) in err and "0xff" in err
         assert not out.exists()
 
-    def test_single_model_mode_needs_one_model_file(self, tmp_path, capsys):
-        code, _ = self.trace(tmp_path, extra=("--single-model-mode",))
-        assert code == 2
-        assert "one model" in capsys.readouterr().err
+    def test_single_model_mode_replays_two_model_file(self, tmp_path):
+        code, out = self.trace(tmp_path, extra=("--single-model-mode",))
+        assert code == 0
+        lines = out.read_text().strip().split("\n")
+        assert lines[0] == ("item,pseudo_label,source,source_model,"
+                            "source_level,mask_m1")
+        # model 1's six items, then model 2's, each deciding alone
+        assert lines[1:] == [
+            "0,0,own_confident,1,,1", "1,0,own_confident,1,,1",
+            "2,,none,,,0", "3,,none,,,0", "4,0,own_confident,1,,1",
+            "5,,none,,,0",
+            "0,0,own_confident,1,,1", "1,,none,,,0", "2,,none,,,0",
+            "3,,none,,,0", "4,1,own_confident,1,,1",
+            "5,1,own_confident,1,,1"]
 
     def test_single_model_file(self, tmp_path):
         text = ("item,model,p0,p1,p2\n0,1,0.97,0.02,0.01\n"
@@ -717,6 +727,57 @@ class TestTraceReproducesRun:
         metrics = read_csv(run_dir / "metrics.csv")
         step_one = [r for r in metrics.rows if r.step == 1][0]
         assert step_one.mask_ratio == traced_ratio
+
+
+    def test_single_model_mode_dumps_replay_per_model(self, tmp_path):
+        train_f = gen_synth(tmp_path / "train.txt", classes=3, per_class=12,
+                            labeled=8, seed=11)
+        test_f = gen_synth(tmp_path / "test.txt", classes=3, per_class=5,
+                           seed=12)
+        run_dir = tmp_path / "run"
+        code = main(["train", "--data", str(train_f), "--test", str(test_f),
+                     "--out", str(run_dir), "--seed", "11", "--models", "3",
+                     "--single-model-mode", "--tau", "0.5", "--steps", "4",
+                     "--eval-every", "2", "--batch-size", "4", "--mu", "2.0",
+                     "--hidden", "4", "--dump-predictions-every", "2"])
+        assert code == 0
+        resolved = dict(
+            line.split("=", 1)
+            for line in (run_dir / "config.resolved").read_text().split("\n")
+            if line)
+        cfg = FusionConfig(tau=0.5, num_models=3, single_model_mode=True,
+                           pseudo_weight=1.0)
+        mask_ratios = {r.step: r.mask_ratio
+                       for r in read_csv(run_dir / "metrics.csv").rows}
+        labeled_counts = []
+        for step in (2, 4):
+            dump = run_dir / f"predictions-step{step}.csv"
+            trace_out = tmp_path / f"trace-{step}.csv"
+            code = main(["fuse-trace", str(dump), "--seed",
+                         resolved["seed.fusion"], "--step", str(step),
+                         "--single-model-mode", "--tau", "0.5",
+                         "--out", str(trace_out)])
+            assert code == 0
+            lines = trace_out.read_text().strip().split("\n")
+            assert lines[0] == ("item,pseudo_label,source,source_model,"
+                                "source_level,mask_m1")
+            item_ids, preds = cli_mod.read_predictions(dump)
+            want = []
+            for m in range(3):
+                for item, qs in zip(item_ids, preds):
+                    d = fuse_single(qs[m], cfg)
+                    want.append(",".join([
+                        str(item),
+                        "" if d.pseudo_label is None else str(d.pseudo_label),
+                        d.source,
+                        "" if d.source_model is None else str(d.source_model),
+                        "", format(d.masks[0], ".9g")]))
+            assert lines[1:] == want
+            labeled = sum(1 for line in lines[1:] if line.split(",")[1])
+            labeled_counts.append(labeled)
+            assert labeled / len(want) == pytest.approx(mask_ratios[step],
+                                                        abs=1e-9)
+        assert max(labeled_counts) > 0
 
 
 class TestSelectSubset:

@@ -24,6 +24,7 @@ from oracles import (
     mask_ratio,
     peaked_vector,
     reference_cascade_decision,
+    reference_debias_agreement,
     reference_pair_decision,
 )
 
@@ -557,6 +558,31 @@ class TestSelectDebiasSubset:
         c = np.array([[0.45, 0.35, 0.20]])
         sub = select_debias_subset([a, b, c], epsilon=1.0)
         assert sub.agreement[0] == pytest.approx(0.15)  # a vs c dominates
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agreement_matches_pairwise_oracle_bit_for_bit(self, n):
+        draw = np.random.default_rng(40 + n)
+        for trial in range(150):
+            items = int(draw.integers(1, 12))
+            classes = int(draw.integers(2, 7))
+            preds = draw.dirichlet(np.ones(classes), size=(n, items))
+            if trial % 3 == 1:
+                # two-decimal values a few hundredths apart: many gaps
+                # land on epsilon itself
+                steps = draw.integers(-2, 3, size=preds.shape) / 100
+                preds = np.round(preds[0] + steps, 2)
+            # tied rows: every model predicts the same for some items
+            tied = draw.random(items) < 0.3
+            preds[:, tied] = preds[0, tied]
+            if trial % 5 == 0:
+                preds[1:, :] = preds[0]
+            sub = select_debias_subset(list(preds), epsilon=0.02)
+            want = reference_debias_agreement(preds)
+            assert sub.agreement.tobytes() == want.tobytes()
+            tops = preds.argmax(axis=2)
+            same = (tops == tops[0]).all(axis=0)
+            np.testing.assert_array_equal(
+                sub.selected, np.flatnonzero(same & (want <= 0.02 + 1e-12)))
 
     def test_validation(self):
         a = np.zeros((2, 3))
