@@ -7,7 +7,8 @@
 # <tree>/src. For each tree the script generates the datasets, trains the
 # twelve configurations below (nine desk-profile runs on 2-wide vectors and
 # three paper-profile runs on 3072-wide CIFAR-format images written by the
-# script itself), replays every prediction dump with `copseudo fuse-trace`,
+# script itself, whose test set is large enough to be evaluated in row
+# chunks), replays every prediction dump with `copseudo fuse-trace`,
 # and records each command's stdout, stderr and exit code. It also decodes
 # every generated dataset file with that tree's own loader and logs a digest
 # of its content: size, classes, feature shape, and a sha256 of the missing
@@ -63,7 +64,9 @@ CONFIGS=(
 )
 
 # CIFAR-format batches: five train files of 120 images and a test file of
-# 60, each image a noisy copy of its class's random prototype
+# 1031, each image a noisy copy of its class's random prototype. 1031 is
+# trainer.EVAL_CHUNK_ROWS + 7, so every evaluation multiplies its first
+# layer in two chunks, the second a ragged tail of 7 rows
 WRITE_CIFAR='
 import os, sys
 import numpy as np
@@ -71,7 +74,7 @@ from copseudo.data import CIFAR_TEST_FILE, CIFAR_TRAIN_FILES, write_cifar10_batc
 rng = np.random.default_rng(21)
 protos = rng.integers(0, 256, size=(10, 3072))
 os.makedirs(sys.argv[1])
-for name, count in [(f, 120) for f in CIFAR_TRAIN_FILES] + [(CIFAR_TEST_FILE, 60)]:
+for name, count in [(f, 120) for f in CIFAR_TRAIN_FILES] + [(CIFAR_TEST_FILE, 1031)]:
     labels = rng.integers(0, 10, size=count)
     noise = rng.integers(-48, 49, size=(count, 3072))
     pixels = np.clip(protos[labels] + noise, 0, 255)

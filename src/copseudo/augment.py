@@ -16,6 +16,11 @@ image transform makes every draw of a row whose entry is False, in the
 same order, but writes zeros instead of moving pixels; the other
 transforms, whose per-row cost is their draws, build every row.  Either
 way the stream advances exactly as without ``keep``.
+
+The image transforms also take uint8 pixels, whose features are
+``pixels / 255``: they move bytes and divide each value they write into
+``out`` exactly once, with the divide ``MaskedDataset.rows`` uses, so a
+view of pixels equals the view of their float64 rows bit for bit.
 """
 from __future__ import annotations
 
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CIFAR_IMAGE_SHAPE
+from .data import CIFAR_IMAGE_SHAPE, PIXEL_SCALE
 from .errors import ConfigError
 
 BRIGHTNESS_RANGE = (0.6, 1.4)
@@ -107,23 +112,37 @@ def _draw_shift(rng, s: int, rows: list, cols: list):
     return (slice(None), row[0], col[0]), (slice(None), row[1], col[1])
 
 
+def _load(dst: np.ndarray, src: np.ndarray) -> None:
+    """Write ``src`` into the float64 ``dst``; uint8 pixels are divided by
+    255 on the way, the one divide each written value gets."""
+    if src.dtype == np.uint8:
+        np.divide(src, PIXEL_SCALE, out=dst, dtype=np.float64)
+    else:
+        np.copyto(dst, src)
+
+
 def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
                 out: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) images, each flipped with probability 1/2 and then
     shifted, with exposed pixels zero.  Each row draws the flip, then dx,
-    then dy."""
+    then dy.  uint8 pixels are moved into a uint8 staging block, which one
+    divide writes into ``out``."""
     if out is None:
-        out = np.empty_like(imgs)
+        out = np.empty(imgs.shape)
     _, _, h, w = imgs.shape
     s = cfg.image_shift_weak
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
-    out.fill(0.0)
+    moved = np.zeros_like(imgs) if imgs.dtype == np.uint8 else out
+    if moved is out:
+        out.fill(0.0)
     for i in range(imgs.shape[0]):
         img = imgs[i, :, :, ::-1] if rng.random() < 0.5 else imgs[i]
         shift = _draw_shift(rng, s, rows, cols)
         if shift is not None:
             dst, src = shift
-            out[i][dst] = img[src]
+            moved[i][dst] = img[src]
+    if moved is not out:
+        _load(out, moved)
     return out
 
 
@@ -135,7 +154,8 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     draws both operations, then each operation's parameters in order
     (dx and dy, the brightness factor or the cutout corner), and only then
     moves pixels.  A row's first operation reads the source image and
-    writes ``out``; the second transforms ``out`` in place.
+    writes ``out``, dividing uint8 pixels by 255 as it writes them; the
+    second transforms ``out`` in place.
 
     A row whose ``keep`` entry is False makes the same draws and is
     written as +0.0.  The trainer masks the rows whose unlabeled-loss
@@ -148,7 +168,7 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     gradient entry reaches the parameters only through a momentum buffer,
     which starts at +0, and +0 + (±0) is +0."""
     if out is None:
-        out = np.empty_like(imgs)
+        out = np.empty(imgs.shape)
     _, _, h, w = imgs.shape
     s = cfg.image_shift_strong
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
@@ -176,19 +196,22 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
                 np.copyto(scratch, cur)
                 src = scratch
             if op == 0:
-                np.copyto(cur, src[:, :, ::-1])
+                _load(cur, src[:, :, ::-1])
             elif op == 1:
                 cur.fill(0.0)
                 if param is not None:
                     dst, from_ = param
-                    cur[dst] = src[from_]
+                    _load(cur[dst], src[from_])
             elif op == 2:
+                if src.dtype == np.uint8:
+                    _load(cur, src)
+                    src = cur
                 np.multiply(src, param, out=cur)
                 np.clip(cur, 0.0, 1.0, out=cur)
             else:
                 top, left = param
                 if src is not cur:
-                    np.copyto(cur, src)
+                    _load(cur, src)
                 cur[:, top:top + CUTOUT_SIZE, left:left + CUTOUT_SIZE] = CUTOUT_FILL
             src = cur
     return out
@@ -229,18 +252,27 @@ class AugmentStream:
     def apply_batch(self, xs: np.ndarray) -> np.ndarray:
         """Augment each row independently; the stream advances exactly as
         it would for the rows one at a time, in row order."""
-        xs = np.asarray(xs, dtype=np.float64)
+        xs = np.asarray(xs)
         return self.apply_batch_into(xs, np.empty(xs.shape))
 
     def apply_batch_into(self, xs: np.ndarray, out: np.ndarray,
                          keep: np.ndarray | None = None) -> np.ndarray:
         """``apply_batch`` writing into ``out``, a C-contiguous float64
         array of the batch's shape that does not overlap ``xs``; returns
-        ``out``.  ``keep``, a bool array with one entry per row, marks the
-        rows whose view is used: a strong image stream writes +0.0 rows
-        for the others (see ``strong_images``), every other stream builds
-        all rows.  The stream advances as it does without ``keep``."""
-        xs = np.asarray(xs, dtype=np.float64)
+        ``out``.  uint8 rows are pixels whose features are ``pixels /
+        255``: an image stream moves them as bytes and divides each value
+        it writes once, so the views equal those of the float64 rows
+        ``pixels / 255`` bit for bit.  Rows of any other dtype are read
+        as float64.  ``keep``, a bool array with one entry per row, marks
+        the rows whose view is used: a strong image stream writes +0.0
+        rows for the others (see ``strong_images``), every other stream
+        builds all rows.  The stream advances as it does without
+        ``keep``."""
+        xs = np.asarray(xs)
+        if xs.dtype != np.uint8:
+            xs = np.asarray(xs, dtype=np.float64)
+        elif self.modality == "vector":
+            xs = np.divide(xs, PIXEL_SCALE, dtype=np.float64)
         if xs.ndim != 2:
             raise ConfigError("apply_batch expects a 2-d array")
         if (out.shape != xs.shape or out.dtype != np.float64

@@ -570,7 +570,10 @@ def cmd_fuse_trace(args) -> int:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
         labeled = int(np.count_nonzero(fused.labels >= 0))
-        print(f"wrote {args.out}: {len(fused)} items, {labeled} labeled")
+        items = f"{len(item_ids)} items"
+        if len(fused) != len(item_ids):  # single-model mode with n > 1
+            items += f" x {models} models"
+        print(f"wrote {args.out}: {items}, {labeled} labeled")
     else:
         sys.stdout.write(text)
     return 0

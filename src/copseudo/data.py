@@ -10,7 +10,8 @@ A dataset holds its features in one of two storage forms, set by how it
 was made: float64 rows, or, for datasets built by ``load_cifar10`` or
 ``MaskedDataset.from_pixels``, uint8 pixels whose features are
 ``pixels / 255``.  ``rows`` returns float64 rows in either form, so code
-that asks for a batch never sees the difference.
+that asks for a batch never sees the difference; ``stored_rows`` returns
+them as stored, for the augment streams, which take uint8 pixels too.
 
 Datasets are stored in a binary container: one ascii header line giving
 the size, class count and feature shape, then the missing flags (``u1``),
@@ -194,12 +195,22 @@ class MaskedDataset:
         """Features per sample."""
         return self._store.shape[1]
 
-    def rows(self, idx) -> np.ndarray:
+    def rows(self, idx, out: np.ndarray | None = None) -> np.ndarray:
         """Float64 features of the rows ``idx`` selects (an index, an index
-        array or a slice).  Pixel storage divides just those rows by 255,
-        so each value equals ``pixels.astype(float64) / 255`` bit for bit."""
-        if self._store.dtype == np.uint8:
-            return np.divide(self._store[idx], PIXEL_SCALE, dtype=np.float64)
+        array or a slice), written into ``out`` when it is given.  Pixel
+        storage divides just those rows by 255, so each value equals
+        ``pixels.astype(float64) / 255`` bit for bit."""
+        rows = self._store[idx]
+        if rows.dtype == np.uint8:
+            return np.divide(rows, PIXEL_SCALE, out=out, dtype=np.float64)
+        if out is None:
+            return rows
+        np.copyto(out, rows)
+        return out
+
+    def stored_rows(self, idx) -> np.ndarray:
+        """The rows ``idx`` selects in their storage form: uint8 pixels or
+        float64 rows.  ``AugmentStream.apply_batch_into`` takes either."""
         return self._store[idx]
 
     @property
@@ -311,21 +322,28 @@ def apply_missingness(ds: MaskedDataset, spec: MissingnessSpec) -> MaskedDataset
     return ds.with_missing(missing)
 
 
+def _cifar_record_count(path) -> int:
+    """Records in the batch file at ``path``, after checking that it exists
+    and holds a positive whole number of them."""
+    if not os.path.isfile(path):
+        raise DataError(f"missing batch file: {path}")
+    size = os.path.getsize(path)
+    if size == 0 or size % CIFAR_RECORD_BYTES != 0:
+        raise DataError(
+            f"truncated record in {path}: {size} bytes is not a "
+            f"positive multiple of {CIFAR_RECORD_BYTES}"
+        )
+    return size // CIFAR_RECORD_BYTES
+
+
 def read_cifar10_batch(path) -> tuple[np.ndarray, np.ndarray]:
     """Parse one binary batch file into (labels, pixel bytes).
 
     Records are 3073 bytes: one label byte then 3072 channel-planar,
     row-major pixel bytes.
     """
-    if not os.path.isfile(path):
-        raise DataError(f"missing batch file: {path}")
-    raw = np.fromfile(path, dtype=np.uint8)
-    if raw.size == 0 or raw.size % CIFAR_RECORD_BYTES != 0:
-        raise DataError(
-            f"truncated record in {path}: {raw.size} bytes is not a "
-            f"positive multiple of {CIFAR_RECORD_BYTES}"
-        )
-    records = raw.reshape(-1, CIFAR_RECORD_BYTES)
+    count = _cifar_record_count(path)
+    records = np.fromfile(path, dtype=np.uint8).reshape(count, CIFAR_RECORD_BYTES)
     labels = records[:, 0].astype(np.int64)
     if labels.max(initial=0) >= CIFAR_CLASSES:
         raise DataError(f"label byte >= {CIFAR_CLASSES} in {path}")
@@ -350,15 +368,20 @@ def load_cifar10(path, split: str) -> MaskedDataset:
         files = (CIFAR_TEST_FILE,)
     else:
         raise ConfigError(f"split must be 'train' or 'test', got {split!r}")
-    labels_parts, pixel_parts = [], []
-    for name in files:
-        labels, pixels = read_cifar10_batch(os.path.join(path, name))
-        labels_parts.append(labels)
-        pixel_parts.append(pixels)
-    labels = np.concatenate(labels_parts)
+    paths = [os.path.join(path, name) for name in files]
+    counts = [_cifar_record_count(p) for p in paths]
+    # each file is read into its slice, so only one file's records are
+    # held beside the pixels
+    labels = np.empty(sum(counts), dtype=np.int64)
+    pixels = np.empty((sum(counts), CIFAR_PIXELS), dtype=np.uint8)
+    start = 0
+    for p, count in zip(paths, counts):
+        labels[start:start + count], pixels[start:start + count] = \
+            read_cifar10_batch(p)
+        start += count
     missing = np.zeros(len(labels), dtype=np.uint8)
-    return MaskedDataset.from_pixels(np.concatenate(pixel_parts), labels, missing,
-                                     CIFAR_CLASSES, feature_shape=CIFAR_IMAGE_SHAPE)
+    return MaskedDataset.from_pixels(pixels, labels, missing, CIFAR_CLASSES,
+                                     feature_shape=CIFAR_IMAGE_SHAPE)
 
 
 def save_dataset(ds: MaskedDataset, path) -> None:

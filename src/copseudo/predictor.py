@@ -143,28 +143,29 @@ class ModelStack:
                               f"input layer {self.arch[0]}")
         return xs
 
-    def _forward(self, xs: np.ndarray):
+    def _forward(self, xs: np.ndarray, first: np.ndarray | None = None):
         """Returns (per-layer activations starting with xs, log-probabilities
-        of shape (n, B, C))."""
+        of shape (n, B, C)).  ``first``, when given, is the caller's
+        ``np.matmul(xs, weights[0])``, and the pass starts from it in place."""
         acts = [xs]
-        h = xs
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.matmul(h, w)
-            h += b[:, None, :]
-            np.tanh(h, out=h)
-            acts.append(h)
-        logp = np.matmul(h, self.weights[-1])
-        logp += self.biases[-1][:, None, :]
-        logp -= logp.max(axis=-1, keepdims=True)
-        logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
-        return acts, logp
+        z = np.matmul(xs, self.weights[0]) if first is None else first
+        for w, b in zip(self.weights[1:], self.biases[:-1]):
+            z += b[:, None, :]
+            np.tanh(z, out=z)
+            acts.append(z)
+            z = np.matmul(z, w)
+        z += self.biases[-1][:, None, :]
+        z -= z.max(axis=-1, keepdims=True)
+        z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        return acts, z
 
     def predict_proba(self, xs) -> np.ndarray:
         """(n, B, C) class probabilities of every model."""
         return self._predict_proba(self._check_batch(xs))
 
-    def _predict_proba(self, xs: np.ndarray) -> np.ndarray:
-        return np.exp(self._forward(xs)[1])
+    def _predict_proba(self, xs: np.ndarray | None,
+                       first: np.ndarray | None = None) -> np.ndarray:
+        return np.exp(self._forward(xs, first)[1])
 
     def loss_and_grad(self, xs, targets, weights) -> tuple[np.ndarray, Gradients]:
         """Per model, the mean over the batch of weights_b *

@@ -14,10 +14,14 @@ stream gets its model's ``weights > 0`` as ``keep``, so an image row
 that carries no loss costs only its draws (see
 ``augment.strong_images`` for why that leaves every bit unchanged).
 
+A pixel dataset's batches reach the augment streams as its uint8
+pixels; each view divides them into its float64 block.
+
 ``TrainerState`` holds the n models and their momentum buffers as one
 ``predictor.ModelStack``; ``evaluate`` scores a stack on the test set,
-each number averaged over its models.  ``DivergenceError`` is the one
-report of a non-finite value inside the loop.
+each number averaged over its models, and multiplies a large set's first
+layer in row chunks.  ``DivergenceError`` is the one report of a
+non-finite value inside the loop.
 """
 from __future__ import annotations
 
@@ -40,6 +44,9 @@ from .predictor import ModelStack, add_scaled, init_model, save_checkpoint
 
 CONFIG_FILENAME = "config.resolved"
 METRICS_FILENAME = "metrics.csv"
+# rows per first-layer chunk of an evaluation; a multiple of 64 (see
+# _first_layer)
+EVAL_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -204,8 +211,10 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
                unlabeled_true_labels_eval_only) -> StepMetrics:
     """Advance every model one step; mutates ``state`` in place.
 
-    ``labeled_batches`` is a per-model list of (features, labels);
-    ``unlabeled`` is the shared (mu*B, d) feature block.  The true labels
+    ``labeled_batches`` is a per-model list of (rows, labels);
+    ``unlabeled`` is the shared (mu*B, d) block of rows.  Rows are float64
+    features or uint8 pixels (see ``AugmentStream.apply_batch_into``), as
+    ``MaskedDataset.stored_rows`` gives them.  The true labels
     of the unlabeled items are accepted ONLY to score pseudo-label
     accuracy for the metrics row; they never touch a loss or gradient.
     A non-finite loss or weak-view prediction raises ``DivergenceError``
@@ -302,11 +311,34 @@ def evaluate(stack: ModelStack, test: MaskedDataset) -> tuple[float, float]:
         raise ConfigError("empty test set")
     if test.num_missing:
         raise ConfigError("test set must be fully observed")
-    probs = stack._predict_proba(stack._check_shape(test.rows(slice(None))))
+    probs = stack._predict_proba(None, _first_layer(stack, test))
     labels = test.eval_labels()
     accs = (probs.argmax(axis=2) == labels).mean(axis=1)
     losses = [supervised_loss(p, labels) for p in probs]
     return float(np.mean(accs)), float(np.mean(losses))
+
+
+def _first_layer(stack: ModelStack, test: MaskedDataset) -> np.ndarray:
+    """The (n, M, h) product of the test features and the first weight
+    stack.  A set of more than ``EVAL_CHUNK_ROWS`` rows is multiplied in
+    chunks of that many rows through one reused float64 buffer, so no
+    float64 copy of the whole set is made.  Only the first layer may be
+    chunked: a chunk of a multiple of 64 rows, its ragged tail padded with
+    zero rows, gives the bits of the whole matmul, while a later layer's
+    narrow matmul changes bits with the row count, so it runs on the
+    whole block."""
+    w = stack.weights[0]
+    m = len(test)
+    if m <= EVAL_CHUNK_ROWS:
+        return np.matmul(stack._check_shape(test.rows(slice(None))), w)
+    buf = stack._check_shape(np.empty((EVAL_CHUNK_ROWS, test.width)))
+    first = np.empty((stack.size, m, w.shape[2]))
+    for start in range(0, m, EVAL_CHUNK_ROWS):
+        k = min(EVAL_CHUNK_ROWS, m - start)
+        test.rows(slice(start, start + k), out=buf[:k])
+        buf[k:] = 0.0
+        first[:, start:start + k] = np.matmul(buf, w)[:, :k]
+    return first
 
 
 def resolved_config_lines(cfg: TrainConfig) -> list[str]:
@@ -396,9 +428,9 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
         labeled = []
         for i in range(cfg.num_models):
             idx = labeled_cyclers[i].take(cfg.objective.batch_size)
-            labeled.append((ds.rows(idx), ds.observed_labels(idx)))
+            labeled.append((ds.stored_rows(idx), ds.observed_labels(idx)))
         u_idx = unlabeled_cycler.take(cfg.objective.unlabeled_batch_size)
-        return labeled, ds.rows(u_idx), ds.eval_labels(u_idx)
+        return labeled, ds.stored_rows(u_idx), ds.eval_labels(u_idx)
 
     def record(step_metrics: StepMetrics, eval_step: int, evaluated) -> None:
         acc, loss = evaluated

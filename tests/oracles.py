@@ -31,7 +31,9 @@ MLP the library ran before it trained every model as one stack: a chain
 of 2-d ``@`` calls per model.  The stack must reproduce them bit for bit.
 ``ReferenceOpt`` is one model's momentum-SGD state for
 ``reference_sgd_step``; the library keeps every model's buffers in the
-stack.
+stack.  ``reference_evaluate`` scores models on a whole float64 feature
+block, one ``@`` per layer and model, where ``trainer.evaluate``
+multiplies a large test set's first layer in row chunks.
 """
 import math
 from dataclasses import dataclass
@@ -476,3 +478,18 @@ def reference_sgd_step(params: ModelParams, grads: Gradients, opt: ReferenceOpt)
                      weight_bufs=tuple(p[1] for p in w_pairs),
                      bias_bufs=tuple(p[1] for p in b_pairs)),
     )
+
+
+def reference_evaluate(models, features, labels):
+    """``trainer.evaluate`` on the whole (M, d) float64 ``features``.
+    Returns (accuracy, loss), each model's averaged over the models, and
+    the (n, M, C) probabilities."""
+    accs, losses, all_probs = [], [], []
+    for params in models:
+        _, logp = reference_forward(params, features)
+        probs = np.exp(logp)
+        accs.append((probs.argmax(axis=1) == labels).mean())
+        picked = probs[np.arange(len(labels)), labels]
+        losses.append(float(-np.log(np.maximum(picked, _PROB_FLOOR)).mean()))
+        all_probs.append(probs)
+    return (float(np.mean(accs)), float(np.mean(losses))), np.stack(all_probs)

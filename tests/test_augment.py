@@ -485,3 +485,79 @@ class TestKeepMask:
                      np.ones(4), [True] * 4):
             with pytest.raises(ConfigError, match="keep must be"):
                 s.apply_batch_into(xs, np.empty((4, 96)), keep=keep)
+
+
+def as_floats(pixels):
+    # astype first: under numpy 1.x value-based casting, uint8 / 255.0
+    # would divide in float16
+    return pixels.astype(np.float64) / 255.0
+
+
+class TestPixelRows:
+    """uint8 rows are pixels whose features are ``pixels / 255``: their
+    views equal the views of those float64 rows by ``.tobytes()``, with an
+    equal generator state after every call."""
+
+    SHIFTS = (None, 0, 10, 40)  # None keeps the defaults (4 weak, 8 strong)
+
+    @staticmethod
+    def pixel_rows(data, size, width):
+        # every byte value 0-255 appears in every call
+        values = np.resize(np.arange(256, dtype=np.uint8), size * width)
+        return data.permutation(values).reshape(size, width)
+
+    @pytest.mark.parametrize("pattern", [None, "all", "none", "random"])
+    @pytest.mark.parametrize("shape", [(3, 32, 32), (1, 8, 12)])
+    @pytest.mark.parametrize("kind", ["weak", "strong"])
+    def test_views_equal_float_rows(self, kind, shape, pattern):
+        width = int(np.prod(shape))
+        for shift in self.SHIFTS:
+            cfg = CFG if shift is None else AugmentConfig(
+                image_shift_weak=shift, image_shift_strong=shift)
+            for seed in range(2):
+                data = np.random.default_rng(seed + 700)
+                pixels = AugmentStream(kind, "image", seed=seed, config=cfg,
+                                       feature_shape=shape)
+                floats = AugmentStream(kind, "image", seed=seed, config=cfg,
+                                       feature_shape=shape)
+                # three calls in a row on one stream
+                for size in (3, 150, int(data.integers(4, 150))):
+                    xs = self.pixel_rows(data, size, width)
+                    keep = (None if pattern is None else
+                            TestKeepMask.make_keep(pattern, size, data))
+                    got = pixels.apply_batch_into(
+                        xs, np.full((size, width), np.nan), keep=keep)
+                    want = floats.apply_batch_into(
+                        as_floats(xs), np.full((size, width), np.nan),
+                        keep=keep)
+                    assert got.tobytes() == want.tobytes(), (kind, shape, cfg)
+                    assert (pixels.rng.bit_generator.state
+                            == floats.rng.bit_generator.state)
+
+    @pytest.mark.parametrize("kind", ["weak", "strong"])
+    def test_batch_functions_take_pixels(self, kind):
+        fn = weak_images if kind == "weak" else strong_images
+        data = np.random.default_rng(5)
+        imgs = self.pixel_rows(data, 40, 3072).reshape(40, 3, 32, 32)
+        got = fn(imgs, np.random.default_rng(1), CFG)
+        want = fn(as_floats(imgs), np.random.default_rng(1), CFG)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_vector_streams_divide_pixels_first(self):
+        data = np.random.default_rng(6)
+        xs = self.pixel_rows(data, 30, 16)
+        for kind in ("weak", "strong"):
+            got = AugmentStream(kind, "vector", seed=2).apply_batch(xs)
+            want = AugmentStream(kind, "vector", seed=2).apply_batch(
+                as_floats(xs))
+            assert got.tobytes() == want.tobytes()
+
+    def test_other_integer_rows_are_values(self):
+        xs = np.arange(96, dtype=np.int64).reshape(1, 96)
+        got = AugmentStream("weak", "image", seed=4,
+                            feature_shape=(1, 8, 12)).apply_batch(xs)
+        want = AugmentStream("weak", "image", seed=4,
+                             feature_shape=(1, 8, 12)).apply_batch(
+                                 xs.astype(np.float64))
+        assert got.tobytes() == want.tobytes()

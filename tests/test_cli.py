@@ -728,8 +728,29 @@ class TestTraceReproducesRun:
         step_one = [r for r in metrics.rows if r.step == 1][0]
         assert step_one.mask_ratio == traced_ratio
 
+    @pytest.mark.parametrize("models,single,want", [
+        (1, True, "3 items, 3 labeled"),
+        (2, False, "3 items, 3 labeled"),
+        (3, True, "3 items x 3 models, 9 labeled"),
+    ])
+    def test_summary_line_counts_items_and_models(self, tmp_path, capsys,
+                                                  models, single, want):
+        dump = tmp_path / "dump.csv"
+        rows = [f"{item},{m},0.99,0.01" for item in range(3)
+                for m in range(1, models + 1)]
+        dump.write_text("item,model,p0,p1\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "trace.csv"
+        args = ["fuse-trace", str(dump), "--seed", "1", "--step", "1",
+                "--out", str(out)]
+        if single:
+            args.append("--single-model-mode")
+        elif models > 2:
+            args += ["--tau-cascade", "0.85"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == f"wrote {out}: {want}\n"
 
-    def test_single_model_mode_dumps_replay_per_model(self, tmp_path):
+
+    def test_single_model_mode_dumps_replay_per_model(self, tmp_path, capsys):
         train_f = gen_synth(tmp_path / "train.txt", classes=3, per_class=12,
                             labeled=8, seed=11)
         test_f = gen_synth(tmp_path / "test.txt", classes=3, per_class=5,
@@ -758,6 +779,7 @@ class TestTraceReproducesRun:
                          "--single-model-mode", "--tau", "0.5",
                          "--out", str(trace_out)])
             assert code == 0
+            printed = capsys.readouterr().out.splitlines()[-1]
             lines = trace_out.read_text().strip().split("\n")
             assert lines[0] == ("item,pseudo_label,source,source_model,"
                                 "source_level,mask_m1")
@@ -775,6 +797,9 @@ class TestTraceReproducesRun:
             assert lines[1:] == want
             labeled = sum(1 for line in lines[1:] if line.split(",")[1])
             labeled_counts.append(labeled)
+            # 8 unlabeled items, each fused once per model
+            assert printed == (f"wrote {trace_out}: 8 items x 3 models, "
+                               f"{labeled} labeled")
             assert labeled / len(want) == pytest.approx(mask_ratios[step],
                                                         abs=1e-9)
         assert max(labeled_counts) > 0

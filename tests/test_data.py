@@ -426,6 +426,24 @@ class TestPixelStorage:
         np.testing.assert_array_equal(ds.rows([1, 0, 1]).view(np.uint64),
                                       want.reshape(2, 128)[[1, 0, 1]].view(np.uint64))
 
+    def test_rows_write_into_out(self):
+        for ds in (pixel_dataset(np.random.default_rng(3), 6),
+                   generate_synthetic(make_spec(), seed=0)):
+            idx = slice(1, 4)
+            out = np.full((3, ds.width), np.nan)
+            assert ds.rows(idx, out=out) is out
+            assert out.tobytes() == ds.rows(idx).tobytes()
+
+    def test_stored_rows_keep_the_storage_form(self):
+        ds = pixel_dataset(np.random.default_rng(4), 5)
+        got = ds.stored_rows(np.array([4, 0]))
+        assert got.dtype == np.uint8
+        assert (got.astype(np.float64) / 255.0).tobytes() == \
+            ds.rows(np.array([4, 0])).tobytes()
+        floats = generate_synthetic(make_spec(), seed=0)
+        assert floats.stored_rows(slice(0, 3)).tobytes() == \
+            floats.features[:3].tobytes()
+
     def test_load_cifar10_keeps_uint8_pixels(self, tmp_path):
         rng = np.random.default_rng(5)
         labels = rng.integers(0, 10, size=6)
@@ -682,6 +700,40 @@ class TestCifar:
     def test_bad_split_name(self, tmp_path):
         with pytest.raises(ConfigError):
             load_cifar10(tmp_path, "validation")
+
+    def test_train_split_equals_concatenated_files(self, tmp_path):
+        rng = np.random.default_rng(8)
+        parts = [self.fake_batch(rng, n=n) for n in (3, 1, 7, 2, 5)]
+        for i, (labels, pixels) in enumerate(parts, start=1):
+            write_cifar10_batch(tmp_path / f"data_batch_{i}.bin", labels, pixels)
+        ds = load_cifar10(tmp_path, "train")
+        want_pixels = np.concatenate([p for _, p in parts])
+        assert ds.storage == "u1"
+        np.testing.assert_array_equal(ds.stored_rows(slice(None)), want_pixels)
+        np.testing.assert_array_equal(ds.eval_labels(),
+                                      np.concatenate([l for l, _ in parts]))
+
+    @pytest.mark.parametrize("bad,match", [
+        ("missing", "missing batch file"),
+        ("truncated", "truncated record"),
+        ("label", "label byte"),
+    ])
+    def test_each_train_file_is_checked(self, tmp_path, bad, match):
+        rng = np.random.default_rng(9)
+        for i in range(1, 6):
+            labels, pixels = self.fake_batch(rng, n=2)
+            write_cifar10_batch(tmp_path / f"data_batch_{i}.bin", labels, pixels)
+        path = tmp_path / "data_batch_4.bin"
+        if bad == "missing":
+            path.unlink()
+        elif bad == "truncated":
+            path.write_bytes(path.read_bytes()[:-1])
+        else:
+            labels[1] = 10
+            write_cifar10_batch(path, labels, pixels)
+        with pytest.raises(DataError, match=match) as info:
+            load_cifar10(tmp_path, "train")
+        assert "data_batch_4.bin" in str(info.value)
 
 
 class TestMaskedDatasetValidation:

@@ -30,6 +30,7 @@ from copseudo.predictor import (
     Gradients,
     ModelStack,
     add_scaled,
+    init_model,
     load_checkpoint,
     loss_and_grad,
 )
@@ -51,6 +52,7 @@ from oracles import (
     mask_ratio,
     pseudo_label_accuracy,
     reference_dump_predictions,
+    reference_evaluate,
     reference_sgd_step,
 )
 
@@ -109,9 +111,11 @@ def image_config(mode, hidden=(32,), steps=8):
                        objective=ObjectiveConfig(mu=4.0, batch_size=8))
 
 
-def run_steps(cfg, ds):
-    """``cfg.steps`` calls of train_step on cycled batches; returns the
+def run_steps(cfg, ds, stored=False):
+    """``cfg.steps`` calls of train_step on cycled batches, as float64
+    rows or, with ``stored``, in the dataset's storage form; returns the
     state and each step's train losses."""
+    rows = ds.stored_rows if stored else ds.rows
     state = TrainerState(cfg, ds)
     cyclers = [ShuffleCycler(ds.observed_indices(), seed)
                for seed in cfg.seeds.data_order]
@@ -121,9 +125,9 @@ def run_steps(cfg, ds):
         labeled = []
         for cycler in cyclers:
             idx = cycler.take(cfg.objective.batch_size)
-            labeled.append((ds.rows(idx), ds.observed_labels(idx)))
+            labeled.append((rows(idx), ds.observed_labels(idx)))
         u_idx = unlabeled.take(cfg.objective.unlabeled_batch_size)
-        losses.append(train_step(state, labeled, ds.rows(u_idx), cfg,
+        losses.append(train_step(state, labeled, rows(u_idx), cfg,
                                  ds.eval_labels(u_idx)).train_losses)
     return state, losses
 
@@ -492,6 +496,22 @@ class TestSkippedStrongRowsAreExact:
                 assert g.tobytes() == w.tobytes(), name
         for g, w in zip(got.strong_unlabeled, want.strong_unlabeled):
             assert g.rng.bit_generator.state == w.rng.bit_generator.state
+
+
+class TestPixelBatchesAreExact:
+    """Steps on the uint8 pixel batches ``train`` draws against steps on
+    their float64 rows: the same parameter, momentum and loss bits."""
+
+    @pytest.mark.parametrize("mode", sorted(IMAGE_FUSION))
+    def test_matches_float_rows(self, mode):
+        ds = image_dataset()
+        cfg = image_config(mode)
+        got, got_losses = run_steps(cfg, ds, stored=True)
+        want, want_losses = run_steps(cfg, ds)
+        assert got_losses == want_losses
+        for name in ("weights", "biases", "weight_bufs", "bias_bufs"):
+            for g, w in zip(getattr(got.stack, name), getattr(want.stack, name)):
+                assert g.tobytes() == w.tobytes(), name
 
 
 class TestFuseBatch:
@@ -929,6 +949,69 @@ class TestEvaluate:
         with pytest.raises(ConfigError,
                            match="^feature width 3 does not match input layer 2$"):
             evaluate(ModelStack([self.crafted_params()]), test)
+
+
+CHUNK = trainer_mod.EVAL_CHUNK_ROWS
+
+
+class TestChunkedEvaluation:
+    """``evaluate`` multiplies the first layer of a test set of more than
+    ``EVAL_CHUNK_ROWS`` rows in zero-padded row chunks; its probabilities,
+    accuracy and loss equal the oracle's on the whole float64 block, and
+    no float64 copy of the whole set is made."""
+
+    @staticmethod
+    def make_test_set(storage, size):
+        rng = np.random.default_rng(size)
+        labels = rng.integers(0, 10, size=size)
+        missing = np.zeros(size, dtype=np.uint8)
+        if storage == "u1":
+            pixels = rng.integers(0, 256, size=(size, 3072), dtype=np.uint8)
+            return MaskedDataset.from_pixels(pixels, labels, missing, 10,
+                                             CIFAR_IMAGE_SHAPE)
+        return MaskedDataset(rng.standard_normal((size, 2)), labels, missing,
+                             10)
+
+    @pytest.mark.parametrize("size", [CHUNK, CHUNK + 1, CHUNK + 7,
+                                      2 * CHUNK + 1, 10000])
+    @pytest.mark.parametrize("storage", ["u1", "f8"])
+    def test_matches_whole_block_oracle(self, monkeypatch, storage, size):
+        test = self.make_test_set(storage, size)
+        features = test.features
+        labels = test.eval_labels()
+        rows_read, probs_seen = [], []
+        real_rows = MaskedDataset.rows
+        real_predict = ModelStack._predict_proba
+
+        def rows(ds, idx, out=None):
+            got = real_rows(ds, idx, out)
+            rows_read.append(len(got))
+            return got
+
+        def predict(stack, xs, first=None):
+            probs_seen.append(real_predict(stack, xs, first))
+            return probs_seen[-1]
+
+        monkeypatch.setattr(MaskedDataset, "rows", rows)
+        monkeypatch.setattr(ModelStack, "_predict_proba", predict)
+        for n in (1, 2, 3):
+            for hidden in ((32,), (16, 8)):
+                models = [init_model((test.width,) + hidden + (10,),
+                                     seed=[size, n, i]) for i in range(n)]
+                rows_read.clear()
+                got = evaluate(ModelStack(models), test)
+                want, want_probs = reference_evaluate(models, features, labels)
+                assert got == want, (n, hidden)
+                assert probs_seen[-1].tobytes() == want_probs.tobytes()
+                assert sum(rows_read) == size
+                assert max(rows_read) <= CHUNK
+
+    def test_chunked_set_rejects_a_width_the_stack_does_not_take(self):
+        test = self.make_test_set("f8", CHUNK + 1)
+        stack = ModelStack([init_model((3, 4, 10), seed=0)])
+        with pytest.raises(ConfigError,
+                           match="^feature width 2 does not match input layer 3$"):
+            evaluate(stack, test)
 
 
 class TestValidateOnce:
