@@ -65,7 +65,7 @@ CONFIGS=(
 
 # CIFAR-format batches: five train files of 120 images and a test file of
 # 1031, each image a noisy copy of its class's random prototype. 1031 is
-# trainer.EVAL_CHUNK_ROWS + 7, so every evaluation multiplies its first
+# predictor.EVAL_CHUNK_ROWS + 7, so every evaluation multiplies its first
 # layer in two chunks, the second a ragged tail of 7 rows
 WRITE_CIFAR='
 import os, sys

@@ -21,6 +21,15 @@ The image transforms also take uint8 pixels, whose features are
 ``pixels / 255``: they move bytes and divide each value they write into
 ``out`` exactly once, with the divide ``MaskedDataset.rows`` uses, so a
 view of pixels equals the view of their float64 rows bit for bit.
+
+The image transforms draw their bounded integers (shifts, op codes,
+cutout corners) through ``_int_draws``: one call into the bit
+generator's C ``next_uint32``, mapped by numpy's 32-bit Lemire rule, gives
+the int and the generator state ``rng.integers(lo, hi)`` would give
+without numpy's per-call argument handling.  Floats (``rng.random()``,
+``rng.uniform``) stay numpy calls: numpy computes ``low + range *
+next_double`` in C, which some builds contract to one fused multiply-add,
+and Python's two roundings would not match it.
 """
 from __future__ import annotations
 
@@ -99,14 +108,46 @@ def _shift_slices(s: int, n: int) -> list:
             if abs(d) < n else None for d in range(-s, s + 1)]
 
 
-def _draw_shift(rng, s: int, rows: list, cols: list):
+def _int_draws(rng):
+    """Return ``draw(lo, hi)``, which gives the int ``rng.integers(lo, hi)``
+    gives and advances ``rng`` as that call does, for 1 <= hi - lo <= 2**32.
+    It calls the bit generator's C ``next_uint32`` (the function, and with
+    it the uint32 buffer, that ``Generator.integers`` uses) and maps the
+    value with numpy's 32-bit Lemire rule, which is integer-exact; a range
+    of one draws nothing.  The calls skip the Generator's lock, so a
+    generator drawn from this way must not be shared between threads, and
+    ``draw`` holds the bit generator's address, not a reference to it, so
+    ``rng`` must outlive it.  An object without ``bit_generator.ctypes``
+    is asked for ``integers``."""
+    c = getattr(getattr(rng, "bit_generator", None), "ctypes", None)
+    if c is None:
+        return lambda lo, hi: int(rng.integers(lo, hi))
+    next_uint32, state = c.next_uint32, c.state
+
+    def draw(lo: int, hi: int) -> int:
+        r = hi - lo
+        if r <= 1:
+            if r == 1:
+                return lo
+            raise ValueError("high <= low")
+        m = next_uint32(state) * r
+        if m & 0xFFFFFFFF < r:
+            threshold = (0x100000000 - r) % r
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(state) * r
+        return lo + (m >> 32)
+
+    return draw
+
+
+def _draw_shift(draw, s: int, rows: list, cols: list):
     """Draw a column shift dx, then a row shift dy, each uniform on
-    [-s, s]; return the (destination, source) index tuples over (C, H, W)
-    that move content by dx columns and dy rows, or None when the shift
-    leaves nothing in view.  ``rows`` and ``cols`` are the axes'
-    ``_shift_slices``."""
-    col = cols[int(rng.integers(-s, s + 1)) + s]
-    row = rows[int(rng.integers(-s, s + 1)) + s]
+    [-s, s] through ``draw`` (see ``_int_draws``); return the
+    (destination, source) index tuples over (C, H, W) that move content
+    by dx columns and dy rows, or None when the shift leaves nothing in
+    view.  ``rows`` and ``cols`` are the axes' ``_shift_slices``."""
+    col = cols[draw(-s, s + 1) + s]
+    row = rows[draw(-s, s + 1) + s]
     if row is None or col is None:
         return None
     return (slice(None), row[0], col[0]), (slice(None), row[1], col[1])
@@ -132,12 +173,13 @@ def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     _, _, h, w = imgs.shape
     s = cfg.image_shift_weak
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
+    draw = _int_draws(rng)
     moved = np.zeros_like(imgs) if imgs.dtype == np.uint8 else out
     if moved is out:
         out.fill(0.0)
     for i in range(imgs.shape[0]):
         img = imgs[i, :, :, ::-1] if rng.random() < 0.5 else imgs[i]
-        shift = _draw_shift(rng, s, rows, cols)
+        shift = _draw_shift(draw, s, rows, cols)
         if shift is not None:
             dst, src = shift
             moved[i][dst] = img[src]
@@ -174,17 +216,17 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
     scratch = np.empty(imgs.shape[1:])
     cut_range = min(h, w) - CUTOUT_SIZE + 1
+    draw = _int_draws(rng)
     # each operation's parameter draws, indexed by its code; flip has none
     draw_params = (
         lambda: None,
-        lambda: _draw_shift(rng, s, rows, cols),
+        lambda: _draw_shift(draw, s, rows, cols),
         lambda: rng.uniform(*BRIGHTNESS_RANGE),
-        lambda: (int(rng.integers(0, cut_range)),
-                 int(rng.integers(0, cut_range))),
+        lambda: (draw(0, cut_range), draw(0, cut_range)),
     )
     for i in range(out.shape[0]):
-        op1 = int(rng.integers(0, _STRONG_OP_COUNT))
-        op2 = int(rng.integers(0, _STRONG_OP_COUNT))
+        op1 = draw(0, _STRONG_OP_COUNT)
+        op2 = draw(0, _STRONG_OP_COUNT)
         steps = ((op1, draw_params[op1]()), (op2, draw_params[op2]()))
         cur = out[i]
         if keep is not None and not keep[i]:
@@ -226,7 +268,9 @@ _BATCH_FNS = {
 
 
 class AugmentStream:
-    """Stateful source of augmented views for one (kind, consumer) pair."""
+    """Stateful source of augmented views for one (kind, consumer) pair.
+    A stream is single-threaded: its image draws bypass the generator's
+    lock (see ``_int_draws``)."""
 
     def __init__(self, kind: str, modality: str, seed,
                  config: AugmentConfig | None = None,

@@ -594,7 +594,7 @@ def cmd_select_subset(args) -> int:
     missing = ds.missing_indices()
     if missing.size == 0:
         raise ConfigError("dataset has no unlabeled items to select from")
-    preds = predict_models(params, ds.rows(missing))
+    preds = predict_models(params, ds, missing)
     subset = select_debias_subset(preds, args.epsilon)
     agreed = preds[0].argmax(axis=1)
 

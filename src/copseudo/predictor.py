@@ -8,7 +8,7 @@ update of all n with one ``np.matmul`` per layer; a single model is a
 stack of one.  ``ModelParams`` is the per-model view that checkpoints
 are written from and read into.  ``loss_and_grad`` is a one-model
 wrapper kept for gradient checks, and ``predict_models`` predicts with
-models of mixed architectures.
+models of mixed architectures on a dataset's rows.
 
 Public methods validate their inputs; the trainer calls the private
 ``_predict_proba``, ``_loss_and_grad`` and ``_sgd_step``, which scan
@@ -26,6 +26,8 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 CHECKPOINT_MAGIC = "copseudo-ckpt v1"
+# rows per chunk of ModelStack._first_layer; a multiple of 64 (see there)
+EVAL_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,31 @@ class ModelStack:
                               f"input layer {self.arch[0]}")
         return xs
 
+    def _first_layer(self, ds, idx: np.ndarray | None = None) -> np.ndarray:
+        """The (n, M, h) product of the first weight stack and the M rows
+        ``idx`` (an index array; every row when None) of the dataset
+        ``ds``.  More than ``EVAL_CHUNK_ROWS`` rows are multiplied in
+        chunks of that many rows through one reused float64 buffer, so no
+        float64 copy of all M rows is made.  Only the first layer may be
+        chunked: a chunk of a multiple of 64 rows, its ragged tail padded
+        with zero rows, gives the bits of the whole matmul, while a later
+        layer's narrow matmul changes bits with the row count, so it runs
+        on the whole block."""
+        w = self.weights[0]
+        m = len(ds) if idx is None else len(idx)
+        if m <= EVAL_CHUNK_ROWS:
+            rows = ds.rows(slice(None) if idx is None else idx)
+            return np.matmul(self._check_shape(rows), w)
+        buf = self._check_shape(np.empty((EVAL_CHUNK_ROWS, ds.width)))
+        first = np.empty((self.size, m, w.shape[2]))
+        for start in range(0, m, EVAL_CHUNK_ROWS):
+            k = min(EVAL_CHUNK_ROWS, m - start)
+            part = slice(start, start + k)
+            ds.rows(part if idx is None else idx[part], out=buf[:k])
+            buf[k:] = 0.0
+            first[:, part] = np.matmul(buf, w)[:, :k]
+        return first
+
     def _forward(self, xs: np.ndarray, first: np.ndarray | None = None):
         """Returns (per-layer activations starting with xs, log-probabilities
         of shape (n, B, C)).  ``first``, when given, is the caller's
@@ -238,15 +265,19 @@ class ModelStack:
             theta -= lr * buf
 
 
-def predict_models(models, xs) -> list[np.ndarray]:
-    """Each model's (B, C) probabilities on one shared batch; models of
-    one architecture share a stack."""
+def predict_models(models, ds, idx: np.ndarray | None = None) -> list[np.ndarray]:
+    """Each model's (M, C) probabilities on the M rows ``idx`` of the
+    dataset ``ds`` (every row when None); models of one architecture
+    share a stack, whose first layer reads the rows in chunks (see
+    ``ModelStack._first_layer``).  A dataset's features are finite, so
+    nothing is scanned."""
     groups: dict = {}
     for i, m in enumerate(models):
         groups.setdefault(m.arch, []).append(i)
     out = [None] * len(models)
     for members in groups.values():
-        probs = ModelStack([models[i] for i in members]).predict_proba(xs)
+        stack = ModelStack([models[i] for i in members])
+        probs = stack._predict_proba(None, stack._first_layer(ds, idx))
         for i, p in zip(members, probs):
             out[i] = p
     return out

@@ -44,9 +44,6 @@ from .predictor import ModelStack, add_scaled, init_model, save_checkpoint
 
 CONFIG_FILENAME = "config.resolved"
 METRICS_FILENAME = "metrics.csv"
-# rows per first-layer chunk of an evaluation; a multiple of 64 (see
-# _first_layer)
-EVAL_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -311,34 +308,11 @@ def evaluate(stack: ModelStack, test: MaskedDataset) -> tuple[float, float]:
         raise ConfigError("empty test set")
     if test.num_missing:
         raise ConfigError("test set must be fully observed")
-    probs = stack._predict_proba(None, _first_layer(stack, test))
+    probs = stack._predict_proba(None, stack._first_layer(test))
     labels = test.eval_labels()
     accs = (probs.argmax(axis=2) == labels).mean(axis=1)
     losses = [supervised_loss(p, labels) for p in probs]
     return float(np.mean(accs)), float(np.mean(losses))
-
-
-def _first_layer(stack: ModelStack, test: MaskedDataset) -> np.ndarray:
-    """The (n, M, h) product of the test features and the first weight
-    stack.  A set of more than ``EVAL_CHUNK_ROWS`` rows is multiplied in
-    chunks of that many rows through one reused float64 buffer, so no
-    float64 copy of the whole set is made.  Only the first layer may be
-    chunked: a chunk of a multiple of 64 rows, its ragged tail padded with
-    zero rows, gives the bits of the whole matmul, while a later layer's
-    narrow matmul changes bits with the row count, so it runs on the
-    whole block."""
-    w = stack.weights[0]
-    m = len(test)
-    if m <= EVAL_CHUNK_ROWS:
-        return np.matmul(stack._check_shape(test.rows(slice(None))), w)
-    buf = stack._check_shape(np.empty((EVAL_CHUNK_ROWS, test.width)))
-    first = np.empty((stack.size, m, w.shape[2]))
-    for start in range(0, m, EVAL_CHUNK_ROWS):
-        k = min(EVAL_CHUNK_ROWS, m - start)
-        test.rows(slice(start, start + k), out=buf[:k])
-        buf[k:] = 0.0
-        first[:, start:start + k] = np.matmul(buf, w)[:, :k]
-    return first
 
 
 def resolved_config_lines(cfg: TrainConfig) -> list[str]:

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from copseudo.augment import (
     AugmentConfig,
     AugmentStream,
+    _int_draws,
     strong_images,
     strong_vectors,
     weak_images,
@@ -425,6 +426,65 @@ class TestBatchAgainstOracle:
                                 int(scalar_rng.integers(lo, hi))]
                 assert pair_rng.uniform(0.6, 1.4) == scalar_rng.uniform(0.6, 1.4)
             assert pair_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+
+def same_state(a, b):
+    """Bit-generator states equal entry by entry; Philox and MT19937 keep
+    arrays in theirs."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+class TestIntDraws:
+    """``_int_draws`` against ``Generator.integers`` on a twin generator:
+    equal ints and equal bit-generator states.  Float and array draws are
+    interleaved, so a bounded draw meets the generator's uint32 buffer
+    both full and empty."""
+
+    # every (lo, hi) the image streams draw from: the op code, the shift
+    # 2s+1 for s in {0, 4, 8, 10, 40}, cutout corners on 32- and 12-pixel
+    # sides and on an 8-pixel side (a range of one); then two ranges that
+    # reject often and the whole 32-bit range
+    RANGES = ((0, 4), *((-s, s + 1) for s in (0, 4, 8, 10, 40)), (0, 25),
+              (0, 5), (0, 1), (0, 3 * 2 ** 30), (-7, 2 ** 31 - 6), (0, 2 ** 32))
+    OTHER_DRAWS = 3
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+        np.random.Philox, np.random.SFC64], ids=lambda bg: bg.__name__)
+    def test_matches_generator_integers(self, bit_generator):
+        got_rng = np.random.Generator(bit_generator(2024))
+        want_rng = np.random.Generator(bit_generator(2024))
+        draw = _int_draws(got_rng)
+        script = np.random.default_rng(7).integers(
+            0, len(self.RANGES) + self.OTHER_DRAWS, size=50_000)
+        for step, k in enumerate(script):
+            if k < len(self.RANGES):
+                lo, hi = self.RANGES[k]
+                got = draw(lo, hi)
+                assert type(got) is int
+                assert got == want_rng.integers(lo, hi), (step, lo, hi)
+            elif k == len(self.RANGES):
+                assert got_rng.random() == want_rng.random()
+            elif k == len(self.RANGES) + 1:
+                assert got_rng.uniform(0.6, 1.4) == want_rng.uniform(0.6, 1.4)
+            else:
+                assert np.array_equal(got_rng.integers(0, 4, size=2),
+                                      want_rng.integers(0, 4, size=2))
+            if step % 1000 == 0:
+                assert same_state(got_rng.bit_generator.state,
+                                  want_rng.bit_generator.state), step
+        assert same_state(got_rng.bit_generator.state,
+                          want_rng.bit_generator.state)
+
+    def test_empty_range_raises_as_integers_does(self):
+        draw = _int_draws(np.random.default_rng(0))
+        for lo, hi in ((0, 0), (3, 1)):
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).integers(lo, hi)
+            with pytest.raises(ValueError):
+                draw(lo, hi)
 
 
 class TestKeepMask:

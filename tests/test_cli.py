@@ -13,6 +13,7 @@ import copseudo
 import copseudo.cli as cli_mod
 from copseudo.cli import build_parser, main
 from copseudo.data import (
+    CIFAR_IMAGE_SHAPE,
     CIFAR_TEST_FILE,
     CIFAR_TRAIN_FILES,
     MaskedDataset,
@@ -22,7 +23,13 @@ from copseudo.data import (
 )
 from copseudo.fusion import FusionConfig, fuse_cascade, fuse_pair, fuse_single
 from copseudo.metrics import compare_runs, read_csv
-from copseudo.predictor import init_model, save_checkpoint
+from copseudo.predictor import (
+    EVAL_CHUNK_ROWS,
+    ModelParams,
+    init_model,
+    predict_models,
+    save_checkpoint,
+)
 from oracles import reference_predict_proba, save_dataset_v1
 
 
@@ -882,10 +889,74 @@ class TestSelectSubset:
         stacked = select("stacked")
         monkeypatch.setattr(
             cli_mod, "predict_models",
-            lambda models, xs: [reference_predict_proba(m, xs) for m in models])
+            lambda models, ds, idx: [reference_predict_proba(m, ds.rows(idx))
+                                     for m in models])
         assert stacked == select("one-model")
         before, after = load_dataset(data), load_dataset(tmp_path / "stacked.ds")
         assert before.num_observed < after.num_observed < len(after)
+
+    @pytest.mark.parametrize("storage,unlabeled,nudge", [
+        ("u1", EVAL_CHUNK_ROWS + 7, 0.01), ("f8", 2 * EVAL_CHUNK_ROWS + 1, 0.05)])
+    def test_large_pool_matches_whole_block_prediction(
+            self, tmp_path, monkeypatch, capsys, storage, unlabeled, nudge):
+        # a pool of more than EVAL_CHUNK_ROWS unlabeled rows is read in
+        # chunks; the probabilities, the files written and stdout equal
+        # those of one forward pass per model on the whole float64 block
+        rng = np.random.default_rng(unlabeled)
+        size = unlabeled + 20
+        labels = rng.integers(0, 10, size=size)
+        missing = np.ones(size, dtype=np.uint8)
+        missing[rng.choice(size, 20, replace=False)] = 0
+        if storage == "u1":
+            pixels = rng.integers(0, 256, size=(size, 3072), dtype=np.uint8)
+            ds = MaskedDataset.from_pixels(pixels, labels, missing, 10,
+                                           CIFAR_IMAGE_SHAPE)
+        else:
+            ds = MaskedDataset(rng.standard_normal((size, 2)), labels, missing,
+                               10)
+        data = tmp_path / "pool.ds"
+        save_dataset(ds, data)
+        # a nudged copy agrees with its model on part of the pool
+        base = init_model((ds.width, 32, 10), seed=0)
+        models = [base, ModelParams(
+            arch=base.arch, biases=base.biases,
+            weights=tuple(w + nudge * rng.standard_normal(w.shape)
+                          for w in base.weights))]
+        ckpts = []
+        for i, m in enumerate(models):
+            ckpts += ["--ckpt", str(tmp_path / f"m{i}.ckpt")]
+            save_checkpoint(m, ckpts[-1])
+        idx = ds.missing_indices()
+        whole = [reference_predict_proba(m, ds.rows(idx)) for m in models]
+
+        rows_read = []
+        real_rows = MaskedDataset.rows
+
+        def rows(self, idx, out=None):
+            got = real_rows(self, idx, out)
+            rows_read.append(len(got))
+            return got
+
+        monkeypatch.setattr(MaskedDataset, "rows", rows)
+        for got, want in zip(predict_models(models, ds, idx), whole):
+            assert got.tobytes() == want.tobytes()
+        assert max(rows_read) <= EVAL_CHUNK_ROWS
+
+        def select(name):
+            out, report = tmp_path / f"{name}.ds", tmp_path / f"{name}.csv"
+            code = main(["select-subset", "--data", str(data), *ckpts,
+                         "--epsilon", "0.05", "--out", str(out),
+                         "--report", str(report)])
+            assert code == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            return out.read_bytes(), report.read_bytes(), stdout
+
+        chunked = select("chunked")
+        chosen = int(re.search(r"selected (\d+) of", chunked[2]).group(1))
+        assert 0 < chosen < unlabeled
+        monkeypatch.setattr(cli_mod, "predict_models",
+                            lambda models, ds, idx: whole)
+        assert chunked == select("whole")
 
     def test_fully_observed_input_rejected(self, tmp_path, capsys):
         data = gen_synth(tmp_path / "full.txt", per_class=5, seed=3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copseudo.data import SyntheticSpec, generate_synthetic
+from copseudo.data import MaskedDataset, SyntheticSpec, generate_synthetic
 from copseudo.errors import ConfigError, DataError
 from copseudo.predictor import (
     Gradients,
@@ -454,15 +454,19 @@ class TestStackAgainstOracle:
         with pytest.raises(ConfigError, match="non-finite gradient"):
             stack.sgd_step(bad, 0.1)
         with pytest.raises(ConfigError, match="non-finite input features"):
-            predict_models(params, np.full((4, 3), np.nan))
+            stack.predict_proba(np.full((4, 3), np.nan))
 
     def test_predict_models_mixes_architectures(self):
         models = [init_model((2, 32, 4), seed=1), init_model((2, 16, 4), seed=2),
                   init_model((2, 32, 4), seed=3)]
-        xs = np.random.default_rng(5).random((7, 2))
-        got = predict_models(models, xs)
-        for g, m in zip(got, models):
-            assert np.array_equal(g, reference_predict_proba(m, xs))
+        rng = np.random.default_rng(5)
+        ds = MaskedDataset(rng.random((9, 2)), rng.integers(0, 4, size=9),
+                           np.zeros(9, dtype=np.uint8), 4)
+        idx = np.array([7, 0, 3, 3, 8, 1, 5])
+        for rows, got in ((slice(None), predict_models(models, ds)),
+                          (idx, predict_models(models, ds, idx))):
+            for g, m in zip(got, models):
+                assert np.array_equal(g, reference_predict_proba(m, ds.rows(rows)))
 
 
 class TestGradientBits:

@@ -27,6 +27,7 @@ from copseudo.fusion import (
 from copseudo.losses import ObjectiveConfig
 from copseudo.metrics import read_csv
 from copseudo.predictor import (
+    EVAL_CHUNK_ROWS,
     Gradients,
     ModelStack,
     add_scaled,
@@ -951,7 +952,7 @@ class TestEvaluate:
             evaluate(ModelStack([self.crafted_params()]), test)
 
 
-CHUNK = trainer_mod.EVAL_CHUNK_ROWS
+CHUNK = EVAL_CHUNK_ROWS
 
 
 class TestChunkedEvaluation:
