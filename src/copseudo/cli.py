@@ -31,7 +31,8 @@ from .data import (
     save_dataset,
 )
 from .errors import ConfigError, DataError
-from .fusion import FusionConfig, fuse_batch, select_debias_subset
+from .fusion import (FusionConfig, first_invalid_row, fuse_valid_batch,
+                     select_debias_subset)
 from .losses import ObjectiveConfig
 from .metrics import compare_runs, read_csv
 from .predictor import load_checkpoint, predict_models
@@ -551,7 +552,12 @@ def cmd_fuse_trace(args) -> int:
     cfg = FusionConfig(**fusion_kw)
 
     probs = np.stack([np.stack(p) for p in preds], axis=1)
-    fused = fuse_batch(probs, cfg, args.seed, args.step, items=item_ids)
+    bad = first_invalid_row(probs)
+    if bad:
+        b, m, what = bad
+        raise DataError(f"{args.predictions}: item {item_ids[b]} model "
+                        f"{m + 1} prediction {what}")
+    fused = fuse_valid_batch(probs, cfg, args.seed, args.step, items=item_ids)
 
     def blank_if_none(value):
         return "" if value is None else str(value)

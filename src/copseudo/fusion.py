@@ -144,19 +144,29 @@ class DebiasSubset:
     same_argmax: np.ndarray
 
 
-def _check_block(probs: np.ndarray) -> np.ndarray:
-    """Reject a block holding any row that is not a distribution, naming
-    the first bad (item, model) row in item order."""
+def first_invalid_row(probs: np.ndarray):
+    """The first (item, model) row of an (n, B, C) block, in item order,
+    that is not a distribution, as (b, m, what is wrong with it); None
+    when every row is one."""
     with np.errstate(invalid="ignore", over="ignore"):
         invalid = (~np.isfinite(probs).all(axis=2)
                    | (probs.min(axis=2) < -1e-12)
                    | (probs.max(axis=2) > 1.0 + 1e-12))
         unnormed = np.abs(probs.sum(axis=2) - 1.0) > PROB_SUM_TOL
     bad = invalid | unnormed
-    if bad.any():
-        b, m = np.argwhere(bad.T)[0]
-        what = "is not a valid distribution" if invalid[m, b] else "does not sum to 1"
-        raise ConfigError(f"model {m + 1} prediction {what}")
+    if not bad.any():
+        return None
+    b, m = np.argwhere(bad.T)[0]
+    what = "is not a valid distribution" if invalid[m, b] else "does not sum to 1"
+    return int(b), int(m), what
+
+
+def _check_block(probs: np.ndarray) -> np.ndarray:
+    """Reject a block holding any row that is not a distribution, naming
+    the model of the first bad row."""
+    bad = first_invalid_row(probs)
+    if bad:
+        raise ConfigError(f"model {bad[1] + 1} prediction {bad[2]}")
     return probs
 
 

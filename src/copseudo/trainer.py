@@ -17,11 +17,13 @@ that carries no loss costs only its draws (see
 A pixel dataset's batches reach the augment streams as its uint8
 pixels; each view divides them into its float64 block.
 
-``TrainerState`` holds the n models and their momentum buffers as one
-``predictor.ModelStack``; ``evaluate`` scores a stack on the test set,
-each number averaged over its models, and multiplies a large set's first
-layer in row chunks.  ``DivergenceError`` is the one report of a
-non-finite value inside the loop.
+``TrainerState`` owns all a run carries between steps: the n models and
+their momentum buffers as one ``predictor.ModelStack``, the augment
+streams, the batch cyclers and the step; a deep copy of it is a snapshot
+of the run.  ``evaluate`` scores a stack on the test set, each number
+averaged over its models, and multiplies a large set's first layer in
+row chunks.  ``DivergenceError`` is the one report of a non-finite value
+inside the loop.
 """
 from __future__ import annotations
 
@@ -175,9 +177,18 @@ class ShuffleCycler:
 
 
 class TrainerState:
-    """The stacked models and every stateful stream of the loop."""
+    """The stacked models and every stateful stream of a run; it keeps no
+    dataset, so a deep copy is a snapshot of the run between steps."""
 
     def __init__(self, cfg: TrainConfig, ds: MaskedDataset):
+        num_labeled = ds.num_observed
+        if num_labeled == 0 or ds.num_missing == 0:
+            raise ConfigError("training data needs at least one labeled and one "
+                              "unlabeled item")
+        if cfg.objective.batch_size > num_labeled:
+            raise ConfigError(
+                f"batch size {cfg.objective.batch_size} exceeds the "
+                f"{num_labeled} labeled items")
         width = ds.width
         arch = (width,) + tuple(cfg.hidden) + (ds.num_classes,)
         params = [init_model(arch, seed=cfg.seeds.init[i])
@@ -201,7 +212,22 @@ class TrainerState:
         self.weak_unlabeled = AugmentStream(
             "weak", mod, seed=cfg.seeds.unlabeled_weak, config=cfg.aug,
             feature_shape=shape)
+        self.labeled_cyclers = [ShuffleCycler(ds.observed_indices(), seed)
+                                for seed in cfg.seeds.data_order]
+        self.unlabeled_cycler = ShuffleCycler(ds.missing_indices(),
+                                              cfg.seeds.unlabeled_order)
         self.step = 0
+
+    def draw_batches(self, ds: MaskedDataset):
+        """The next step's batches from ``ds``, the set the state was built
+        on, as stored: a per-model list of (rows, labels), the unlabeled
+        rows, and their true labels, which only the metrics read."""
+        labeled = []
+        for cycler in self.labeled_cyclers:
+            idx = cycler.take(self.labeled_views.shape[1])
+            labeled.append((ds.stored_rows(idx), ds.observed_labels(idx)))
+        u_idx = self.unlabeled_cycler.take(self.strong_views.shape[1])
+        return labeled, ds.stored_rows(u_idx), ds.eval_labels(u_idx)
 
 
 def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig,
@@ -371,54 +397,22 @@ def _dump_predictions(path, weak_probs) -> None:
         fh.write(row * (batch * n) % tuple(values))
 
 
+def _metrics_row(last: StepMetrics, step: int, evaluated) -> MetricsRow:
+    """The row of eval point ``step``: ``evaluated`` is its (test accuracy,
+    test loss), ``last`` the step whose train-side numbers it reports."""
+    return MetricsRow(step, *evaluated, last.train_losses, last.mask_ratio,
+                      last.pseudo_acc, *last.source_counts)
+
+
 def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
           out_dir) -> str:
-    """Run the loop and write the run directory; returns its path."""
-    num_labeled = ds.num_observed
-    if num_labeled == 0 or ds.num_missing == 0:
-        raise ConfigError("training data needs at least one labeled and one "
-                          "unlabeled item")
-    if cfg.objective.batch_size > num_labeled:
+    """Run the loop and write the run directory; returns its path.  A
+    dataset or test set that cannot make a run leaves no directory."""
+    if (test.width, test.num_classes) != (ds.width, ds.num_classes):
         raise ConfigError(
-            f"batch size {cfg.objective.batch_size} exceeds the "
-            f"{num_labeled} labeled items")
-    if len(test) == 0:
-        raise ConfigError("empty test set")
-
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, CONFIG_FILENAME), "w",
-              encoding="ascii") as fh:
-        fh.write("\n".join(resolved_config_lines(cfg)) + "\n")
-
+            f"test set has {test.width} features and {test.num_classes} "
+            f"classes, training set {ds.width} and {ds.num_classes}")
     state = TrainerState(cfg, ds)
-    labeled_cyclers = [ShuffleCycler(ds.observed_indices(),
-                                     seed=cfg.seeds.data_order[i])
-                       for i in range(cfg.num_models)]
-    unlabeled_cycler = ShuffleCycler(ds.missing_indices(),
-                                     seed=cfg.seeds.unlabeled_order)
-    metrics = RunMetrics(num_models=cfg.num_models)
-
-    def draw_batches():
-        labeled = []
-        for i in range(cfg.num_models):
-            idx = labeled_cyclers[i].take(cfg.objective.batch_size)
-            labeled.append((ds.stored_rows(idx), ds.observed_labels(idx)))
-        u_idx = unlabeled_cycler.take(cfg.objective.unlabeled_batch_size)
-        return labeled, ds.stored_rows(u_idx), ds.eval_labels(u_idx)
-
-    def record(step_metrics: StepMetrics, eval_step: int, evaluated) -> None:
-        acc, loss = evaluated
-        metrics.append(MetricsRow(
-            step=eval_step, test_acc=acc, test_loss=loss,
-            train_losses=step_metrics.train_losses,
-            mask_ratio=step_metrics.mask_ratio,
-            pseudo_acc=step_metrics.pseudo_acc,
-            src_both=step_metrics.source_counts[0],
-            src_conflict=step_metrics.source_counts[1],
-            src_own=step_metrics.source_counts[2],
-            src_consensus=step_metrics.source_counts[3],
-            src_none=step_metrics.source_counts[4]))
-
     # row 0 evaluates the initial parameters and takes its train-side
     # numbers from step 1, which train_step measures on the parameters it
     # starts from; with steps=0 that one step runs only to fill the row, so
@@ -426,25 +420,32 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
     # updates in place
     initial_eval = evaluate(state.stack, test)
     final = state.stack if cfg.steps else copy.deepcopy(state.stack)
+
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, CONFIG_FILENAME), "w",
+              encoding="ascii") as fh:
+        fh.write("\n".join(resolved_config_lines(cfg)) + "\n")
+    metrics = RunMetrics(num_models=cfg.num_models)
     # a diverging run overflows before train_step names the step in a
     # DivergenceError; numpy's warnings about it would only come first
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for step in range(1, max(cfg.steps, 1) + 1):
-            labeled, u_feats, u_true = draw_batches()
+        while state.step < max(cfg.steps, 1):
+            labeled, u_feats, u_true = state.draw_batches(ds)
             last = train_step(state, labeled, u_feats, cfg, u_true)
             # free this step's batch before the next one is drawn
             del labeled, u_feats, u_true
-            if step == 1:
-                record(last, 0, initial_eval)
-            if step > cfg.steps:
+            if state.step == 1:
+                metrics.append(_metrics_row(last, 0, initial_eval))
+            if state.step > cfg.steps:
                 break
             if (cfg.dump_predictions_every
-                    and step % cfg.dump_predictions_every == 0):
-                _dump_predictions(
-                    os.path.join(out_dir, f"predictions-step{step}.csv"),
+                    and state.step % cfg.dump_predictions_every == 0):
+                _dump_predictions(os.path.join(
+                    out_dir, f"predictions-step{state.step}.csv"),
                     last.weak_probs)
-            if step % cfg.eval_every == 0 or step == cfg.steps:
-                record(last, step, evaluate(state.stack, test))
+            if state.step % cfg.eval_every == 0 or state.step == cfg.steps:
+                metrics.append(_metrics_row(last, state.step,
+                                            evaluate(state.stack, test)))
     # a later step's losses catch a diverged update; the last has no later
     # step, and with the warnings off nothing else would report it
     for tensor in final.weights + final.biases:

@@ -356,6 +356,19 @@ class TestTrainCommand:
         assert code == 3
         assert "missing dataset file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", ["C=3 n=10", "C=5 n=10", "C=4 n=10 d=3"])
+    def test_test_set_must_fit_training_set(self, synth_files, tmp_path,
+                                            capsys, spec):
+        train_f, _ = synth_files
+        test_f = tmp_path / "other-test.ds"
+        assert main(["gen-data", "--synthetic", *spec.split(), "--seed", "8",
+                     "--out", str(test_f)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert quick_train(train_f, test_f, out) == 2
+        assert "error: test set has" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_dataset_is_data_error(self, synth_files, tmp_path, capsys):
         train_f, test_f = synth_files
         bad = tmp_path / "bad.ds"
@@ -646,6 +659,22 @@ class TestFuseTrace:
         code, out = self.trace(tmp_path, text=text)
         assert code == 3
         assert ":4: negative item id -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row, what", [
+        ("5,2,0.50,0.40,0.05", "does not sum to 1"),
+        ("5,2,0.50,nan,0.50", "is not a valid distribution"),
+        ("5,2,1.25,-0.25,0.00", "is not a valid distribution"),
+    ])
+    def test_malformed_distribution_is_data_error(self, tmp_path, capsys,
+                                                  row, what):
+        text = ("item,model,p0,p1,p2\n0,1,0.97,0.02,0.01\n0,2,0.96,0.03,0.01\n"
+                f"5,1,0.50,0.45,0.05\n{row}\n")
+        code, out = self.trace(tmp_path, text=text)
+        assert code == 3
+        src = tmp_path / "preds.csv"
+        assert capsys.readouterr().err == (
+            f"error: {src}: item 5 model 2 prediction {what}\n")
         assert not out.exists()
 
     def test_non_ascii_dump_names_file(self, tmp_path, capsys):

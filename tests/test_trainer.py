@@ -13,6 +13,7 @@ from copseudo.data import (
     SyntheticSpec,
     apply_missingness,
     generate_synthetic,
+    geometric_retention,
 )
 from copseudo.errors import ConfigError, DivergenceError
 from copseudo.fusion import (
@@ -112,24 +113,22 @@ def image_config(mode, hidden=(32,), steps=8):
                        objective=ObjectiveConfig(mu=4.0, batch_size=8))
 
 
+def step_once(state, ds, cfg):
+    """One train_step on the batches the state draws from ``ds``."""
+    labeled, unlabeled, true_labels = state.draw_batches(ds)
+    return train_step(state, labeled, unlabeled, cfg, true_labels)
+
+
 def run_steps(cfg, ds, stored=False):
-    """``cfg.steps`` calls of train_step on cycled batches, as float64
-    rows or, with ``stored``, in the dataset's storage form; returns the
-    state and each step's train losses."""
-    rows = ds.stored_rows if stored else ds.rows
+    """``cfg.steps`` steps on the state's own batches, drawn from a float64
+    copy of ``ds`` or, with ``stored``, from ``ds`` in its storage form;
+    returns the state and each step's train losses."""
+    if not stored:
+        ds = MaskedDataset(ds.features, ds.eval_labels(), ds.missing,
+                           ds.num_classes, ds.feature_shape)
     state = TrainerState(cfg, ds)
-    cyclers = [ShuffleCycler(ds.observed_indices(), seed)
-               for seed in cfg.seeds.data_order]
-    unlabeled = ShuffleCycler(ds.missing_indices(), cfg.seeds.unlabeled_order)
-    losses = []
-    for _ in range(cfg.steps):
-        labeled = []
-        for cycler in cyclers:
-            idx = cycler.take(cfg.objective.batch_size)
-            labeled.append((rows(idx), ds.observed_labels(idx)))
-        u_idx = unlabeled.take(cfg.objective.unlabeled_batch_size)
-        losses.append(train_step(state, labeled, rows(u_idx), cfg,
-                                 ds.eval_labels(u_idx)).train_losses)
+    losses = [step_once(state, ds, cfg).train_losses
+              for _ in range(cfg.steps)]
     return state, losses
 
 
@@ -693,14 +692,110 @@ class TestTrainRunDirectory:
             SyntheticSpec(num_classes=4, dim=2, samples_per_class=12,
                           class_separation=3.0, noise_sigma=0.4), seed=0)
         cfg = small_config()
-        with pytest.raises(ConfigError, match="unlabeled"):
+        msg = ("^training data needs at least one labeled and one "
+               "unlabeled item$")
+        with pytest.raises(ConfigError, match=msg):
+            TrainerState(cfg, full)
+        with pytest.raises(ConfigError, match=msg):
             train(cfg, full, eval_set(), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
 
     def test_batch_larger_than_labeled_pool(self, tmp_path):
         ds = tiny_dataset(num_labeled=3)
         cfg = small_config()
-        with pytest.raises(ConfigError, match="exceeds"):
+        msg = "^batch size 4 exceeds the 3 labeled items$"
+        with pytest.raises(ConfigError, match=msg):
+            TrainerState(cfg, ds)
+        with pytest.raises(ConfigError, match=msg):
             train(cfg, ds, eval_set(), tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("test, msg", [
+        (tiny_dataset(seed=5), "^test set must be fully observed$"),
+        (MaskedDataset(np.empty((0, 2)), [], [], 4), "^empty test set$"),
+    ])
+    def test_unusable_test_set_leaves_no_run_directory(self, tmp_path, test,
+                                                       msg):
+        with pytest.raises(ConfigError, match=msg):
+            train(small_config(), tiny_dataset(), test, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("num_classes, dim", [(3, 2), (5, 2), (4, 3)])
+    def test_test_set_must_fit_training_set(self, tmp_path, num_classes, dim):
+        # a 3-class set used to train and report a meaningless accuracy;
+        # the others failed mid-run and left a run directory behind
+        test = generate_synthetic(
+            SyntheticSpec(num_classes=num_classes, dim=dim, samples_per_class=5,
+                          class_separation=3.0, noise_sigma=0.4), seed=99)
+        msg = (f"^test set has {dim} features and {num_classes} classes, "
+               "training set 2 and 4$")
+        with pytest.raises(ConfigError, match=msg):
+            train(small_config(), tiny_dataset(), test, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
+
+def mnar_dataset(seed=0):
+    """Desk blobs with long-tailed labels, as in the desk-cascade3-mnar
+    benchmark workload."""
+    spec = SyntheticSpec(num_classes=4, dim=2, samples_per_class=40,
+                         class_separation=3.0, noise_sigma=0.4)
+    retention = geometric_retention(4, 0.2, p_tail=0.01)
+    return apply_missingness(generate_synthetic(spec, seed=seed),
+                             MissingnessSpec.mnar(retention, seed=seed + 1))
+
+
+SNAPSHOT_RUNS = {
+    "pair-mnar": lambda: (small_config(steps=6), mnar_dataset(), eval_set()),
+    "cascade3": lambda: (
+        small_config(num_models=3, steps=6, fusion=FusionConfig(
+            num_models=3, tau=0.6, tau_cascade=(0.5, 0.4))),
+        mnar_dataset(), eval_set()),
+    "image-single": lambda: (image_config("single", steps=6), image_dataset(),
+                             image_dataset(seed=1, size=16, num_labeled=16)),
+}
+
+
+class TestStateSnapshot:
+    """A deep copy of the state between steps carries the whole run: the
+    copy and the original, stepped in turn, end where ``train`` ends."""
+
+    @pytest.mark.parametrize("name", sorted(SNAPSHOT_RUNS))
+    def test_deep_copy_resumes_the_run(self, tmp_path, name):
+        cfg, ds, test = SNAPSHOT_RUNS[name]()
+        state = TrainerState(cfg, ds)
+        for _ in range(3):
+            step_once(state, ds, cfg)
+        snap = copy.deepcopy(state)
+        # in turn, so a stream the two shared would throw both off
+        for _ in range(3):
+            for s in (state, snap):
+                step_once(s, ds, cfg)
+        train(cfg, ds, test, tmp_path / "run")
+        ckpts = [load_checkpoint(tmp_path / "run" / f"ckpt-model{i + 1}-step6")
+                 for i in range(cfg.num_models)]
+
+        assert state.step == snap.step == 6
+        for attr in ("weights", "biases", "weight_bufs", "bias_bufs"):
+            for a, b in zip(getattr(state.stack, attr),
+                            getattr(snap.stack, attr)):
+                assert a.tobytes() == b.tobytes(), attr
+        streams = zip(state.weak_labeled + state.strong_unlabeled
+                      + [state.weak_unlabeled],
+                      snap.weak_labeled + snap.strong_unlabeled
+                      + [snap.weak_unlabeled])
+        for a, b in streams:
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        cyclers = zip(state.labeled_cyclers + [state.unlabeled_cycler],
+                      snap.labeled_cyclers + [snap.unlabeled_cycler])
+        for a, b in cyclers:
+            assert a._rng.bit_generator.state == b._rng.bit_generator.state
+            assert a._pos == b._pos
+            assert a._order.tobytes() == b._order.tobytes()
+        for s in (state, snap):
+            for ckpt, model in zip(ckpts, s.stack.models()):
+                for want, got in zip(ckpt.weights + ckpt.biases,
+                                     model.weights + model.biases):
+                    assert want.tobytes() == got.tobytes()
 
 
 class TestOneTrainStepPerStep:
