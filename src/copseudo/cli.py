@@ -7,6 +7,10 @@ re-execution of fusion on a predictions dump), ``select-subset``
 select-then-retrain recipe), and ``compare`` (delta report between two
 runs).
 
+The config classes hold every setting of a run and its default:
+``train`` and ``fuse-trace`` pass a class only the fields a flag or the
+config file set, and ``--help`` reads each default off the class.
+
 Seeds are always explicit; nothing is seeded from the clock.  Exit
 codes: 0 success, 2 bad configuration, 3 bad data, 4 runtime failure,
 including a training run that diverged (``DivergenceError``).
@@ -14,6 +18,7 @@ including a training run that diverged (``DivergenceError``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -44,6 +49,9 @@ PROFILES = {
     "desk": {"mu": 4.0, "batch_size": 16},
     "paper": {"mu": 7.0, "batch_size": 64},
 }
+DEFAULT_PROFILE = "paper"
+# a model that decides alone gives its confident items full weight
+SINGLE_MODEL_PSEUDO_WEIGHT = 1.0
 
 
 def _parse_bool(text: str) -> bool:
@@ -61,6 +69,19 @@ def _int_list(text: str) -> tuple:
 
 def _float_list(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
+
+
+# how a flag or config-file value is read, by the annotation of its field
+_CASTS = {"int": int, "float": float, "bool": _parse_bool,
+               "tuple[int, ...]": _int_list, "tuple[float, ...]": _float_list}
+
+
+def _default(cls, name: str) -> str:
+    """The class default of a config field, as ``--help`` shows it."""
+    value = getattr(cls, name)
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 def parse_kv(flag: str, tokens, casts: dict) -> dict:
@@ -107,14 +128,15 @@ def read_config_file(path) -> dict:
 
 
 class Resolver:
-    """Per-key precedence: command-line flag > config file > default."""
+    """Per-key precedence: command-line flag > config file > class default."""
 
     def __init__(self, args, file_cfg: dict):
         self._args = args
         self._file = file_cfg
         self._consumed = set()
 
-    def get(self, key: str, default, cast):
+    def get(self, key: str, cast, default=None):
+        """The flag's or the config file's value of ``key``, else default."""
         self._consumed.add(key)
         flag_value = getattr(self._args, key.replace(".", "_"))
         if flag_value is not None:
@@ -126,35 +148,57 @@ class Resolver:
                 raise ConfigError(f"config key {key}: {exc}") from None
         return default
 
+    def fields(self, cls, prefix: str = "", skip=()) -> dict:
+        """Keywords for config class ``cls``: each field, bar ``skip``,
+        whose key ``prefix + name`` a flag or the config file set."""
+        kw = {}
+        for f in dataclasses.fields(cls):
+            if f.name not in skip:
+                value = self.get(prefix + f.name, _CASTS[f.type])
+                if value is not None:
+                    kw[f.name] = value
+        return kw
+
     def reject_unknown_keys(self) -> None:
         unknown = sorted(set(self._file) - self._consumed)
         if unknown:
-            raise ConfigError("unknown config keys: " + ", ".join(unknown))
+            raise ConfigError(
+                f"unknown config keys: {', '.join(unknown)} (known: "
+                f"{', '.join(sorted(self._consumed))})")
+
+
+def _field_flag(parser, cls, name: str, help: str, flag=None,
+                shown=None, **kw) -> None:
+    """A flag for config field ``cls.name``, typed by the field's annotation,
+    whose help ends in the class default (or ``shown``)."""
+    kind = {f.name: f.type for f in dataclasses.fields(cls)}[name]
+    if kind == "bool":
+        kw.update(nargs="?", const=True, metavar="true|false")
+    parser.add_argument(flag or "--" + name.replace("_", "-"),
+                        type=_CASTS[kind], default=None, **kw,
+                        help=f"{help} (default {shown or _default(cls, name)})")
 
 
 def _add_fusion_flags(parser) -> None:
-    parser.add_argument("--tau", type=float, default=None,
-                        help="confidence threshold for a model's own "
-                             "pseudo-label proposal (default 0.95)")
+    _field_flag(parser, FusionConfig, "tau", "confidence threshold for a "
+                "model's own pseudo-label proposal")
     parser.add_argument("--tau2", type=float, default=None,
                         help="two-model consensus threshold, shorthand for a "
-                             "one-entry --tau-cascade (default 0.75)")
+                             "one-entry --tau-cascade (default "
+                             f"{_default(FusionConfig, 'tau_cascade')})")
     parser.add_argument("--tau-cascade", type=_float_list, default=None,
                         metavar="T2,T3,...",
                         help="consensus thresholds for levels 2..n, "
                              "non-ascending, all below --tau; required when "
                              "--models >= 3")
-    parser.add_argument("--pseudo-weight", type=float, default=None,
-                        help="loss weight of threshold-passed pseudo-labels "
-                             "(default 0.75, or 1.0 in single-model mode)")
-    parser.add_argument("--single-model-mode", nargs="?", const=True,
-                        type=_parse_bool, default=None, metavar="true|false",
-                        help="score each model against its own threshold "
-                             "only; no cross-model fusion")
-    parser.add_argument("--conflict-drop", nargs="?", const=True,
-                        type=_parse_bool, default=None, metavar="true|false",
-                        help="discard items whose confident models disagree "
-                             "instead of settling them with a coin flip")
+    _field_flag(parser, FusionConfig, "pseudo_weight", "loss weight of "
+                "threshold-passed pseudo-labels; unless given, "
+                f"{SINGLE_MODEL_PSEUDO_WEIGHT} in single-model mode")
+    _field_flag(parser, FusionConfig, "single_model_mode", "score each model "
+                "against its own threshold only; no cross-model fusion")
+    _field_flag(parser, FusionConfig, "conflict_drop", "discard items whose "
+                "confident models disagree instead of settling them with a "
+                "coin flip")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -197,8 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "CSV, plot columns, checkpoints). Flags beat config-file "
                     "keys beat defaults.")
     t.add_argument("--config", default=None, metavar="FILE",
-                   help="flat key=value config file (keys match flag names, "
-                        "e.g. models=2, aug.sigma_weak=0.05)")
+                   help="flat key=value config file; a key is its flag's "
+                        "name without the leading --, with _ for - and aug. "
+                        "for --aug- (e.g. models=2, eval_every=5, "
+                        "aug.sigma_weak=0.05)")
     t.add_argument("--data", default=None, help="training dataset file")
     t.add_argument("--test", default=None, help="held-out dataset file "
                    "(fully observed)")
@@ -206,58 +252,45 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=None,
                    help="master seed; every stream seed derives from it "
                         "(required)")
-    t.add_argument("--models", type=int, default=None,
-                   help="number of models trained in lock step (default 2)")
-    t.add_argument("--steps", type=int, default=None,
-                   help="optimizer steps (default 2000; 0 just records the "
-                        "initial evaluation)")
-    t.add_argument("--eval-every", type=int, default=None,
-                   help="steps between metric rows (default 50)")
-    t.add_argument("--hidden", type=_int_list, default=None, metavar="H1,H2",
-                   help="hidden layer widths (default 32)")
+    _field_flag(t, TrainConfig, "num_models", "number of models trained in "
+                "lock step", flag="--models")
+    _field_flag(t, TrainConfig, "steps", "optimizer steps; 0 just records the "
+                "initial evaluation")
+    _field_flag(t, TrainConfig, "eval_every", "steps between metric rows")
+    _field_flag(t, TrainConfig, "hidden", "hidden layer widths",
+                metavar="H1,H2")
+    presets = "; ".join(f"{name}: mu={p['mu']:g}, B={p['batch_size']}"
+                        for name, p in PROFILES.items())
     t.add_argument("--profile", choices=tuple(PROFILES), default=None,
-                   help="preset batch geometry: paper (mu=7, B=64, the "
-                        "default) or desk (mu=4, B=16)")
-    t.add_argument("--lambda-u", type=float, default=None,
-                   help="unlabeled loss weight (default 1.0)")
-    t.add_argument("--mu", type=float, default=None,
-                   help="unlabeled batch multiplier (default per profile)")
-    t.add_argument("--batch-size", type=int, default=None,
-                   help="labeled batch size B (default per profile)")
-    t.add_argument("--shared-unlabeled", nargs="?", const=True,
-                   type=_parse_bool, default=None, metavar="true|false",
-                   help="report each model's objective with the summed "
-                        "unlabeled losses of all models (default true)")
-    t.add_argument("--lr", type=float, default=None,
-                   help="learning rate (default 0.03)")
-    t.add_argument("--momentum", type=float, default=None,
-                   help="SGD momentum (default 0.9)")
-    t.add_argument("--weight-decay", type=float, default=None,
-                   help="L2 penalty folded into the update (default 5e-4)")
-    t.add_argument("--cosine-lr", nargs="?", const=True, type=_parse_bool,
-                   default=None, metavar="true|false",
-                   help="cosine-decay the learning rate over the step budget "
-                        "(default false)")
-    t.add_argument("--dump-predictions-every", type=int, default=None,
-                   metavar="K",
-                   help="every K steps, dump the weak-view predictions the "
-                        "fusion saw (enables offline fuse-trace replay; "
-                        "default 0, off)")
-    t.add_argument("--aug-sigma-weak", type=float, default=None,
-                   help="weak augmentation noise sigma for vector data "
-                        "(default 0.05)")
-    t.add_argument("--aug-sigma-strong", type=float, default=None,
-                   help="strong augmentation noise sigma for vector data "
-                        "(default 0.25)")
-    t.add_argument("--aug-vector-drop-prob", type=float, default=None,
-                   help="strong augmentation coordinate dropout probability "
-                        "(default 0.1)")
-    t.add_argument("--aug-image-shift-weak", type=int, default=None,
-                   help="max pixel translation of weak image augmentation "
-                        "(default 4)")
-    t.add_argument("--aug-image-shift-strong", type=int, default=None,
-                   help="max pixel translation of strong image augmentation "
-                        "(default 8)")
+                   help=f"preset batch geometry ({presets}; default "
+                        f"{DEFAULT_PROFILE})")
+    _field_flag(t, ObjectiveConfig, "lambda_u", "unlabeled loss weight")
+    _field_flag(t, ObjectiveConfig, "mu", "unlabeled batch multiplier",
+                shown="per profile")
+    _field_flag(t, ObjectiveConfig, "batch_size", "labeled batch size B",
+                shown="per profile")
+    _field_flag(t, ObjectiveConfig, "shared_unlabeled", "report each model's "
+                "objective with the summed unlabeled losses of all models")
+    _field_flag(t, TrainConfig, "lr", "learning rate")
+    _field_flag(t, TrainConfig, "momentum", "SGD momentum")
+    _field_flag(t, TrainConfig, "weight_decay", "L2 penalty folded into the "
+                "update")
+    _field_flag(t, TrainConfig, "cosine_lr", "cosine-decay the learning rate "
+                "over the step budget")
+    _field_flag(t, TrainConfig, "dump_predictions_every", "every K steps, dump "
+                "the weak-view predictions the fusion saw, for offline "
+                "fuse-trace replay; 0 is off", metavar="K")
+    for name, help in (
+            ("sigma_weak", "weak augmentation noise sigma for vector data"),
+            ("sigma_strong", "strong augmentation noise sigma for vector data"),
+            ("vector_drop_prob", "strong augmentation coordinate dropout "
+                                 "probability"),
+            ("image_shift_weak", "max pixel translation of weak image "
+                                 "augmentation"),
+            ("image_shift_strong", "max pixel translation of strong image "
+                                   "augmentation")):
+        _field_flag(t, AugmentConfig, name, help,
+                    flag="--aug-" + name.replace("_", "-"))
     _add_fusion_flags(t)
 
     f = sub.add_parser(
@@ -383,102 +416,64 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _resolve_cascade(resolver, models: int, single: bool, problems: list):
-    tau2 = resolver.get("tau2", None, float)
-    cascade = resolver.get("tau_cascade", None, _float_list)
+def _fusion_kw(resolver, models: int, problems: list) -> dict:
+    """FusionConfig keywords that train and fuse-trace share: the fields
+    given, then the CLI's rules for the cascade and the pseudo-weight."""
+    kw = resolver.fields(FusionConfig, skip=("tau_cascade", "num_models"))
+    single = kw.get("single_model_mode", FusionConfig.single_model_mode)
+    if single:
+        kw.setdefault("pseudo_weight", SINGLE_MODEL_PSEUDO_WEIGHT)
+    tau2 = resolver.get("tau2", float)
+    cascade = resolver.get("tau_cascade", _float_list)
     if tau2 is not None and cascade is not None:
         problems.append("give --tau2 or --tau-cascade, not both")
-        return ()
-    if cascade is None and tau2 is not None:
+    elif tau2 is not None:
         cascade = (tau2,)
-    if cascade is None:
-        # single-model mode never consults the cascade
-        if models == 1 or (single and models > 2):
-            cascade = ()
-        elif models == 2:
-            cascade = (0.75,)
-        else:
+    elif cascade is None and models != 2:
+        # the class default is a two-model cascade, and single-model mode
+        # never consults the cascade
+        cascade = ()
+        if not (single or models == 1):
             problems.append(f"a {models}-model cascade needs --tau-cascade "
                             f"with {models - 1} thresholds")
-            cascade = ()
-    return tuple(cascade)
-
-
-def _fusion_kw(resolver, models: int, problems: list) -> dict:
-    """FusionConfig keywords with the defaults train and fuse-trace share."""
-    single = resolver.get("single_model_mode", False, _parse_bool)
-    cascade = _resolve_cascade(resolver, models, single, problems)
-    return dict(
-        tau=resolver.get("tau", 0.95, float),
-        tau_cascade=cascade,
-        pseudo_weight=resolver.get("pseudo_weight", 1.0 if single else 0.75,
-                                   float),
-        num_models=models,
-        single_model_mode=single,
-        conflict_drop=resolver.get("conflict_drop", False, _parse_bool))
+    if cascade is not None:
+        kw["tau_cascade"] = cascade
+    return dict(kw, num_models=models)
 
 
 def cmd_train(args) -> int:
     file_cfg = read_config_file(args.config) if args.config else {}
     r = Resolver(args, file_cfg)
-    problems = []
-
-    data_path = r.get("data", None, str)
-    test_path = r.get("test", None, str)
-    out_dir = r.get("out", None, str)
-    seed = r.get("seed", None, int)
-    if data_path is None:
-        problems.append("--data is required")
-    if test_path is None:
-        problems.append("--test is required")
-    if out_dir is None:
-        problems.append("--out is required")
+    paths = {key: r.get(key, str) for key in ("data", "test", "out")}
+    problems = [f"--{key} is required" for key, path in paths.items()
+                if path is None]
+    seed = r.get("seed", int)
     if seed is None:
         problems.append("seed required")
     else:
         name = "--seed" if args.seed is not None else "config key seed"
         problems += _negative_values([(name, seed)])
 
-    profile = r.get("profile", "paper", str)
+    profile = r.get("profile", str, DEFAULT_PROFILE)
     if profile not in PROFILES:
         problems.append(f"unknown profile {profile!r} (choose desk or paper)")
-        profile = "paper"
-    preset = PROFILES[profile]
 
-    models = r.get("models", 2, int)
+    models = r.get("models", int, TrainConfig.num_models)
     fusion_kw = _fusion_kw(r, models, problems)
-    objective_kw = dict(
-        lambda_u=r.get("lambda_u", 1.0, float),
-        shared_unlabeled=r.get("shared_unlabeled", True, _parse_bool),
-        mu=r.get("mu", preset["mu"], float),
-        batch_size=r.get("batch_size", preset["batch_size"], int))
-    aug_kw = dict(
-        sigma_weak=r.get("aug.sigma_weak", 0.05, float),
-        sigma_strong=r.get("aug.sigma_strong", 0.25, float),
-        vector_drop_prob=r.get("aug.vector_drop_prob", 0.1, float),
-        image_shift_weak=r.get("aug.image_shift_weak", 4, int),
-        image_shift_strong=r.get("aug.image_shift_strong", 8, int))
-    train_kw = dict(
-        num_models=models,
-        steps=r.get("steps", 2000, int),
-        eval_every=r.get("eval_every", 50, int),
-        hidden=r.get("hidden", (32,), _int_list),
-        lr=r.get("lr", 0.03, float),
-        momentum=r.get("momentum", 0.9, float),
-        weight_decay=r.get("weight_decay", 5e-4, float),
-        cosine_lr=r.get("cosine_lr", False, _parse_bool),
-        dump_predictions_every=r.get("dump_predictions_every", 0, int))
+    objective_kw = dict(PROFILES.get(profile, {}), **r.fields(ObjectiveConfig))
+    aug_kw = r.fields(AugmentConfig, prefix="aug.")
+    train_kw = r.fields(TrainConfig, skip=("seeds", "num_models", "fusion",
+                                           "objective", "aug"))
     r.reject_unknown_keys()
     if problems:
         raise ConfigError("; ".join(problems))
 
     cfg = TrainConfig(seeds=SeedPlan.from_master(seed, models),
-                      fusion=FusionConfig(**fusion_kw),
+                      num_models=models, fusion=FusionConfig(**fusion_kw),
                       objective=ObjectiveConfig(**objective_kw),
                       aug=AugmentConfig(**aug_kw), **train_kw)
-    ds = load_dataset(data_path)
-    test = load_dataset(test_path)
-    out = train(cfg, ds, test, out_dir)
+    out = train(cfg, load_dataset(paths["data"]), load_dataset(paths["test"]),
+                paths["out"])
     metrics = read_csv(os.path.join(out, METRICS_FILENAME))
     last = metrics.rows[-1]
     print(f"run complete: {out}")

@@ -17,20 +17,24 @@ that carries no loss costs only its draws (see
 A pixel dataset's batches reach the augment streams as its uint8
 pixels; each view divides them into its float64 block.
 
-``TrainerState`` owns all a run carries between steps: the n models and
-their momentum buffers as one ``predictor.ModelStack``, the augment
-streams, the batch cyclers and the step; a deep copy of it is a snapshot
-of the run.  ``evaluate`` scores a stack on the test set, each number
-averaged over its models, and multiplies a large set's first layer in
-row chunks.  ``DivergenceError`` is the one report of a non-finite value
-inside the loop.
+``TrainerState`` owns all a run carries between steps: the
+``TrainConfig`` it was built from, which ``train_step`` reads, the n
+models and their momentum buffers as one ``predictor.ModelStack``, the
+augment streams, the batch cyclers and the step; a deep copy of it is a
+snapshot of the run.  The config classes hold every default, and
+``resolved_config_lines`` reads ``config.resolved`` off their fields, so
+a field added to a class is written with no further code.  ``evaluate``
+scores a stack on the test set, each number averaged over its models,
+and multiplies a large set's first layer in row chunks.
+``DivergenceError`` is the one report of a non-finite value inside the
+loop.
 """
 from __future__ import annotations
 
 import copy
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -177,10 +181,12 @@ class ShuffleCycler:
 
 
 class TrainerState:
-    """The stacked models and every stateful stream of a run; it keeps no
-    dataset, so a deep copy is a snapshot of the run between steps."""
+    """The config, the stacked models and every stateful stream of a run;
+    it keeps no dataset, so a deep copy is a snapshot of the run between
+    steps."""
 
     def __init__(self, cfg: TrainConfig, ds: MaskedDataset):
+        self.cfg = cfg
         num_labeled = ds.num_observed
         if num_labeled == 0 or ds.num_missing == 0:
             raise ConfigError("training data needs at least one labeled and one "
@@ -230,9 +236,10 @@ class TrainerState:
         return labeled, ds.stored_rows(u_idx), ds.eval_labels(u_idx)
 
 
-def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig,
+def train_step(state: TrainerState, labeled_batches, unlabeled,
                unlabeled_true_labels_eval_only) -> StepMetrics:
-    """Advance every model one step; mutates ``state`` in place.
+    """Advance every model one step under ``state.cfg``; mutates ``state``
+    in place.
 
     ``labeled_batches`` is a per-model list of (rows, labels);
     ``unlabeled`` is the shared (mu*B, d) block of rows.  Rows are float64
@@ -243,6 +250,7 @@ def train_step(state: TrainerState, labeled_batches, unlabeled, cfg: TrainConfig
     A non-finite loss or weak-view prediction raises ``DivergenceError``
     naming the step.
     """
+    cfg = state.cfg
     n = cfg.num_models
     if len(labeled_batches) != n:
         raise ConfigError(f"need {n} labeled batches, got {len(labeled_batches)}")
@@ -342,39 +350,30 @@ def evaluate(stack: ModelStack, test: MaskedDataset) -> tuple[float, float]:
 
 
 def resolved_config_lines(cfg: TrainConfig) -> list[str]:
-    """Flat key=value lines capturing every knob and seed, sorted."""
-    kv = {
-        "num_models": cfg.num_models,
-        "steps": cfg.steps,
-        "eval_every": cfg.eval_every,
-        "hidden": ",".join(str(h) for h in cfg.hidden),
-        "lr": cfg.lr,
-        "momentum": cfg.momentum,
-        "weight_decay": cfg.weight_decay,
-        "cosine_lr": cfg.cosine_lr,
-        "dump_predictions_every": cfg.dump_predictions_every,
-        "tau": cfg.fusion.tau,
-        "tau_cascade": ",".join(repr(t) for t in cfg.fusion.tau_cascade),
-        "pseudo_weight": cfg.fusion.pseudo_weight,
-        "single_model_mode": cfg.fusion.single_model_mode,
-        "conflict_drop": cfg.fusion.conflict_drop,
-        "lambda_u": cfg.objective.lambda_u,
-        "shared_unlabeled": cfg.objective.shared_unlabeled,
-        "mu": cfg.objective.mu,
-        "batch_size": cfg.objective.batch_size,
-        "aug.sigma_weak": cfg.aug.sigma_weak,
-        "aug.sigma_strong": cfg.aug.sigma_strong,
-        "aug.vector_drop_prob": cfg.aug.vector_drop_prob,
-        "aug.image_shift_weak": cfg.aug.image_shift_weak,
-        "aug.image_shift_strong": cfg.aug.image_shift_strong,
-        "seed.fusion": cfg.seeds.fusion,
-        "seed.unlabeled_order": cfg.seeds.unlabeled_order,
-        "seed.unlabeled_weak": cfg.seeds.unlabeled_weak,
-    }
-    for i in range(cfg.num_models):
-        kv[f"seed.init_m{i + 1}"] = cfg.seeds.init[i]
-        kv[f"seed.data_order_m{i + 1}"] = cfg.seeds.data_order[i]
-        kv[f"seed.augment_m{i + 1}"] = cfg.seeds.augment[i]
+    """Flat key=value lines, sorted: every field of ``cfg`` and of its
+    fusion, objective, augment (``aug.``) and seed (``seed.``) sections; a
+    per-model seed tuple gives one ``_m<i>`` key per model, another tuple
+    one comma-joined value."""
+    kv = {}
+    for section, prefix in ((cfg, ""), (cfg.fusion, ""), (cfg.objective, ""),
+                            (cfg.aug, "aug."), (cfg.seeds, "seed.")):
+        for f in fields(section):
+            key, value = prefix + f.name, getattr(section, f.name)
+            # the sections are walked on their own, and the fusion config's
+            # model count is the trainer's
+            if is_dataclass(value) or (section is cfg.fusion
+                                       and f.name == "num_models"):
+                continue
+            if section is cfg.seeds and isinstance(value, tuple):
+                items = [(f"{key}_m{i + 1}", v) for i, v in enumerate(value)]
+            elif isinstance(value, tuple):
+                items = [(key, ",".join(str(v) for v in value))]
+            else:
+                items = [(key, value)]
+            for key, value in items:
+                if key in kv:
+                    raise ValueError(f"two config fields write key {key}")
+                kv[key] = value
     return [f"{k}={kv[k]}" for k in sorted(kv)]
 
 
@@ -406,8 +405,13 @@ def _metrics_row(last: StepMetrics, step: int, evaluated) -> MetricsRow:
 
 def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
           out_dir) -> str:
-    """Run the loop and write the run directory; returns its path.  A
+    """Run the loop and write the run directory ``out_dir``, new or empty,
+    so no earlier run's file sits beside this run's; returns its path.  A
     dataset or test set that cannot make a run leaves no directory."""
+    if os.path.exists(out_dir) and (not os.path.isdir(out_dir)
+                                    or os.listdir(out_dir)):
+        raise ConfigError(f"run directory {out_dir} exists and is not an "
+                          "empty directory")
     if (test.width, test.num_classes) != (ds.width, ds.num_classes):
         raise ConfigError(
             f"test set has {test.width} features and {test.num_classes} "
@@ -431,7 +435,7 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while state.step < max(cfg.steps, 1):
             labeled, u_feats, u_true = state.draw_batches(ds)
-            last = train_step(state, labeled, u_feats, cfg, u_true)
+            last = train_step(state, labeled, u_feats, u_true)
             # free this step's batch before the next one is drawn
             del labeled, u_feats, u_true
             if state.step == 1:

@@ -11,6 +11,7 @@ import pytest
 
 import copseudo
 import copseudo.cli as cli_mod
+import copseudo.trainer as trainer_mod
 from copseudo.cli import build_parser, main
 from copseudo.data import (
     CIFAR_IMAGE_SHAPE,
@@ -21,7 +22,9 @@ from copseudo.data import (
     save_dataset,
     write_cifar10_batch,
 )
-from copseudo.fusion import FusionConfig, fuse_cascade, fuse_pair, fuse_single
+from copseudo.fusion import (FusionConfig, fuse_cascade, fuse_pair,
+                             fuse_single, fuse_valid_batch)
+from copseudo.losses import ObjectiveConfig
 from copseudo.metrics import compare_runs, read_csv
 from copseudo.predictor import (
     EVAL_CHUNK_ROWS,
@@ -30,6 +33,7 @@ from copseudo.predictor import (
     predict_models,
     save_checkpoint,
 )
+from copseudo.trainer import SeedPlan, TrainConfig, resolved_config_lines
 from oracles import reference_predict_proba, save_dataset_v1
 
 
@@ -259,6 +263,58 @@ class TestTrainCommand:
                      "--seed", "5"])
         assert code == 2
         assert "unknown config keys: stepz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["eval-every=5", "aug_sigma_weak=0.1"])
+    def test_unknown_config_key_lists_the_known_keys(self, synth_files,
+                                                     tmp_path, capsys, line):
+        train_f, test_f = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["train", "--config", str(cfg), "--data", str(train_f),
+                     "--test", str(test_f), "--out", str(tmp_path / "r"),
+                     "--seed", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        key = line.split("=")[0]
+        assert err.startswith(f"error: unknown config keys: {key} (known: ")
+        known = err.split("(known: ", 1)[1].rstrip(")\n").split(", ")
+        for want in ("models", "eval_every", "tau2", "tau_cascade",
+                     "aug.sigma_weak", "profile", "seed"):
+            assert want in known
+        assert not (tmp_path / "r").exists()
+
+    def test_config_help_states_the_key_rule(self, capsys):
+        assert main(["train", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("a key is its flag's name without the leading --, with _ for "
+                "- and aug. for --aug-") in text
+
+    def test_used_run_directory_is_refused(self, synth_files, tmp_path,
+                                           capsys):
+        train_f, test_f = synth_files
+        out = tmp_path / "run"
+        assert quick_train(train_f, test_f, out,
+                           extra=("--dump-predictions-every", "2")) == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        code = quick_train(train_f, test_f, out,
+                           extra=("--models", "3", "--tau-cascade",
+                                  "0.85,0.75", "--steps", "1"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: run directory {out} exists and is not an empty "
+            "directory\n")
+        assert tree_bytes(out) == before
+
+    def test_out_naming_a_file_is_refused(self, synth_files, tmp_path,
+                                          capsys):
+        train_f, test_f = synth_files
+        out = tmp_path / "taken"
+        out.write_text("keep me\n")
+        assert quick_train(train_f, test_f, out) == 2
+        assert "exists and is not an empty directory" in \
+            capsys.readouterr().err
+        assert out.read_text() == "keep me\n"
 
     def test_desk_profile_presets(self, synth_files, tmp_path):
         train_f, test_f = synth_files
@@ -548,6 +604,56 @@ item,model,p0,p1,p2
 5,1,0.50,0.45,0.05
 5,2,0.02,0.97,0.01
 """
+
+
+class TestCliMatchesConfigClasses:
+    """With no setting given, the CLI runs the config classes' defaults."""
+
+    @pytest.mark.parametrize("profile, mu, batch_size",
+                             [("desk", 4.0, 16), ("paper", 7.0, 64)])
+    def test_train_writes_the_class_defaults(self, tmp_path, monkeypatch,
+                                             capsys, profile, mu, batch_size):
+        train_f = gen_synth(tmp_path / "train.ds", per_class=40, labeled=70)
+        test_f = gen_synth(tmp_path / "test.ds", per_class=10, seed=8)
+
+        def stop(*args):
+            raise RuntimeError("stopped at the first step")
+
+        # config.resolved is written before the first step; the default
+        # 2000 steps need not run
+        monkeypatch.setattr(trainer_mod, "train_step", stop)
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(train_f), "--test", str(test_f),
+                     "--out", str(out), "--seed", "5",
+                     "--profile", profile]) == 4
+        assert "stopped at the first step" in capsys.readouterr().err
+        library = TrainConfig(
+            seeds=SeedPlan.from_master(5, TrainConfig.num_models),
+            objective=ObjectiveConfig(mu=mu, batch_size=batch_size))
+        assert (out / "config.resolved").read_text() == \
+            "\n".join(resolved_config_lines(library)) + "\n"
+
+    @pytest.mark.parametrize("extra, want", [
+        ((), FusionConfig(num_models=2)),
+        (("--single-model-mode",),
+         FusionConfig(num_models=2, single_model_mode=True,
+                      pseudo_weight=1.0)),
+    ])
+    def test_fuse_trace_fuses_with_the_class_defaults(self, tmp_path,
+                                                      monkeypatch, extra,
+                                                      want):
+        seen = []
+
+        def spy(probs, cfg, *args, **kwargs):
+            seen.append(cfg)
+            return fuse_valid_batch(probs, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "fuse_valid_batch", spy)
+        src = tmp_path / "preds.csv"
+        src.write_text(PAIR_EXAMPLES)
+        assert main(["fuse-trace", str(src), "--seed", "0", "--out",
+                     str(tmp_path / "trace.csv"), *extra]) == 0
+        assert seen == [want]
 
 
 class TestFuseTrace:

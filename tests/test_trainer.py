@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -113,10 +114,10 @@ def image_config(mode, hidden=(32,), steps=8):
                        objective=ObjectiveConfig(mu=4.0, batch_size=8))
 
 
-def step_once(state, ds, cfg):
+def step_once(state, ds):
     """One train_step on the batches the state draws from ``ds``."""
     labeled, unlabeled, true_labels = state.draw_batches(ds)
-    return train_step(state, labeled, unlabeled, cfg, true_labels)
+    return train_step(state, labeled, unlabeled, true_labels)
 
 
 def run_steps(cfg, ds, stored=False):
@@ -127,9 +128,15 @@ def run_steps(cfg, ds, stored=False):
         ds = MaskedDataset(ds.features, ds.eval_labels(), ds.missing,
                            ds.num_classes, ds.feature_shape)
     state = TrainerState(cfg, ds)
-    losses = [step_once(state, ds, cfg).train_losses
+    losses = [step_once(state, ds).train_losses
               for _ in range(cfg.steps)]
     return state, losses
+
+
+def dir_bytes(root):
+    """Each file under ``root`` and its bytes, keyed by relative path."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 def small_config(master=7, num_models=2, steps=3, **kw):
@@ -285,7 +292,7 @@ class TestTrainStepOracle:
 
         expected, _ = self.manual_step(state, labeled, unlabeled, cfg,
                                        step_index=1)
-        train_step(state, labeled, unlabeled, cfg, ds.eval_labels(u_idx))
+        train_step(state, labeled, unlabeled, ds.eval_labels(u_idx))
         for got, want in zip(state.stack.models(), expected):
             for gw, ww in zip(got.weights, want.weights):
                 assert (gw == ww).all()
@@ -295,7 +302,7 @@ class TestTrainStepOracle:
         # second step continues the same streams and fusion sub-streams
         expected, _ = self.manual_step(state, labeled, unlabeled, cfg,
                                        step_index=2)
-        train_step(state, labeled, unlabeled, cfg, ds.eval_labels(u_idx))
+        train_step(state, labeled, unlabeled, ds.eval_labels(u_idx))
         for got, want in zip(state.stack.models(), expected):
             for gw, ww in zip(got.weights, want.weights):
                 assert (gw == ww).all()
@@ -321,7 +328,7 @@ class TestTrainStepOracle:
         for step_index in (1, 2):
             expected, decisions = self.manual_step(state, labeled, unlabeled,
                                                    cfg, step_index)
-            metrics = train_step(state, labeled, unlabeled, cfg, truth)
+            metrics = train_step(state, labeled, unlabeled, truth)
             ratios.append(metrics.mask_ratio)
             assert metrics.mask_ratio == np.mean([mask_ratio(d)
                                                   for d in decisions])
@@ -355,7 +362,7 @@ class TestTrainStepOracle:
         labeled = [(ds.features[idx], ds.observed_labels(idx))] * 2
         u_idx = ds.missing_indices()[:8]
         for _ in range(3):
-            train_step(state, labeled, ds.features[u_idx], cfg,
+            train_step(state, labeled, ds.features[u_idx],
                        ds.eval_labels(u_idx))
         for w in state.stack.weights:
             assert (w[0] == w[1]).all()
@@ -368,7 +375,7 @@ class TestTrainStepOracle:
         labeled = [(ds.features[idx], ds.observed_labels(idx))] * 2
         u_idx = ds.missing_indices()[:8]
         clone = copy.deepcopy(state)
-        metrics = train_step(state, labeled, ds.features[u_idx], cfg,
+        metrics = train_step(state, labeled, ds.features[u_idx],
                              ds.eval_labels(u_idx))
         assert isinstance(metrics, StepMetrics)
         assert metrics.step == 1
@@ -403,7 +410,7 @@ class TestTrainStepOracle:
         kept = []
         for _ in range(2):
             clone = copy.deepcopy(state)
-            metrics = train_step(state, labeled, u_feats, cfg, u_true)
+            metrics = train_step(state, labeled, u_feats, u_true)
             assert state.labeled_views is blocks[0]
             assert state.strong_views is blocks[1]
             weak = clone.weak_unlabeled.apply_batch(u_feats)
@@ -436,11 +443,11 @@ class TestTrainStepOracle:
         idx = ds.observed_indices()[:3]
         labeled = [(ds.features[idx], ds.observed_labels(idx))] * 2
         with pytest.raises(ConfigError, match="batch size"):
-            train_step(state, labeled, ds.features[:8], cfg, np.zeros(8))
+            train_step(state, labeled, ds.features[:8], np.zeros(8))
         idx = ds.observed_indices()[:4]
         short = [(ds.features[idx], ds.observed_labels(idx)[:3])] * 2
         with pytest.raises(ConfigError, match="labeled batch size"):
-            train_step(state, short, ds.features[:8], cfg, np.zeros(8))
+            train_step(state, short, ds.features[:8], np.zeros(8))
 
     @pytest.mark.parametrize("bad", [7, 4, -1])
     def test_label_range_validation(self, bad):
@@ -456,7 +463,7 @@ class TestTrainStepOracle:
         labeled = [(ds.features[idx], ds.observed_labels(idx)),
                    (ds.features[idx], labels)]
         with pytest.raises(ConfigError, match="^target class out of range$"):
-            train_step(state, labeled, ds.features[:8], cfg, np.zeros(8))
+            train_step(state, labeled, ds.features[:8], np.zeros(8))
         assert state.step == 0
         for got, want in zip(state.stack.weights + state.stack.biases,
                              before.stack.weights + before.stack.biases):
@@ -733,6 +740,31 @@ class TestTrainRunDirectory:
             train(small_config(), tiny_dataset(), test, tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
+    def test_refuses_a_used_run_directory(self, tmp_path):
+        # a second run used to write beside the first one's checkpoints and
+        # dumps, leaving a config.resolved that described only itself
+        _, out = self.run_once(tmp_path, dump_predictions_every=2)
+        before = dir_bytes(out)
+        cfg = small_config(num_models=3, steps=1, fusion=FusionConfig(
+            num_models=3, tau_cascade=(0.75, 0.6)))
+        with pytest.raises(ConfigError, match=f"^run directory {out} exists "
+                           "and is not an empty directory$"):
+            train(cfg, tiny_dataset(), eval_set(), out)
+        assert dir_bytes(out) == before
+
+    def test_refuses_a_file(self, tmp_path):
+        out = tmp_path / "run"
+        out.write_text("keep me\n")
+        with pytest.raises(ConfigError, match="exists and is not an empty"):
+            train(small_config(), tiny_dataset(), eval_set(), out)
+        assert out.read_text() == "keep me\n"
+
+    def test_accepts_an_empty_directory(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        _, out = self.run_once(tmp_path, name="empty")
+        _, fresh = self.run_once(tmp_path, name="fresh")
+        assert dir_bytes(out) == dir_bytes(fresh)
+
 
 def mnar_dataset(seed=0):
     """Desk blobs with long-tailed labels, as in the desk-cascade3-mnar
@@ -764,17 +796,18 @@ class TestStateSnapshot:
         cfg, ds, test = SNAPSHOT_RUNS[name]()
         state = TrainerState(cfg, ds)
         for _ in range(3):
-            step_once(state, ds, cfg)
+            step_once(state, ds)
         snap = copy.deepcopy(state)
         # in turn, so a stream the two shared would throw both off
         for _ in range(3):
             for s in (state, snap):
-                step_once(s, ds, cfg)
+                step_once(s, ds)
         train(cfg, ds, test, tmp_path / "run")
         ckpts = [load_checkpoint(tmp_path / "run" / f"ckpt-model{i + 1}-step6")
                  for i in range(cfg.num_models)]
 
         assert state.step == snap.step == 6
+        assert snap.cfg == state.cfg == cfg
         for attr in ("weights", "biases", "weight_bufs", "bias_bufs"):
             for a, b in zip(getattr(state.stack, attr),
                             getattr(snap.stack, attr)):
@@ -885,7 +918,7 @@ class TestDivergence:
         u_idx = ds.missing_indices()[:8]
         with pytest.raises(DivergenceError,
                            match="diverged at step 42: model 2 supervised loss"):
-            train_step(state, [batch, batch], ds.rows(u_idx), cfg,
+            train_step(state, [batch, batch], ds.rows(u_idx),
                        ds.eval_labels(u_idx))
 
 
@@ -952,18 +985,18 @@ class TestCosineLr:
         u_idx = ds.missing_indices()[:8]
         s_flat = TrainerState(cfg_flat, ds)
         s_cos = TrainerState(cfg_cos, ds)
-        train_step(s_flat, labeled, ds.features[u_idx], cfg_flat,
+        train_step(s_flat, labeled, ds.features[u_idx],
                    ds.eval_labels(u_idx))
-        train_step(s_cos, labeled, ds.features[u_idx], cfg_cos,
+        train_step(s_cos, labeled, ds.features[u_idx],
                    ds.eval_labels(u_idx))
         # cos(0) = 1, so the first update is identical either way
         for a, b in zip(s_flat.stack.weights, s_cos.stack.weights):
             assert (a == b).all()
         # later steps shrink the rate, so the histories diverge
         for _ in range(3):
-            train_step(s_flat, labeled, ds.features[u_idx], cfg_flat,
+            train_step(s_flat, labeled, ds.features[u_idx],
                        ds.eval_labels(u_idx))
-            train_step(s_cos, labeled, ds.features[u_idx], cfg_cos,
+            train_step(s_cos, labeled, ds.features[u_idx],
                        ds.eval_labels(u_idx))
         assert not all((a == b).all() for a, b in
                        zip(s_flat.stack.weights, s_cos.stack.weights))
@@ -989,7 +1022,7 @@ class TestCosineLr:
         for k in range(cfg.steps):
             rate = cfg.lr * math.cos(7.0 * math.pi * k / (16.0 * cfg.steps))
             before = copy.deepcopy(state.stack)
-            train_step(state, labeled, ds.features[u_idx], cfg,
+            train_step(state, labeled, ds.features[u_idx],
                        ds.eval_labels(u_idx))
             grads = seen[-1]
             for i, (got, params) in enumerate(zip(state.stack.models(),
@@ -1173,3 +1206,50 @@ class TestResolvedConfigLines:
         keys = [ln.split("=", 1)[0] for ln in lines]
         assert keys == sorted(keys)
         assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("num_models", [1, 3])
+    def test_one_key_per_config_field(self, num_models):
+        fusion = (FusionConfig(num_models=3, tau_cascade=(0.75, 0.6))
+                  if num_models == 3 else None)
+        cfg = small_config(num_models=num_models,
+                           **({"fusion": fusion} if fusion else {}))
+        want = {}
+        for section, prefix in ((cfg, ""), (cfg.fusion, ""),
+                                (cfg.objective, ""), (cfg.aug, "aug.")):
+            for f in dataclasses.fields(section):
+                value = getattr(section, f.name)
+                if f.name in ("seeds", "fusion", "objective", "aug") or (
+                        section is cfg.fusion and f.name == "num_models"):
+                    continue
+                if isinstance(value, tuple):
+                    value = ",".join(str(v) for v in value)
+                want[prefix + f.name] = str(value)
+        for f in dataclasses.fields(SeedPlan):
+            value = getattr(cfg.seeds, f.name)
+            if isinstance(value, tuple):
+                assert len(value) == num_models
+                for i, v in enumerate(value):
+                    want[f"seed.{f.name}_m{i + 1}"] = str(v)
+            else:
+                want[f"seed.{f.name}"] = str(value)
+        got = dict(ln.split("=", 1) for ln in resolved_config_lines(cfg))
+        assert got == want
+        assert len(got) == 26 + 3 * num_models
+
+    def test_a_new_field_is_written(self):
+        @dataclasses.dataclass(frozen=True)
+        class Extended(AugmentConfig):
+            blur: float = 0.5
+
+        cfg = dataclasses.replace(small_config(), aug=Extended())
+        assert "aug.blur=0.5" in resolved_config_lines(cfg)
+
+    def test_key_collision_raises(self):
+        @dataclasses.dataclass(frozen=True)
+        class Clashing(ObjectiveConfig):
+            lr: float = 0.5
+
+        cfg = dataclasses.replace(small_config(), objective=Clashing())
+        with pytest.raises(ValueError, match="^two config fields write key "
+                                             "lr$"):
+            resolved_config_lines(cfg)
