@@ -5,8 +5,8 @@
 #
 # Each tree is a checkout of the repository; its package is imported from
 # <tree>/src. For each tree the script generates the datasets, trains the
-# twelve configurations below (nine desk-profile runs on 2-wide vectors and
-# three paper-profile runs on 3072-wide CIFAR-format images written by the
+# thirteen configurations below (nine desk-profile runs on 2-wide vectors
+# and four paper-profile runs on 3072-wide CIFAR-format images written by the
 # script itself, whose test set is large enough to be evaluated in row
 # chunks), replays every prediction dump with `copseudo fuse-trace`,
 # and records each command's stdout, stderr and exit code. It also decodes
@@ -46,7 +46,10 @@ work=$(cd "$work" && pwd)
 # as well). The thresholds of image-cascade3 and image-single2 make the
 # share of strong-view rows that carry a loss pass through 0, values
 # between 0 and 1 and 1 within their 12 steps, so rows whose strong view
-# is skipped meet rows that are built.
+# is skipped meet rows that are built. image-shifts gives the weak views
+# no shift, so a weak row draws only its flip, and the strong views shifts
+# of up to 40 pixels, so about two strong translations in five leave
+# nothing of the 32-pixel image in view.
 DESK="--profile desk"
 CONFIGS=(
     "pair|mcar|test|$DESK --models 2 --steps 60 --eval-every 10 --dump-predictions-every 20|"
@@ -59,6 +62,7 @@ CONFIGS=(
     "steps1|mcar|test|$DESK --models 2 --steps 1|"
     "low-tau|mcar|test|$DESK --models 2 --steps 40 --eval-every 20 --dump-predictions-every 20|--tau 0.4 --tau2 0.3"
     "image|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2|--tau 0.3 --tau2 0.2"
+    "image-shifts|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2 --aug-image-shift-weak 0 --aug-image-shift-strong 40|--tau 0.3 --tau2 0.2"
     "image-cascade3|image|image-test|--profile paper --models 3 --steps 12 --eval-every 4 --dump-predictions-every 4|--tau 0.2 --tau-cascade 0.18,0.16"
     "image-single2|image|image-test|--profile paper --models 2 --steps 12 --eval-every 4|--single-model-mode --tau 0.22"
 )

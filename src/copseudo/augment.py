@@ -22,19 +22,32 @@ The image transforms also take uint8 pixels, whose features are
 ``out`` exactly once, with the divide ``MaskedDataset.rows`` uses, so a
 view of pixels equals the view of their float64 rows bit for bit.
 
-The image transforms draw their bounded integers (shifts, op codes,
-cutout corners) through ``_int_draws``: one call into the bit
-generator's C ``next_uint32``, mapped by numpy's 32-bit Lemire rule, gives
-the int and the generator state ``rng.integers(lo, hi)`` would give
-without numpy's per-call argument handling.  Floats (``rng.random()``,
-``rng.uniform``) stay numpy calls: numpy computes ``low + range *
-next_double`` in C, which some builds contract to one fused multiply-add,
-and Python's two roundings would not match it.
+The image transforms draw from one of two sources that give the same
+values and leave the generator in the same state.  When the stream's bit generator is a
+``PCG64``, as every ``AugmentStream``'s is, a batch takes its 64-bit words
+from one ``random_raw`` call (topped up if a strong batch runs short) and
+replays from them, in row order, what numpy's calls would return:
+``next_uint32`` as a word's low half and then its high half, which waits
+in the state's ``has_uint32``/``uinteger`` buffer across calls;
+``next_double`` as ``(w >> 11) * 2**-53``; bounded ints by numpy's 32-bit
+Lemire rule, redraws included; and ``uniform(low, high)`` as ``low +
+(high - low) * double``.  The weak transform computes its rows as arrays,
+the strong one in a loop over a list of words.  The generator is then
+reset, advanced by ``advance`` over the words used, and given the buffer.
+Every other generator draws one value per call: bounded ints through
+``_int_draws``, which calls the bit generator's C ``next_uint32``, and
+floats through ``rng.random()`` and ``rng.uniform``.  So does the strong
+transform on a numpy build whose ``uniform`` fuses its multiply and add
+into one rounding, which a check on fixed seeds detects once, at the
+first strong batch.
+Neither source holds the generator's lock across a batch's draws, so a
+stream is single-threaded.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -46,6 +59,12 @@ CUTOUT_SIZE = 8
 CUTOUT_FILL = 0.5
 NUM_STRONG_OPS = 2
 _STRONG_OP_COUNT = 4  # flip, translate, brightness, cutout
+# the largest image shift: a shift s draws from 2s + 1 values, and the
+# bounded-int draws cover ranges of at most 2**32
+MAX_IMAGE_SHIFT = 2 ** 31 - 1
+_MASK32 = 0xFFFFFFFF
+_WORDS_PER_STRONG_ROW = 3  # a strong row takes 2.5 words on average
+_TOP_UP_WORDS = 64
 
 
 @dataclass(frozen=True)
@@ -66,8 +85,9 @@ class AugmentConfig:
             problems.append("vector_drop_prob must lie in [0, 1)")
         for name in ("image_shift_weak", "image_shift_strong"):
             v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 0):
-                problems.append(f"{name} must be a non-negative integer")
+            if not (isinstance(v, int) and 0 <= v <= MAX_IMAGE_SHIFT):
+                problems.append(f"{name} must be an integer in "
+                                f"[0, {MAX_IMAGE_SHIFT}]")
         if problems:
             raise ConfigError("invalid augment config: " + "; ".join(problems))
 
@@ -100,12 +120,13 @@ def strong_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
     return out
 
 
-def _shift_slices(s: int, n: int) -> list:
-    """For each shift d in [-s, s] along an axis of length n, the
-    (destination, source) slices that move content by d, or None when
-    the shift leaves nothing in view; entry ``d + s`` is shift d."""
-    return [(slice(max(d, 0), n + min(d, 0)), slice(max(-d, 0), n + min(-d, 0)))
-            if abs(d) < n else None for d in range(-s, s + 1)]
+def _shift_slices(s: int, n: int) -> dict:
+    """For each shift d in [-s, s] along an axis of length n that leaves
+    something in view (|d| < n), the (destination, source) slices that
+    move content by d; a shift the table lacks leaves nothing in view."""
+    m = min(s, n - 1)
+    return {d: (slice(max(d, 0), n + min(d, 0)), slice(max(-d, 0), n + min(-d, 0)))
+            for d in range(-m, m + 1)}
 
 
 def _int_draws(rng):
@@ -140,17 +161,183 @@ def _int_draws(rng):
     return draw
 
 
-def _draw_shift(draw, s: int, rows: list, cols: list):
-    """Draw a column shift dx, then a row shift dy, each uniform on
-    [-s, s] through ``draw`` (see ``_int_draws``); return the
-    (destination, source) index tuples over (C, H, W) that move content
-    by dx columns and dy rows, or None when the shift leaves nothing in
-    view.  ``rows`` and ``cols`` are the axes' ``_shift_slices``."""
-    col = cols[draw(-s, s + 1) + s]
-    row = rows[draw(-s, s + 1) + s]
+class _PerDraw:
+    """A generator's draws as one call each: bounded ints through
+    ``_int_draws``, floats through ``rng.random`` and ``rng.uniform``."""
+
+    def __init__(self, rng):
+        self.integers = _int_draws(rng)
+        self.random = rng.random
+        self.uniform = rng.uniform
+
+    def finish(self) -> None:
+        pass
+
+
+class _RawDraws:
+    """The draws of a ``PCG64`` generator's calls, replayed from its 64-bit
+    words.  ``start`` is the generator's state before the first word it
+    gave to ``words``; ``used`` words were consumed before ``words[0]``,
+    and ``has_uint32`` and ``uinteger`` are the uint32 buffer at that
+    point.  The draws take words in order from the list and top it up with
+    ``random_raw`` when it runs out; ``finish`` puts the generator where
+    the calls would have left it."""
+
+    def __init__(self, bg, start: dict, words: list, used: int,
+                 has_uint32: int, uinteger: int):
+        self.bg, self.start, self.words = bg, start, words
+        self.used, self.pos = used, 0
+        self.has_uint32, self.uinteger = has_uint32, uinteger
+
+    def next64(self) -> int:
+        if self.pos == len(self.words):
+            self.words += self.bg.random_raw(_TOP_UP_WORDS).tolist()
+        self.pos += 1
+        return self.words[self.pos - 1]
+
+    def next_uint32(self) -> int:
+        """The buffered high half if there is one, else the next word's
+        low half, buffering its high half."""
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        w = self.next64()
+        self.has_uint32, self.uinteger = 1, w >> 32
+        return w & _MASK32
+
+    def random(self) -> float:
+        """``next_double``: the top 53 bits of a word, scaled to [0, 1)."""
+        return (self.next64() >> 11) * 2.0 ** -53
+
+    def integers(self, lo: int, hi: int) -> int:
+        """The int ``rng.integers(lo, hi)`` gives, by ``_int_draws``'s
+        Lemire map of ``next_uint32``; the first uint32 is read in place,
+        as this runs once per bounded draw."""
+        r = hi - lo
+        if r <= 1:
+            if r == 1:
+                return lo
+            raise ValueError("high <= low")
+        if self.has_uint32:
+            self.has_uint32 = 0
+            m = self.uinteger * r
+        else:
+            w = self.next64()
+            self.has_uint32, self.uinteger = 1, w >> 32
+            m = (w & _MASK32) * r
+        if m & _MASK32 < r:
+            threshold = (0x100000000 - r) % r
+            while m & _MASK32 < threshold:
+                m = self.next_uint32() * r
+        return lo + (m >> 32)
+
+    def uniform(self, low: float, high: float) -> float:
+        """``low + (high - low) * next_double``, rounded twice."""
+        return low + (high - low) * self.random()
+
+    def finish(self) -> None:
+        """Reset the generator to ``start`` and advance it by the words
+        used; ``advance`` empties the uint32 buffer, so set it after."""
+        bg = self.bg
+        bg.state = self.start
+        bg.advance(self.used + self.pos)
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger
+        bg.state = state
+
+
+def _raw_draws(bg, words: int) -> _RawDraws:
+    """A ``_RawDraws`` of the PCG64 ``bg`` holding its next ``words``."""
+    start = bg.state
+    return _RawDraws(bg, start, bg.random_raw(words).tolist(), 0,
+                     start["has_uint32"], start["uinteger"])
+
+
+@cache
+def _uniform_is_two_roundings(generator=None) -> bool:
+    """Whether ``generator(seed).uniform`` (``default_rng`` when None)
+    gives the brightness factors ``_RawDraws.uniform`` gives, on fixed
+    PCG64 seeds.  numpy computes ``low + range * next_double`` in C, which
+    some builds contract to one fused multiply-add; about one in nine of
+    these 512 draws then rounds differently.  It runs once, at the first
+    strong image batch, not at import: loading ``numpy.random`` before the
+    program does raised the vector workloads' peak RSS by 0.5 MB."""
+    generator = generator or np.random.default_rng
+    low, high = BRIGHTNESS_RANGE
+    for seed in range(4):
+        rng, twin = generator(seed), _raw_draws(np.random.PCG64(seed), 128)
+        if any(rng.uniform(low, high) != twin.uniform(low, high)
+               for _ in range(128)):
+            return False
+    return True
+
+
+def _strong_draws(rng, words: int):
+    """The draws of ``rng``: a ``_RawDraws`` holding its next ``words``
+    words when its bit generator is a ``PCG64`` and this build's
+    ``uniform`` rounds twice, else a ``_PerDraw``."""
+    bg = getattr(rng, "bit_generator", None)
+    if type(bg) is np.random.PCG64 and _uniform_is_two_roundings():
+        return _raw_draws(bg, words)
+    return _PerDraw(rng)
+
+
+def _shift_view(col, row):
+    """The (destination, source) index tuples over (C, H, W) for a column
+    and a row entry of ``_shift_slices``, or None when either shift leaves
+    nothing in view."""
     if row is None or col is None:
         return None
     return (slice(None), row[0], col[0]), (slice(None), row[1], col[1])
+
+
+def _draw_shift(draw, s: int, rows: dict, cols: dict):
+    """Draw a column shift dx, then a row shift dy, each uniform on
+    [-s, s] through ``draw(lo, hi)``, and return their ``_shift_view``.
+    ``rows`` and ``cols`` are the axes' ``_shift_slices``."""
+    col = cols.get(draw(-s, s + 1))
+    return _shift_view(col, rows.get(draw(-s, s + 1)))
+
+
+def _weak_draws(rng, n: int, s: int):
+    """The flips and (dx, dy) shifts of the first rows of an n-row weak
+    batch, and the draws of ``rng`` that the remaining rows take.
+
+    For a ``PCG64`` the rows are computed as arrays from one
+    ``random_raw`` call.  A row takes one word for its flip (``next_double
+    < 0.5``) and, when s > 0, one uint32 for dx and one for dy: the first
+    from the buffer when the row starts with it full, so the buffer's
+    state carries from row to row unchanged, and each row takes one more
+    word.  The arrays stop at the first row whose shift the Lemire rule
+    redraws; that row and the rest are replayed one draw at a time."""
+    bg = getattr(rng, "bit_generator", None)
+    if type(bg) is not np.random.PCG64:
+        return [], [], [], _PerDraw(rng)
+    start = bg.state
+    has, buf = start["has_uint32"], start["uinteger"]
+    r = 2 * s + 1
+    per_row = 1 if r == 1 else 2
+    words = bg.random_raw(per_row * n)
+    flips = ((words[::per_row] >> np.uint64(11)) * 2.0 ** -53 < 0.5).tolist()
+    if r == 1:
+        done, dx, dy = n, [0] * n, [0] * n
+    else:
+        odd = words[1::2]
+        halves = np.empty(2 * n + has, dtype=np.uint64)
+        halves[:has] = buf
+        halves[has::2] = odd & np.uint64(_MASK32)
+        halves[has + 1::2] = odd >> np.uint64(32)
+        m = halves[:2 * n] * np.uint64(r)
+        redraw = (m & np.uint64(_MASK32)) < np.uint64((0x100000000 - r) % r)
+        redraw = redraw.reshape(n, 2).any(axis=1)
+        done = int(redraw.argmax()) if redraw.any() else n
+        if done:
+            buf = int(odd[done - 1] >> np.uint64(32))
+        d = ((m[:2 * done] >> np.uint64(32)).astype(np.int64) - s).tolist()
+        dx, dy = d[0::2], d[1::2]
+    rest = _RawDraws(bg, start, words[per_row * done:].tolist(),
+                     per_row * done, has, buf)
+    return flips[:done], dx, dy, rest
 
 
 def _load(dst: np.ndarray, src: np.ndarray) -> None:
@@ -166,22 +353,28 @@ def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
                 out: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) images, each flipped with probability 1/2 and then
     shifted, with exposed pixels zero.  Each row draws the flip, then dx,
-    then dy.  uint8 pixels are moved into a uint8 staging block, which one
-    divide writes into ``out``."""
+    then dy; every row's draws are made before any pixel moves.  uint8
+    pixels are moved into a uint8 staging block, which one divide writes
+    into ``out``."""
     if out is None:
         out = np.empty(imgs.shape)
-    _, _, h, w = imgs.shape
+    n, _, h, w = imgs.shape
     s = cfg.image_shift_weak
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
-    draw = _int_draws(rng)
+    flips, dx, dy, draws = _weak_draws(rng, n, s)
+    for _ in range(len(flips), n):  # the rows the arrays stopped short of
+        flips.append(draws.random() < 0.5)
+        dx.append(draws.integers(-s, s + 1))
+        dy.append(draws.integers(-s, s + 1))
+    draws.finish()
     moved = np.zeros_like(imgs) if imgs.dtype == np.uint8 else out
     if moved is out:
         out.fill(0.0)
-    for i in range(imgs.shape[0]):
-        img = imgs[i, :, :, ::-1] if rng.random() < 0.5 else imgs[i]
-        shift = _draw_shift(draw, s, rows, cols)
+    for i in range(n):
+        shift = _shift_view(cols.get(dx[i]), rows.get(dy[i]))
         if shift is not None:
             dst, src = shift
+            img = imgs[i, :, :, ::-1] if flips[i] else imgs[i]
             moved[i][dst] = img[src]
     if moved is not out:
         _load(out, moved)
@@ -211,23 +404,25 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     which starts at +0, and +0 + (±0) is +0."""
     if out is None:
         out = np.empty(imgs.shape)
-    _, _, h, w = imgs.shape
+    n, _, h, w = imgs.shape
     s = cfg.image_shift_strong
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
     scratch = np.empty(imgs.shape[1:])
     cut_range = min(h, w) - CUTOUT_SIZE + 1
-    draw = _int_draws(rng)
-    # each operation's parameter draws, indexed by its code; flip has none
-    draw_params = (
-        lambda: None,
-        lambda: _draw_shift(draw, s, rows, cols),
-        lambda: rng.uniform(*BRIGHTNESS_RANGE),
-        lambda: (draw(0, cut_range), draw(0, cut_range)),
-    )
-    for i in range(out.shape[0]):
-        op1 = draw(0, _STRONG_OP_COUNT)
-        op2 = draw(0, _STRONG_OP_COUNT)
-        steps = ((op1, draw_params[op1]()), (op2, draw_params[op2]()))
+    draws = _strong_draws(rng, _WORDS_PER_STRONG_ROW * n)
+    draw = draws.integers
+    for i in range(n):
+        steps = []
+        for op in (draw(0, _STRONG_OP_COUNT), draw(0, _STRONG_OP_COUNT)):
+            if op == 1:
+                param = _draw_shift(draw, s, rows, cols)
+            elif op == 2:
+                param = draws.uniform(*BRIGHTNESS_RANGE)
+            elif op == 3:
+                param = (draw(0, cut_range), draw(0, cut_range))
+            else:  # flip draws nothing
+                param = None
+            steps.append((op, param))
         cur = out[i]
         if keep is not None and not keep[i]:
             cur.fill(0.0)
@@ -256,6 +451,7 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
                     _load(cur, src)
                 cur[:, top:top + CUTOUT_SIZE, left:left + CUTOUT_SIZE] = CUTOUT_FILL
             src = cur
+    draws.finish()
     return out
 
 
@@ -270,7 +466,7 @@ _BATCH_FNS = {
 class AugmentStream:
     """Stateful source of augmented views for one (kind, consumer) pair.
     A stream is single-threaded: its image draws bypass the generator's
-    lock (see ``_int_draws``)."""
+    lock (see the module docstring)."""
 
     def __init__(self, kind: str, modality: str, seed,
                  config: AugmentConfig | None = None,

@@ -1,13 +1,21 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from copseudo import augment
 from copseudo.augment import (
+    BRIGHTNESS_RANGE,
+    MAX_IMAGE_SHIFT,
     AugmentConfig,
     AugmentStream,
     _int_draws,
+    _raw_draws,
+    _shift_slices,
+    _uniform_is_two_roundings,
     strong_images,
     strong_vectors,
     weak_images,
@@ -87,6 +95,15 @@ class TestDefaults:
             AugmentConfig(image_shift_weak=-1)
         with pytest.raises(ConfigError):
             AugmentConfig(image_shift_strong=2.5)
+
+    def test_image_shift_limit(self):
+        # a shift s draws from 2s + 1 values, at most 2**32
+        assert MAX_IMAGE_SHIFT == 2 ** 31 - 1
+        AugmentConfig(image_shift_weak=MAX_IMAGE_SHIFT,
+                      image_shift_strong=MAX_IMAGE_SHIFT)
+        for name in ("image_shift_weak", "image_shift_strong"):
+            with pytest.raises(ConfigError, match=name):
+                AugmentConfig(**{name: MAX_IMAGE_SHIFT + 1})
 
 
 class TestVectorTransforms:
@@ -366,7 +383,9 @@ class TestBatchAgainstOracle:
     """``apply_batch`` against the one-row-at-a-time reference transforms:
     equal outputs and an equal generator state after every call."""
 
-    SHIFTS = (None, 0, 10, 40)  # None keeps the defaults (4 weak, 8 strong)
+    # None keeps the defaults (4 weak, 8 strong); a range of 2**31 + 1
+    # makes the Lemire rule redraw about half the time
+    SHIFTS = (None, 0, 10, 40, 2 ** 30)
 
     @staticmethod
     def run_pair(kind, modality, shape, cfg, seed, sizes):
@@ -487,12 +506,150 @@ class TestIntDraws:
                 draw(lo, hi)
 
 
+class TestRawDraws:
+    """``_raw_draws`` against a twin ``Generator``'s calls: equal values and,
+    after each ``finish``, an equal bit-generator state.  Each new
+    ``_RawDraws`` prefetches 0 to 99 words, so the draws both run out of
+    words and leave some unused, and it meets the uint32 buffer full and
+    empty."""
+
+    def test_matches_generator_calls(self):
+        ranges = TestIntDraws.RANGES
+        bg = np.random.PCG64(2024)
+        want = np.random.default_rng(2024)
+        script = np.random.default_rng(7).integers(0, len(ranges) + 3,
+                                                   size=30_000)
+        prefetch = np.random.default_rng(8)
+        draws = _raw_draws(bg, 0)
+        for step, k in enumerate(script):
+            if k < len(ranges):
+                lo, hi = ranges[k]
+                got = draws.integers(lo, hi)
+                assert type(got) is int
+                assert got == want.integers(lo, hi), (step, lo, hi)
+            elif k == len(ranges):
+                assert draws.random() == want.random()
+            elif k == len(ranges) + 1:
+                assert draws.uniform(*BRIGHTNESS_RANGE) == want.uniform(
+                    *BRIGHTNESS_RANGE)
+            else:
+                draws.finish()
+                assert bg.state == want.bit_generator.state, step
+                draws = _raw_draws(bg, int(prefetch.integers(0, 100)))
+        draws.finish()
+        assert bg.state == want.bit_generator.state
+
+
+class FusedUniform:
+    """A generator whose ``uniform`` rounds ``low + (high - low) *
+    next_double`` once, as a build that fuses the multiply and the add
+    does."""
+
+    def __init__(self, seed):
+        self.bit_generator = np.random.PCG64(seed)
+
+    def uniform(self, low, high):
+        d = (int(self.bit_generator.random_raw()) >> 11) * 2.0 ** -53
+        return float(Fraction(low) + Fraction(high - low) * Fraction(d))
+
+
+class TestBatchedPath:
+    """The image streams of ``default_rng`` generators take their words
+    from ``random_raw``; the per-draw path gives the same views and
+    states."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("took the per-draw path")
+
+    def test_uniform_check_holds_on_this_build(self):
+        assert _uniform_is_two_roundings()
+
+    def test_uniform_check_detects_a_fused_build(self):
+        assert not _uniform_is_two_roundings(FusedUniform)
+
+    @pytest.mark.parametrize("kind", ["weak", "strong"])
+    def test_default_rng_streams_take_the_batched_path(self, kind,
+                                                       monkeypatch):
+        monkeypatch.setattr(augment, "_int_draws", self.refuse)
+        monkeypatch.setattr(augment, "_PerDraw", self.refuse)
+        for shift in (None, 2 ** 30):
+            cfg = CFG if shift is None else AugmentConfig(
+                image_shift_weak=shift, image_shift_strong=shift)
+            TestBatchAgainstOracle.run_pair(kind, "image", (3, 32, 32), cfg,
+                                            seed=4, sizes=[1, 200, 37])
+
+    def test_weak_rows_without_redraws_are_arrays(self, monkeypatch):
+        # at the default shift the Lemire rule redraws with odds of about
+        # 1e-9, so no row of a weak batch is replayed one draw at a time
+        monkeypatch.setattr(augment._RawDraws, "next64", self.refuse)
+        TestBatchAgainstOracle.run_pair("weak", "image", (3, 32, 32), CFG,
+                                        seed=5, sizes=[1, 200, 37])
+
+    @pytest.mark.parametrize("pixels", [False, True], ids=["float", "uint8"])
+    @pytest.mark.parametrize("kind", ["weak", "strong"])
+    def test_calls_entered_with_a_full_uint32_buffer(self, kind, pixels):
+        oracle = ORACLES[(kind, "image")]
+        for shift in (None, 0, 2 ** 30):
+            cfg = CFG if shift is None else AugmentConfig(
+                image_shift_weak=shift, image_shift_strong=shift)
+            stream = AugmentStream(kind, "image", seed=11, config=cfg)
+            ref_rng = np.random.default_rng(11)
+            stream.rng.integers(0, 4)
+            ref_rng.integers(0, 4)
+            assert stream.rng.bit_generator.state["has_uint32"] == 1
+            data = np.random.default_rng(12)
+            for size in (1, 150, 37):  # consecutive calls on one stream
+                xs = data.integers(0, 256, size=(size, 3072), dtype=np.uint8)
+                got = stream.apply_batch(xs if pixels else as_floats(xs))
+                want = np.stack([oracle(row.reshape(3, 32, 32), ref_rng,
+                                        cfg).reshape(-1)
+                                 for row in as_floats(xs)])
+                assert got.tobytes() == want.tobytes(), (kind, shift, size)
+                assert (stream.rng.bit_generator.state
+                        == ref_rng.bit_generator.state)
+
+    def test_strong_per_draw_path_gives_the_same_views(self, monkeypatch):
+        data = np.random.default_rng(13)
+        batches = [data.integers(0, 256, size=(size, 3072), dtype=np.uint8)
+                   for size in (1, 150, 37)]
+        batched = AugmentStream("strong", "image", seed=6)
+        want = [batched.apply_batch(xs) for xs in batches]
+        calls = []
+
+        def counted(rng):
+            calls.append(rng)
+            return _int_draws(rng)
+
+        monkeypatch.setattr(augment, "_uniform_is_two_roundings",
+                            lambda generator=None: False)
+        monkeypatch.setattr(augment, "_int_draws", counted)
+        per_draw = AugmentStream("strong", "image", seed=6)
+        got = [per_draw.apply_batch(xs) for xs in batches]
+        assert len(calls) == len(batches)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert per_draw.rng.bit_generator.state == batched.rng.bit_generator.state
+
+    def test_shift_tables_hold_only_shifts_in_view(self):
+        assert sorted(_shift_slices(4, 32)) == list(range(-4, 5))
+        assert sorted(_shift_slices(MAX_IMAGE_SHIFT, 32)) == list(range(-31, 32))
+
+    @pytest.mark.parametrize("kind", ["weak", "strong"])
+    def test_largest_shift_matches_rows(self, kind):
+        cfg = AugmentConfig(image_shift_weak=MAX_IMAGE_SHIFT,
+                            image_shift_strong=MAX_IMAGE_SHIFT)
+        for seed in range(2):
+            TestBatchAgainstOracle.run_pair(kind, "image", (1, 8, 12), cfg,
+                                            seed, sizes=[1, 100, 17])
+
+
 class TestKeepMask:
     """``keep`` against the same call without it: kept rows equal, masked
     strong image rows +0.0, and an equal generator state after every
     call."""
 
-    SHIFTS = (None, 0, 10, 40)  # None keeps the default (8)
+    SHIFTS = (None, 0, 10, 40, 2 ** 30)  # None keeps the default (8)
 
     @staticmethod
     def make_keep(pattern, size, rng):

@@ -527,11 +527,12 @@ def image_files(tmp_path):
     return train, test
 
 
-def image_train(train, test, out):
+def image_train(train, test, out, extra=()):
     return main(["train", "--data", str(train), "--test", str(test),
                  "--out", str(out), "--seed", "5", "--profile", "paper",
                  "--steps", "2", "--eval-every", "1", "--hidden", "8",
-                 "--dump-predictions-every", "1", "--tau", "0.3", "--tau2", "0.2"])
+                 "--dump-predictions-every", "1", "--tau", "0.3", "--tau2", "0.2",
+                 *extra])
 
 
 class TestPixelDatasets:
@@ -556,6 +557,25 @@ class TestPixelDatasets:
         u1_tree = tree_bytes(tmp_path / "run-u1")
         assert "predictions-step2.csv" in u1_tree
         assert u1_tree == tree_bytes(tmp_path / "run-v2")
+
+    def test_largest_image_shifts_train(self, image_files, tmp_path):
+        # each call's shift tables hold only the shifts that keep pixels in
+        # view, however large the drawn range
+        assert image_train(*image_files, tmp_path / "run", (
+            "--aug-image-shift-weak", "1000000000",
+            "--aug-image-shift-strong", "2147483647")) == 0
+
+    @pytest.mark.parametrize("flag,field", [
+        ("--aug-image-shift-weak", "image_shift_weak"),
+        ("--aug-image-shift-strong", "image_shift_strong")])
+    def test_image_shift_above_limit_exits_2(self, image_files, tmp_path,
+                                             capsys, flag, field):
+        code = image_train(*image_files, tmp_path / "run",
+                           (flag, "2147483648"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be an integer in [0, 2147483647]" in err
+        assert not (tmp_path / "run").exists()
 
     def test_train_and_select_never_build_the_full_matrix(self, image_files,
                                                           tmp_path, monkeypatch):
