@@ -23,25 +23,23 @@ The image transforms also take uint8 pixels, whose features are
 view of pixels equals the view of their float64 rows bit for bit.
 
 The image transforms draw from one of two sources that give the same
-values and leave the generator in the same state.  When the stream's bit generator is a
-``PCG64``, as every ``AugmentStream``'s is, a batch takes its 64-bit words
-from one ``random_raw`` call (topped up if a strong batch runs short) and
-replays from them, in row order, what numpy's calls would return:
-``next_uint32`` as a word's low half and then its high half, which waits
-in the state's ``has_uint32``/``uinteger`` buffer across calls;
-``next_double`` as ``(w >> 11) * 2**-53``; bounded ints by numpy's 32-bit
-Lemire rule, redraws included; and ``uniform(low, high)`` as ``low +
-(high - low) * double``.  The weak transform computes its rows as arrays,
-the strong one in a loop over a list of words.  The generator is then
-reset, advanced by ``advance`` over the words used, and given the buffer.
-Every other generator draws one value per call: bounded ints through
-``_int_draws``, which calls the bit generator's C ``next_uint32``, and
-floats through ``rng.random()`` and ``rng.uniform``.  So does the strong
-transform on a numpy build whose ``uniform`` fuses its multiply and add
-into one rounding, which a check on fixed seeds detects once, at the
-first strong batch.
-Neither source holds the generator's lock across a batch's draws, so a
-stream is single-threaded.
+values and leave the generator in the same state.  When the stream's bit
+generator is a ``PCG64``, as every ``AugmentStream``'s is, a batch takes
+its 64-bit words from one ``random_raw`` call (topped up if a strong
+batch runs short) and replays from them, in row order, what numpy's
+calls would return: ``next_uint32`` as a word's low half and then its
+high half, which waits in the state's ``has_uint32``/``uinteger`` buffer
+across calls; ``next_double`` as ``(w >> 11) * 2**-53``; bounded ints by
+numpy's 32-bit Lemire rule, redraws included; and ``uniform(low, high)``
+as ``low + (high - low) * double``, rounded after the multiply and after
+the add or, on a numpy build that fuses the two into one multiply-add,
+rounded once.  A check on fixed seeds at the first strong batch finds
+which rounding the build's ``uniform`` uses.  The weak transform computes
+its rows as arrays, the strong one in a loop over a list of words.  The
+generator is then reset, advanced by ``advance`` over the words used, and
+given the buffer.  Every other generator, and a strong batch on a build
+whose ``uniform`` matches neither rounding, draws one value per call
+through the generator's own ``integers``, ``random`` and ``uniform``.
 """
 from __future__ import annotations
 
@@ -120,55 +118,28 @@ def strong_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
     return out
 
 
+@cache
 def _shift_slices(s: int, n: int) -> dict:
     """For each shift d in [-s, s] along an axis of length n that leaves
     something in view (|d| < n), the (destination, source) slices that
-    move content by d; a shift the table lacks leaves nothing in view."""
+    move content by d; a shift the table lacks leaves nothing in view.
+    The table is shared by every call with the same (s, n): read only."""
     m = min(s, n - 1)
     return {d: (slice(max(d, 0), n + min(d, 0)), slice(max(-d, 0), n + min(-d, 0)))
             for d in range(-m, m + 1)}
 
 
-def _int_draws(rng):
-    """Return ``draw(lo, hi)``, which gives the int ``rng.integers(lo, hi)``
-    gives and advances ``rng`` as that call does, for 1 <= hi - lo <= 2**32.
-    It calls the bit generator's C ``next_uint32`` (the function, and with
-    it the uint32 buffer, that ``Generator.integers`` uses) and maps the
-    value with numpy's 32-bit Lemire rule, which is integer-exact; a range
-    of one draws nothing.  The calls skip the Generator's lock, so a
-    generator drawn from this way must not be shared between threads, and
-    ``draw`` holds the bit generator's address, not a reference to it, so
-    ``rng`` must outlive it.  An object without ``bit_generator.ctypes``
-    is asked for ``integers``."""
-    c = getattr(getattr(rng, "bit_generator", None), "ctypes", None)
-    if c is None:
-        return lambda lo, hi: int(rng.integers(lo, hi))
-    next_uint32, state = c.next_uint32, c.state
-
-    def draw(lo: int, hi: int) -> int:
-        r = hi - lo
-        if r <= 1:
-            if r == 1:
-                return lo
-            raise ValueError("high <= low")
-        m = next_uint32(state) * r
-        if m & 0xFFFFFFFF < r:
-            threshold = (0x100000000 - r) % r
-            while m & 0xFFFFFFFF < threshold:
-                m = next_uint32(state) * r
-        return lo + (m >> 32)
-
-    return draw
-
-
 class _PerDraw:
-    """A generator's draws as one call each: bounded ints through
-    ``_int_draws``, floats through ``rng.random`` and ``rng.uniform``."""
+    """A generator's draws as one call each to its own ``integers``,
+    ``random`` and ``uniform``: the source for scripted fakes, for bit
+    generators other than ``PCG64`` and for a build whose ``uniform``
+    ``_uniform_roundings`` cannot reproduce."""
 
     def __init__(self, rng):
-        self.integers = _int_draws(rng)
-        self.random = rng.random
-        self.uniform = rng.uniform
+        self.rng, self.random, self.uniform = rng, rng.random, rng.uniform
+
+    def integers(self, lo: int, hi: int) -> int:
+        return int(self.rng.integers(lo, hi))
 
     def finish(self) -> None:
         pass
@@ -179,15 +150,18 @@ class _RawDraws:
     words.  ``start`` is the generator's state before the first word it
     gave to ``words``; ``used`` words were consumed before ``words[0]``,
     and ``has_uint32`` and ``uinteger`` are the uint32 buffer at that
-    point.  The draws take words in order from the list and top it up with
+    point.  ``roundings`` is how ``uniform`` rounds, as
+    ``_uniform_roundings`` reports it; weak rows draw no ``uniform``.  The
+    draws take words in order from the list and top it up with
     ``random_raw`` when it runs out; ``finish`` puts the generator where
     the calls would have left it."""
 
     def __init__(self, bg, start: dict, words: list, used: int,
-                 has_uint32: int, uinteger: int):
+                 has_uint32: int, uinteger: int, roundings: int = 2):
         self.bg, self.start, self.words = bg, start, words
         self.used, self.pos = used, 0
         self.has_uint32, self.uinteger = has_uint32, uinteger
+        self.roundings = roundings
 
     def next64(self) -> int:
         if self.pos == len(self.words):
@@ -210,9 +184,11 @@ class _RawDraws:
         return (self.next64() >> 11) * 2.0 ** -53
 
     def integers(self, lo: int, hi: int) -> int:
-        """The int ``rng.integers(lo, hi)`` gives, by ``_int_draws``'s
-        Lemire map of ``next_uint32``; the first uint32 is read in place,
-        as this runs once per bounded draw."""
+        """The int ``rng.integers(lo, hi)`` gives, for 1 <= hi - lo <=
+        2**32: numpy's 32-bit Lemire map of ``next_uint32``, which is
+        integer-exact, redraws included; a range of one draws nothing.
+        The first uint32 is read in place, as this runs once per bounded
+        draw."""
         r = hi - lo
         if r <= 1:
             if r == 1:
@@ -232,8 +208,15 @@ class _RawDraws:
         return lo + (m >> 32)
 
     def uniform(self, low: float, high: float) -> float:
-        """``low + (high - low) * next_double``, rounded twice."""
-        return low + (high - low) * self.random()
+        """``low + (high - low) * next_double``, rounded after the multiply
+        and after the add, or, when ``roundings`` is 1, rounded once: the
+        exact value as one int/int division, which Python rounds
+        correctly."""
+        if self.roundings == 2:
+            return low + (high - low) * self.random()
+        (a, b), (c, d) = low.as_integer_ratio(), (high - low).as_integer_ratio()
+        k = self.next64() >> 11
+        return (a * d * 2 ** 53 + c * b * k) / (b * d * 2 ** 53)
 
     def finish(self) -> None:
         """Reset the generator to ``start`` and advance it by the words
@@ -246,40 +229,35 @@ class _RawDraws:
         bg.state = state
 
 
-def _raw_draws(bg, words: int) -> _RawDraws:
+def _raw_draws(bg, words: int, roundings: int) -> _RawDraws:
     """A ``_RawDraws`` of the PCG64 ``bg`` holding its next ``words``."""
     start = bg.state
     return _RawDraws(bg, start, bg.random_raw(words).tolist(), 0,
-                     start["has_uint32"], start["uinteger"])
+                     start["has_uint32"], start["uinteger"], roundings)
 
 
 @cache
-def _uniform_is_two_roundings(generator=None) -> bool:
-    """Whether ``generator(seed).uniform`` (``default_rng`` when None)
-    gives the brightness factors ``_RawDraws.uniform`` gives, on fixed
-    PCG64 seeds.  numpy computes ``low + range * next_double`` in C, which
-    some builds contract to one fused multiply-add; about one in nine of
-    these 512 draws then rounds differently.  It runs once, at the first
-    strong image batch, not at import: loading ``numpy.random`` before the
+def _uniform_roundings(generator=None) -> int | None:
+    """How ``generator(seed).uniform`` (``default_rng`` when None) rounds
+    ``low + (high - low) * next_double``: 2 or 1 when it gives the
+    brightness factors of a ``_RawDraws`` with that many roundings, on
+    fixed PCG64 seeds, else None.  numpy computes it in C, which some
+    builds contract to one fused multiply-add; about one in nine of these
+    512 draws then rounds differently.  It runs once, at the first strong
+    image batch, not at import: loading ``numpy.random`` before the
     program does raised the vector workloads' peak RSS by 0.5 MB."""
     generator = generator or np.random.default_rng
     low, high = BRIGHTNESS_RANGE
-    for seed in range(4):
-        rng, twin = generator(seed), _raw_draws(np.random.PCG64(seed), 128)
-        if any(rng.uniform(low, high) != twin.uniform(low, high)
-               for _ in range(128)):
-            return False
-    return True
-
-
-def _strong_draws(rng, words: int):
-    """The draws of ``rng``: a ``_RawDraws`` holding its next ``words``
-    words when its bit generator is a ``PCG64`` and this build's
-    ``uniform`` rounds twice, else a ``_PerDraw``."""
-    bg = getattr(rng, "bit_generator", None)
-    if type(bg) is np.random.PCG64 and _uniform_is_two_roundings():
-        return _raw_draws(bg, words)
-    return _PerDraw(rng)
+    for roundings in (2, 1):
+        for seed in range(4):
+            rng = generator(seed)
+            twin = _raw_draws(np.random.PCG64(seed), 128, roundings)
+            if any(rng.uniform(low, high) != twin.uniform(low, high)
+                   for _ in range(128)):
+                break
+        else:
+            return roundings
+    return None
 
 
 def _shift_view(col, row):
@@ -289,14 +267,6 @@ def _shift_view(col, row):
     if row is None or col is None:
         return None
     return (slice(None), row[0], col[0]), (slice(None), row[1], col[1])
-
-
-def _draw_shift(draw, s: int, rows: dict, cols: dict):
-    """Draw a column shift dx, then a row shift dy, each uniform on
-    [-s, s] through ``draw(lo, hi)``, and return their ``_shift_view``.
-    ``rows`` and ``cols`` are the axes' ``_shift_slices``."""
-    col = cols.get(draw(-s, s + 1))
-    return _shift_view(col, rows.get(draw(-s, s + 1)))
 
 
 def _weak_draws(rng, n: int, s: int):
@@ -409,13 +379,17 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
     scratch = np.empty(imgs.shape[1:])
     cut_range = min(h, w) - CUTOUT_SIZE + 1
-    draws = _strong_draws(rng, _WORDS_PER_STRONG_ROW * n)
+    bg = getattr(rng, "bit_generator", None)
+    roundings = _uniform_roundings() if type(bg) is np.random.PCG64 else None
+    draws = (_PerDraw(rng) if roundings is None
+             else _raw_draws(bg, _WORDS_PER_STRONG_ROW * n, roundings))
     draw = draws.integers
     for i in range(n):
         steps = []
         for op in (draw(0, _STRONG_OP_COUNT), draw(0, _STRONG_OP_COUNT)):
-            if op == 1:
-                param = _draw_shift(draw, s, rows, cols)
+            if op == 1:  # dx, then dy: arguments are evaluated in order
+                param = _shift_view(cols.get(draw(-s, s + 1)),
+                                    rows.get(draw(-s, s + 1)))
             elif op == 2:
                 param = draws.uniform(*BRIGHTNESS_RANGE)
             elif op == 3:
@@ -455,18 +429,12 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     return out
 
 
-_BATCH_FNS = {
-    ("weak", "vector"): weak_vectors,
-    ("strong", "vector"): strong_vectors,
-    ("weak", "image"): weak_images,
-    ("strong", "image"): strong_images,
-}
-
-
 class AugmentStream:
     """Stateful source of augmented views for one (kind, consumer) pair.
-    A stream is single-threaded: its image draws bypass the generator's
-    lock (see the module docstring)."""
+    A stream is single-threaded: an image batch replays its draws from
+    words read ahead of the generator's state, then rewinds and advances
+    that state (see the module docstring), so a draw made on the
+    generator between those steps would be lost."""
 
     def __init__(self, kind: str, modality: str, seed,
                  config: AugmentConfig | None = None,
@@ -524,15 +492,20 @@ class AugmentStream:
                                  or keep.shape != xs.shape[:1]):
             raise ConfigError("keep must be a bool array with one entry per "
                               "row")
+        if self.modality == "image":
+            width = math.prod(self.feature_shape)
+            if xs.shape[1] != width:
+                raise ConfigError(f"image rows must have {width} features, "
+                                  f"got {xs.shape[1]}")
         if xs.shape[0] == 0:
             return out
-        fn = _BATCH_FNS[(self.kind, self.modality)]
         if self.modality == "vector":
+            fn = weak_vectors if self.kind == "weak" else strong_vectors
             return fn(xs, self.rng, self.config, out)
         shape = (xs.shape[0],) + self.feature_shape
-        if fn is strong_images:
-            fn(xs.reshape(shape), self.rng, self.config, out.reshape(shape),
-               keep)
+        imgs, views = xs.reshape(shape), out.reshape(shape)
+        if self.kind == "weak":
+            weak_images(imgs, self.rng, self.config, views)
         else:
-            fn(xs.reshape(shape), self.rng, self.config, out.reshape(shape))
+            strong_images(imgs, self.rng, self.config, views, keep)
         return out

@@ -12,10 +12,10 @@ from copseudo.augment import (
     MAX_IMAGE_SHIFT,
     AugmentConfig,
     AugmentStream,
-    _int_draws,
+    _PerDraw,
     _raw_draws,
     _shift_slices,
-    _uniform_is_two_roundings,
+    _uniform_roundings,
     strong_images,
     strong_vectors,
     weak_images,
@@ -314,6 +314,18 @@ class TestStream:
             with pytest.raises(ConfigError, match="out must be"):
                 s.apply_batch_into(xs, out)
 
+    @pytest.mark.parametrize("kind", ["weak", "strong"])
+    def test_apply_batch_into_rejects_rows_of_the_wrong_width(self, kind):
+        s = AugmentStream(kind, "image", seed=0, feature_shape=(3, 8, 8))
+        state = s.rng.bit_generator.state
+        for width in (10, 191, 193):
+            for dtype in (np.float64, np.uint8):
+                xs = np.zeros((2, width), dtype=dtype)
+                with pytest.raises(ConfigError, match=f"image rows must have "
+                                   f"192 features, got {width}"):
+                    s.apply_batch_into(xs, np.empty((2, width)))
+        assert s.rng.bit_generator.state == state
+
     def test_empty_batch(self):
         s = AugmentStream("weak", "vector", seed=0)
         out = s.apply_batch(np.zeros((0, 4)))
@@ -455,55 +467,37 @@ def same_state(a, b):
     return np.array_equal(a, b)
 
 
-class TestIntDraws:
-    """``_int_draws`` against ``Generator.integers`` on a twin generator:
-    equal ints and equal bit-generator states.  Float and array draws are
-    interleaved, so a bounded draw meets the generator's uint32 buffer
-    both full and empty."""
+# every (lo, hi) the image streams draw from: the op code, the shift 2s+1
+# for s in {0, 4, 8, 10, 40}, cutout corners on 32- and 12-pixel sides and
+# on an 8-pixel side (a range of one); then two ranges that reject often
+# and the whole 32-bit range
+RANGES = ((0, 4), *((-s, s + 1) for s in (0, 4, 8, 10, 40)), (0, 25),
+          (0, 5), (0, 1), (0, 3 * 2 ** 30), (-7, 2 ** 31 - 6), (0, 2 ** 32))
 
-    # every (lo, hi) the image streams draw from: the op code, the shift
-    # 2s+1 for s in {0, 4, 8, 10, 40}, cutout corners on 32- and 12-pixel
-    # sides and on an 8-pixel side (a range of one); then two ranges that
-    # reject often and the whole 32-bit range
-    RANGES = ((0, 4), *((-s, s + 1) for s in (0, 4, 8, 10, 40)), (0, 25),
-              (0, 5), (0, 1), (0, 3 * 2 ** 30), (-7, 2 ** 31 - 6), (0, 2 ** 32))
-    OTHER_DRAWS = 3
 
-    @pytest.mark.parametrize("bit_generator", [
-        np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
-        np.random.Philox, np.random.SFC64], ids=lambda bg: bg.__name__)
-    def test_matches_generator_integers(self, bit_generator):
-        got_rng = np.random.Generator(bit_generator(2024))
-        want_rng = np.random.Generator(bit_generator(2024))
-        draw = _int_draws(got_rng)
-        script = np.random.default_rng(7).integers(
-            0, len(self.RANGES) + self.OTHER_DRAWS, size=50_000)
-        for step, k in enumerate(script):
-            if k < len(self.RANGES):
-                lo, hi = self.RANGES[k]
-                got = draw(lo, hi)
-                assert type(got) is int
-                assert got == want_rng.integers(lo, hi), (step, lo, hi)
-            elif k == len(self.RANGES):
-                assert got_rng.random() == want_rng.random()
-            elif k == len(self.RANGES) + 1:
-                assert got_rng.uniform(0.6, 1.4) == want_rng.uniform(0.6, 1.4)
-            else:
-                assert np.array_equal(got_rng.integers(0, 4, size=2),
-                                      want_rng.integers(0, 4, size=2))
-            if step % 1000 == 0:
-                assert same_state(got_rng.bit_generator.state,
-                                  want_rng.bit_generator.state), step
-        assert same_state(got_rng.bit_generator.state,
-                          want_rng.bit_generator.state)
+class FusedUniform(np.random.Generator):
+    """``default_rng(seed)`` with a ``uniform`` that rounds ``low + (high -
+    low) * next_double`` once, as a build that fuses the multiply and the
+    add does.  ``differ`` counts the draws that two roundings would give
+    differently, out of ``draws``."""
 
-    def test_empty_range_raises_as_integers_does(self):
-        draw = _int_draws(np.random.default_rng(0))
-        for lo, hi in ((0, 0), (3, 1)):
-            with pytest.raises(ValueError):
-                np.random.default_rng(0).integers(lo, hi)
-            with pytest.raises(ValueError):
-                draw(lo, hi)
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.draws = self.differ = 0
+
+    def uniform(self, low, high):
+        d = self.random()
+        once = float(Fraction(low) + Fraction(high - low) * Fraction(d))
+        self.draws += 1
+        self.differ += once != low + (high - low) * d
+        return once
+
+
+class SinglePrecisionUniform(FusedUniform):
+    """A ``uniform`` that matches neither rounding."""
+
+    def uniform(self, low, high):
+        return float(np.float32(super().uniform(low, high)))
 
 
 class TestRawDraws:
@@ -514,43 +508,58 @@ class TestRawDraws:
     empty."""
 
     def test_matches_generator_calls(self):
-        ranges = TestIntDraws.RANGES
         bg = np.random.PCG64(2024)
         want = np.random.default_rng(2024)
-        script = np.random.default_rng(7).integers(0, len(ranges) + 3,
+        script = np.random.default_rng(7).integers(0, len(RANGES) + 3,
                                                    size=30_000)
         prefetch = np.random.default_rng(8)
-        draws = _raw_draws(bg, 0)
+        draws = _raw_draws(bg, 0, _uniform_roundings())
         for step, k in enumerate(script):
-            if k < len(ranges):
-                lo, hi = ranges[k]
+            if k < len(RANGES):
+                lo, hi = RANGES[k]
                 got = draws.integers(lo, hi)
                 assert type(got) is int
                 assert got == want.integers(lo, hi), (step, lo, hi)
-            elif k == len(ranges):
+            elif k == len(RANGES):
                 assert draws.random() == want.random()
-            elif k == len(ranges) + 1:
+            elif k == len(RANGES) + 1:
                 assert draws.uniform(*BRIGHTNESS_RANGE) == want.uniform(
                     *BRIGHTNESS_RANGE)
             else:
                 draws.finish()
                 assert bg.state == want.bit_generator.state, step
-                draws = _raw_draws(bg, int(prefetch.integers(0, 100)))
+                draws = _raw_draws(bg, int(prefetch.integers(0, 100)),
+                                   _uniform_roundings())
         draws.finish()
         assert bg.state == want.bit_generator.state
 
+    def test_empty_range_raises_as_integers_does(self):
+        for lo, hi in ((0, 0), (3, 1)):
+            with pytest.raises(ValueError):
+                np.random.default_rng(0).integers(lo, hi)
+            with pytest.raises(ValueError):
+                _raw_draws(np.random.PCG64(0), 4, 2).integers(lo, hi)
 
-class FusedUniform:
-    """A generator whose ``uniform`` rounds ``low + (high - low) *
-    next_double`` once, as a build that fuses the multiply and the add
-    does."""
+    # brightness, the unit interval, ranges across zero and below it, a
+    # range far narrower than low's magnitude, and extreme exponents
+    UNIFORM_PAIRS = (BRIGHTNESS_RANGE, (0.0, 1.0), (-3.5, 2.25), (-2.0, -1.0),
+                     (0.1, 0.7), (1e3, 1e3 + 1e-9), (-1e10, 1e-10),
+                     (5e-324, 1e-300), (-1e300, 1e300))
 
-    def __init__(self, seed):
-        self.bit_generator = np.random.PCG64(seed)
-
-    def uniform(self, low, high):
-        d = (int(self.bit_generator.random_raw()) >> 11) * 2.0 ** -53
-        return float(Fraction(low) + Fraction(high - low) * Fraction(d))
+    def test_uniform_rounded_once_is_exact(self):
+        # against the Fraction rounding of FusedUniform for every pair; and
+        # the pairs do round differently from two roundings
+        differ = 0
+        for seed, (low, high) in enumerate(self.UNIFORM_PAIRS):
+            draws = _raw_draws(np.random.PCG64(seed), 0, 1)
+            twin = FusedUniform(seed)
+            for _ in range(2000):
+                assert draws.uniform(low, high) == twin.uniform(low, high), (
+                    low, high)
+            draws.finish()
+            assert draws.bg.state == twin.bit_generator.state
+            differ += twin.differ
+        assert differ > 0
 
 
 class TestBatchedPath:
@@ -563,15 +572,17 @@ class TestBatchedPath:
         raise AssertionError("took the per-draw path")
 
     def test_uniform_check_holds_on_this_build(self):
-        assert _uniform_is_two_roundings()
+        assert _uniform_roundings() == 2
 
     def test_uniform_check_detects_a_fused_build(self):
-        assert not _uniform_is_two_roundings(FusedUniform)
+        assert _uniform_roundings(FusedUniform) == 1
+
+    def test_uniform_check_rejects_other_roundings(self):
+        assert _uniform_roundings(SinglePrecisionUniform) is None
 
     @pytest.mark.parametrize("kind", ["weak", "strong"])
     def test_default_rng_streams_take_the_batched_path(self, kind,
                                                        monkeypatch):
-        monkeypatch.setattr(augment, "_int_draws", self.refuse)
         monkeypatch.setattr(augment, "_PerDraw", self.refuse)
         for shift in (None, 2 ** 30):
             cfg = CFG if shift is None else AugmentConfig(
@@ -586,11 +597,28 @@ class TestBatchedPath:
         TestBatchAgainstOracle.run_pair("weak", "image", (3, 32, 32), CFG,
                                         seed=5, sizes=[1, 200, 37])
 
+    SHIFTS = (None, 0, 2 ** 30)  # None keeps the defaults (4 weak, 8 strong)
+
+    @staticmethod
+    def check_calls(stream, ref_rng, cfg, pixels, seed):
+        """Three consecutive calls of ``stream`` on CIFAR-shaped rows, uint8
+        or float, against the oracle on ``ref_rng``: equal view bytes and
+        an equal generator state after each."""
+        oracle = ORACLES[(stream.kind, "image")]
+        data = np.random.default_rng(seed)
+        for size in (1, 150, 37):
+            xs = data.integers(0, 256, size=(size, 3072), dtype=np.uint8)
+            got = stream.apply_batch(xs if pixels else as_floats(xs))
+            want = np.stack([oracle(row.reshape(3, 32, 32), ref_rng,
+                                    cfg).reshape(-1)
+                             for row in as_floats(xs)])
+            assert got.tobytes() == want.tobytes(), (stream.kind, cfg, size)
+            assert stream.rng.bit_generator.state == ref_rng.bit_generator.state
+
     @pytest.mark.parametrize("pixels", [False, True], ids=["float", "uint8"])
     @pytest.mark.parametrize("kind", ["weak", "strong"])
     def test_calls_entered_with_a_full_uint32_buffer(self, kind, pixels):
-        oracle = ORACLES[(kind, "image")]
-        for shift in (None, 0, 2 ** 30):
+        for shift in self.SHIFTS:
             cfg = CFG if shift is None else AugmentConfig(
                 image_shift_weak=shift, image_shift_strong=shift)
             stream = AugmentStream(kind, "image", seed=11, config=cfg)
@@ -598,16 +626,21 @@ class TestBatchedPath:
             stream.rng.integers(0, 4)
             ref_rng.integers(0, 4)
             assert stream.rng.bit_generator.state["has_uint32"] == 1
-            data = np.random.default_rng(12)
-            for size in (1, 150, 37):  # consecutive calls on one stream
-                xs = data.integers(0, 256, size=(size, 3072), dtype=np.uint8)
-                got = stream.apply_batch(xs if pixels else as_floats(xs))
-                want = np.stack([oracle(row.reshape(3, 32, 32), ref_rng,
-                                        cfg).reshape(-1)
-                                 for row in as_floats(xs)])
-                assert got.tobytes() == want.tobytes(), (kind, shift, size)
-                assert (stream.rng.bit_generator.state
-                        == ref_rng.bit_generator.state)
+            self.check_calls(stream, ref_rng, cfg, pixels, seed=12)
+
+    @pytest.mark.parametrize("pixels", [False, True], ids=["float", "uint8"])
+    def test_fused_build_replays_one_rounding(self, pixels, monkeypatch):
+        # a build whose uniform rounds once keeps the replay, and its strong
+        # views are those its own uniform gives
+        monkeypatch.setattr(augment, "_uniform_roundings",
+                            lambda generator=None: 1)
+        monkeypatch.setattr(augment, "_PerDraw", self.refuse)
+        for shift in self.SHIFTS:
+            cfg = CFG if shift is None else AugmentConfig(image_shift_strong=shift)
+            ref_rng = FusedUniform(14)
+            stream = AugmentStream("strong", "image", seed=14, config=cfg)
+            self.check_calls(stream, ref_rng, cfg, pixels, seed=15)
+            assert 0 < ref_rng.differ < ref_rng.draws, shift
 
     def test_strong_per_draw_path_gives_the_same_views(self, monkeypatch):
         data = np.random.default_rng(13)
@@ -617,13 +650,14 @@ class TestBatchedPath:
         want = [batched.apply_batch(xs) for xs in batches]
         calls = []
 
-        def counted(rng):
-            calls.append(rng)
-            return _int_draws(rng)
+        class Counted(_PerDraw):
+            def __init__(self, rng):
+                calls.append(rng)
+                super().__init__(rng)
 
-        monkeypatch.setattr(augment, "_uniform_is_two_roundings",
-                            lambda generator=None: False)
-        monkeypatch.setattr(augment, "_int_draws", counted)
+        monkeypatch.setattr(augment, "_uniform_roundings",
+                            lambda generator=None: None)
+        monkeypatch.setattr(augment, "_PerDraw", Counted)
         per_draw = AugmentStream("strong", "image", seed=6)
         got = [per_draw.apply_batch(xs) for xs in batches]
         assert len(calls) == len(batches)
@@ -636,12 +670,49 @@ class TestBatchedPath:
         assert sorted(_shift_slices(MAX_IMAGE_SHIFT, 32)) == list(range(-31, 32))
 
     @pytest.mark.parametrize("kind", ["weak", "strong"])
+    def test_shift_tables_are_built_once(self, kind):
+        stream = AugmentStream(kind, "image", seed=0, feature_shape=(1, 8, 12))
+        xs = np.zeros((5, 96))
+        stream.apply_batch(xs)
+        before = _shift_slices.cache_info()
+        stream.apply_batch(xs)
+        after = _shift_slices.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 2  # one table per axis
+
+    @pytest.mark.parametrize("kind", ["weak", "strong"])
     def test_largest_shift_matches_rows(self, kind):
         cfg = AugmentConfig(image_shift_weak=MAX_IMAGE_SHIFT,
                             image_shift_strong=MAX_IMAGE_SHIFT)
         for seed in range(2):
             TestBatchAgainstOracle.run_pair(kind, "image", (1, 8, 12), cfg,
                                             seed, sizes=[1, 100, 17])
+
+
+class TestPerDraw:
+    """The image transforms on generators whose bit generator is not a
+    ``PCG64``, which draw one value per call, against the oracle on a twin
+    generator: equal views and bit-generator states after every call."""
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+        np.random.SFC64], ids=lambda bg: bg.__name__)
+    def test_other_bit_generators_match_rows(self, bit_generator):
+        data = np.random.default_rng(16)
+        for fn, oracle in ((weak_images, weak_image),
+                           (strong_images, strong_image)):
+            for shift in TestBatchedPath.SHIFTS:
+                cfg = CFG if shift is None else AugmentConfig(
+                    image_shift_weak=shift, image_shift_strong=shift)
+                got_rng = np.random.Generator(bit_generator(2024))
+                want_rng = np.random.Generator(bit_generator(2024))
+                for size in (1, 150, 37):  # consecutive calls on one generator
+                    imgs = data.random((size, 3, 32, 32))
+                    got = fn(imgs, got_rng, cfg)
+                    want = np.stack([oracle(img, want_rng, cfg) for img in imgs])
+                    assert got.tobytes() == want.tobytes(), (fn, shift, size)
+                    assert same_state(got_rng.bit_generator.state,
+                                      want_rng.bit_generator.state)
 
 
 class TestKeepMask:
