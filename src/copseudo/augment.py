@@ -2,44 +2,31 @@
 
 Vectors get Gaussian jitter (weak) or heavier jitter plus coordinate
 dropout (strong).  Images get flip/translate (weak) or two operations
-drawn from {flip, translate, brightness, cutout} (strong).  Each kind
-and modality has one batch function, which writes into ``out`` when given
-one; ``AugmentStream.apply_batch`` and ``apply_batch_into`` are the only
-entry points.  Every batch function draws its random numbers
-row by row, in the order a loop over single rows would draw them, so
-the stream, and with it every view, does not depend on how rows are
-grouped into batches.  Each ``AugmentStream`` owns its generator, so
-call order alone determines the sequence of views.
+drawn from {flip, translate, brightness, cutout} (strong).  Each kind and
+modality has one batch function; ``AugmentStream.apply_batch`` and
+``apply_batch_into`` (which also takes a per-row ``keep`` mask and uint8
+pixel rows) are the only entry points.  Every batch function draws its
+random numbers in the order a loop over single rows would, so no view
+depends on how rows are grouped into batches, and each ``AugmentStream``
+owns its generator, so call order alone determines the views.
 
-``apply_batch_into`` takes an optional per-row ``keep`` mask.  The strong
-image transform makes every draw of a row whose entry is False, in the
-same order, but writes zeros instead of moving pixels; the other
-transforms, whose per-row cost is their draws, build every row.  Either
-way the stream advances exactly as without ``keep``.
-
-The image transforms also take uint8 pixels, whose features are
-``pixels / 255``: they move bytes and divide each value they write into
-``out`` exactly once, with the divide ``MaskedDataset.rows`` uses, so a
-view of pixels equals the view of their float64 rows bit for bit.
-
-The image transforms draw from one of two sources that give the same
-values and leave the generator in the same state.  When the stream's bit
-generator is a ``PCG64``, as every ``AugmentStream``'s is, a batch takes
-its 64-bit words from one ``random_raw`` call (topped up if a strong
-batch runs short) and replays from them, in row order, what numpy's
-calls would return: ``next_uint32`` as a word's low half and then its
-high half, which waits in the state's ``has_uint32``/``uinteger`` buffer
-across calls; ``next_double`` as ``(w >> 11) * 2**-53``; bounded ints by
-numpy's 32-bit Lemire rule, redraws included; and ``uniform(low, high)``
-as ``low + (high - low) * double``, rounded after the multiply and after
-the add or, on a numpy build that fuses the two into one multiply-add,
-rounded once.  A check on fixed seeds at the first strong batch finds
-which rounding the build's ``uniform`` uses.  The weak transform computes
-its rows as arrays, the strong one in a loop over a list of words.  The
-generator is then reset, advanced by ``advance`` over the words used, and
-given the buffer.  Every other generator, and a strong batch on a build
-whose ``uniform`` matches neither rounding, draws one value per call
-through the generator's own ``integers``, ``random`` and ``uniform``.
+On a ``PCG64`` bit generator, as every ``AugmentStream``'s is, strong
+vectors and both image transforms take a batch's 64-bit words from one
+``random_raw`` call (more if it runs short) and replay from them, in
+row order, what numpy's calls would return: ``next_uint32`` as a word's
+low half and then its high half, which waits in the state's
+``has_uint32``/``uinteger`` buffer; ``next_double`` as ``(w >> 11) *
+2**-53``; bounded ints by numpy's 32-bit Lemire rule, redraws included;
+``uniform(low, high)`` as ``low + (high - low) * double``, rounded after
+the multiply and after the add or, on a build that fuses the two, once;
+and ``standard_normal`` by numpy's ziggurat (``_ziggurat``).  Weak images
+and the 98.5% of normals that take one word are computed as arrays,
+strong images and the other normals a draw at a time.  The generator is
+then reset, advanced by ``advance`` over the words used and given the
+buffer, so views and states are those of the calls.  Checks on fixed
+seeds at the first strong batch find how ``uniform`` rounds and that the
+normals replay.  Other generators, and a build whose draws the checks
+reject, make the generator's own calls, one value each.
 """
 from __future__ import annotations
 
@@ -63,6 +50,8 @@ MAX_IMAGE_SHIFT = 2 ** 31 - 1
 _MASK32 = 0xFFFFFFFF
 _WORDS_PER_STRONG_ROW = 3  # a strong row takes 2.5 words on average
 _TOP_UP_WORDS = 64
+# standard_normal reads a word's bits as layer (0-7), sign (8), size (9-60)
+_MASK52 = 2 ** 52 - 1
 
 
 @dataclass(frozen=True)
@@ -103,15 +92,14 @@ def weak_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
 
 def strong_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """(B, d) rows plus heavier jitter, then coordinate dropout.  Each row
-    draws its d normals and then its d uniforms."""
+    """(B, d) rows plus heavier jitter, then coordinate dropout.  Row by
+    row, d normals then d uniforms (``_loop_draws``, ``_vector_draws``)."""
     if out is None:
         out = np.empty_like(xs)
-    noise = np.empty_like(xs)
-    drop = np.empty_like(xs)
-    for i in range(xs.shape[0]):
-        rng.standard_normal(out=noise[i])
-        rng.random(out=drop[i])
+    bg = getattr(rng, "bit_generator", None)
+    roundings = type(bg) is np.random.PCG64 and xs.size and _normal_roundings()
+    noise, drop = (_vector_draws(bg, *xs.shape, roundings) if roundings
+                   else _loop_draws(rng, *xs.shape))
     noise *= cfg.sigma_strong
     np.add(xs, noise, out=out)
     out[drop < cfg.vector_drop_prob] = 0.0
@@ -145,6 +133,13 @@ class _PerDraw:
         pass
 
 
+@cache
+def _once_rounded(low: float, high: float) -> tuple[int, int, int]:
+    """(a·d·2**53, c·b, b·d·2**53) for low = a/b and high - low = c/d."""
+    (a, b), (c, d) = low.as_integer_ratio(), (high - low).as_integer_ratio()
+    return a * d * 2 ** 53, c * b, b * d * 2 ** 53
+
+
 class _RawDraws:
     """The draws of a ``PCG64`` generator's calls, replayed from its 64-bit
     words.  ``start`` is the generator's state before the first word it
@@ -152,11 +147,11 @@ class _RawDraws:
     and ``has_uint32`` and ``uinteger`` are the uint32 buffer at that
     point.  ``roundings`` is how ``uniform`` rounds, as
     ``_uniform_roundings`` reports it; weak rows draw no ``uniform``.  The
-    draws take words in order from the list and top it up with
-    ``random_raw`` when it runs out; ``finish`` puts the generator where
-    the calls would have left it."""
+    draws take words in order from ``words`` (a list or ``array("Q")``),
+    extended by ``random_raw`` when it runs out; ``finish`` puts the
+    generator where the calls would have left it."""
 
-    def __init__(self, bg, start: dict, words: list, used: int,
+    def __init__(self, bg, start: dict, words, used: int,
                  has_uint32: int, uinteger: int, roundings: int = 2):
         self.bg, self.start, self.words = bg, start, words
         self.used, self.pos = used, 0
@@ -165,7 +160,7 @@ class _RawDraws:
 
     def next64(self) -> int:
         if self.pos == len(self.words):
-            self.words += self.bg.random_raw(_TOP_UP_WORDS).tolist()
+            self.words.extend(self.bg.random_raw(_TOP_UP_WORDS).tolist())
         self.pos += 1
         return self.words[self.pos - 1]
 
@@ -214,19 +209,39 @@ class _RawDraws:
         correctly."""
         if self.roundings == 2:
             return low + (high - low) * self.random()
-        (a, b), (c, d) = low.as_integer_ratio(), (high - low).as_integer_ratio()
-        k = self.next64() >> 11
-        return (a * d * 2 ** 53 + c * b * k) / (b * d * 2 ** 53)
+        offset, scale, denominator = _once_rounded(low, high)
+        return (offset + scale * (self.next64() >> 11)) / denominator
+
+    def normal(self) -> float:
+        """numpy's ``random_standard_normal``; its wedge test has the form
+        and so the rounding of ``uniform(fi[k], fi[k - 1])``."""
+        z = _tables()[0]
+        while True:
+            w = self.next64()
+            k, rabs = w & 0xFF, (w >> 9) & _MASK52
+            x = rabs * z.SIGNED_WI[w & 0x1FF]
+            if rabs < z.KI[k]:
+                return x
+            if k == 0:
+                while True:
+                    xx = -z.INV_R * math.log1p(-self.random())
+                    yy = -math.log1p(-self.random())
+                    if yy + yy > xx * xx:
+                        x = z.R + xx
+                        return -x if rabs >> 8 & 1 else x
+            elif self.uniform(z.FI[k], z.FI[k - 1]) < math.exp(-0.5 * x * x):
+                return x
 
     def finish(self) -> None:
-        """Reset the generator to ``start`` and advance it by the words
-        used; ``advance`` empties the uint32 buffer, so set it after."""
+        """Reset the generator to ``start``, advance it by the words used
+        and set the uint32 buffer, which ``advance`` leaves at (0, 0)."""
         bg = self.bg
         bg.state = self.start
         bg.advance(self.used + self.pos)
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger
-        bg.state = state
+        if self.has_uint32 or self.uinteger:
+            state = bg.state
+            state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger
+            bg.state = state
 
 
 def _raw_draws(bg, words: int, roundings: int) -> _RawDraws:
@@ -240,12 +255,10 @@ def _raw_draws(bg, words: int, roundings: int) -> _RawDraws:
 def _uniform_roundings(generator=None) -> int | None:
     """How ``generator(seed).uniform`` (``default_rng`` when None) rounds
     ``low + (high - low) * next_double``: 2 or 1 when it gives the
-    brightness factors of a ``_RawDraws`` with that many roundings, on
-    fixed PCG64 seeds, else None.  numpy computes it in C, which some
-    builds contract to one fused multiply-add; about one in nine of these
-    512 draws then rounds differently.  It runs once, at the first strong
-    image batch, not at import: loading ``numpy.random`` before the
-    program does raised the vector workloads' peak RSS by 0.5 MB."""
+    brightness factors of a ``_RawDraws`` with that many roundings on
+    fixed PCG64 seeds (a fused multiply-add changes one in nine), else
+    None.  It runs at the first strong batch: loading ``numpy.random`` at
+    import raised the vector workloads' peak RSS by 0.5 MB."""
     generator = generator or np.random.default_rng
     low, high = BRIGHTNESS_RANGE
     for roundings in (2, 1):
@@ -258,6 +271,74 @@ def _uniform_roundings(generator=None) -> int | None:
         else:
             return roundings
     return None
+
+
+@cache
+def _tables():
+    """``_ziggurat`` and ``array``, imported late to save 0.2 MB of RSS."""
+    from array import array
+    from . import _ziggurat
+    return _ziggurat, array
+
+
+def _loop_draws(rng, n: int, d: int):
+    """(n, d) normals and uniforms, drawn a row of each at a time."""
+    noise, drop = np.empty((n, d)), np.empty((n, d))
+    for i in range(n):
+        rng.standard_normal(out=noise[i])
+        rng.random(out=drop[i])
+    return noise, drop
+
+
+def _vector_draws(bg, n: int, d: int, roundings: int, spare=_TOP_UP_WORDS):
+    """``_loop_draws`` on the PCG64 ``bg`` from one ``random_raw`` call of
+    2nd + nd/8 + ``spare`` words.  Uniforms and 98.5% of normals take one
+    word each, so row t's normals are gathered from word 2dt and its
+    uniforms from 2dt + d, shifted by the extra words of the normals
+    before them, which ``_RawDraws.normal`` replays; a short batch retries."""
+    (z, array), start = _tables(), bg.state
+    words = bg.random_raw(2 * n * d + n * d // 8 + spare)
+    draws = _RawDraws(bg, start, array("Q", words.tobytes()), 0,
+                      start["has_uint32"], start["uinteger"], roundings)
+    k = (words & np.uint64(0x1FF)).astype(np.intp)
+    rabs = (words >> np.uint64(9)) & np.uint64(_MASK52)
+    # shifts[j], once accumulated: extra words of the normals before td + c
+    shifts, slow, shift = np.zeros(n * d + 1, dtype=np.intp), {}, 0
+    for q in np.flatnonzero(rabs >= z.KI_ARRAY[k & 0xFF]).tolist():
+        t, c = divmod(q - shift, 2 * d)
+        if q < draws.pos or c >= d:  # a replayed normal's word or a uniform
+            continue
+        if t >= n:
+            break
+        draws.pos = q
+        slow[t * d + c] = draws.normal()
+        shift = shifts[t * d + c + 1] = draws.pos - q - 1 + shift
+    if 2 * n * d + shift > len(words):
+        bg.state = start
+        return _vector_draws(bg, n, d, roundings, 2 * spare + _TOP_UP_WORDS)
+    draws.pos = 2 * n * d + shift
+    draws.finish()
+    rows = np.arange(0, 2 * n * d, 2 * d)[:, None] + np.arange(d)
+    shifts = np.maximum.accumulate(shifts)
+    noise = (rabs * z.SIGNED_WI_ARRAY[k])[rows + shifts[:-1].reshape(n, d)]
+    drop = ((words >> np.uint64(11)) * 2.0 ** -53)[rows + d + shifts[d::d, None]]
+    noise.reshape(-1)[list(slow)] = list(slow.values())
+    return noise, drop
+
+
+@cache
+def _normal_roundings() -> int | None:
+    """``_uniform_roundings()`` if ``_vector_draws`` with it gives the draws
+    and state of ``_loop_draws`` on seeds whose normals take wedge tests,
+    redraws and tails, else None; run at the first strong vector batch."""
+    roundings = _uniform_roundings()
+    for seed in (0, 41) if roundings else ():
+        bg, rng = np.random.PCG64(seed), np.random.default_rng(seed)
+        got = np.array(_vector_draws(bg, 32, 16, roundings))
+        if (got.tobytes() != np.array(_loop_draws(rng, 32, 16)).tobytes()
+                or bg.state != rng.bit_generator.state):
+            return None
+    return roundings
 
 
 def _shift_view(col, row):
@@ -431,7 +512,7 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
 
 class AugmentStream:
     """Stateful source of augmented views for one (kind, consumer) pair.
-    A stream is single-threaded: an image batch replays its draws from
+    A stream is single-threaded: a batch may replay its draws from
     words read ahead of the generator's state, then rewinds and advances
     that state (see the module docstring), so a draw made on the
     generator between those steps would be lost."""
@@ -443,18 +524,15 @@ class AugmentStream:
             raise ConfigError(f"kind must be 'weak' or 'strong', got {kind!r}")
         if modality not in ("vector", "image"):
             raise ConfigError(f"modality must be 'vector' or 'image', got {modality!r}")
-        self.kind = kind
-        self.modality = modality
+        self.kind, self.modality = kind, modality
         self.config = config or AugmentConfig()
+        self.feature_shape = (tuple(feature_shape) if feature_shape else
+                              CIFAR_IMAGE_SHAPE if modality == "image" else None)
         if modality == "image":
-            self.feature_shape = tuple(feature_shape) if feature_shape else CIFAR_IMAGE_SHAPE
             if len(self.feature_shape) != 3:
                 raise ConfigError("image feature_shape must be (channels, height, width)")
-            side = min(self.feature_shape[1:])
-            if side < CUTOUT_SIZE:
+            if min(self.feature_shape[1:]) < CUTOUT_SIZE:
                 raise ConfigError(f"image sides must be >= {CUTOUT_SIZE}")
-        else:
-            self.feature_shape = tuple(feature_shape) if feature_shape else None
         self.rng = np.random.default_rng(seed)
 
     def apply_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -492,11 +570,13 @@ class AugmentStream:
                                  or keep.shape != xs.shape[:1]):
             raise ConfigError("keep must be a bool array with one entry per "
                               "row")
-        if self.modality == "image":
+        if np.may_share_memory(xs, out):
+            raise ConfigError("out must not overlap the rows")
+        if self.feature_shape is not None:
             width = math.prod(self.feature_shape)
             if xs.shape[1] != width:
-                raise ConfigError(f"image rows must have {width} features, "
-                                  f"got {xs.shape[1]}")
+                raise ConfigError(f"{self.modality} rows must have {width} "
+                                  f"features, got {xs.shape[1]}")
         if xs.shape[0] == 0:
             return out
         if self.modality == "vector":

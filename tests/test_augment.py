@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from copseudo import augment
+from copseudo import _ziggurat, augment
 from copseudo.augment import (
     BRIGHTNESS_RANGE,
     MAX_IMAGE_SHIFT,
@@ -325,6 +325,34 @@ class TestStream:
                                    f"192 features, got {width}"):
                     s.apply_batch_into(xs, np.empty((2, width)))
         assert s.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("kind,modality,shape", PAIRS)
+    def test_apply_batch_into_rejects_an_out_that_overlaps_the_rows(
+            self, kind, modality, shape):
+        # a weak image stream given its own rows would zero them first
+        width = 10 if shape is None else int(np.prod(shape))
+        s = AugmentStream(kind, modality, seed=0, feature_shape=shape)
+        state = s.rng.bit_generator.state
+        block = np.random.default_rng(1).random((2, 4, width))
+        for xs, out in ((block[0], block[0]), (block[0, 1:], block[0, :3]),
+                        (block, block.reshape(-1, width))):
+            xs = xs.reshape(-1, width)
+            with pytest.raises(ConfigError, match="must not overlap"):
+                s.apply_batch_into(xs, out)
+        assert s.rng.bit_generator.state == state
+        # rows of one block that do not overlap are accepted
+        s.apply_batch_into(block[0], block[1])
+
+    @pytest.mark.parametrize("kind", ["weak", "strong"])
+    def test_vector_streams_check_a_declared_width(self, kind):
+        s = AugmentStream(kind, "vector", seed=1, feature_shape=(5,))
+        state = s.rng.bit_generator.state
+        for width in (3, 4, 6):
+            with pytest.raises(ConfigError, match=f"vector rows must have 5 "
+                               f"features, got {width}"):
+                s.apply_batch(np.zeros((2, width)))
+        assert s.rng.bit_generator.state == state
+        assert s.apply_batch(np.zeros((2, 5))).shape == (2, 5)
 
     def test_empty_batch(self):
         s = AugmentStream("weak", "vector", seed=0)
@@ -849,3 +877,178 @@ class TestPixelRows:
                              feature_shape=(1, 8, 12)).apply_batch(
                                  xs.astype(np.float64))
         assert got.tobytes() == want.tobytes()
+
+
+class CallsOnly:
+    """A generator's ``standard_normal`` and ``random`` without its bit
+    generator, so that ``strong_vectors`` draws one row per call."""
+
+    def __init__(self, rng):
+        self.standard_normal, self.random = rng.standard_normal, rng.random
+
+
+class TestNormalReplay:
+    """Strong vector views on a ``PCG64``, replayed from ``random_raw``
+    words, against the per-row loop on a twin generator and against the
+    one-row reference transform: equal view bytes and an equal bit-generator
+    state after every call."""
+
+    WIDTHS = (1, 2, 5, 32)
+    SIZES = (0, 1, 64, 1000)
+
+    @staticmethod
+    def count_replays(monkeypatch):
+        augment._normal_roundings()  # the probe's own replays come first
+        calls = []
+        replay = augment._vector_draws
+
+        def counted(bg, n, d, roundings, spare=augment._TOP_UP_WORDS):
+            calls.append((n, d))
+            return replay(bg, n, d, roundings, spare)
+
+        monkeypatch.setattr(augment, "_vector_draws", counted)
+        return calls
+
+    @staticmethod
+    def check_rows(width, seed, buffered, fn=strong_vectors):
+        """Consecutive batches of every size through ``fn`` on a
+        ``default_rng``, the loop and the oracle; ``buffered`` uint32
+        draws come first, which leave the buffer full (1) or holding a
+        spent value (2)."""
+        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        for rng in rngs:
+            for _ in range(buffered):
+                rng.integers(0, 4)
+        got_rng, loop_rng, ref_rng = rngs
+        data = np.random.default_rng(seed + 100)
+        for size in TestNormalReplay.SIZES + TestNormalReplay.SIZES[::-1]:
+            xs = data.uniform(-2.0, 2.0, size=(size, width))
+            got = fn(xs, got_rng, CFG)
+            loop = strong_vectors(xs, CallsOnly(loop_rng), CFG)
+            want = np.array([strong_vector(row, ref_rng, CFG) for row in xs])
+            assert got.tobytes() == loop.tobytes() == want.reshape(
+                size, width).tobytes(), (width, seed, size)
+            state = got_rng.bit_generator.state
+            assert state == loop_rng.bit_generator.state, (width, seed, size)
+            assert state == ref_rng.bit_generator.state, (width, seed, size)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_views_match_the_loop_and_the_oracle(self, width, monkeypatch):
+        calls = self.count_replays(monkeypatch)
+        for seed, buffered in ((0, 0), (1, 1), (2, 2)):
+            self.check_rows(width, seed, buffered)
+        # every non-empty batch was replayed
+        assert len(calls) == 3 * 2 * (len(self.SIZES) - 1)
+
+    def test_streams_replay_their_batches(self, monkeypatch):
+        calls = self.count_replays(monkeypatch)
+        stream = AugmentStream("strong", "vector", seed=[3, 1])
+        twin = np.random.default_rng([3, 1])
+        data = np.random.default_rng(4)
+        for size in (64, 1, 200):
+            xs = data.random((size, 2))
+            want = np.array([strong_vector(row, twin, CFG) for row in xs])
+            assert stream.apply_batch(xs).tobytes() == want.tobytes()
+            assert stream.rng.bit_generator.state == twin.bit_generator.state
+        assert calls == [(64, 2), (1, 2), (200, 2)]
+
+    def test_probe_passes_on_this_build(self):
+        assert augment._normal_roundings() == _uniform_roundings() == 2
+
+    @staticmethod
+    def trace_normals(monkeypatch):
+        """Record (first word, words used) of each ``_RawDraws.normal``."""
+        trace = []
+        normal = augment._RawDraws.normal
+
+        def traced(self):
+            first = self.pos
+            x = normal(self)
+            trace.append((self.words[first], self.pos - first))
+            return x
+
+        monkeypatch.setattr(augment._RawDraws, "normal", traced)
+        return trace
+
+    @staticmethod
+    def paths(trace):
+        """The layers of the first words that took the fast path and of
+        those that did not, the number of tails and of redraws."""
+        fast, slow, tails, redraws = set(), set(), 0, 0
+        for w, used in trace:
+            k, rabs = w & 0xFF, (w >> 9) & (2 ** 52 - 1)
+            if rabs < _ziggurat.KI[k]:
+                fast.add(k)
+                assert used == 1
+                continue
+            slow.add(k)
+            tails += k == 0
+            redraws += used > (3 if k == 0 else 2)
+        return fast, slow, tails, redraws
+
+    def test_probe_seeds_take_every_path(self, monkeypatch):
+        trace = self.trace_normals(monkeypatch)
+        assert augment._normal_roundings.__wrapped__() == 2
+        _, slow, tails, redraws = self.paths(trace)
+        assert tails >= 2 and redraws >= 5 and len(slow) > 10
+
+    def test_a_million_normals_match_standard_normal(self, monkeypatch):
+        # one draw at a time through _RawDraws.normal, every path traced
+        trace = self.trace_normals(monkeypatch)
+        bg, want = np.random.PCG64(2025), np.random.default_rng(2025)
+        draws = _raw_draws(bg, 1_100_000, _uniform_roundings())
+        got = np.array([draws.normal() for _ in range(1_000_000)])
+        draws.finish()
+        assert got.tobytes() == want.standard_normal(1_000_000).tobytes()
+        assert bg.state == want.bit_generator.state
+        fast, slow, tails, redraws = self.paths(trace)
+        assert _ziggurat.KI[1] == 0
+        assert fast == set(range(256)) - {1}
+        assert slow == set(range(256))
+        assert tails >= 1 and redraws >= 1
+
+    def test_a_batch_that_runs_short_starts_again(self, monkeypatch):
+        # with no spare words, 6 normals fetch 12 words, and any normal
+        # off the fast path runs past them
+        calls = self.count_replays(monkeypatch)
+        for seed in range(100):
+            bg, rng = np.random.PCG64(seed), np.random.default_rng(seed)
+            got = augment._vector_draws(bg, 3, 2, 2, spare=0)
+            want = augment._loop_draws(rng, 3, 2)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert bg.state == rng.bit_generator.state
+        assert len(calls) > 100  # the retries go through the module name
+
+    def test_a_failed_probe_takes_the_loop(self, monkeypatch):
+        monkeypatch.setattr(augment, "_normal_roundings", lambda: None)
+        monkeypatch.setattr(augment, "_vector_draws",
+                            TestBatchedPath.refuse)
+        for width in self.WIDTHS:
+            self.check_rows(width, seed=6, buffered=0)
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+        np.random.SFC64], ids=lambda bg: bg.__name__)
+    def test_other_bit_generators_take_the_loop(self, bit_generator,
+                                                monkeypatch):
+        monkeypatch.setattr(augment, "_vector_draws",
+                            TestBatchedPath.refuse)
+        got_rng = np.random.Generator(bit_generator(2024))
+        want_rng = np.random.Generator(bit_generator(2024))
+        data = np.random.default_rng(17)
+        for size, width in ((1, 2), (64, 2), (37, 5), (10, 32)):
+            xs = data.random((size, width))
+            got = strong_vectors(xs, got_rng, CFG)
+            want = np.array([strong_vector(row, want_rng, CFG) for row in xs])
+            assert got.tobytes() == want.tobytes(), (size, width)
+            assert same_state(got_rng.bit_generator.state,
+                              want_rng.bit_generator.state)
+
+    def test_uniform_rounded_once_is_derived_once_per_range(self):
+        draws = _raw_draws(np.random.PCG64(3), 0, 1)
+        draws.uniform(0.25, 0.75)
+        before = augment._once_rounded.cache_info()
+        for _ in range(10):
+            draws.uniform(0.25, 0.75)
+        after = augment._once_rounded.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 10, before.misses)
