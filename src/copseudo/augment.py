@@ -10,23 +10,21 @@ random numbers in the order a loop over single rows would, so no view
 depends on how rows are grouped into batches, and each ``AugmentStream``
 owns its generator, so call order alone determines the views.
 
-On a ``PCG64`` bit generator, as every ``AugmentStream``'s is, strong
-vectors and both image transforms take a batch's 64-bit words from one
-``random_raw`` call (more if it runs short) and replay from them, in
-row order, what numpy's calls would return: ``next_uint32`` as a word's
-low half and then its high half, which waits in the state's
-``has_uint32``/``uinteger`` buffer; ``next_double`` as ``(w >> 11) *
-2**-53``; bounded ints by numpy's 32-bit Lemire rule, redraws included;
-``uniform(low, high)`` as ``low + (high - low) * double``, rounded after
-the multiply and after the add or, on a build that fuses the two, once;
-and ``standard_normal`` by numpy's ziggurat (``_ziggurat``).  Weak images
-and the 98.5% of normals that take one word are computed as arrays,
-strong images and the other normals a draw at a time.  The generator is
-then reset, advanced by ``advance`` over the words used and given the
-buffer, so views and states are those of the calls.  Checks on fixed
-seeds at the first strong batch find how ``uniform`` rounds and that the
-normals replay.  Other generators, and a build whose draws the checks
-reject, make the generator's own calls, one value each.
+Strong vectors and both image transforms are defined by the 64-bit
+words of the stream's ``PCG64`` bit generator, whose stream numpy keeps
+stable across versions.  A batch takes its words from one ``random_raw``
+call (more if it runs short) and draws from them, in row order:
+``next_uint32`` as a word's low half and then its high half, which waits
+in the state's ``has_uint32``/``uinteger`` buffer; ``next_double`` as
+``(w >> 11) * 2**-53``; bounded ints by numpy's 32-bit Lemire rule,
+redraws included; ``uniform(low, high)`` as ``low + (high - low) *
+double``, rounded after the multiply and after the add; and
+``standard_normal`` by numpy's ziggurat (``_ziggurat``).  These are the
+values numpy's own calls return.  Weak images and the 98.5% of normals
+that take one word are computed as arrays, strong images and the other
+normals a draw at a time.  The generator is then reset, advanced by
+``advance`` over the words used and given the buffer, so the state is
+that of the calls.  Weak vectors are one ``standard_normal`` call.
 """
 from __future__ import annotations
 
@@ -93,13 +91,12 @@ def weak_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
 def strong_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
                    out: np.ndarray | None = None) -> np.ndarray:
     """(B, d) rows plus heavier jitter, then coordinate dropout.  Row by
-    row, d normals then d uniforms (``_loop_draws``, ``_vector_draws``)."""
+    row, d normals then d uniforms (``_vector_draws``)."""
     if out is None:
         out = np.empty_like(xs)
-    bg = getattr(rng, "bit_generator", None)
-    roundings = type(bg) is np.random.PCG64 and xs.size and _normal_roundings()
-    noise, drop = (_vector_draws(bg, *xs.shape, roundings) if roundings
-                   else _loop_draws(rng, *xs.shape))
+    if not xs.size:  # a batch of no rows or of empty rows draws nothing
+        return out
+    noise, drop = _vector_draws(rng.bit_generator, *xs.shape)
     noise *= cfg.sigma_strong
     np.add(xs, noise, out=out)
     out[drop < cfg.vector_drop_prob] = 0.0
@@ -117,46 +114,21 @@ def _shift_slices(s: int, n: int) -> dict:
             for d in range(-m, m + 1)}
 
 
-class _PerDraw:
-    """A generator's draws as one call each to its own ``integers``,
-    ``random`` and ``uniform``: the source for scripted fakes, for bit
-    generators other than ``PCG64`` and for a build whose ``uniform``
-    ``_uniform_roundings`` cannot reproduce."""
-
-    def __init__(self, rng):
-        self.rng, self.random, self.uniform = rng, rng.random, rng.uniform
-
-    def integers(self, lo: int, hi: int) -> int:
-        return int(self.rng.integers(lo, hi))
-
-    def finish(self) -> None:
-        pass
-
-
-@cache
-def _once_rounded(low: float, high: float) -> tuple[int, int, int]:
-    """(a·d·2**53, c·b, b·d·2**53) for low = a/b and high - low = c/d."""
-    (a, b), (c, d) = low.as_integer_ratio(), (high - low).as_integer_ratio()
-    return a * d * 2 ** 53, c * b, b * d * 2 ** 53
-
-
 class _RawDraws:
-    """The draws of a ``PCG64`` generator's calls, replayed from its 64-bit
-    words.  ``start`` is the generator's state before the first word it
-    gave to ``words``; ``used`` words were consumed before ``words[0]``,
-    and ``has_uint32`` and ``uinteger`` are the uint32 buffer at that
-    point.  ``roundings`` is how ``uniform`` rounds, as
-    ``_uniform_roundings`` reports it; weak rows draw no ``uniform``.  The
-    draws take words in order from ``words`` (a list or ``array("Q")``),
-    extended by ``random_raw`` when it runs out; ``finish`` puts the
-    generator where the calls would have left it."""
+    """A ``PCG64`` generator's draws, computed from its 64-bit words as
+    numpy's calls compute them.  ``start`` is the generator's state before
+    the first word it gave to ``words``; ``used`` words were consumed
+    before ``words[0]``, and ``has_uint32`` and ``uinteger`` are the
+    uint32 buffer at that point.  The draws take words in order from
+    ``words`` (a list or ``array("Q")``), extended by ``random_raw`` when
+    it runs out; ``finish`` puts the generator where the calls would have
+    left it."""
 
     def __init__(self, bg, start: dict, words, used: int,
-                 has_uint32: int, uinteger: int, roundings: int = 2):
+                 has_uint32: int, uinteger: int):
         self.bg, self.start, self.words = bg, start, words
         self.used, self.pos = used, 0
         self.has_uint32, self.uinteger = has_uint32, uinteger
-        self.roundings = roundings
 
     def next64(self) -> int:
         if self.pos == len(self.words):
@@ -204,13 +176,8 @@ class _RawDraws:
 
     def uniform(self, low: float, high: float) -> float:
         """``low + (high - low) * next_double``, rounded after the multiply
-        and after the add, or, when ``roundings`` is 1, rounded once: the
-        exact value as one int/int division, which Python rounds
-        correctly."""
-        if self.roundings == 2:
-            return low + (high - low) * self.random()
-        offset, scale, denominator = _once_rounded(low, high)
-        return (offset + scale * (self.next64() >> 11)) / denominator
+        and after the add."""
+        return low + (high - low) * self.random()
 
     def normal(self) -> float:
         """numpy's ``random_standard_normal``; its wedge test has the form
@@ -244,33 +211,11 @@ class _RawDraws:
             bg.state = state
 
 
-def _raw_draws(bg, words: int, roundings: int) -> _RawDraws:
+def _raw_draws(bg, words: int) -> _RawDraws:
     """A ``_RawDraws`` of the PCG64 ``bg`` holding its next ``words``."""
     start = bg.state
     return _RawDraws(bg, start, bg.random_raw(words).tolist(), 0,
-                     start["has_uint32"], start["uinteger"], roundings)
-
-
-@cache
-def _uniform_roundings(generator=None) -> int | None:
-    """How ``generator(seed).uniform`` (``default_rng`` when None) rounds
-    ``low + (high - low) * next_double``: 2 or 1 when it gives the
-    brightness factors of a ``_RawDraws`` with that many roundings on
-    fixed PCG64 seeds (a fused multiply-add changes one in nine), else
-    None.  It runs at the first strong batch: loading ``numpy.random`` at
-    import raised the vector workloads' peak RSS by 0.5 MB."""
-    generator = generator or np.random.default_rng
-    low, high = BRIGHTNESS_RANGE
-    for roundings in (2, 1):
-        for seed in range(4):
-            rng = generator(seed)
-            twin = _raw_draws(np.random.PCG64(seed), 128, roundings)
-            if any(rng.uniform(low, high) != twin.uniform(low, high)
-                   for _ in range(128)):
-                break
-        else:
-            return roundings
-    return None
+                     start["has_uint32"], start["uinteger"])
 
 
 @cache
@@ -281,25 +226,17 @@ def _tables():
     return _ziggurat, array
 
 
-def _loop_draws(rng, n: int, d: int):
-    """(n, d) normals and uniforms, drawn a row of each at a time."""
-    noise, drop = np.empty((n, d)), np.empty((n, d))
-    for i in range(n):
-        rng.standard_normal(out=noise[i])
-        rng.random(out=drop[i])
-    return noise, drop
-
-
-def _vector_draws(bg, n: int, d: int, roundings: int, spare=_TOP_UP_WORDS):
-    """``_loop_draws`` on the PCG64 ``bg`` from one ``random_raw`` call of
-    2nd + nd/8 + ``spare`` words.  Uniforms and 98.5% of normals take one
-    word each, so row t's normals are gathered from word 2dt and its
-    uniforms from 2dt + d, shifted by the extra words of the normals
-    before them, which ``_RawDraws.normal`` replays; a short batch retries."""
+def _vector_draws(bg, n: int, d: int, spare=_TOP_UP_WORDS):
+    """(n, d) normals and uniforms, d of each a row, from the PCG64 ``bg``'s
+    words, taken by one ``random_raw`` call of 2nd + nd/8 + ``spare``
+    words.  Uniforms and 98.5% of normals take one word each, so row t's
+    normals are gathered from word 2dt and its uniforms from 2dt + d,
+    shifted by the extra words of the normals before them, which
+    ``_RawDraws.normal`` replays; a short batch retries."""
     (z, array), start = _tables(), bg.state
     words = bg.random_raw(2 * n * d + n * d // 8 + spare)
     draws = _RawDraws(bg, start, array("Q", words.tobytes()), 0,
-                      start["has_uint32"], start["uinteger"], roundings)
+                      start["has_uint32"], start["uinteger"])
     k = (words & np.uint64(0x1FF)).astype(np.intp)
     rabs = (words >> np.uint64(9)) & np.uint64(_MASK52)
     # shifts[j], once accumulated: extra words of the normals before td + c
@@ -315,7 +252,7 @@ def _vector_draws(bg, n: int, d: int, roundings: int, spare=_TOP_UP_WORDS):
         shift = shifts[t * d + c + 1] = draws.pos - q - 1 + shift
     if 2 * n * d + shift > len(words):
         bg.state = start
-        return _vector_draws(bg, n, d, roundings, 2 * spare + _TOP_UP_WORDS)
+        return _vector_draws(bg, n, d, 2 * spare + _TOP_UP_WORDS)
     draws.pos = 2 * n * d + shift
     draws.finish()
     rows = np.arange(0, 2 * n * d, 2 * d)[:, None] + np.arange(d)
@@ -324,21 +261,6 @@ def _vector_draws(bg, n: int, d: int, roundings: int, spare=_TOP_UP_WORDS):
     drop = ((words >> np.uint64(11)) * 2.0 ** -53)[rows + d + shifts[d::d, None]]
     noise.reshape(-1)[list(slow)] = list(slow.values())
     return noise, drop
-
-
-@cache
-def _normal_roundings() -> int | None:
-    """``_uniform_roundings()`` if ``_vector_draws`` with it gives the draws
-    and state of ``_loop_draws`` on seeds whose normals take wedge tests,
-    redraws and tails, else None; run at the first strong vector batch."""
-    roundings = _uniform_roundings()
-    for seed in (0, 41) if roundings else ():
-        bg, rng = np.random.PCG64(seed), np.random.default_rng(seed)
-        got = np.array(_vector_draws(bg, 32, 16, roundings))
-        if (got.tobytes() != np.array(_loop_draws(rng, 32, 16)).tobytes()
-                or bg.state != rng.bit_generator.state):
-            return None
-    return roundings
 
 
 def _shift_view(col, row):
@@ -354,16 +276,14 @@ def _weak_draws(rng, n: int, s: int):
     """The flips and (dx, dy) shifts of the first rows of an n-row weak
     batch, and the draws of ``rng`` that the remaining rows take.
 
-    For a ``PCG64`` the rows are computed as arrays from one
-    ``random_raw`` call.  A row takes one word for its flip (``next_double
-    < 0.5``) and, when s > 0, one uint32 for dx and one for dy: the first
-    from the buffer when the row starts with it full, so the buffer's
-    state carries from row to row unchanged, and each row takes one more
-    word.  The arrays stop at the first row whose shift the Lemire rule
-    redraws; that row and the rest are replayed one draw at a time."""
-    bg = getattr(rng, "bit_generator", None)
-    if type(bg) is not np.random.PCG64:
-        return [], [], [], _PerDraw(rng)
+    The rows are computed as arrays from one ``random_raw`` call.  A row
+    takes one word for its flip (``next_double < 0.5``) and, when s > 0,
+    one uint32 for dx and one for dy: the first from the buffer when the
+    row starts with it full, so the buffer's state carries from row to row
+    unchanged, and each row takes one more word.  The arrays stop at the
+    first row whose shift the Lemire rule redraws; that row and the rest
+    are replayed one draw at a time."""
+    bg = rng.bit_generator
     start = bg.state
     has, buf = start["has_uint32"], start["uinteger"]
     r = 2 * s + 1
@@ -460,10 +380,7 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
     scratch = np.empty(imgs.shape[1:])
     cut_range = min(h, w) - CUTOUT_SIZE + 1
-    bg = getattr(rng, "bit_generator", None)
-    roundings = _uniform_roundings() if type(bg) is np.random.PCG64 else None
-    draws = (_PerDraw(rng) if roundings is None
-             else _raw_draws(bg, _WORDS_PER_STRONG_ROW * n, roundings))
+    draws = _raw_draws(rng.bit_generator, _WORDS_PER_STRONG_ROW * n)
     draw = draws.integers
     for i in range(n):
         steps = []

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +10,8 @@ from copseudo.augment import (
     MAX_IMAGE_SHIFT,
     AugmentConfig,
     AugmentStream,
-    _PerDraw,
     _raw_draws,
     _shift_slices,
-    _uniform_roundings,
     strong_images,
     strong_vectors,
     weak_images,
@@ -33,37 +29,66 @@ from oracles import (
 )
 
 
-class ScriptedRng:
-    """Generator double that replays a fixed call script, asserting order."""
+class ScriptedWords:
+    """A ``PCG64`` double that hands out fixed 64-bit words, then zeros.
+    It is its own ``bit_generator``, so it stands in for a generator;
+    ``spent()`` says whether the draws took exactly the scripted words."""
 
-    def __init__(self, script):
-        self.script = list(script)
+    def __init__(self, words):
+        self.words, self.pos = list(words), 0
+        self.has_uint32 = self.uinteger = 0
+        self.bit_generator = self
 
-    def _next(self, method):
-        assert self.script, f"unexpected rng call: {method}"
-        name, value = self.script.pop(0)
-        assert name == method, f"expected call {name}, got {method}"
-        return value
+    @property
+    def state(self):
+        return {"pos": self.pos, "has_uint32": self.has_uint32,
+                "uinteger": self.uinteger}
 
-    @staticmethod
-    def _shaped(v, size, out):
-        if out is not None:
-            out[...] = v
-            return out
-        return v if size is None else np.asarray(v, dtype=float).reshape(size)
+    @state.setter
+    def state(self, state):
+        self.pos = state["pos"]
+        self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
 
-    def random(self, size=None, out=None):
-        return self._shaped(self._next("random"), size, out)
+    def random_raw(self, n):
+        got = self.words[self.pos:self.pos + n]
+        self.pos += n
+        return np.array(got + [0] * (n - len(got)), dtype=np.uint64)
 
-    def integers(self, low, high=None, size=None):
-        v = self._next("integers")
-        return np.asarray(v) if size is not None else v
+    def advance(self, k):
+        self.pos += k
 
-    def uniform(self, low, high):
-        return self._next("uniform")
+    def spent(self):
+        return self.pos == len(self.words)
 
-    def standard_normal(self, size=None, out=None):
-        return self._shaped(self._next("standard_normal"), size, out)
+
+def scripted(*draws):
+    """A ``ScriptedWords`` whose words give ``draws`` in order:
+    ("integers", lo, hi, v), ("random", u), which is also the
+    ``next_double`` of a ``uniform``, or ("normal", z) for |z| < 3.6, a
+    layer-0 word on the ziggurat's fast path.  An int is a uint32: a new
+    word's low half, or the high half of the word the int before it
+    opened."""
+    words, half = [], None
+    for name, *args in draws:
+        if name == "integers":
+            lo, hi, v = args
+            if hi - lo == 1:  # a range of one draws nothing
+                continue
+            u = (((v - lo) << 32) + 2 ** 31) // (hi - lo)
+            if half is None:
+                words.append(u)
+                half = len(words) - 1
+            else:
+                words[half] |= u << 32
+                half = None
+        elif name == "random":
+            words.append(int(args[0] * 2 ** 53) << 11)
+        else:
+            (z,) = args
+            rabs = round(abs(z) / _ziggurat.WI[0])
+            assert rabs < _ziggurat.KI[0]
+            words.append(rabs << 9 | (256 if z < 0 else 0))
+    return ScriptedWords(words)
 
 
 def ramp_image(c=1, h=4, w=4):
@@ -107,25 +132,27 @@ class TestDefaults:
 
 
 class TestVectorTransforms:
+    # weak vectors are one standard_normal call, so a twin generator's
+    # normals script them
     def test_weak_is_additive_noise(self):
         x = np.array([1.0, -2.0, 0.5])
-        rng = ScriptedRng([("standard_normal", [1.0, 0.0, -2.0])])
-        out = weak_vectors(x[None], rng, CFG)[0]
-        np.testing.assert_allclose(out, [1.05, -2.0, 0.4])
+        out = weak_vectors(x[None], np.random.default_rng(3), CFG)[0]
+        noise = np.random.default_rng(3).standard_normal(3)
+        np.testing.assert_array_equal(out, x + CFG.sigma_weak * noise)
 
     def test_strong_noise_then_dropout(self):
         x = np.array([1.0, 2.0, 3.0])
-        rng = ScriptedRng([
-            ("standard_normal", [1.0, 1.0, 1.0]),
-            ("random", [0.05, 0.5, 0.09]),  # coords 0 and 2 fall under p=0.1
-        ])
+        rng = scripted(("normal", 1.0), ("normal", 1.0), ("normal", 1.0),
+                       # coords 0 and 2 fall under p=0.1
+                       ("random", 0.05), ("random", 0.5), ("random", 0.09))
         out = strong_vectors(x[None], rng, CFG)[0]
         np.testing.assert_allclose(out, [0.0, 2.25, 0.0])
+        assert rng.spent()
 
     def test_zero_sigma_weak_is_identity(self):
         cfg = AugmentConfig(sigma_weak=0.0)
         x = np.array([3.0, 4.0])
-        rng = ScriptedRng([("standard_normal", [5.0, 5.0])])
+        rng = np.random.default_rng(5)
         np.testing.assert_array_equal(weak_vectors(x[None], rng, cfg)[0], x)
 
     def test_weak_noise_scale_statistics(self):
@@ -176,15 +203,19 @@ class TestImagePrimitives:
 class TestWeakImage:
     def test_flip_then_no_shift(self):
         img = ramp_image()
-        rng = ScriptedRng([("random", 0.3), ("integers", 0), ("integers", 0)])
+        rng = scripted(("random", 0.3), ("integers", -4, 5, 0),
+                       ("integers", -4, 5, 0))
         out = weak_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out, img[:, :, ::-1])
+        assert rng.spent()
 
     def test_no_flip_with_shift(self):
         img = ramp_image(1, 3, 3)
-        rng = ScriptedRng([("random", 0.7), ("integers", 1), ("integers", 0)])
+        rng = scripted(("random", 0.7), ("integers", -4, 5, 1),
+                       ("integers", -4, 5, 0))
         out = weak_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out, _translate(img, 1, 0))
+        assert rng.spent()
 
     def test_flip_frequency(self):
         cfg = AugmentConfig(image_shift_weak=0)
@@ -197,37 +228,46 @@ class TestWeakImage:
 
 
 class TestStrongImage:
+    @staticmethod
+    def ops(a, b):
+        return ("integers", 0, 4, a), ("integers", 0, 4, b)
+
     def test_flip_then_unit_brightness(self):
         img = ramp_image()
-        rng = ScriptedRng([("integers", 0), ("integers", 2), ("uniform", 1.0)])
+        # uniform(0.6, 1.4) of next_double 0.5 is 1.0
+        rng = scripted(*self.ops(0, 2), ("random", 0.5))
         out = strong_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out, img[:, :, ::-1])
+        assert rng.spent()
 
     def test_cutout_patch_value_and_extent(self):
         img = np.full((3, 32, 32), 0.25)
-        rng = ScriptedRng([("integers", 3), ("integers", 3),
-                           ("integers", 3), ("integers", 5),
-                           ("integers", 3), ("integers", 5)])
+        corner = (("integers", 0, 25, 3), ("integers", 0, 25, 5))
+        rng = scripted(*self.ops(3, 3), *corner, *corner)
         out = strong_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out[:, 3:11, 5:13], 0.5)
         mask = np.ones((32, 32), dtype=bool)
         mask[3:11, 5:13] = False
         np.testing.assert_array_equal(out[:, mask], 0.25)
+        assert rng.spent()
 
     def test_brightness_clamps_to_unit_range(self):
         img = np.full((1, 8, 8), 0.9)
-        rng = ScriptedRng([("integers", 2), ("integers", 2),
-                           ("uniform", 1.4), ("uniform", 1.4)])
+        # factors just under 1.4
+        top = 1 - 2.0 ** -53
+        rng = scripted(*self.ops(2, 2), ("random", top), ("random", top))
         out = strong_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out, 1.0)
+        assert rng.spent()
 
     def test_two_translations_compose(self):
         img = ramp_image(1, 6, 6)
-        rng = ScriptedRng([("integers", 1), ("integers", 1),
-                           ("integers", 2), ("integers", 0),
-                           ("integers", 0), ("integers", 1)])
+        rng = scripted(*self.ops(1, 1),
+                       ("integers", -8, 9, 2), ("integers", -8, 9, 0),
+                       ("integers", -8, 9, 0), ("integers", -8, 9, 1))
         out = strong_images(img[None], rng, CFG)[0]
         np.testing.assert_array_equal(out, _translate(_translate(img, 2, 0), 0, 1))
+        assert rng.spent()
 
     def test_does_not_mutate_input(self):
         img = ramp_image(3, 32, 32)
@@ -487,45 +527,12 @@ class TestBatchAgainstOracle:
             assert pair_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
-def same_state(a, b):
-    """Bit-generator states equal entry by entry; Philox and MT19937 keep
-    arrays in theirs."""
-    if isinstance(a, dict):
-        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
-    return np.array_equal(a, b)
-
-
 # every (lo, hi) the image streams draw from: the op code, the shift 2s+1
 # for s in {0, 4, 8, 10, 40}, cutout corners on 32- and 12-pixel sides and
 # on an 8-pixel side (a range of one); then two ranges that reject often
 # and the whole 32-bit range
 RANGES = ((0, 4), *((-s, s + 1) for s in (0, 4, 8, 10, 40)), (0, 25),
           (0, 5), (0, 1), (0, 3 * 2 ** 30), (-7, 2 ** 31 - 6), (0, 2 ** 32))
-
-
-class FusedUniform(np.random.Generator):
-    """``default_rng(seed)`` with a ``uniform`` that rounds ``low + (high -
-    low) * next_double`` once, as a build that fuses the multiply and the
-    add does.  ``differ`` counts the draws that two roundings would give
-    differently, out of ``draws``."""
-
-    def __init__(self, seed):
-        super().__init__(np.random.PCG64(seed))
-        self.draws = self.differ = 0
-
-    def uniform(self, low, high):
-        d = self.random()
-        once = float(Fraction(low) + Fraction(high - low) * Fraction(d))
-        self.draws += 1
-        self.differ += once != low + (high - low) * d
-        return once
-
-
-class SinglePrecisionUniform(FusedUniform):
-    """A ``uniform`` that matches neither rounding."""
-
-    def uniform(self, low, high):
-        return float(np.float32(super().uniform(low, high)))
 
 
 class TestRawDraws:
@@ -541,7 +548,7 @@ class TestRawDraws:
         script = np.random.default_rng(7).integers(0, len(RANGES) + 3,
                                                    size=30_000)
         prefetch = np.random.default_rng(8)
-        draws = _raw_draws(bg, 0, _uniform_roundings())
+        draws = _raw_draws(bg, 0)
         for step, k in enumerate(script):
             if k < len(RANGES):
                 lo, hi = RANGES[k]
@@ -556,8 +563,7 @@ class TestRawDraws:
             else:
                 draws.finish()
                 assert bg.state == want.bit_generator.state, step
-                draws = _raw_draws(bg, int(prefetch.integers(0, 100)),
-                                   _uniform_roundings())
+                draws = _raw_draws(bg, int(prefetch.integers(0, 100)))
         draws.finish()
         assert bg.state == want.bit_generator.state
 
@@ -566,52 +572,19 @@ class TestRawDraws:
             with pytest.raises(ValueError):
                 np.random.default_rng(0).integers(lo, hi)
             with pytest.raises(ValueError):
-                _raw_draws(np.random.PCG64(0), 4, 2).integers(lo, hi)
-
-    # brightness, the unit interval, ranges across zero and below it, a
-    # range far narrower than low's magnitude, and extreme exponents
-    UNIFORM_PAIRS = (BRIGHTNESS_RANGE, (0.0, 1.0), (-3.5, 2.25), (-2.0, -1.0),
-                     (0.1, 0.7), (1e3, 1e3 + 1e-9), (-1e10, 1e-10),
-                     (5e-324, 1e-300), (-1e300, 1e300))
-
-    def test_uniform_rounded_once_is_exact(self):
-        # against the Fraction rounding of FusedUniform for every pair; and
-        # the pairs do round differently from two roundings
-        differ = 0
-        for seed, (low, high) in enumerate(self.UNIFORM_PAIRS):
-            draws = _raw_draws(np.random.PCG64(seed), 0, 1)
-            twin = FusedUniform(seed)
-            for _ in range(2000):
-                assert draws.uniform(low, high) == twin.uniform(low, high), (
-                    low, high)
-            draws.finish()
-            assert draws.bg.state == twin.bit_generator.state
-            differ += twin.differ
-        assert differ > 0
+                _raw_draws(np.random.PCG64(0), 4).integers(lo, hi)
 
 
 class TestBatchedPath:
-    """The image streams of ``default_rng`` generators take their words
-    from ``random_raw``; the per-draw path gives the same views and
-    states."""
+    """The image streams take their words from ``random_raw`` and give the
+    views and states of numpy's per-value calls."""
 
     @staticmethod
     def refuse(*args, **kwargs):
-        raise AssertionError("took the per-draw path")
-
-    def test_uniform_check_holds_on_this_build(self):
-        assert _uniform_roundings() == 2
-
-    def test_uniform_check_detects_a_fused_build(self):
-        assert _uniform_roundings(FusedUniform) == 1
-
-    def test_uniform_check_rejects_other_roundings(self):
-        assert _uniform_roundings(SinglePrecisionUniform) is None
+        raise AssertionError("drew one word at a time")
 
     @pytest.mark.parametrize("kind", ["weak", "strong"])
-    def test_default_rng_streams_take_the_batched_path(self, kind,
-                                                       monkeypatch):
-        monkeypatch.setattr(augment, "_PerDraw", self.refuse)
+    def test_default_rng_streams_take_the_batched_path(self, kind):
         for shift in (None, 2 ** 30):
             cfg = CFG if shift is None else AugmentConfig(
                 image_shift_weak=shift, image_shift_strong=shift)
@@ -656,43 +629,6 @@ class TestBatchedPath:
             assert stream.rng.bit_generator.state["has_uint32"] == 1
             self.check_calls(stream, ref_rng, cfg, pixels, seed=12)
 
-    @pytest.mark.parametrize("pixels", [False, True], ids=["float", "uint8"])
-    def test_fused_build_replays_one_rounding(self, pixels, monkeypatch):
-        # a build whose uniform rounds once keeps the replay, and its strong
-        # views are those its own uniform gives
-        monkeypatch.setattr(augment, "_uniform_roundings",
-                            lambda generator=None: 1)
-        monkeypatch.setattr(augment, "_PerDraw", self.refuse)
-        for shift in self.SHIFTS:
-            cfg = CFG if shift is None else AugmentConfig(image_shift_strong=shift)
-            ref_rng = FusedUniform(14)
-            stream = AugmentStream("strong", "image", seed=14, config=cfg)
-            self.check_calls(stream, ref_rng, cfg, pixels, seed=15)
-            assert 0 < ref_rng.differ < ref_rng.draws, shift
-
-    def test_strong_per_draw_path_gives_the_same_views(self, monkeypatch):
-        data = np.random.default_rng(13)
-        batches = [data.integers(0, 256, size=(size, 3072), dtype=np.uint8)
-                   for size in (1, 150, 37)]
-        batched = AugmentStream("strong", "image", seed=6)
-        want = [batched.apply_batch(xs) for xs in batches]
-        calls = []
-
-        class Counted(_PerDraw):
-            def __init__(self, rng):
-                calls.append(rng)
-                super().__init__(rng)
-
-        monkeypatch.setattr(augment, "_uniform_roundings",
-                            lambda generator=None: None)
-        monkeypatch.setattr(augment, "_PerDraw", Counted)
-        per_draw = AugmentStream("strong", "image", seed=6)
-        got = [per_draw.apply_batch(xs) for xs in batches]
-        assert len(calls) == len(batches)
-        for g, w in zip(got, want):
-            assert g.tobytes() == w.tobytes()
-        assert per_draw.rng.bit_generator.state == batched.rng.bit_generator.state
-
     def test_shift_tables_hold_only_shifts_in_view(self):
         assert sorted(_shift_slices(4, 32)) == list(range(-4, 5))
         assert sorted(_shift_slices(MAX_IMAGE_SHIFT, 32)) == list(range(-31, 32))
@@ -715,32 +651,6 @@ class TestBatchedPath:
         for seed in range(2):
             TestBatchAgainstOracle.run_pair(kind, "image", (1, 8, 12), cfg,
                                             seed, sizes=[1, 100, 17])
-
-
-class TestPerDraw:
-    """The image transforms on generators whose bit generator is not a
-    ``PCG64``, which draw one value per call, against the oracle on a twin
-    generator: equal views and bit-generator states after every call."""
-
-    @pytest.mark.parametrize("bit_generator", [
-        np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
-        np.random.SFC64], ids=lambda bg: bg.__name__)
-    def test_other_bit_generators_match_rows(self, bit_generator):
-        data = np.random.default_rng(16)
-        for fn, oracle in ((weak_images, weak_image),
-                           (strong_images, strong_image)):
-            for shift in TestBatchedPath.SHIFTS:
-                cfg = CFG if shift is None else AugmentConfig(
-                    image_shift_weak=shift, image_shift_strong=shift)
-                got_rng = np.random.Generator(bit_generator(2024))
-                want_rng = np.random.Generator(bit_generator(2024))
-                for size in (1, 150, 37):  # consecutive calls on one generator
-                    imgs = data.random((size, 3, 32, 32))
-                    got = fn(imgs, got_rng, cfg)
-                    want = np.stack([oracle(img, want_rng, cfg) for img in imgs])
-                    assert got.tobytes() == want.tobytes(), (fn, shift, size)
-                    assert same_state(got_rng.bit_generator.state,
-                                      want_rng.bit_generator.state)
 
 
 class TestKeepMask:
@@ -879,81 +789,54 @@ class TestPixelRows:
         assert got.tobytes() == want.tobytes()
 
 
-class CallsOnly:
-    """A generator's ``standard_normal`` and ``random`` without its bit
-    generator, so that ``strong_vectors`` draws one row per call."""
-
-    def __init__(self, rng):
-        self.standard_normal, self.random = rng.standard_normal, rng.random
-
-
 class TestNormalReplay:
-    """Strong vector views on a ``PCG64``, replayed from ``random_raw``
-    words, against the per-row loop on a twin generator and against the
-    one-row reference transform: equal view bytes and an equal bit-generator
-    state after every call."""
+    """Strong vector views, replayed from ``random_raw`` words, against the
+    one-row reference transform on a twin generator: equal view bytes and
+    an equal bit-generator state after every call."""
 
-    WIDTHS = (1, 2, 5, 32)
+    WIDTHS = (0, 1, 2, 5, 32)
     SIZES = (0, 1, 64, 1000)
 
     @staticmethod
     def count_replays(monkeypatch):
-        augment._normal_roundings()  # the probe's own replays come first
         calls = []
         replay = augment._vector_draws
 
-        def counted(bg, n, d, roundings, spare=augment._TOP_UP_WORDS):
+        def counted(bg, n, d, spare=augment._TOP_UP_WORDS):
             calls.append((n, d))
-            return replay(bg, n, d, roundings, spare)
+            return replay(bg, n, d, spare)
 
         monkeypatch.setattr(augment, "_vector_draws", counted)
         return calls
 
     @staticmethod
-    def check_rows(width, seed, buffered, fn=strong_vectors):
-        """Consecutive batches of every size through ``fn`` on a
-        ``default_rng``, the loop and the oracle; ``buffered`` uint32
+    def check_rows(width, seed, buffered):
+        """Consecutive batches of every size through ``strong_vectors`` on
+        a ``default_rng`` and through the oracle; ``buffered`` uint32
         draws come first, which leave the buffer full (1) or holding a
         spent value (2)."""
-        rngs = [np.random.default_rng(seed) for _ in range(3)]
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
         for rng in rngs:
             for _ in range(buffered):
                 rng.integers(0, 4)
-        got_rng, loop_rng, ref_rng = rngs
+        got_rng, ref_rng = rngs
         data = np.random.default_rng(seed + 100)
         for size in TestNormalReplay.SIZES + TestNormalReplay.SIZES[::-1]:
             xs = data.uniform(-2.0, 2.0, size=(size, width))
-            got = fn(xs, got_rng, CFG)
-            loop = strong_vectors(xs, CallsOnly(loop_rng), CFG)
+            got = strong_vectors(xs, got_rng, CFG)
             want = np.array([strong_vector(row, ref_rng, CFG) for row in xs])
-            assert got.tobytes() == loop.tobytes() == want.reshape(
-                size, width).tobytes(), (width, seed, size)
-            state = got_rng.bit_generator.state
-            assert state == loop_rng.bit_generator.state, (width, seed, size)
-            assert state == ref_rng.bit_generator.state, (width, seed, size)
+            assert got.tobytes() == want.reshape(size, width).tobytes(), (
+                width, seed, size)
+            assert (got_rng.bit_generator.state
+                    == ref_rng.bit_generator.state), (width, seed, size)
 
     @pytest.mark.parametrize("width", WIDTHS)
     def test_views_match_the_loop_and_the_oracle(self, width, monkeypatch):
         calls = self.count_replays(monkeypatch)
         for seed, buffered in ((0, 0), (1, 1), (2, 2)):
             self.check_rows(width, seed, buffered)
-        # every non-empty batch was replayed
-        assert len(calls) == 3 * 2 * (len(self.SIZES) - 1)
-
-    def test_streams_replay_their_batches(self, monkeypatch):
-        calls = self.count_replays(monkeypatch)
-        stream = AugmentStream("strong", "vector", seed=[3, 1])
-        twin = np.random.default_rng([3, 1])
-        data = np.random.default_rng(4)
-        for size in (64, 1, 200):
-            xs = data.random((size, 2))
-            want = np.array([strong_vector(row, twin, CFG) for row in xs])
-            assert stream.apply_batch(xs).tobytes() == want.tobytes()
-            assert stream.rng.bit_generator.state == twin.bit_generator.state
-        assert calls == [(64, 2), (1, 2), (200, 2)]
-
-    def test_probe_passes_on_this_build(self):
-        assert augment._normal_roundings() == _uniform_roundings() == 2
+        # every batch with a value was replayed; one with none draws nothing
+        assert len(calls) == (3 * 2 * (len(self.SIZES) - 1) if width else 0)
 
     @staticmethod
     def trace_normals(monkeypatch):
@@ -986,9 +869,22 @@ class TestNormalReplay:
             redraws += used > (3 if k == 0 else 2)
         return fast, slow, tails, redraws
 
-    def test_probe_seeds_take_every_path(self, monkeypatch):
+    def test_streams_replay_their_batches(self, monkeypatch):
+        calls = self.count_replays(monkeypatch)
         trace = self.trace_normals(monkeypatch)
-        assert augment._normal_roundings.__wrapped__() == 2
+        data = np.random.default_rng(4)
+        # 32-row, 16-wide batches on seeds 0 and 41 take wedge tests on
+        # many layers, tails and redraws
+        for seed, sizes, width in (([3, 1], (64, 1, 200), 2),
+                                   (0, (32,), 16), (41, (32,), 16)):
+            stream = AugmentStream("strong", "vector", seed=seed)
+            twin = np.random.default_rng(seed)
+            for size in sizes:
+                xs = data.random((size, width))
+                want = np.array([strong_vector(row, twin, CFG) for row in xs])
+                assert stream.apply_batch(xs).tobytes() == want.tobytes()
+                assert stream.rng.bit_generator.state == twin.bit_generator.state
+        assert calls == [(64, 2), (1, 2), (200, 2), (32, 16), (32, 16)]
         _, slow, tails, redraws = self.paths(trace)
         assert tails >= 2 and redraws >= 5 and len(slow) > 10
 
@@ -996,7 +892,7 @@ class TestNormalReplay:
         # one draw at a time through _RawDraws.normal, every path traced
         trace = self.trace_normals(monkeypatch)
         bg, want = np.random.PCG64(2025), np.random.default_rng(2025)
-        draws = _raw_draws(bg, 1_100_000, _uniform_roundings())
+        draws = _raw_draws(bg, 1_100_000)
         got = np.array([draws.normal() for _ in range(1_000_000)])
         draws.finish()
         assert got.tobytes() == want.standard_normal(1_000_000).tobytes()
@@ -1010,45 +906,19 @@ class TestNormalReplay:
     def test_a_batch_that_runs_short_starts_again(self, monkeypatch):
         # with no spare words, 6 normals fetch 12 words, and any normal
         # off the fast path runs past them
-        calls = self.count_replays(monkeypatch)
+        calls, replay = [], augment._vector_draws
+
+        def no_spare(bg, n, d, spare=0):
+            calls.append(spare)
+            return replay(bg, n, d, spare)
+
+        monkeypatch.setattr(augment, "_vector_draws", no_spare)
+        xs = np.random.default_rng(5).random((3, 2))
         for seed in range(100):
-            bg, rng = np.random.PCG64(seed), np.random.default_rng(seed)
-            got = augment._vector_draws(bg, 3, 2, 2, spare=0)
-            want = augment._loop_draws(rng, 3, 2)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-            assert bg.state == rng.bit_generator.state
-        assert len(calls) > 100  # the retries go through the module name
-
-    def test_a_failed_probe_takes_the_loop(self, monkeypatch):
-        monkeypatch.setattr(augment, "_normal_roundings", lambda: None)
-        monkeypatch.setattr(augment, "_vector_draws",
-                            TestBatchedPath.refuse)
-        for width in self.WIDTHS:
-            self.check_rows(width, seed=6, buffered=0)
-
-    @pytest.mark.parametrize("bit_generator", [
-        np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
-        np.random.SFC64], ids=lambda bg: bg.__name__)
-    def test_other_bit_generators_take_the_loop(self, bit_generator,
-                                                monkeypatch):
-        monkeypatch.setattr(augment, "_vector_draws",
-                            TestBatchedPath.refuse)
-        got_rng = np.random.Generator(bit_generator(2024))
-        want_rng = np.random.Generator(bit_generator(2024))
-        data = np.random.default_rng(17)
-        for size, width in ((1, 2), (64, 2), (37, 5), (10, 32)):
-            xs = data.random((size, width))
-            got = strong_vectors(xs, got_rng, CFG)
-            want = np.array([strong_vector(row, want_rng, CFG) for row in xs])
-            assert got.tobytes() == want.tobytes(), (size, width)
-            assert same_state(got_rng.bit_generator.state,
-                              want_rng.bit_generator.state)
-
-    def test_uniform_rounded_once_is_derived_once_per_range(self):
-        draws = _raw_draws(np.random.PCG64(3), 0, 1)
-        draws.uniform(0.25, 0.75)
-        before = augment._once_rounded.cache_info()
-        for _ in range(10):
-            draws.uniform(0.25, 0.75)
-        after = augment._once_rounded.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 10, before.misses)
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = strong_vectors(xs, rng, CFG)
+            want = np.array([strong_vector(row, twin, CFG) for row in xs])
+            assert got.tobytes() == want.tobytes(), seed
+            assert rng.bit_generator.state == twin.bit_generator.state
+        # the retries go through the module name
+        assert calls.count(0) == 100 and len(calls) > 100
