@@ -873,8 +873,6 @@ class TestNormalReplay:
         calls = self.count_replays(monkeypatch)
         trace = self.trace_normals(monkeypatch)
         data = np.random.default_rng(4)
-        # 32-row, 16-wide batches on seeds 0 and 41 take wedge tests on
-        # many layers, tails and redraws
         for seed, sizes, width in (([3, 1], (64, 1, 200), 2),
                                    (0, (32,), 16), (41, (32,), 16)):
             stream = AugmentStream("strong", "vector", seed=seed)
@@ -885,6 +883,19 @@ class TestNormalReplay:
                 assert stream.apply_batch(xs).tobytes() == want.tobytes()
                 assert stream.rng.bit_generator.state == twin.bit_generator.state
         assert calls == [(64, 2), (1, 2), (200, 2), (32, 16), (32, 16)]
+
+    def test_probe_seeds_take_every_path(self, monkeypatch):
+        # 32-row, 16-wide batches on seeds 0 and 41 take wedge tests on
+        # many layers, tails and redraws, and still replay default_rng
+        trace = self.trace_normals(monkeypatch)
+        for seed in (0, 41):
+            bg, rng = np.random.PCG64(seed), np.random.default_rng(seed)
+            noise, drop = augment._vector_draws(bg, 32, 16)
+            for row in range(32):
+                assert (noise[row].tobytes()
+                        == rng.standard_normal(16).tobytes()), (seed, row)
+                assert drop[row].tobytes() == rng.random(16).tobytes()
+            assert bg.state == rng.bit_generator.state
         _, slow, tails, redraws = self.paths(trace)
         assert tails >= 2 and redraws >= 5 and len(slow) > 10
 
