@@ -5,8 +5,8 @@
 #
 # Each tree is a checkout of the repository; its package is imported from
 # <tree>/src. For each tree the script generates the datasets, trains the
-# thirteen configurations below (nine desk-profile runs on 2-wide vectors
-# and four paper-profile runs on 3072-wide CIFAR-format images written by the
+# fourteen configurations below (nine desk-profile runs on 2-wide vectors
+# and five paper-profile runs on 3072-wide CIFAR-format images written by the
 # script itself, whose test set is large enough to be evaluated in row
 # chunks), replays every prediction dump with `copseudo fuse-trace`,
 # and records each command's stdout, stderr and exit code. It also decodes
@@ -49,7 +49,9 @@ work=$(cd "$work" && pwd)
 # is skipped meet rows that are built. image-shifts gives the weak views
 # no shift, so a weak row draws only its flip, and the strong views shifts
 # of up to 40 pixels, so about two strong translations in five leave
-# nothing of the 32-pixel image in view.
+# nothing of the 32-pixel image in view. image-noshift gives the strong
+# views no shift, so a strong translation draws no word and leaves the
+# image as it is.
 DESK="--profile desk"
 CONFIGS=(
     "pair|mcar|test|$DESK --models 2 --steps 60 --eval-every 10 --dump-predictions-every 20|"
@@ -63,6 +65,7 @@ CONFIGS=(
     "low-tau|mcar|test|$DESK --models 2 --steps 40 --eval-every 20 --dump-predictions-every 20|--tau 0.4 --tau2 0.3"
     "image|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2|--tau 0.3 --tau2 0.2"
     "image-shifts|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2 --aug-image-shift-weak 0 --aug-image-shift-strong 40|--tau 0.3 --tau2 0.2"
+    "image-noshift|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2 --aug-image-shift-strong 0|--tau 0.3 --tau2 0.2"
     "image-cascade3|image|image-test|--profile paper --models 3 --steps 12 --eval-every 4 --dump-predictions-every 4|--tau 0.2 --tau-cascade 0.18,0.16"
     "image-single2|image|image-test|--profile paper --models 2 --steps 12 --eval-every 4|--single-model-mode --tau 0.22"
 )

@@ -20,10 +20,10 @@ in the state's ``has_uint32``/``uinteger`` buffer; ``next_double`` as
 redraws included; ``uniform(low, high)`` as ``low + (high - low) *
 double``, rounded after the multiply and after the add; and
 ``standard_normal`` by numpy's ziggurat (``_ziggurat``).  These are the
-values numpy's own calls return.  Weak images and the 98.5% of normals
-that take one word are computed as arrays, strong images and the other
-normals a draw at a time.  The generator is then reset, advanced by
-``advance`` over the words used and given the buffer, so the state is
+values numpy's own calls return.  Image rows up to the first Lemire
+redraw and the 98.5% of normals that take one word are computed as
+arrays, the rest a draw at a time.  The generator is then reset, advanced
+by ``advance`` over the words used and given the buffer, so the state is
 that of the calls.  Weak vectors are one ``standard_normal`` call.
 """
 from __future__ import annotations
@@ -46,7 +46,9 @@ _STRONG_OP_COUNT = 4  # flip, translate, brightness, cutout
 # bounded-int draws cover ranges of at most 2**32
 MAX_IMAGE_SHIFT = 2 ** 31 - 1
 _MASK32 = 0xFFFFFFFF
-_WORDS_PER_STRONG_ROW = 3  # a strong row takes 2.5 words on average
+# the most words a strong row takes without a redraw: one for its op
+# codes and one for each of its two ops
+_WORDS_PER_STRONG_ROW = 3
 _TOP_UP_WORDS = 64
 # standard_normal reads a word's bits as layer (0-7), sign (8), size (9-60)
 _MASK52 = 2 ** 52 - 1
@@ -154,24 +156,15 @@ class _RawDraws:
         """The int ``rng.integers(lo, hi)`` gives, for 1 <= hi - lo <=
         2**32: numpy's 32-bit Lemire map of ``next_uint32``, which is
         integer-exact, redraws included; a range of one draws nothing.
-        The first uint32 is read in place, as this runs once per bounded
-        draw."""
+        Image batches call it only from the first row ``_lemire`` redraws."""
         r = hi - lo
         if r <= 1:
             if r == 1:
                 return lo
             raise ValueError("high <= low")
-        if self.has_uint32:
-            self.has_uint32 = 0
-            m = self.uinteger * r
-        else:
-            w = self.next64()
-            self.has_uint32, self.uinteger = 1, w >> 32
-            m = (w & _MASK32) * r
-        if m & _MASK32 < r:
-            threshold = (0x100000000 - r) % r
-            while m & _MASK32 < threshold:
-                m = self.next_uint32() * r
+        m, threshold = self.next_uint32() * r, (0x100000000 - r) % r
+        while m & _MASK32 < threshold:
+            m = self.next_uint32() * r
         return lo + (m >> 32)
 
     def uniform(self, low: float, high: float) -> float:
@@ -272,6 +265,18 @@ def _shift_view(col, row):
     return (slice(None), row[0], col[0]), (slice(None), row[1], col[1])
 
 
+def _lemire(u32: np.ndarray, r):
+    """numpy's 32-bit Lemire map of the uint32s ``u32`` (a uint64 array)
+    onto [0, r), 1 <= r < 2**32 (an int or array), and the number of
+    leading rows (along the first axis) with no draw that the rule redraws."""
+    r = np.asarray(r, dtype=np.uint64)
+    m = u32 * r
+    redraw = (m & np.uint64(_MASK32)) < (np.uint64(0x100000000) - r) % r
+    redraw = redraw.any(axis=tuple(range(1, m.ndim)))
+    return ((m >> np.uint64(32)).astype(np.int64),
+            int(redraw.argmax()) if redraw.any() else len(m))
+
+
 def _weak_draws(rng, n: int, s: int):
     """The flips and (dx, dy) shifts of the first rows of an n-row weak
     batch, and the draws of ``rng`` that the remaining rows take.
@@ -298,17 +303,56 @@ def _weak_draws(rng, n: int, s: int):
         halves[:has] = buf
         halves[has::2] = odd & np.uint64(_MASK32)
         halves[has + 1::2] = odd >> np.uint64(32)
-        m = halves[:2 * n] * np.uint64(r)
-        redraw = (m & np.uint64(_MASK32)) < np.uint64((0x100000000 - r) % r)
-        redraw = redraw.reshape(n, 2).any(axis=1)
-        done = int(redraw.argmax()) if redraw.any() else n
+        d, done = _lemire(halves[:2 * n].reshape(n, 2), r)
         if done:
             buf = int(odd[done - 1] >> np.uint64(32))
-        d = ((m[:2 * done] >> np.uint64(32)).astype(np.int64) - s).tolist()
-        dx, dy = d[0::2], d[1::2]
+        dx, dy = (d[:done] - s).T.tolist()
     rest = _RawDraws(bg, start, words[per_row * done:].tolist(),
                      per_row * done, has, buf)
     return flips[:done], dx, dy, rest
+
+
+def _strong_draws(rng, n: int, s: int, cut: int):
+    """The op codes, int pairs and brightness factors of the first rows of
+    an n-row strong batch, two per row in flat lists, and the draws of
+    ``rng`` that the remaining rows take.  With the uint32 buffer empty, a
+    row takes one word for its op codes (the top bits of its low, then its
+    high half) and one per op that draws: translate if s > 0 (dx, dy),
+    brightness (a double), cutout if ``cut`` > 1 (top, left).  So a walk
+    over each word's row length finds the row starts.  The arrays stop at
+    the first row the Lemire rule redraws on; it and the rest, or a batch
+    entered with the buffer full, are replayed one draw at a time."""
+    bg = rng.bit_generator
+    start = bg.state
+    has, buf = start["has_uint32"], start["uinteger"]
+    words = bg.random_raw(_WORDS_PER_STRONG_ROW * n)
+    ops, params, factors, done, used = [], [], [], 0, 0
+    if not has and cut >= 1:  # a cutout on a side under 8 raises in the replay
+        ranges = np.array([1, 2 * s + 1, 1, cut], dtype=np.uint64)
+        split = ranges > 1  # the ops whose two ints split a word
+        cost = split + np.array([0, 0, 1, 0])  # the words an op's draws take
+        code = (((words >> np.uint64(28)) & np.uint64(12))  # 4 * op1 + op2
+                | (words >> np.uint64(62))).astype(np.intp)
+        length = (1 + cost[:, None] + cost).ravel()[code].tolist()
+        starts = [0] + [used := used + length[used] for _ in range(n)]
+        row = np.array(starts[:n], dtype=np.intp)  # starts[n] is the end
+        op = np.stack(np.divmod(code[row], 4), axis=1)
+        at = np.stack([row + 1, row + 1 + cost[op[:, 0]]], axis=1)
+        pw = words[at]  # each op's word, read when its op draws
+        ints, done = _lemire(np.stack([pw & np.uint64(_MASK32),
+                                       pw >> np.uint64(32)], axis=2),
+                             ranges[op][:, :, None])
+        used = starts[done]
+        if done:  # the buffer keeps the high half of the last word split
+            last = max(starts[done - 1], *at[done - 1] * split[op[done - 1]])
+            buf = int(words[last] >> np.uint64(32))
+        low, high = BRIGHTNESS_RANGE
+        ops = op[:done].ravel().tolist()
+        params = (ints - s * (op == 1)[:, :, None])[:done].ravel().tolist()
+        factors = (low + (high - low) * ((pw >> np.uint64(11)) * 2.0 ** -53)
+                   )[:done].ravel().tolist()
+    rest = _RawDraws(bg, start, words[used:].tolist(), used, has, buf)
+    return ops, params, factors, rest
 
 
 def _load(dst: np.ndarray, src: np.ndarray) -> None:
@@ -358,14 +402,16 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     """(B, C, H, W) images, each put through two operations drawn with
     replacement from {flip, translate, brightness, cutout}.  Each row
     draws both operations, then each operation's parameters in order
-    (dx and dy, the brightness factor or the cutout corner), and only then
-    moves pixels.  A row's first operation reads the source image and
-    writes ``out``, dividing uint8 pixels by 255 as it writes them; the
-    second transforms ``out`` in place.
+    (dx and dy, the brightness factor or the cutout corner); the draws are
+    computed as arrays (``_strong_draws``) before any pixel moves.  A row's
+    first operation reads the source image and writes ``out``, dividing
+    uint8 pixels by 255 as it writes them; the second transforms ``out`` in
+    place.
 
-    A row whose ``keep`` entry is False makes the same draws and is
-    written as +0.0.  The trainer masks the rows whose unlabeled-loss
-    weight is 0, and that leaves every loss and gradient bit unchanged:
+    A row whose ``keep`` entry is False makes the same draws, moves no
+    pixel and is set to +0.0 by one masked write.  The trainer masks the
+    rows whose unlabeled-loss weight is 0, and that leaves every loss and
+    gradient bit unchanged:
     such a row adds only signed zeros (its finite activations times a
     zero weight) to each loss sum and gradient matmul, whatever its pixels
     are.  A signed zero added to a nonzero partial sum leaves it as it
@@ -379,51 +425,45 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     s = cfg.image_shift_strong
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
     scratch = np.empty(imgs.shape[1:])
-    cut_range = min(h, w) - CUTOUT_SIZE + 1
-    draws = _raw_draws(rng.bit_generator, _WORDS_PER_STRONG_ROW * n)
+    cut = min(h, w) - CUTOUT_SIZE + 1
+    ops, params, factors, draws = _strong_draws(rng, n, s, cut)
     draw = draws.integers
-    for i in range(n):
-        steps = []
-        for op in (draw(0, _STRONG_OP_COUNT), draw(0, _STRONG_OP_COUNT)):
-            if op == 1:  # dx, then dy: arguments are evaluated in order
-                param = _shift_view(cols.get(draw(-s, s + 1)),
-                                    rows.get(draw(-s, s + 1)))
-            elif op == 2:
-                param = draws.uniform(*BRIGHTNESS_RANGE)
-            elif op == 3:
-                param = (draw(0, cut_range), draw(0, cut_range))
-            else:  # flip draws nothing
-                param = None
-            steps.append((op, param))
-        cur = out[i]
-        if keep is not None and not keep[i]:
-            cur.fill(0.0)
-            continue
-        src = imgs[i]
-        for op, param in steps:
+    for _ in range(len(ops) // 2, n):  # the rows the arrays stopped short of
+        row = [draw(0, _STRONG_OP_COUNT), draw(0, _STRONG_OP_COUNT)]
+        ops += row
+        for op in row:  # a list's items draw in order; a range of 1 draws none
+            lo, hi = (-s, s + 1) if op == 1 else (0, cut if op == 3 else 1)
+            params += [draw(lo, hi), draw(lo, hi)]
+            factors.append(draws.uniform(*BRIGHTNESS_RANGE) if op == 2 else 1.0)
+    draws.finish()
+    for i in range(n) if keep is None else np.flatnonzero(keep).tolist():
+        cur, src = out[i], imgs[i]
+        for k in (2 * i, 2 * i + 1):
+            op, a, b = ops[k], params[2 * k], params[2 * k + 1]
             if op < 2 and src is cur:  # flip and translate overwrite their input
                 np.copyto(scratch, cur)
                 src = scratch
             if op == 0:
                 _load(cur, src[:, :, ::-1])
-            elif op == 1:
+            elif op == 1:  # dx, dy
                 cur.fill(0.0)
-                if param is not None:
-                    dst, from_ = param
+                shift = _shift_view(cols.get(a), rows.get(b))
+                if shift is not None:
+                    dst, from_ = shift
                     _load(cur[dst], src[from_])
             elif op == 2:
                 if src.dtype == np.uint8:
                     _load(cur, src)
                     src = cur
-                np.multiply(src, param, out=cur)
+                np.multiply(src, factors[k], out=cur)
                 np.clip(cur, 0.0, 1.0, out=cur)
-            else:
-                top, left = param
+            else:  # top, left
                 if src is not cur:
                     _load(cur, src)
-                cur[:, top:top + CUTOUT_SIZE, left:left + CUTOUT_SIZE] = CUTOUT_FILL
+                cur[:, a:a + CUTOUT_SIZE, b:b + CUTOUT_SIZE] = CUTOUT_FILL
             src = cur
-    draws.finish()
+    if keep is not None:
+        out[~keep] = 0.0
     return out
 
 

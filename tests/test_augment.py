@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -598,6 +600,19 @@ class TestBatchedPath:
         TestBatchAgainstOracle.run_pair("weak", "image", (3, 32, 32), CFG,
                                         seed=5, sizes=[1, 200, 37])
 
+    @pytest.mark.parametrize("shift,shape", [(8, (3, 32, 32)), (0, (3, 32, 32)),
+                                             (8, (1, 8, 12))])
+    def test_strong_rows_without_redraws_are_arrays(self, shift, shape,
+                                                    monkeypatch):
+        # the Lemire rule redraws a shift of range 17 with odds 2**-32 and a
+        # corner of range 25 with odds 21 * 2**-32; a shift of 0 and an
+        # 8-pixel side draw nothing.  So no row of a strong batch is
+        # replayed one draw at a time
+        monkeypatch.setattr(augment._RawDraws, "next64", self.refuse)
+        cfg = AugmentConfig(image_shift_strong=shift)
+        TestBatchAgainstOracle.run_pair("strong", "image", shape, cfg,
+                                        seed=5, sizes=[1, 200, 37])
+
     SHIFTS = (None, 0, 2 ** 30)  # None keeps the defaults (4 weak, 8 strong)
 
     @staticmethod
@@ -651,6 +666,115 @@ class TestBatchedPath:
         for seed in range(2):
             TestBatchAgainstOracle.run_pair(kind, "image", (1, 8, 12), cfg,
                                             seed, sizes=[1, 100, 17])
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg64_with_word(p, word, hi):
+    """A ``PCG64`` whose word p, counted from 0, is ``word``: the state that
+    gives it is built from ``hi``, its top 64 bits, and then stepped back
+    p + 1 times.  Each ``hi`` gives other words before and after p."""
+    rot = hi >> 58  # PCG64's output is (hi ^ lo) rotated right by rot
+    lo = ((word << rot | word >> (64 - rot)) & (2 ** 64 - 1)) ^ hi
+    bg = np.random.PCG64(0)
+    state = bg.state
+    inc, x = state["state"]["inc"], hi << 64 | lo
+    back = pow(PCG64_MULTIPLIER, -1, 2 ** 128)
+    for _ in range(p + 1):
+        x = (x - inc) * back % 2 ** 128
+    state["state"]["state"] = x
+    bg.state = state
+    return bg
+
+
+def twin(bg):
+    copy = np.random.PCG64(0)
+    copy.state = bg.state
+    return copy
+
+
+def strong_layout(words, n, s=8, cut=25):
+    """(start, op codes, the word each op draws from or None) of each row
+    of an n-row strong batch on ``words``, entered with the uint32 buffer
+    empty, as long as no draw is redrawn: the op codes are the top two
+    bits of the first word's low, then high half, and translate (s > 0),
+    brightness and cutout (cut > 1) take one word each."""
+    rows, p = [], 0
+    for _ in range(n):
+        w = int(words[p])
+        ops, at, start = ((w & 0xFFFFFFFF) >> 30, w >> 62), [], p
+        p += 1
+        for op in ops:
+            takes = op == 2 or (op == 1 and s > 0) or (op == 3 and cut > 1)
+            at.append(p if takes else None)
+            p += takes
+        rows.append((start, ops, at))
+    return rows
+
+
+class TestStrongDrawArrays:
+    """``_strong_draws`` computes a strong batch's rows as arrays up to the
+    first row the Lemire rule redraws on.  Real ``PCG64`` streams with one
+    chosen word put a redraw where the test wants it, so the views and the
+    state are checked against the oracle's numpy calls."""
+
+    @staticmethod
+    def check(bg, n, monkeypatch, calls=2):
+        """``calls`` n-row batches on ``bg`` against the oracle on its twin:
+        equal view bytes and states; returns the rows the arrays gave per
+        call."""
+        from_arrays, draws = [], augment._strong_draws
+
+        def counted(*args):
+            drawn = draws(*args)
+            from_arrays.append(len(drawn[0]) // 2)
+            return drawn
+
+        monkeypatch.setattr(augment, "_strong_draws", counted)
+        rng, ref_rng = np.random.Generator(bg), np.random.Generator(twin(bg))
+        data = np.random.default_rng(3)
+        for _ in range(calls):
+            imgs = data.random((n, 3, 32, 32))
+            got = strong_images(imgs, rng, CFG)
+            want = np.stack([strong_image(img, ref_rng, CFG) for img in imgs])
+            assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return from_arrays
+
+    # (op, half): a zero uint32 is the one value that ranges 17 (a shift of
+    # 8) and 25 (a corner on a 32-pixel side) redraw
+    @pytest.mark.parametrize("op,half", [(1, 0), (1, 1), (3, 0), (3, 1)],
+                             ids=["dx", "dy", "top", "left"])
+    def test_a_redraw_replays_from_its_row(self, op, half, monkeypatch):
+        n, p = 24, 30
+        word = 0x9E3779B97F4A7C15 & ~(0xFFFFFFFF << 32 * half)
+        for hi in itertools.count(1):
+            bg = pcg64_with_word(p, word, hi * 0x9E3779B97F4A7C15 % 2 ** 64)
+            words = twin(bg).random_raw(3 * n)
+            assert int(words[p]) == word
+            hits = [i for i, (_, ops, at) in enumerate(strong_layout(words, n))
+                    if any(o == op and a == p for o, a in zip(ops, at))]
+            if hits and hits[0] > 0:
+                break
+        # rows before the redraw come from the arrays, the rest are replayed
+        assert self.check(bg, n, monkeypatch)[0] == hits[0]
+
+    def test_the_buffer_keeps_the_last_rows_op_word(self, monkeypatch):
+        # the last row only flips or changes brightness, so the last word
+        # split into uint32s is its op word, and the row before it splits
+        # one for a shift or a corner
+        n = 7
+        for seed in itertools.count():
+            words = np.random.PCG64(seed).random_raw(3 * n)
+            layout = strong_layout(words, n)
+            (start, ops, _), (_, before, _) = layout[-1], layout[-2]
+            if set(ops) <= {0, 2} and 2 in ops and before[1] in (1, 3):
+                break
+        bg = np.random.PCG64(seed)
+        assert self.check(bg, n, monkeypatch, calls=1) == [n]
+        assert bg.state["has_uint32"] == 0
+        assert bg.state["uinteger"] == int(words[start]) >> 32
 
 
 class TestKeepMask:

@@ -29,13 +29,15 @@ PIN = Path(__file__).with_name("stream_digests.json")
 
 # consecutive batch sizes on one stream
 SIZES = (1, 64, 37, 200)
-# (name, modality, feature_shape, config): the defaults, and an image
-# shift of 2**30, whose range of 2**31 + 1 makes the Lemire rule redraw
-# about half the time
+# (name, modality, feature_shape, config): the defaults; image shifts of
+# 0, so a translate draws no dx or dy; and an image shift of 2**30, whose
+# range of 2**31 + 1 makes the Lemire rule redraw about half the time
 STREAMS = (
     ("vector2", "vector", (2,), AugmentConfig()),
     ("vector32", "vector", (32,), AugmentConfig()),
     ("cifar", "image", (3, 32, 32), AugmentConfig()),
+    ("cifar-noshift", "image", (3, 32, 32),
+     AugmentConfig(image_shift_weak=0, image_shift_strong=0)),
     ("image-redraws", "image", (1, 8, 12),
      AugmentConfig(image_shift_weak=2 ** 30, image_shift_strong=2 ** 30)),
 )
