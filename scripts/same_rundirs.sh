@@ -5,7 +5,7 @@
 #
 # Each tree is a checkout of the repository; its package is imported from
 # <tree>/src. For each tree the script generates the datasets, trains the
-# fourteen configurations below (nine desk-profile runs on 2-wide vectors
+# sixteen configurations below (eleven desk-profile runs on 2-wide vectors
 # and five paper-profile runs on 3072-wide CIFAR-format images written by the
 # script itself, whose test set is large enough to be evaluated in row
 # chunks), replays every prediction dump with `copseudo fuse-trace`,
@@ -18,7 +18,9 @@
 # checkpoints agree, and a 2-model desk run trains on the promoted dataset.
 # It then compares the two result directories with `diff -r`, except for
 # the bytes of image.ds and image-test.ds: their container may change
-# between trees, so only their content digests are compared.
+# between trees, so only their content digests are compared. It counts the
+# replayed `conflict_coin_flip` rows at level 1 and at levels >= 2, and
+# fails when the ties4-drop replays lack either kind.
 # Every command runs from inside the result directory with relative paths,
 # so the logs of identical code are identical too.
 #
@@ -51,7 +53,10 @@ work=$(cd "$work" && pwd)
 # of up to 40 pixels, so about two strong translations in five leave
 # nothing of the 32-pixel image in view. image-noshift gives the strong
 # views no shift, so a strong translation draws no word and leaves the
-# image as it is.
+# image as it is. ties4 and ties4-drop dump each of their first six steps
+# for four models: ties4 replays consensus at levels 2, 3 and 4, and
+# level-2 ties that its coin flips settle; ties4-drop replays coin flips
+# at level 1 and at level 2, whose labels it drops.
 DESK="--profile desk"
 CONFIGS=(
     "pair|mcar|test|$DESK --models 2 --steps 60 --eval-every 10 --dump-predictions-every 20|"
@@ -63,6 +68,8 @@ CONFIGS=(
     "steps0|mcar|test|$DESK --models 2 --steps 0|"
     "steps1|mcar|test|$DESK --models 2 --steps 1|"
     "low-tau|mcar|test|$DESK --models 2 --steps 40 --eval-every 20 --dump-predictions-every 20|--tau 0.4 --tau2 0.3"
+    "ties4|mcar|test|$DESK --models 4 --steps 6 --eval-every 3 --dump-predictions-every 1|--tau 0.9 --tau-cascade 0.4,0.35,0.3"
+    "ties4-drop|mcar|test|$DESK --models 4 --steps 6 --eval-every 3 --dump-predictions-every 1|--tau 0.5 --tau-cascade 0.35,0.3,0.25 --conflict-drop"
     "image|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2|--tau 0.3 --tau2 0.2"
     "image-shifts|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2 --aug-image-shift-weak 0 --aug-image-shift-strong 40|--tau 0.3 --tau2 0.2"
     "image-noshift|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2 --aug-image-shift-strong 0|--tau 0.3 --tau2 0.2"
@@ -169,6 +176,14 @@ run_tree "$change_tree" "$work/change"
 
 files=$(find "$work/parent" -type f | wc -l)
 traces=$(find "$work/parent" -name 'trace-*.csv' | wc -l)
+# replayed coin flips at level 1 (no source_level) and at levels >= 2
+count_flips() {
+    cat "$@" 2>/dev/null | awk -F, '$3 == "conflict_coin_flip" {
+        if ($5 == "") one++; else more++ } END { print one + 0, more + 0 }'
+}
+read -r flips1 flips2 <<< "$(count_flips "$work"/parent/trace-*.csv)"
+read -r drop1 drop2 <<< "$(count_flips "$work"/parent/trace-ties4-drop-step*.csv)"
+flips="$flips1 coin flips at level 1 and $flips2 at levels >= 2 replayed"
 failed=$(grep -L '^0$' "$work"/parent/logs/*.code "$work"/change/logs/*.code)
 if ! diff -r -x image.ds -x image-test.ds "$work/parent" "$work/change"; then
     echo "differ: see diff above ($work)"
@@ -179,4 +194,9 @@ if [ -n "$failed" ]; then
     echo "$failed"
     exit 1
 fi
-echo "identical: $files files, $traces fuse-trace outputs ($work)"
+if [ "$drop1" -eq 0 ] || [ "$drop2" -eq 0 ]; then
+    echo "identical, but ties4-drop replayed $drop1 coin flips at level 1" \
+        "and $drop2 at levels >= 2; it needs both ($work)"
+    exit 1
+fi
+echo "identical: $files files, $traces fuse-trace outputs, $flips ($work)"

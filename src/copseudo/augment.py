@@ -204,13 +204,6 @@ class _RawDraws:
             bg.state = state
 
 
-def _raw_draws(bg, words: int) -> _RawDraws:
-    """A ``_RawDraws`` of the PCG64 ``bg`` holding its next ``words``."""
-    start = bg.state
-    return _RawDraws(bg, start, bg.random_raw(words).tolist(), 0,
-                     start["has_uint32"], start["uinteger"])
-
-
 @cache
 def _tables():
     """``_ziggurat`` and ``array``, imported late to save 0.2 MB of RSS."""

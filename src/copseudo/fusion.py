@@ -3,17 +3,19 @@
 Given each model's predicted class distribution for an unlabeled item,
 decide whether the item gets a pseudo-label, which label, and what loss
 weight each model applies to it.  One array engine, ``fuse_batch``,
-decides a (models, items, classes) block by agreement levels; a tie is
-settled by a uniform draw from the item's own generator.  In single-model
-mode it decides the block's (model, item) pairs, model-major, as one
-one-model block, which never ties.  ``fuse_pair``, ``fuse_cascade`` and
-``fuse_single`` are one-item wrappers over it that draw from the caller's
-generator.
+decides a (models, items, classes) block at all n agreement levels at
+once, along a leading level axis, and each item takes the lowest level
+with a proposal; a tie there is settled by a uniform draw from the item's
+own generator.  In single-model mode it decides the block's (model,
+item) pairs, model-major, as one one-model block, which never ties.
+``fuse_pair``, ``fuse_cascade`` and ``fuse_single`` are one-item wrappers
+over it that draw from the caller's generator.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -170,62 +172,68 @@ def _check_block(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
+@lru_cache(maxsize=64)
+def _levels(thresholds: tuple) -> tuple:
+    """The level axis of ``_fuse`` for its L = n thresholds, as read-only
+    arrays: each level's threshold and number, shaped (L, 1, 1), and
+    ``earlier[i, j]``, model j comes before model i, shaped (L, L, 1)."""
+    n = len(thresholds)
+    arrays = (np.array(thresholds)[:, None, None],
+              np.arange(1, n + 1)[:, None, None],
+              np.tri(n, k=-1, dtype=bool)[:, :, None])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
     """Decide every item of an (n, B, C) block by agreement levels.
 
     Level 1: any model over ``tau`` proposes its own argmax.  Level
     k >= 2: any k models over the level's ``tau_cascade`` threshold that
-    share an argmax propose that consensus label.  The smallest level with
-    a proposal decides the item.  Distinct labels proposed there, ordered
-    by their first supporter's model index, are settled by a uniform draw
-    from ``stream_for(b)``, which is called only for such items.
+    share an argmax propose that consensus label.  All n levels are
+    decided at once along a leading level axis, and the smallest level
+    with a proposal decides the item.  Distinct labels proposed there,
+    ordered by their first supporter's model index, are settled by a
+    uniform draw from ``stream_for(b)``, which is called only for such
+    items, in item order.
     """
     if probs.shape[1] and probs.shape[2] < 2:
         raise ConfigError("model 1 prediction is not a probability vector")
     n, batch, _ = probs.shape
-    peaks = probs.max(axis=2)
+    thresholds, levels, earlier = _levels((cfg.tau,) + cfg.tau_cascade[:n - 1])
     tops = probs.argmax(axis=2)
-    own = peaks > cfg.tau
-    # same[i, j, b]: models i and j share an argmax on item b
-    same = tops[:, None, :] == tops[None, :, :]
-    earlier = np.tril(np.ones((n, n), dtype=bool), -1)[:, :, None]
+    # each row's peak, read at its argmax: faster than a max over classes
+    rows = probs.reshape(-1, probs.shape[2])
+    peaks = rows[np.arange(len(rows)), tops.ravel()].reshape(tops.shape)
+    # members[l, i, b]: model i clears level l's threshold on item b;
+    # shared[l, i, j, b]: model j is a member and shares model i's argmax
+    members = peaks > thresholds
+    shared = (tops[:, None] == tops) & members[:, None]
+    support = shared.sum(axis=2)
+    # a label is proposed once, by its first supporter in model order
+    proposers = members & (support >= levels) & ~(shared & earlier).any(axis=2)
+    counts = proposers.sum(axis=1)
+    # each item's deciding level (0 where none decides) and its proposals
+    items = np.arange(batch)
+    lv = (counts > 0).argmax(axis=0)
+    count = counts[lv, items]
+    chosen = proposers[lv, :, items].argmax(axis=1)
+    for b in np.flatnonzero(count > 1).tolist():
+        pick = int(stream_for(b).integers(int(count[b])))
+        chosen[b] = np.flatnonzero(proposers[lv[b], :, b])[pick]
 
-    labels = np.full(batch, -1, dtype=np.int64)
-    sources = np.full(batch, _NONE, dtype=np.int64)
-    source_models = np.zeros(batch, dtype=np.int64)
-    source_levels = np.zeros(batch, dtype=np.int64)
-    undecided = np.ones(batch, dtype=bool)
-    thresholds = (cfg.tau,) + cfg.tau_cascade[:n - 1]
-    for level, threshold in enumerate(thresholds, start=1):
-        members = (peaks > threshold) & undecided
-        shared = same & members[None, :, :]
-        support = shared.sum(axis=1)
-        # a label is proposed once, by its first supporter in model order
-        proposers = members & ~(shared & earlier).any(axis=1) & (support >= level)
-        count = proposers.sum(axis=0)
-        chosen = proposers.argmax(axis=0)
-        tied = np.flatnonzero(count > 1)
-        for b in tied:
-            pick = int(stream_for(int(b)).integers(int(count[b])))
-            chosen[b] = np.flatnonzero(proposers[:, b])[pick]
-        cols = np.flatnonzero(count)
-        labels[cols] = tops[chosen[cols], cols]
-        if level == 1:
-            sources[cols] = np.where(support[chosen[cols], cols] >= 2, _BOTH, _OWN)
-            sources[tied] = _CONFLICT
-            source_models[cols] = np.where(sources[cols] == _BOTH, 0, chosen[cols] + 1)
-        else:
-            sources[cols] = _CONSENSUS
-            source_levels[cols] = level
-            if cfg.conflict_drop:
-                sources[tied] = _CONFLICT
-        if cfg.conflict_drop:
-            labels[tied] = -1
-        undecided[cols] = False
-
-    present = (labels >= 0)[:, None]
-    weights = np.where(own, cfg.pseudo_weight, 1.0).T
-    masks = np.where(present, weights, 0.0)
+    decided, tied, later = count > 0, count > 1, lv > 0
+    labels = np.where(decided & ~(tied & cfg.conflict_drop),
+                      tops[chosen, items], -1)
+    sources = np.where(later, _CONSENSUS,
+                       np.where(support[0, chosen, items] >= 2, _BOTH, _OWN))
+    sources[tied & (cfg.conflict_drop | ~later)] = _CONFLICT
+    sources[~decided] = _NONE
+    source_models = np.where(decided & ~later & (sources != _BOTH), chosen + 1, 0)
+    source_levels = np.where(later, lv + 1, 0)
+    # weights are >= 0, so an absent label's masks are +0.0
+    masks = np.where(members[0], cfg.pseudo_weight, 1.0).T * (labels >= 0)[:, None]
     return FusedBatch(labels, masks, sources, source_models, source_levels)
 
 

@@ -12,7 +12,6 @@ from copseudo.augment import (
     MAX_IMAGE_SHIFT,
     AugmentConfig,
     AugmentStream,
-    _raw_draws,
     _shift_slices,
     strong_images,
     strong_vectors,
@@ -537,8 +536,15 @@ RANGES = ((0, 4), *((-s, s + 1) for s in (0, 4, 8, 10, 40)), (0, 25),
           (0, 5), (0, 1), (0, 3 * 2 ** 30), (-7, 2 ** 31 - 6), (0, 2 ** 32))
 
 
+def raw_draws(bg, words: int) -> augment._RawDraws:
+    """A ``_RawDraws`` of the PCG64 ``bg`` holding its next ``words``."""
+    start = bg.state
+    return augment._RawDraws(bg, start, bg.random_raw(words).tolist(), 0,
+                             start["has_uint32"], start["uinteger"])
+
+
 class TestRawDraws:
-    """``_raw_draws`` against a twin ``Generator``'s calls: equal values and,
+    """``_RawDraws`` against a twin ``Generator``'s calls: equal values and,
     after each ``finish``, an equal bit-generator state.  Each new
     ``_RawDraws`` prefetches 0 to 99 words, so the draws both run out of
     words and leave some unused, and it meets the uint32 buffer full and
@@ -550,7 +556,7 @@ class TestRawDraws:
         script = np.random.default_rng(7).integers(0, len(RANGES) + 3,
                                                    size=30_000)
         prefetch = np.random.default_rng(8)
-        draws = _raw_draws(bg, 0)
+        draws = raw_draws(bg, 0)
         for step, k in enumerate(script):
             if k < len(RANGES):
                 lo, hi = RANGES[k]
@@ -565,7 +571,7 @@ class TestRawDraws:
             else:
                 draws.finish()
                 assert bg.state == want.bit_generator.state, step
-                draws = _raw_draws(bg, int(prefetch.integers(0, 100)))
+                draws = raw_draws(bg, int(prefetch.integers(0, 100)))
         draws.finish()
         assert bg.state == want.bit_generator.state
 
@@ -574,7 +580,7 @@ class TestRawDraws:
             with pytest.raises(ValueError):
                 np.random.default_rng(0).integers(lo, hi)
             with pytest.raises(ValueError):
-                _raw_draws(np.random.PCG64(0), 4).integers(lo, hi)
+                raw_draws(np.random.PCG64(0), 4).integers(lo, hi)
 
 
 class TestBatchedPath:
@@ -1027,7 +1033,7 @@ class TestNormalReplay:
         # one draw at a time through _RawDraws.normal, every path traced
         trace = self.trace_normals(monkeypatch)
         bg, want = np.random.PCG64(2025), np.random.default_rng(2025)
-        draws = _raw_draws(bg, 1_100_000)
+        draws = raw_draws(bg, 1_100_000)
         got = np.array([draws.normal() for _ in range(1_000_000)])
         draws.finish()
         assert got.tobytes() == want.standard_normal(1_000_000).tobytes()

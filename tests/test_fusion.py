@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copseudo import fusion
 from copseudo.errors import ConfigError
 from copseudo.fusion import (
     SOURCE_BOTH,
@@ -512,6 +515,140 @@ class TestFuseBatchAgainstCascadeOracle:
         single = FusionConfig(num_models=3, single_model_mode=True)
         with pytest.raises(ConfigError, match="^model 3 prediction does not sum to 1$"):
             fuse_batch(probs, single, 0, 1)
+
+    @staticmethod
+    def check_items(fused, probs, cfg, seed, step, items=None):
+        """Each entry of ``fused`` against the oracle on its item, drawing
+        from the item's own key; the levels of the items that drew."""
+        assert len(fused) == probs.shape[1]
+        drew = []
+        for b, got in enumerate(fused):
+            key = b if items is None else items[b]
+            stream = CountingStream([seed, step, key])
+            want = reference_cascade_decision(list(probs[:, b]), cfg, stream)
+            assert got == want, (b, got, want)
+            if stream.draws:
+                drew.append(want.source_level or 1)
+        return drew
+
+    def test_engine_matches_oracle_at_five_levels(self):
+        gen = np.random.default_rng(2025)
+        tie_levels, decided_levels = set(), set()
+        for conflict_drop in (False, True):
+            for case in range(150):
+                probs, cfg = self.random_case(gen, 5, conflict_drop)
+                seed = int(gen.integers(2 ** 32))
+                fused = fuse_batch(probs, cfg, seed, case)
+                drew = self.check_items(fused, probs, cfg, seed, case)
+                tie_levels |= {(conflict_drop, level) for level in drew}
+                decided_levels |= set(fused.source_levels.tolist())
+        # coin flips at levels 1 and 2 either way, and consensus at every
+        # level of the five
+        assert {(d, lv) for d in (False, True) for lv in (1, 2)} <= tie_levels
+        assert decided_levels == {0, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_engine_matches_oracle_on_blocks_of_zero_and_one_item(self, n):
+        gen = np.random.default_rng(60 + n)
+        drew = 0
+        for conflict_drop in (False, True):
+            for case in range(40):
+                probs, cfg = self.random_case(gen, n, conflict_drop)
+                seed = int(gen.integers(2 ** 32))
+                empty = fuse_batch(probs[:, :0], cfg, seed, case)
+                assert len(empty) == 0 and list(empty) == []
+                assert empty.masks.shape == (0, n)
+                for col, dtype in zip(empty._columns(), ("<i8", "<f8") + ("<i8",) * 3):
+                    assert col.dtype == np.dtype(dtype)
+                if n == 1:
+                    continue  # single-model mode entries are (model, item) pairs
+                # each item alone, keyed as in the whole block
+                whole = fuse_batch(probs, cfg, seed, case)
+                for b in range(probs.shape[1]):
+                    one = fuse_batch(probs[:, b:b + 1], cfg, seed, case, items=[b])
+                    drew += len(self.check_items(one, probs[:, b:b + 1], cfg,
+                                                 seed, case, items=[b]))
+                    for got, want in zip(one._columns(), whole._columns()):
+                        assert got.tobytes() == want[b:b + 1].tobytes()
+        assert n == 1 or drew > 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_generators_are_built_for_tied_items_in_item_order(self, n,
+                                                                monkeypatch):
+        gen = np.random.default_rng(30 + n)
+        built = []
+        real = np.random.default_rng
+
+        def recording(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        ties = 0
+        later_tie_first = False
+        for case in range(60):
+            probs, cfg = self.random_case(gen, n, conflict_drop=case % 2 == 1)
+            built.clear()
+            fused = fuse_batch(probs, cfg, 9, case)
+            got = list(built)
+            drew = []
+            for b in range(probs.shape[1]):
+                stream = CountingStream([9, case, b])
+                want = reference_cascade_decision(list(probs[:, b]), cfg, stream)
+                assert fused[b] == want
+                if stream.draws:
+                    drew.append((b, want.source_level or 1))
+            # one generator per tied item, keyed by it, in item order, even
+            # where a tie at a higher level comes before one at level 1
+            assert got == [([9, case, b],) for b, _ in drew], case
+            ties += len(drew)
+            levels = [level for _, level in drew]
+            later_tie_first |= levels != sorted(levels)
+        assert ties >= 10
+        assert later_tie_first == (n == 4)
+
+    def test_numpy_calls_do_not_grow_with_levels(self):
+        def calls(n):
+            # every model shares class 0 as its argmax, so no item ties
+            probs = -np.sort(-np.random.default_rng(n).dirichlet(
+                np.full(4, 0.5), size=(n, 64)), axis=2)
+            cfg = cascade_cfg(n, np.linspace(0.6, 0.3, n - 1), tau=0.8)
+            count = [0]
+
+            def profile(frame, event, arg):
+                count[0] += event in ("call", "c_call")
+
+            outer = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                fused = fusion.fuse_valid_batch(probs, cfg, 0, 1)
+            finally:
+                sys.setprofile(outer)
+            assert 0 < np.mean(fused.labels >= 0)
+            assert SOURCE_CONFLICT not in {d.source for d in fused}
+            return count[0]
+
+        assert len({calls(n) for n in (2, 3, 4, 5, 6)}) == 1
+
+    def test_level_arrays_are_cached_and_read_only(self):
+        cfg = cascade_cfg(3, (0.7, 0.5), tau=0.9)
+        probs = np.random.default_rng(4).dirichlet(np.full(3, 0.2), size=(3, 64))
+        first = fuse_batch(probs, cfg, 5, 2)
+        arrays = fusion._levels((0.9, 0.7, 0.5))
+        assert fusion._levels((0.9, 0.7, 0.5)) is arrays
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0
+        # a caller who writes into a returned batch does not reach the
+        # next call's result
+        want = [col.copy() for col in first._columns()]
+        for col in first._columns():
+            col[...] = 3
+        again = fuse_batch(probs, cfg, 5, 2)
+        for got, col in zip(again._columns(), want):
+            assert got.dtype == col.dtype and got.tobytes() == col.tobytes()
+        assert 0 < np.mean(again.labels >= 0) < 1
 
 
 class TestSelectDebiasSubset:
