@@ -3,11 +3,11 @@
 Vectors get Gaussian jitter (weak) or heavier jitter plus coordinate
 dropout (strong).  Images get flip/translate (weak) or two operations
 drawn from {flip, translate, brightness, cutout} (strong).  Each kind and
-modality has one batch function; ``AugmentStream.apply_batch`` and
-``apply_batch_into`` (which also takes a per-row ``keep`` mask and uint8
-pixel rows) are the only entry points.  Every batch function draws its
-random numbers in the order a loop over single rows would, so no view
-depends on how rows are grouped into batches, and each ``AugmentStream``
+modality has one batch function, which writes into ``out``;
+``AugmentStream.apply_batch_into`` (which also takes a per-row ``keep``
+mask and uint8 pixel rows) is the one entry point.  Every batch function
+draws its random numbers in the order a loop over single rows would, so
+no view depends on how rows are grouped into batches, and each stream
 owns its generator, so call order alone determines the views.
 
 Strong vectors and both image transforms are defined by the 64-bit
@@ -20,15 +20,19 @@ in the state's ``has_uint32``/``uinteger`` buffer; ``next_double`` as
 redraws included; ``uniform(low, high)`` as ``low + (high - low) *
 double``, rounded after the multiply and after the add; and
 ``standard_normal`` by numpy's ziggurat (``_ziggurat``).  These are the
-values numpy's own calls return.  Image rows up to the first Lemire
-redraw and the 98.5% of normals that take one word are computed as
-arrays, the rest a draw at a time.  The generator is then reset, advanced
-by ``advance`` over the words used and given the buffer, so the state is
-that of the calls.  Weak vectors are one ``standard_normal`` call.
+values numpy's own calls return.  Each draw schedule is one function
+(``_vector_draws``, ``_weak_draws``, ``_strong_draws``), which computes
+image rows up to the first Lemire redraw and the 98.5% of normals that
+take one word as arrays and the rest a draw at a time (``_RawDraws``).
+The generator is then reset, advanced by ``advance`` over the words used
+and given the buffer, so the state is that of the calls.  The image
+batch functions only move pixels.  Weak vectors are one
+``standard_normal`` call.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cache
 
@@ -80,22 +84,18 @@ class AugmentConfig:
 
 
 def weak_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 out: np.ndarray) -> np.ndarray:
     """(B, d) rows plus Gaussian jitter; one draw yields the rows' normals
     in row order."""
-    if out is None:
-        out = np.empty_like(xs)
     noise = rng.standard_normal(xs.shape)
     noise *= cfg.sigma_weak
     return np.add(xs, noise, out=out)
 
 
 def strong_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
-                   out: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray) -> np.ndarray:
     """(B, d) rows plus heavier jitter, then coordinate dropout.  Row by
     row, d normals then d uniforms (``_vector_draws``)."""
-    if out is None:
-        out = np.empty_like(xs)
     if not xs.size:  # a batch of no rows or of empty rows draws nothing
         return out
     noise, drop = _vector_draws(rng.bit_generator, *xs.shape)
@@ -118,19 +118,21 @@ def _shift_slices(s: int, n: int) -> dict:
 
 class _RawDraws:
     """A ``PCG64`` generator's draws, computed from its 64-bit words as
-    numpy's calls compute them.  ``start`` is the generator's state before
-    the first word it gave to ``words``; ``used`` words were consumed
-    before ``words[0]``, and ``has_uint32`` and ``uinteger`` are the
-    uint32 buffer at that point.  The draws take words in order from
-    ``words`` (a list or ``array("Q")``), extended by ``random_raw`` when
-    it runs out; ``finish`` puts the generator where the calls would have
+    numpy's calls compute them.  One ``random_raw`` call reads the next
+    ``count`` words, kept as the uint64 array ``raw`` for array code and
+    as the ``array("Q")`` ``words`` for the draws, extended by
+    ``random_raw`` when they run out.  ``start`` is the state before
+    them, ``pos`` the words taken and ``has_uint32``/``uinteger`` the
+    uint32 buffer; array code that takes words sets these before the
+    draws.  ``finish`` puts the generator where the calls would have
     left it."""
 
-    def __init__(self, bg, start: dict, words, used: int,
-                 has_uint32: int, uinteger: int):
-        self.bg, self.start, self.words = bg, start, words
-        self.used, self.pos = used, 0
-        self.has_uint32, self.uinteger = has_uint32, uinteger
+    def __init__(self, bg, count: int):
+        self.bg, self.start, self.pos = bg, bg.state, 0
+        self.has_uint32 = self.start["has_uint32"]
+        self.uinteger = self.start["uinteger"]
+        self.raw = bg.random_raw(count)
+        self.words = array("Q", self.raw.tobytes())
 
     def next64(self) -> int:
         if self.pos == len(self.words):
@@ -175,7 +177,7 @@ class _RawDraws:
     def normal(self) -> float:
         """numpy's ``random_standard_normal``; its wedge test has the form
         and so the rounding of ``uniform(fi[k], fi[k - 1])``."""
-        z = _tables()[0]
+        z = _tables()
         while True:
             w = self.next64()
             k, rabs = w & 0xFF, (w >> 9) & _MASK52
@@ -197,7 +199,7 @@ class _RawDraws:
         and set the uint32 buffer, which ``advance`` leaves at (0, 0)."""
         bg = self.bg
         bg.state = self.start
-        bg.advance(self.used + self.pos)
+        bg.advance(self.pos)
         if self.has_uint32 or self.uinteger:
             state = bg.state
             state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger
@@ -206,10 +208,9 @@ class _RawDraws:
 
 @cache
 def _tables():
-    """``_ziggurat`` and ``array``, imported late to save 0.2 MB of RSS."""
-    from array import array
+    """``_ziggurat``, imported late to save 0.2 MB of RSS."""
     from . import _ziggurat
-    return _ziggurat, array
+    return _ziggurat
 
 
 def _vector_draws(bg, n: int, d: int, spare=_TOP_UP_WORDS):
@@ -219,10 +220,8 @@ def _vector_draws(bg, n: int, d: int, spare=_TOP_UP_WORDS):
     normals are gathered from word 2dt and its uniforms from 2dt + d,
     shifted by the extra words of the normals before them, which
     ``_RawDraws.normal`` replays; a short batch retries."""
-    (z, array), start = _tables(), bg.state
-    words = bg.random_raw(2 * n * d + n * d // 8 + spare)
-    draws = _RawDraws(bg, start, array("Q", words.tobytes()), 0,
-                      start["has_uint32"], start["uinteger"])
+    z, draws = _tables(), _RawDraws(bg, 2 * n * d + n * d // 8 + spare)
+    words = draws.raw
     k = (words & np.uint64(0x1FF)).astype(np.intp)
     rabs = (words >> np.uint64(9)) & np.uint64(_MASK52)
     # shifts[j], once accumulated: extra words of the normals before td + c
@@ -237,7 +236,7 @@ def _vector_draws(bg, n: int, d: int, spare=_TOP_UP_WORDS):
         slow[t * d + c] = draws.normal()
         shift = shifts[t * d + c + 1] = draws.pos - q - 1 + shift
     if 2 * n * d + shift > len(words):
-        bg.state = start
+        bg.state = draws.start
         return _vector_draws(bg, n, d, 2 * spare + _TOP_UP_WORDS)
     draws.pos = 2 * n * d + shift
     draws.finish()
@@ -271,8 +270,7 @@ def _lemire(u32: np.ndarray, r):
 
 
 def _weak_draws(rng, n: int, s: int):
-    """The flips and (dx, dy) shifts of the first rows of an n-row weak
-    batch, and the draws of ``rng`` that the remaining rows take.
+    """The flips and (dx, dy) shifts of an n-row weak batch, as lists.
 
     The rows are computed as arrays from one ``random_raw`` call.  A row
     takes one word for its flip (``next_double < 0.5``) and, when s > 0,
@@ -281,46 +279,47 @@ def _weak_draws(rng, n: int, s: int):
     unchanged, and each row takes one more word.  The arrays stop at the
     first row whose shift the Lemire rule redraws; that row and the rest
     are replayed one draw at a time."""
-    bg = rng.bit_generator
-    start = bg.state
-    has, buf = start["has_uint32"], start["uinteger"]
     r = 2 * s + 1
     per_row = 1 if r == 1 else 2
-    words = bg.random_raw(per_row * n)
+    draws = _RawDraws(rng.bit_generator, per_row * n)
+    words, has = draws.raw, draws.has_uint32
     flips = ((words[::per_row] >> np.uint64(11)) * 2.0 ** -53 < 0.5).tolist()
     if r == 1:
         done, dx, dy = n, [0] * n, [0] * n
     else:
         odd = words[1::2]
         halves = np.empty(2 * n + has, dtype=np.uint64)
-        halves[:has] = buf
+        halves[:has] = draws.uinteger
         halves[has::2] = odd & np.uint64(_MASK32)
         halves[has + 1::2] = odd >> np.uint64(32)
         d, done = _lemire(halves[:2 * n].reshape(n, 2), r)
         if done:
-            buf = int(odd[done - 1] >> np.uint64(32))
+            draws.uinteger = int(odd[done - 1] >> np.uint64(32))
         dx, dy = (d[:done] - s).T.tolist()
-    rest = _RawDraws(bg, start, words[per_row * done:].tolist(),
-                     per_row * done, has, buf)
-    return flips[:done], dx, dy, rest
+        del flips[done:]
+    draws.pos = per_row * done
+    for _ in range(done, n):  # the rows the arrays stopped short of
+        flips.append(draws.random() < 0.5)
+        dx.append(draws.integers(-s, s + 1))
+        dy.append(draws.integers(-s, s + 1))
+    draws.finish()
+    return flips, dx, dy
 
 
 def _strong_draws(rng, n: int, s: int, cut: int):
-    """The op codes, int pairs and brightness factors of the first rows of
-    an n-row strong batch, two per row in flat lists, and the draws of
-    ``rng`` that the remaining rows take.  With the uint32 buffer empty, a
+    """The op codes, int pairs and brightness factors of an n-row strong
+    batch, two per row in flat lists.  With the uint32 buffer empty, a
     row takes one word for its op codes (the top bits of its low, then its
     high half) and one per op that draws: translate if s > 0 (dx, dy),
     brightness (a double), cutout if ``cut`` > 1 (top, left).  So a walk
     over each word's row length finds the row starts.  The arrays stop at
     the first row the Lemire rule redraws on; it and the rest, or a batch
     entered with the buffer full, are replayed one draw at a time."""
-    bg = rng.bit_generator
-    start = bg.state
-    has, buf = start["has_uint32"], start["uinteger"]
-    words = bg.random_raw(_WORDS_PER_STRONG_ROW * n)
+    draws = _RawDraws(rng.bit_generator, _WORDS_PER_STRONG_ROW * n)
+    words = draws.raw
     ops, params, factors, done, used = [], [], [], 0, 0
-    if not has and cut >= 1:  # a cutout on a side under 8 raises in the replay
+    # a cutout on a side under 8 raises in the replay
+    if not draws.has_uint32 and cut >= 1:
         ranges = np.array([1, 2 * s + 1, 1, cut], dtype=np.uint64)
         split = ranges > 1  # the ops whose two ints split a word
         cost = split + np.array([0, 0, 1, 0])  # the words an op's draws take
@@ -335,17 +334,25 @@ def _strong_draws(rng, n: int, s: int, cut: int):
         ints, done = _lemire(np.stack([pw & np.uint64(_MASK32),
                                        pw >> np.uint64(32)], axis=2),
                              ranges[op][:, :, None])
-        used = starts[done]
+        draws.pos = starts[done]
         if done:  # the buffer keeps the high half of the last word split
             last = max(starts[done - 1], *at[done - 1] * split[op[done - 1]])
-            buf = int(words[last] >> np.uint64(32))
+            draws.uinteger = int(words[last] >> np.uint64(32))
         low, high = BRIGHTNESS_RANGE
         ops = op[:done].ravel().tolist()
         params = (ints - s * (op == 1)[:, :, None])[:done].ravel().tolist()
         factors = (low + (high - low) * ((pw >> np.uint64(11)) * 2.0 ** -53)
                    )[:done].ravel().tolist()
-    rest = _RawDraws(bg, start, words[used:].tolist(), used, has, buf)
-    return ops, params, factors, rest
+    draw = draws.integers
+    for _ in range(done, n):  # the rows the arrays stopped short of
+        row = [draw(0, _STRONG_OP_COUNT), draw(0, _STRONG_OP_COUNT)]
+        ops += row
+        for op in row:  # a list's items draw in order; a range of 1 draws none
+            lo, hi = (-s, s + 1) if op == 1 else (0, cut if op == 3 else 1)
+            params += [draw(lo, hi), draw(lo, hi)]
+            factors.append(draws.uniform(*BRIGHTNESS_RANGE) if op == 2 else 1.0)
+    draws.finish()
+    return ops, params, factors
 
 
 def _load(dst: np.ndarray, src: np.ndarray) -> None:
@@ -358,23 +365,16 @@ def _load(dst: np.ndarray, src: np.ndarray) -> None:
 
 
 def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray) -> np.ndarray:
     """(B, C, H, W) images, each flipped with probability 1/2 and then
     shifted, with exposed pixels zero.  Each row draws the flip, then dx,
     then dy; every row's draws are made before any pixel moves.  uint8
     pixels are moved into a uint8 staging block, which one divide writes
     into ``out``."""
-    if out is None:
-        out = np.empty(imgs.shape)
     n, _, h, w = imgs.shape
     s = cfg.image_shift_weak
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
-    flips, dx, dy, draws = _weak_draws(rng, n, s)
-    for _ in range(len(flips), n):  # the rows the arrays stopped short of
-        flips.append(draws.random() < 0.5)
-        dx.append(draws.integers(-s, s + 1))
-        dy.append(draws.integers(-s, s + 1))
-    draws.finish()
+    flips, dx, dy = _weak_draws(rng, n, s)
     moved = np.zeros_like(imgs) if imgs.dtype == np.uint8 else out
     if moved is out:
         out.fill(0.0)
@@ -390,7 +390,7 @@ def weak_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
 
 
 def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
-                  out: np.ndarray | None = None,
+                  out: np.ndarray,
                   keep: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) images, each put through two operations drawn with
     replacement from {flip, translate, brightness, cutout}.  Each row
@@ -412,23 +412,12 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     A sum whose terms are all zero may flip the sign of its zero; a
     gradient entry reaches the parameters only through a momentum buffer,
     which starts at +0, and +0 + (±0) is +0."""
-    if out is None:
-        out = np.empty(imgs.shape)
     n, _, h, w = imgs.shape
     s = cfg.image_shift_strong
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
     scratch = np.empty(imgs.shape[1:])
-    cut = min(h, w) - CUTOUT_SIZE + 1
-    ops, params, factors, draws = _strong_draws(rng, n, s, cut)
-    draw = draws.integers
-    for _ in range(len(ops) // 2, n):  # the rows the arrays stopped short of
-        row = [draw(0, _STRONG_OP_COUNT), draw(0, _STRONG_OP_COUNT)]
-        ops += row
-        for op in row:  # a list's items draw in order; a range of 1 draws none
-            lo, hi = (-s, s + 1) if op == 1 else (0, cut if op == 3 else 1)
-            params += [draw(lo, hi), draw(lo, hi)]
-            factors.append(draws.uniform(*BRIGHTNESS_RANGE) if op == 2 else 1.0)
-    draws.finish()
+    ops, params, factors = _strong_draws(rng, n, s,
+                                         min(h, w) - CUTOUT_SIZE + 1)
     for i in range(n) if keep is None else np.flatnonzero(keep).tolist():
         cur, src = out[i], imgs[i]
         for k in (2 * i, 2 * i + 1):
@@ -485,17 +474,13 @@ class AugmentStream:
                 raise ConfigError(f"image sides must be >= {CUTOUT_SIZE}")
         self.rng = np.random.default_rng(seed)
 
-    def apply_batch(self, xs: np.ndarray) -> np.ndarray:
-        """Augment each row independently; the stream advances exactly as
-        it would for the rows one at a time, in row order."""
-        xs = np.asarray(xs)
-        return self.apply_batch_into(xs, np.empty(xs.shape))
-
     def apply_batch_into(self, xs: np.ndarray, out: np.ndarray,
                          keep: np.ndarray | None = None) -> np.ndarray:
-        """``apply_batch`` writing into ``out``, a C-contiguous float64
-        array of the batch's shape that does not overlap ``xs``; returns
-        ``out``.  uint8 rows are pixels whose features are ``pixels /
+        """Augment each row of the 2-d ``xs`` independently, writing the
+        views into ``out``, a C-contiguous float64 array of the batch's
+        shape that does not overlap ``xs``; returns ``out``.  The stream
+        advances exactly as it would for the rows one at a time, in row
+        order.  uint8 rows are pixels whose features are ``pixels /
         255``: an image stream moves them as bytes and divides each value
         it writes once, so the views equal those of the float64 rows
         ``pixels / 255`` bit for bit.  Rows of any other dtype are read
@@ -510,7 +495,7 @@ class AugmentStream:
         elif self.modality == "vector":
             xs = np.divide(xs, PIXEL_SCALE, dtype=np.float64)
         if xs.ndim != 2:
-            raise ConfigError("apply_batch expects a 2-d array")
+            raise ConfigError("apply_batch_into expects a 2-d array")
         if (out.shape != xs.shape or out.dtype != np.float64
                 or not out.flags.c_contiguous):
             raise ConfigError("out must be a C-contiguous float64 array of "

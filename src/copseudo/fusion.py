@@ -106,9 +106,9 @@ class FusedBatch:
     ``labels`` holds each pseudo-label, -1 where absent; ``masks`` is
     (items, models) and zero wherever the label is absent; ``sources``
     indexes ``SOURCES``; ``source_models`` (1-based) and ``source_levels``
-    hold 0 where the decision has none.  ``len``, indexing and iteration
-    give the per-item ``FusionDecision`` view.  In single-model mode an
-    entry is one (model, item) pair, model-major, with one mask column and
+    hold 0 where the decision has none.  ``len`` and iteration give the
+    per-item ``FusionDecision`` view.  In single-model mode an entry is
+    one (model, item) pair, model-major, with one mask column and
     ``source_model`` 1.
     """
 
@@ -120,9 +120,6 @@ class FusedBatch:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def __getitem__(self, b) -> FusionDecision:
-        return _decision(*(col[b].tolist() for col in self._columns()))
 
     def __iter__(self):
         return map(_decision, *(col.tolist() for col in self._columns()))
@@ -151,9 +148,8 @@ def first_invalid_row(probs: np.ndarray):
     that is not a distribution, as (b, m, what is wrong with it); None
     when every row is one."""
     with np.errstate(invalid="ignore", over="ignore"):
-        invalid = (~np.isfinite(probs).all(axis=2)
-                   | (probs.min(axis=2) < -1e-12)
-                   | (probs.max(axis=2) > 1.0 + 1e-12))
+        # one pass over the class axis: NaN fails both bounds, ±inf one
+        invalid = ~((probs >= -1e-12) & (probs <= 1.0 + 1e-12)).all(axis=2)
         unnormed = np.abs(probs.sum(axis=2) - 1.0) > PROB_SUM_TOL
     bad = invalid | unnormed
     if not bad.any():
@@ -285,7 +281,8 @@ def _fuse_one(qs, cfg: FusionConfig, stream) -> FusionDecision:
             _check_block(np.stack(rows[:i])[:, None, :])
         raise ConfigError(problem)
     block = _check_block(np.stack(rows)[:, None, :])
-    return _fuse(block, cfg, lambda b: stream)[0]
+    (decision,) = _fuse(block, cfg, lambda b: stream)
+    return decision
 
 
 def fuse_pair(q1, q2, cfg: FusionConfig, stream) -> FusionDecision:

@@ -276,6 +276,12 @@ def strong_image(img: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
     return out
 
 
+def apply_batch(stream, xs):
+    """``stream``'s views of the rows ``xs``, in a new float64 array."""
+    xs = np.asarray(xs)
+    return stream.apply_batch_into(xs, np.empty(xs.shape))
+
+
 _APPLY_BATCH_INTO = AugmentStream.apply_batch_into
 
 

@@ -23,6 +23,7 @@ from oracles import (
     _draw_strong_ops,
     _flip,
     _translate,
+    apply_batch,
     strong_image,
     strong_vector,
     weak_image,
@@ -137,7 +138,8 @@ class TestVectorTransforms:
     # normals script them
     def test_weak_is_additive_noise(self):
         x = np.array([1.0, -2.0, 0.5])
-        out = weak_vectors(x[None], np.random.default_rng(3), CFG)[0]
+        out = weak_vectors(x[None], np.random.default_rng(3), CFG,
+                           np.empty((1, 3)))[0]
         noise = np.random.default_rng(3).standard_normal(3)
         np.testing.assert_array_equal(out, x + CFG.sigma_weak * noise)
 
@@ -146,7 +148,7 @@ class TestVectorTransforms:
         rng = scripted(("normal", 1.0), ("normal", 1.0), ("normal", 1.0),
                        # coords 0 and 2 fall under p=0.1
                        ("random", 0.05), ("random", 0.5), ("random", 0.09))
-        out = strong_vectors(x[None], rng, CFG)[0]
+        out = strong_vectors(x[None], rng, CFG, np.empty((1, 3)))[0]
         np.testing.assert_allclose(out, [0.0, 2.25, 0.0])
         assert rng.spent()
 
@@ -154,18 +156,19 @@ class TestVectorTransforms:
         cfg = AugmentConfig(sigma_weak=0.0)
         x = np.array([3.0, 4.0])
         rng = np.random.default_rng(5)
-        np.testing.assert_array_equal(weak_vectors(x[None], rng, cfg)[0], x)
+        out = weak_vectors(x[None], rng, cfg, np.empty((1, 2)))[0]
+        np.testing.assert_array_equal(out, x)
 
     def test_weak_noise_scale_statistics(self):
         rng = np.random.default_rng(0)
         x = np.zeros(40000)
-        out = weak_vectors(x[None], rng, CFG)[0]
+        out = weak_vectors(x[None], rng, CFG, np.empty((1,) + x.shape))[0]
         assert abs(out.std() - CFG.sigma_weak) < 0.002
 
     def test_strong_dropout_rate_statistics(self):
         rng = np.random.default_rng(1)
         x = np.ones(40000)
-        out = strong_vectors(x[None], rng, CFG)[0]
+        out = strong_vectors(x[None], rng, CFG, np.empty((1,) + x.shape))[0]
         zero_rate = (out == 0.0).mean()
         assert abs(zero_rate - CFG.vector_drop_prob) < 0.01
 
@@ -206,7 +209,7 @@ class TestWeakImage:
         img = ramp_image()
         rng = scripted(("random", 0.3), ("integers", -4, 5, 0),
                        ("integers", -4, 5, 0))
-        out = weak_images(img[None], rng, CFG)[0]
+        out = weak_images(img[None], rng, CFG, np.empty((1,) + img.shape))[0]
         np.testing.assert_array_equal(out, img[:, :, ::-1])
         assert rng.spent()
 
@@ -214,7 +217,7 @@ class TestWeakImage:
         img = ramp_image(1, 3, 3)
         rng = scripted(("random", 0.7), ("integers", -4, 5, 1),
                        ("integers", -4, 5, 0))
-        out = weak_images(img[None], rng, CFG)[0]
+        out = weak_images(img[None], rng, CFG, np.empty((1,) + img.shape))[0]
         np.testing.assert_array_equal(out, _translate(img, 1, 0))
         assert rng.spent()
 
@@ -223,7 +226,8 @@ class TestWeakImage:
         rng = np.random.default_rng(5)
         img = ramp_image()
         flipped = img[:, :, ::-1]
-        out = weak_images(np.broadcast_to(img, (4000,) + img.shape), rng, cfg)
+        imgs = np.broadcast_to(img, (4000,) + img.shape)
+        out = weak_images(imgs, rng, cfg, np.empty(imgs.shape))
         hits = sum(np.array_equal(view, flipped) for view in out)
         assert abs(hits / 4000 - 0.5) < 0.03
 
@@ -237,7 +241,7 @@ class TestStrongImage:
         img = ramp_image()
         # uniform(0.6, 1.4) of next_double 0.5 is 1.0
         rng = scripted(*self.ops(0, 2), ("random", 0.5))
-        out = strong_images(img[None], rng, CFG)[0]
+        out = strong_images(img[None], rng, CFG, np.empty((1,) + img.shape))[0]
         np.testing.assert_array_equal(out, img[:, :, ::-1])
         assert rng.spent()
 
@@ -245,7 +249,7 @@ class TestStrongImage:
         img = np.full((3, 32, 32), 0.25)
         corner = (("integers", 0, 25, 3), ("integers", 0, 25, 5))
         rng = scripted(*self.ops(3, 3), *corner, *corner)
-        out = strong_images(img[None], rng, CFG)[0]
+        out = strong_images(img[None], rng, CFG, np.empty((1,) + img.shape))[0]
         np.testing.assert_array_equal(out[:, 3:11, 5:13], 0.5)
         mask = np.ones((32, 32), dtype=bool)
         mask[3:11, 5:13] = False
@@ -257,7 +261,7 @@ class TestStrongImage:
         # factors just under 1.4
         top = 1 - 2.0 ** -53
         rng = scripted(*self.ops(2, 2), ("random", top), ("random", top))
-        out = strong_images(img[None], rng, CFG)[0]
+        out = strong_images(img[None], rng, CFG, np.empty((1,) + img.shape))[0]
         np.testing.assert_array_equal(out, 1.0)
         assert rng.spent()
 
@@ -266,14 +270,15 @@ class TestStrongImage:
         rng = scripted(*self.ops(1, 1),
                        ("integers", -8, 9, 2), ("integers", -8, 9, 0),
                        ("integers", -8, 9, 0), ("integers", -8, 9, 1))
-        out = strong_images(img[None], rng, CFG)[0]
+        out = strong_images(img[None], rng, CFG, np.empty((1,) + img.shape))[0]
         np.testing.assert_array_equal(out, _translate(_translate(img, 2, 0), 0, 1))
         assert rng.spent()
 
     def test_does_not_mutate_input(self):
         img = ramp_image(3, 32, 32)
         keep = img.copy()
-        strong_images(img[None], np.random.default_rng(0), CFG)
+        strong_images(img[None], np.random.default_rng(0), CFG,
+                      np.empty((1,) + img.shape))
         np.testing.assert_array_equal(img, keep)
 
     def test_op_pair_includes_any_given_op_at_expected_rate(self):
@@ -291,7 +296,7 @@ class TestStrongImage:
 
 def apply_one(stream, x):
     """One flat feature vector through ``stream``, as a batch of one."""
-    return stream.apply_batch(x[None])[0]
+    return apply_batch(stream, x[None])[0]
 
 
 class TestStream:
@@ -325,7 +330,7 @@ class TestStream:
             width = 10 if shape is None else int(np.prod(shape))
             xs = np.random.default_rng(8).random((5, width))
             whole = AugmentStream(kind, modality, seed=21, feature_shape=shape)
-            batch = whole.apply_batch(xs)
+            batch = apply_batch(whole, xs)
             seq = AugmentStream(kind, modality, seed=21, feature_shape=shape)
             rows = [apply_one(seq, row) for row in xs]
             np.testing.assert_array_equal(batch, np.stack(rows))
@@ -340,7 +345,7 @@ class TestStream:
             into = AugmentStream(kind, modality, seed=21, feature_shape=shape)
             block = np.full((3, 5, width), np.nan)
             for _ in range(2):
-                want = fresh.apply_batch(xs)
+                want = apply_batch(fresh, xs)
                 got = into.apply_batch_into(xs, block[1])
                 assert np.shares_memory(got, block[1])
                 np.testing.assert_array_equal(block[1], want)
@@ -391,13 +396,13 @@ class TestStream:
         for width in (3, 4, 6):
             with pytest.raises(ConfigError, match=f"vector rows must have 5 "
                                f"features, got {width}"):
-                s.apply_batch(np.zeros((2, width)))
+                apply_batch(s, np.zeros((2, width)))
         assert s.rng.bit_generator.state == state
-        assert s.apply_batch(np.zeros((2, 5))).shape == (2, 5)
+        assert apply_batch(s, np.zeros((2, 5))).shape == (2, 5)
 
     def test_empty_batch(self):
         s = AugmentStream("weak", "vector", seed=0)
-        out = s.apply_batch(np.zeros((0, 4)))
+        out = apply_batch(s, np.zeros((0, 4)))
         assert out.shape == (0, 4)
 
     def test_validation(self):
@@ -410,7 +415,7 @@ class TestStream:
         with pytest.raises(ConfigError):
             AugmentStream("weak", "image", seed=0, feature_shape=(3, 4))
         with pytest.raises(ConfigError):
-            AugmentStream("weak", "vector", seed=0).apply_batch(np.zeros(4))
+            apply_batch(AugmentStream("weak", "vector", seed=0), np.zeros(4))
 
 
 @st.composite
@@ -443,15 +448,15 @@ class TestProperties:
     def test_vector_transforms_preserve_shape(self, seed, dim):
         rng = np.random.default_rng(seed)
         x = rng.random(dim)
-        assert weak_vectors(x[None], rng, CFG)[0].shape == (dim,)
-        assert strong_vectors(x[None], rng, CFG)[0].shape == (dim,)
+        for fn in (weak_vectors, strong_vectors):
+            assert fn(x[None], rng, CFG, np.empty((1, dim)))[0].shape == (dim,)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_strong_image_stays_in_unit_box(self, seed):
         rng = np.random.default_rng(seed)
         img = rng.random((3, 32, 32))
-        out = strong_images(img[None], rng, CFG)[0]
+        out = strong_images(img[None], rng, CFG, np.empty((1,) + img.shape))[0]
         assert out.shape == img.shape
         assert out.min() >= 0.0 and out.max() <= 1.0
 
@@ -478,7 +483,7 @@ class TestBatchAgainstOracle:
         oracle = ORACLES[(kind, modality)]
         for size in sizes:  # consecutive calls on one stream
             xs = data.uniform(-0.5, 1.5, size=(size, width))
-            got = stream.apply_batch(xs)
+            got = apply_batch(stream, xs)
             want = np.stack([
                 oracle(row if shape is None else row.reshape(shape),
                        ref_rng, cfg).reshape(-1)
@@ -505,7 +510,7 @@ class TestBatchAgainstOracle:
         xs = data.choice([-0.0, 0.0, -1.5, 1.0, 2.5, 0.25], size=(300, 3072))
         stream = AugmentStream(kind, "image", seed=3)
         ref_rng = np.random.default_rng(3)
-        got = stream.apply_batch(xs)
+        got = apply_batch(stream, xs)
         want = np.stack([ORACLES[(kind, "image")](row.reshape(3, 32, 32), ref_rng,
                                                   CFG).reshape(-1) for row in xs])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -536,13 +541,6 @@ RANGES = ((0, 4), *((-s, s + 1) for s in (0, 4, 8, 10, 40)), (0, 25),
           (0, 5), (0, 1), (0, 3 * 2 ** 30), (-7, 2 ** 31 - 6), (0, 2 ** 32))
 
 
-def raw_draws(bg, words: int) -> augment._RawDraws:
-    """A ``_RawDraws`` of the PCG64 ``bg`` holding its next ``words``."""
-    start = bg.state
-    return augment._RawDraws(bg, start, bg.random_raw(words).tolist(), 0,
-                             start["has_uint32"], start["uinteger"])
-
-
 class TestRawDraws:
     """``_RawDraws`` against a twin ``Generator``'s calls: equal values and,
     after each ``finish``, an equal bit-generator state.  Each new
@@ -556,7 +554,7 @@ class TestRawDraws:
         script = np.random.default_rng(7).integers(0, len(RANGES) + 3,
                                                    size=30_000)
         prefetch = np.random.default_rng(8)
-        draws = raw_draws(bg, 0)
+        draws = augment._RawDraws(bg, 0)
         for step, k in enumerate(script):
             if k < len(RANGES):
                 lo, hi = RANGES[k]
@@ -571,7 +569,7 @@ class TestRawDraws:
             else:
                 draws.finish()
                 assert bg.state == want.bit_generator.state, step
-                draws = raw_draws(bg, int(prefetch.integers(0, 100)))
+                draws = augment._RawDraws(bg, int(prefetch.integers(0, 100)))
         draws.finish()
         assert bg.state == want.bit_generator.state
 
@@ -580,7 +578,7 @@ class TestRawDraws:
             with pytest.raises(ValueError):
                 np.random.default_rng(0).integers(lo, hi)
             with pytest.raises(ValueError):
-                raw_draws(np.random.PCG64(0), 4).integers(lo, hi)
+                augment._RawDraws(np.random.PCG64(0), 4).integers(lo, hi)
 
 
 class TestBatchedPath:
@@ -630,7 +628,7 @@ class TestBatchedPath:
         data = np.random.default_rng(seed)
         for size in (1, 150, 37):
             xs = data.integers(0, 256, size=(size, 3072), dtype=np.uint8)
-            got = stream.apply_batch(xs if pixels else as_floats(xs))
+            got = apply_batch(stream, xs if pixels else as_floats(xs))
             want = np.stack([oracle(row.reshape(3, 32, 32), ref_rng,
                                     cfg).reshape(-1)
                              for row in as_floats(xs)])
@@ -658,9 +656,9 @@ class TestBatchedPath:
     def test_shift_tables_are_built_once(self, kind):
         stream = AugmentStream(kind, "image", seed=0, feature_shape=(1, 8, 12))
         xs = np.zeros((5, 96))
-        stream.apply_batch(xs)
+        apply_batch(stream, xs)
         before = _shift_slices.cache_info()
-        stream.apply_batch(xs)
+        apply_batch(stream, xs)
         after = _shift_slices.cache_info()
         assert after.misses == before.misses
         assert after.hits == before.hits + 2  # one table per axis
@@ -726,24 +724,26 @@ class TestStrongDrawArrays:
     state are checked against the oracle's numpy calls."""
 
     @staticmethod
-    def check(bg, n, monkeypatch, calls=2):
-        """``calls`` n-row batches on ``bg`` against the oracle on its twin:
-        equal view bytes and states; returns the rows the arrays gave per
-        call."""
-        from_arrays, draws = [], augment._strong_draws
+    def check(bg, n, monkeypatch, calls=2, kind="strong"):
+        """``calls`` n-row batches of ``kind`` on ``bg`` against the oracle
+        on its twin: equal view bytes and states; returns the rows the
+        arrays gave per call that computed any (``_lemire``'s count)."""
+        from_arrays, lemire = [], augment._lemire
 
         def counted(*args):
-            drawn = draws(*args)
-            from_arrays.append(len(drawn[0]) // 2)
-            return drawn
+            ints, done = lemire(*args)
+            from_arrays.append(done)
+            return ints, done
 
-        monkeypatch.setattr(augment, "_strong_draws", counted)
+        monkeypatch.setattr(augment, "_lemire", counted)
+        fn, oracle = ((weak_images, weak_image) if kind == "weak" else
+                      (strong_images, strong_image))
         rng, ref_rng = np.random.Generator(bg), np.random.Generator(twin(bg))
         data = np.random.default_rng(3)
         for _ in range(calls):
             imgs = data.random((n, 3, 32, 32))
-            got = strong_images(imgs, rng, CFG)
-            want = np.stack([strong_image(img, ref_rng, CFG) for img in imgs])
+            got = fn(imgs, rng, CFG, np.empty(imgs.shape))
+            want = np.stack([oracle(img, ref_rng, CFG) for img in imgs])
             assert got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
         return from_arrays
@@ -783,6 +783,28 @@ class TestStrongDrawArrays:
         assert bg.state["uinteger"] == int(words[start]) >> 32
 
 
+class TestWeakDrawArrays:
+    """``_weak_draws`` computes a weak batch's rows as arrays up to the
+    first row whose shift the Lemire rule redraws.  Entered with the
+    uint32 buffer empty, row t takes word 2t for its flip and the low and
+    high halves of word 2t + 1 for dx and dy.  A real ``PCG64`` stream
+    with a zero uint32 there, the one value a shift of 4 (range 9)
+    redraws, puts the redraw in a chosen row."""
+
+    @pytest.mark.parametrize("half", [0, 1], ids=["dx", "dy"])
+    @pytest.mark.parametrize("row", [0, 15, 23])
+    def test_a_redraw_replays_from_its_row(self, row, half, monkeypatch):
+        n, p = 24, 2 * row + 1
+        assert CFG.image_shift_weak == 4
+        word = 0x9E3779B97F4A7C15 & ~(0xFFFFFFFF << 32 * half)
+        bg = pcg64_with_word(p, word, 0x7F4A7C159E3779B9)
+        assert int(twin(bg).random_raw(2 * n)[p]) == word
+        # rows before the redraw come from the arrays, the rest are
+        # replayed; the next call starts with the buffer empty again
+        got = TestStrongDrawArrays.check(bg, n, monkeypatch, kind="weak")
+        assert got == [row, n]
+
+
 class TestKeepMask:
     """``keep`` against the same call without it: kept rows equal, masked
     strong image rows +0.0, and an equal generator state after every
@@ -814,7 +836,7 @@ class TestKeepMask:
                 for size in (1, 150, int(data.integers(2, 150))):
                     xs = data.uniform(-0.5, 1.5, size=(size, width))
                     keep = self.make_keep(pattern, size, data)
-                    want = full.apply_batch(xs)
+                    want = apply_batch(full, xs)
                     got = masked.apply_batch_into(
                         xs, np.full((size, width), np.nan), keep=keep)
                     assert (masked.rng.bit_generator.state
@@ -830,7 +852,7 @@ class TestKeepMask:
         full = AugmentStream(kind, modality, seed=21, feature_shape=shape)
         got = masked.apply_batch_into(xs, np.empty((5, width)),
                                       keep=np.zeros(5, dtype=bool))
-        np.testing.assert_array_equal(got, full.apply_batch(xs))
+        np.testing.assert_array_equal(got, apply_batch(full, xs))
         assert masked.rng.bit_generator.state == full.rng.bit_generator.state
 
     def test_rejects_bad_keep(self):
@@ -895,8 +917,9 @@ class TestPixelRows:
         fn = weak_images if kind == "weak" else strong_images
         data = np.random.default_rng(5)
         imgs = self.pixel_rows(data, 40, 3072).reshape(40, 3, 32, 32)
-        got = fn(imgs, np.random.default_rng(1), CFG)
-        want = fn(as_floats(imgs), np.random.default_rng(1), CFG)
+        got = fn(imgs, np.random.default_rng(1), CFG, np.empty(imgs.shape))
+        want = fn(as_floats(imgs), np.random.default_rng(1), CFG,
+                  np.empty(imgs.shape))
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
 
@@ -904,18 +927,18 @@ class TestPixelRows:
         data = np.random.default_rng(6)
         xs = self.pixel_rows(data, 30, 16)
         for kind in ("weak", "strong"):
-            got = AugmentStream(kind, "vector", seed=2).apply_batch(xs)
-            want = AugmentStream(kind, "vector", seed=2).apply_batch(
-                as_floats(xs))
+            got = apply_batch(AugmentStream(kind, "vector", seed=2), xs)
+            want = apply_batch(AugmentStream(kind, "vector", seed=2),
+                               as_floats(xs))
             assert got.tobytes() == want.tobytes()
 
     def test_other_integer_rows_are_values(self):
         xs = np.arange(96, dtype=np.int64).reshape(1, 96)
-        got = AugmentStream("weak", "image", seed=4,
-                            feature_shape=(1, 8, 12)).apply_batch(xs)
-        want = AugmentStream("weak", "image", seed=4,
-                             feature_shape=(1, 8, 12)).apply_batch(
-                                 xs.astype(np.float64))
+        got = apply_batch(AugmentStream("weak", "image", seed=4,
+                                        feature_shape=(1, 8, 12)), xs)
+        want = apply_batch(AugmentStream("weak", "image", seed=4,
+                                         feature_shape=(1, 8, 12)),
+                           xs.astype(np.float64))
         assert got.tobytes() == want.tobytes()
 
 
@@ -953,7 +976,7 @@ class TestNormalReplay:
         data = np.random.default_rng(seed + 100)
         for size in TestNormalReplay.SIZES + TestNormalReplay.SIZES[::-1]:
             xs = data.uniform(-2.0, 2.0, size=(size, width))
-            got = strong_vectors(xs, got_rng, CFG)
+            got = strong_vectors(xs, got_rng, CFG, np.empty(xs.shape))
             want = np.array([strong_vector(row, ref_rng, CFG) for row in xs])
             assert got.tobytes() == want.reshape(size, width).tobytes(), (
                 width, seed, size)
@@ -1010,7 +1033,7 @@ class TestNormalReplay:
             for size in sizes:
                 xs = data.random((size, width))
                 want = np.array([strong_vector(row, twin, CFG) for row in xs])
-                assert stream.apply_batch(xs).tobytes() == want.tobytes()
+                assert apply_batch(stream, xs).tobytes() == want.tobytes()
                 assert stream.rng.bit_generator.state == twin.bit_generator.state
         assert calls == [(64, 2), (1, 2), (200, 2), (32, 16), (32, 16)]
 
@@ -1033,7 +1056,7 @@ class TestNormalReplay:
         # one draw at a time through _RawDraws.normal, every path traced
         trace = self.trace_normals(monkeypatch)
         bg, want = np.random.PCG64(2025), np.random.default_rng(2025)
-        draws = raw_draws(bg, 1_100_000)
+        draws = augment._RawDraws(bg, 1_100_000)
         got = np.array([draws.normal() for _ in range(1_000_000)])
         draws.finish()
         assert got.tobytes() == want.standard_normal(1_000_000).tobytes()
@@ -1057,7 +1080,7 @@ class TestNormalReplay:
         xs = np.random.default_rng(5).random((3, 2))
         for seed in range(100):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = strong_vectors(xs, rng, CFG)
+            got = strong_vectors(xs, rng, CFG, np.empty(xs.shape))
             want = np.array([strong_vector(row, twin, CFG) for row in xs])
             assert got.tobytes() == want.tobytes(), seed
             assert rng.bit_generator.state == twin.bit_generator.state

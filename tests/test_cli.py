@@ -790,6 +790,8 @@ class TestFuseTrace:
     @pytest.mark.parametrize("row, what", [
         ("5,2,0.50,0.40,0.05", "does not sum to 1"),
         ("5,2,0.50,nan,0.50", "is not a valid distribution"),
+        ("5,2,0.50,inf,0.50", "is not a valid distribution"),
+        ("5,2,0.50,-inf,0.50", "is not a valid distribution"),
         ("5,2,1.25,-0.25,0.00", "is not a valid distribution"),
     ])
     def test_malformed_distribution_is_data_error(self, tmp_path, capsys,

@@ -589,7 +589,7 @@ class TestFuseBatchAgainstCascadeOracle:
         for case in range(60):
             probs, cfg = self.random_case(gen, n, conflict_drop=case % 2 == 1)
             built.clear()
-            fused = fuse_batch(probs, cfg, 9, case)
+            fused = list(fuse_batch(probs, cfg, 9, case))
             got = list(built)
             drew = []
             for b in range(probs.shape[1]):

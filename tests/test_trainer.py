@@ -51,6 +51,7 @@ from copseudo.trainer import (
 )
 from oracles import (
     ReferenceOpt,
+    apply_batch,
     full_strong_pass,
     mask_ratio,
     pseudo_label_accuracy,
@@ -251,9 +252,9 @@ class TestTrainStepOracle:
         lam = cfg.objective.lambda_u
         sup = []
         for i, (xs, ys) in enumerate(labeled):
-            weak = clone.weak_labeled[i].apply_batch(xs)
+            weak = apply_batch(clone.weak_labeled[i], xs)
             sup.append(loss_and_grad(models[i], weak, ys, np.ones(len(ys))))
-        weak_u = clone.weak_unlabeled.apply_batch(unlabeled)
+        weak_u = apply_batch(clone.weak_unlabeled, unlabeled)
         probs = [ModelStack([p]).predict_proba(weak_u)[0] for p in models]
         if cfg.fusion.single_model_mode:
             per_model = [([fuse_single(q, cfg.fusion) for q in p], 0)
@@ -266,7 +267,7 @@ class TestTrainStepOracle:
             per_model = [(decisions, i) for i in range(n)]
         out_params = []
         for i, (decisions, k) in enumerate(per_model):
-            strong = clone.strong_unlabeled[i].apply_batch(unlabeled)
+            strong = apply_batch(clone.strong_unlabeled[i], unlabeled)
             targets = np.array([d.pseudo_label if d.has_label else 0
                                 for d in decisions])
             weights = np.array([d.masks[k] if d.has_label else 0.0
@@ -387,7 +388,7 @@ class TestTrainStepOracle:
         # exactly by the difference of supervised losses
         sup = []
         for i, params in enumerate(clone.stack.models()):
-            weak = clone.weak_labeled[i].apply_batch(ds.features[idx])
+            weak = apply_batch(clone.weak_labeled[i], ds.features[idx])
             l, _ = loss_and_grad(params, weak,
                                  ds.observed_labels(idx), np.ones(4))
             sup.append(l)
@@ -413,7 +414,7 @@ class TestTrainStepOracle:
             metrics = train_step(state, labeled, u_feats, u_true)
             assert state.labeled_views is blocks[0]
             assert state.strong_views is blocks[1]
-            weak = clone.weak_unlabeled.apply_batch(u_feats)
+            weak = apply_batch(clone.weak_unlabeled, u_feats)
             np.testing.assert_array_equal(metrics.weak_probs,
                                           clone.stack.predict_proba(weak))
             keep = fuse_batch(metrics.weak_probs, cfg.fusion, cfg.seeds.fusion,
@@ -422,8 +423,8 @@ class TestTrainStepOracle:
             for i in range(2):
                 np.testing.assert_array_equal(
                     state.labeled_views[i],
-                    clone.weak_labeled[i].apply_batch(ds.rows(idx)))
-                strong = clone.strong_unlabeled[i].apply_batch(u_feats)
+                    apply_batch(clone.weak_labeled[i], ds.rows(idx)))
+                strong = apply_batch(clone.strong_unlabeled[i], u_feats)
                 got = state.strong_views[i]
                 np.testing.assert_array_equal(got[keep[i]], strong[keep[i]])
                 assert (got[~keep[i]].view(np.uint64) == 0).all()
@@ -557,8 +558,8 @@ class TestFuseBatch:
         probs[0, 0] = (0.97, 0.01, 0.01, 0.01)
         probs[1, 0] = (0.01, 0.97, 0.01, 0.01)
         cfg = FusionConfig()
-        seen = {fuse_batch(probs, cfg, fusion_seed=0, step=s)[0].pseudo_label
-                for s in range(40)}
+        seen = {d.pseudo_label for s in range(40)
+                for d in fuse_batch(probs, cfg, fusion_seed=0, step=s)}
         assert seen == {0, 1}
 
 
