@@ -207,6 +207,16 @@ class _RawDraws:
 
 
 @cache
+def _row_grid(n: int, d: int) -> np.ndarray:
+    """The (n, d) word offsets 2dt + c of row t's normals before any
+    replay shifts them; shared by every batch of n rows of width d, so
+    read only."""
+    grid = np.arange(0, 2 * n * d, 2 * d)[:, None] + np.arange(d)
+    grid.flags.writeable = False
+    return grid
+
+
+@cache
 def _tables():
     """``_ziggurat``, imported late to save 0.2 MB of RSS."""
     from . import _ziggurat
@@ -219,15 +229,16 @@ def _vector_draws(bg, n: int, d: int, spare=_TOP_UP_WORDS):
     words.  Uniforms and 98.5% of normals take one word each, so row t's
     normals are gathered from word 2dt and its uniforms from 2dt + d,
     shifted by the extra words of the normals before them, which
-    ``_RawDraws.normal`` replays; a short batch retries."""
+    ``_RawDraws.normal`` replays; a short batch retries.  Only the n * d
+    words of each kind that the rows take are turned into draws."""
     z, draws = _tables(), _RawDraws(bg, 2 * n * d + n * d // 8 + spare)
     words = draws.raw
     k = (words & np.uint64(0x1FF)).astype(np.intp)
     rabs = (words >> np.uint64(9)) & np.uint64(_MASK52)
     # shifts[j], once accumulated: extra words of the normals before td + c
     shifts, slow, shift = np.zeros(n * d + 1, dtype=np.intp), {}, 0
-    for q in np.flatnonzero(rabs >= z.KI_ARRAY[k & 0xFF]).tolist():
-        t, c = divmod(q - shift, 2 * d)
+    for q in (rabs >= z.KI_ARRAY[k & 0xFF]).nonzero()[0].tolist():
+        t, c = (q - shift) // (2 * d), (q - shift) % (2 * d)
         if q < draws.pos or c >= d:  # a replayed normal's word or a uniform
             continue
         if t >= n:
@@ -240,10 +251,11 @@ def _vector_draws(bg, n: int, d: int, spare=_TOP_UP_WORDS):
         return _vector_draws(bg, n, d, 2 * spare + _TOP_UP_WORDS)
     draws.pos = 2 * n * d + shift
     draws.finish()
-    rows = np.arange(0, 2 * n * d, 2 * d)[:, None] + np.arange(d)
+    rows = _row_grid(n, d)
     shifts = np.maximum.accumulate(shifts)
-    noise = (rabs * z.SIGNED_WI_ARRAY[k])[rows + shifts[:-1].reshape(n, d)]
-    drop = ((words >> np.uint64(11)) * 2.0 ** -53)[rows + d + shifts[d::d, None]]
+    at = rows + shifts[:-1].reshape(n, d)
+    noise = rabs[at] * z.SIGNED_WI_ARRAY[k[at]]
+    drop = (words[rows + d + shifts[d::d, None]] >> np.uint64(11)) * 2.0 ** -53
     noise.reshape(-1)[list(slow)] = list(slow.values())
     return noise, drop
 
@@ -472,6 +484,9 @@ class AugmentStream:
                 raise ConfigError("image feature_shape must be (channels, height, width)")
             if min(self.feature_shape[1:]) < CUTOUT_SIZE:
                 raise ConfigError(f"image sides must be >= {CUTOUT_SIZE}")
+        # the row width a feature_shape asks for; None takes any width
+        self._width = (None if self.feature_shape is None
+                       else math.prod(self.feature_shape))
         self.rng = np.random.default_rng(seed)
 
     def apply_batch_into(self, xs: np.ndarray, out: np.ndarray,
@@ -490,10 +505,11 @@ class AugmentStream:
         builds all rows.  The stream advances as it does without
         ``keep``."""
         xs = np.asarray(xs)
-        if xs.dtype != np.uint8:
-            xs = np.asarray(xs, dtype=np.float64)
-        elif self.modality == "vector":
-            xs = np.divide(xs, PIXEL_SCALE, dtype=np.float64)
+        if xs.dtype == np.uint8:
+            if self.modality == "vector":
+                xs = np.divide(xs, PIXEL_SCALE, dtype=np.float64)
+        elif xs.dtype != np.float64:
+            xs = xs.astype(np.float64)
         if xs.ndim != 2:
             raise ConfigError("apply_batch_into expects a 2-d array")
         if (out.shape != xs.shape or out.dtype != np.float64
@@ -507,11 +523,9 @@ class AugmentStream:
                               "row")
         if np.may_share_memory(xs, out):
             raise ConfigError("out must not overlap the rows")
-        if self.feature_shape is not None:
-            width = math.prod(self.feature_shape)
-            if xs.shape[1] != width:
-                raise ConfigError(f"{self.modality} rows must have {width} "
-                                  f"features, got {xs.shape[1]}")
+        if self._width is not None and xs.shape[1] != self._width:
+            raise ConfigError(f"{self.modality} rows must have {self._width} "
+                              f"features, got {xs.shape[1]}")
         if xs.shape[0] == 0:
             return out
         if self.modality == "vector":

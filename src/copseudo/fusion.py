@@ -192,9 +192,10 @@ def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
     with a proposal decides the item.  Distinct labels proposed there,
     ordered by their first supporter's model index, are settled by a
     uniform draw from ``stream_for(b)``, which is called only for such
-    items, in item order.
+    items, in item order.  A block of fewer than two classes is a
+    ``ConfigError``, also when it holds no item.
     """
-    if probs.shape[1] and probs.shape[2] < 2:
+    if probs.shape[2] < 2:
         raise ConfigError("model 1 prediction is not a probability vector")
     n, batch, _ = probs.shape
     thresholds, levels, earlier = _levels((cfg.tau,) + cfg.tau_cascade[:n - 1])
@@ -206,18 +207,19 @@ def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
     # shared[l, i, j, b]: model j is a member and shares model i's argmax
     members = peaks > thresholds
     shared = (tops[:, None] == tops) & members[:, None]
-    support = shared.sum(axis=2)
+    support = np.add.reduce(shared, axis=2)
     # a label is proposed once, by its first supporter in model order
-    proposers = members & (support >= levels) & ~(shared & earlier).any(axis=2)
-    counts = proposers.sum(axis=1)
+    proposers = (members & (support >= levels)
+                 & ~np.logical_or.reduce(shared & earlier, axis=2))
+    counts = np.add.reduce(proposers, axis=1)
     # each item's deciding level (0 where none decides) and its proposals
     items = np.arange(batch)
     lv = (counts > 0).argmax(axis=0)
     count = counts[lv, items]
     chosen = proposers[lv, :, items].argmax(axis=1)
-    for b in np.flatnonzero(count > 1).tolist():
+    for b in (count > 1).nonzero()[0].tolist():
         pick = int(stream_for(b).integers(int(count[b])))
-        chosen[b] = np.flatnonzero(proposers[lv[b], :, b])[pick]
+        chosen[b] = proposers[lv[b], :, b].nonzero()[0][pick]
 
     decided, tied, later = count > 0, count > 1, lv > 0
     labels = np.where(decided & ~(tied & cfg.conflict_drop),

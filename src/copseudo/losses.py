@@ -69,7 +69,7 @@ def total_objective(l_s: float, l_u_all, model_index: int,
     With ``shared_unlabeled`` every model's unlabeled loss is summed into
     each objective; otherwise each model sees only its own.
     """
-    l_u_all = tuple(float(v) for v in l_u_all)
+    l_u_all = tuple(map(float, l_u_all))
     if not (0 <= model_index < len(l_u_all)):
         raise ConfigError("model_index out of range")
     if cfg.shared_unlabeled:

@@ -116,9 +116,9 @@ def read_csv(path) -> RunMetrics:
                 src_consensus=int(parts[8 + n]),
                 src_none=int(parts[9 + n]),
             )
-        except ValueError as exc:
+            metrics.append(row)
+        except (ValueError, ConfigError) as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from exc
-        metrics.append(row)
     if not metrics.rows:
         raise DataError(f"no data rows in {path}")
     return metrics

@@ -13,7 +13,11 @@ models of mixed architectures on a dataset's rows.
 Public methods validate their inputs; the trainer calls the private
 ``_predict_proba``, ``_loss_and_grad`` and ``_sgd_step``, which scan
 nothing, on blocks it built from a finite dataset.  Everything is plain
-numpy so the arithmetic is easy to audit; no autograd.
+numpy so the arithmetic is easy to audit; no autograd.  Reductions call
+the ufunc's own ``reduce`` (``np.add.reduce`` for a sum,
+``np.maximum.reduce`` for a max), which is what ``ndarray.sum`` and
+``ndarray.max`` run behind their Python wrappers, so the bits are the
+same and a training step makes fewer calls.
 """
 from __future__ import annotations
 
@@ -72,7 +76,7 @@ def init_model(arch, seed) -> ModelParams:
 
 def _t(a: np.ndarray) -> np.ndarray:
     """Transpose the last two axes: one transposed operand per model."""
-    return np.swapaxes(a, -1, -2)
+    return a.swapaxes(-1, -2)
 
 
 class ModelStack:
@@ -182,8 +186,8 @@ class ModelStack:
             acts.append(z)
             z = np.matmul(z, w)
         z += self.biases[-1][:, None, :]
-        z -= z.max(axis=-1, keepdims=True)
-        z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
+        z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
         return acts, z
 
     def predict_proba(self, xs) -> np.ndarray:
@@ -215,14 +219,15 @@ class ModelStack:
 
     def _loss_and_grad(self, xs: np.ndarray, targets: np.ndarray,
                        weights: np.ndarray) -> tuple[np.ndarray, Gradients]:
-        n, batch = self.size, xs.shape[-2]
+        n, batch = targets.shape
+        num_classes = self.arch[-1]
         acts, logp = self._forward(xs)
         # flat positions of each (model, row, target) entry of the C-contiguous
         # (n, B, C) block
-        picks = np.arange(0, n * batch * self.num_classes, self.num_classes)
+        picks = np.arange(0, n * batch * num_classes, num_classes)
         picks += targets.reshape(-1)
-        losses = -(weights * logp.reshape(-1)[picks].reshape(n, batch)).sum(
-            axis=1) / batch
+        losses = -np.add.reduce(
+            weights * logp.reshape(-1)[picks].reshape(n, batch), axis=1) / batch
 
         dlogits = np.exp(logp)
         dlogits.reshape(-1)[picks] -= 1.0
@@ -232,14 +237,14 @@ class ModelStack:
         g_w = [None] * num_layers
         g_b = [None] * num_layers
         g_w[-1] = _t(np.matmul(_t(dlogits), acts[-1]))
-        g_b[-1] = dlogits.sum(axis=1)
+        g_b[-1] = np.add.reduce(dlogits, axis=1)
         dh = np.matmul(dlogits, _t(self.weights[-1]))
         for layer in range(num_layers - 2, -1, -1):
             dz = acts[layer + 1] ** 2
             np.subtract(1.0, dz, out=dz)
             dz *= dh
             g_w[layer] = _t(np.matmul(_t(dz), acts[layer]))
-            g_b[layer] = dz.sum(axis=1)
+            g_b[layer] = np.add.reduce(dz, axis=1)
             if layer:
                 dh = np.matmul(dz, _t(self.weights[layer]))
         return losses, Gradients(weights=tuple(g_w), biases=tuple(g_b))
@@ -298,8 +303,8 @@ def loss_and_grad(params: ModelParams, xs, targets, weights) -> tuple[float, Gra
 def add_scaled(a: Gradients, b: Gradients, scale: float) -> Gradients:
     """a + scale * b, elementwise."""
     return Gradients(
-        weights=tuple(x + scale * y for x, y in zip(a.weights, b.weights)),
-        biases=tuple(x + scale * y for x, y in zip(a.biases, b.biases)),
+        weights=tuple([x + scale * y for x, y in zip(a.weights, b.weights)]),
+        biases=tuple([x + scale * y for x, y in zip(a.biases, b.biases)]),
     )
 
 
@@ -324,11 +329,17 @@ def load_checkpoint(path) -> ModelParams:
             arch = _check_arch(fh.readline().decode("ascii", "replace").split())
         except (ValueError, ConfigError) as exc:
             raise DataError(f"bad architecture line in {path}") from exc
-        flat = np.frombuffer(fh.read(), dtype="<f8")
+        payload = fh.read()
+    if len(payload) % 8:
+        raise DataError(f"checkpoint {path} is truncated: {len(payload)} "
+                        "bytes of values is not a multiple of 8")
+    flat = np.frombuffer(payload, dtype="<f8")
     expected = sum(i * o + o for i, o in zip(arch[:-1], arch[1:]))
     if flat.size != expected:
         raise DataError(
             f"checkpoint {path} holds {flat.size} values, expected {expected}")
+    if not np.isfinite(flat).all():
+        raise DataError(f"checkpoint {path} holds non-finite values")
     weights, biases = [], []
     pos = 0
     for fan_in, fan_out in zip(arch[:-1], arch[1:]):

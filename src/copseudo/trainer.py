@@ -35,6 +35,7 @@ import copy
 import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -254,15 +255,17 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
     n = cfg.num_models
     if len(labeled_batches) != n:
         raise ConfigError(f"need {n} labeled batches, got {len(labeled_batches)}")
-    batch_sizes = {len(part) for batch in labeled_batches for part in batch}
-    if batch_sizes != {cfg.objective.batch_size}:
+    sizes = set(map(len, chain.from_iterable(labeled_batches)))
+    if sizes != {cfg.objective.batch_size}:
         raise ConfigError("labeled batch size mismatch")
-    if unlabeled.shape[0] != cfg.objective.unlabeled_batch_size:
+    batch = unlabeled.shape[0]
+    if batch != cfg.objective.unlabeled_batch_size:
         raise ConfigError("unlabeled batch size mismatch")
 
     stack = state.stack
-    sup_targets = np.stack([ys for _, ys in labeled_batches]).astype(np.int64)
-    if sup_targets.min() < 0 or sup_targets.max() >= stack.num_classes:
+    sup_targets = np.array([ys for _, ys in labeled_batches], dtype=np.int64)
+    if (np.minimum.reduce(sup_targets, axis=None) < 0
+            or np.maximum.reduce(sup_targets, axis=None) >= stack.num_classes):
         raise ConfigError("target class out of range")
 
     # supervised pass on each model's own weak view of its labeled batch
@@ -286,9 +289,8 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
     fused = fuse_batch(weak_probs, cfg.fusion, cfg.seeds.fusion, state.step + 1)
     # one label row that every model shares, or in single-model mode one
     # row per model; absent labels (-1) become class 0 at mask 0
-    batch = unlabeled.shape[0]
     rows = fused.labels.reshape(-1, batch)
-    targets = np.broadcast_to(np.maximum(rows, 0), (n, batch))
+    targets = np.maximum(rows, 0).repeat(n // len(rows), axis=0)
     weights = fused.masks.T.reshape(n, batch)
 
     # unlabeled pass on per-model strong views; rows of weight 0 need no
@@ -307,17 +309,21 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
     grads = add_scaled(g_s, g_u, cfg.objective.lambda_u)
     del g_s, g_u  # the update's temporaries reuse their memory
     stack._sgd_step(grads, lr)
-    l_u_all = tuple(float(v) for v in l_u)
-    train_losses = [total_objective(float(l_s[i]), l_u_all, i, cfg.objective)
-                    for i in range(n)]
+    l_u_all = l_u.tolist()
+    train_losses = [total_objective(v, l_u_all, i, cfg.objective)
+                    for i, v in enumerate(l_s.tolist())]
 
-    # single-model mode pools every model's decisions
+    # mask_ratio is the mean of each label row's share, which is
+    # np.mean(present.mean(axis=1)) bit for bit; pseudo_acc pools every
+    # row's labels and is 1.0 when there are none
     present = rows >= 0
-    hits = rows == unlabeled_true_labels_eval_only
-    ratio = float(np.mean(present.mean(axis=1)))
-    acc = float(hits[present].mean()) if present.any() else 1.0
-    hist = tuple(int(c) for c in np.bincount(fused.sources[:batch],
-                                             minlength=len(SOURCES)))
+    ratio = float(np.add.reduce(
+        np.add.reduce(present, axis=1, dtype=np.float64) / batch) / len(rows))
+    hits = (rows == unlabeled_true_labels_eval_only)[present]
+    acc = (float(np.add.reduce(hits, dtype=np.float64) / len(hits))
+           if len(hits) else 1.0)
+    hist = tuple(np.bincount(fused.sources[:batch],
+                             minlength=len(SOURCES)).tolist())
 
     state.step += 1
     return StepMetrics(step=state.step, train_losses=tuple(train_losses),
@@ -328,7 +334,7 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
 def _check_finite(step: int, what: str, values: np.ndarray) -> None:
     """Raise ``DivergenceError`` naming ``step`` and the first model whose
     ``values`` (model-major) hold a non-finite entry."""
-    if np.isfinite(values).all():
+    if np.logical_and.reduce(np.isfinite(values), axis=None):
         return
     finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
     raise DivergenceError(f"training diverged at step {step}: model "

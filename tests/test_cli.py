@@ -1133,6 +1133,18 @@ class TestSelectSubset:
         assert code == 2
         assert "two" in capsys.readouterr().err
 
+    def test_truncated_checkpoint_exits_3_naming_it(self, tmp_path, capsys):
+        data = self.dataset(tmp_path)
+        good = self.save_model(tmp_path, "a.ckpt", seed=0)
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(good.read_bytes()[:-3])
+        code = main(["select-subset", "--data", str(data), "--ckpt",
+                     str(good), "--ckpt", str(cut), "--epsilon", "0",
+                     "--out", str(tmp_path / "o.txt")])
+        assert code == 3
+        assert f"checkpoint {cut} is truncated" in capsys.readouterr().err
+        assert not (tmp_path / "o.txt").exists()
+
     def test_arch_mismatch_rejected(self, tmp_path, capsys):
         data = self.dataset(tmp_path)
         bad = tmp_path / "bad.ckpt"
@@ -1195,6 +1207,22 @@ class TestCompareCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert str(metrics) in err and "0xff" in err
+
+    def test_non_increasing_steps_exit_3_naming_file_and_line(
+            self, synth_files, tmp_path, capsys):
+        train_f, test_f = synth_files
+        run_dir = tmp_path / "run"
+        assert quick_train(train_f, test_f, run_dir) == 0
+        metrics = run_dir / "metrics.csv"
+        lines = metrics.read_text().split("\n")
+        # the fourth line repeats the third's step
+        lines[3] = lines[2].split(",", 1)[0] + "," + lines[3].split(",", 1)[1]
+        metrics.write_text("\n".join(lines))
+        capsys.readouterr()
+        code = main(["compare", str(run_dir), str(run_dir)])
+        assert code == 3
+        assert (f"{metrics}:4: steps must be strictly increasing"
+                in capsys.readouterr().err)
 
     def test_disjoint_grids(self, tmp_path, capsys):
         header = ("step,test_acc,test_loss,train_loss_m1,mask_ratio,"

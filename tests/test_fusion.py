@@ -516,6 +516,26 @@ class TestFuseBatchAgainstCascadeOracle:
         with pytest.raises(ConfigError, match="^model 3 prediction does not sum to 1$"):
             fuse_batch(probs, single, 0, 1)
 
+    @pytest.mark.parametrize("shape,fill,scanned", [
+        ((2, 0, 0), 0.0, "is not a probability vector"),
+        ((2, 3, 1), 1.0, "is not a probability vector"),
+        ((2, 3, 1), 0.5, "does not sum to 1"),
+        ((2, 3, 0), 0.0, "does not sum to 1"),
+    ], ids=["2x0x0", "2x3x1-sums", "2x3x1", "2x3x0"])
+    def test_a_block_of_fewer_than_two_classes_is_config_error(
+            self, shape, fill, scanned):
+        # fusion needs two classes, with items or without; fuse_batch's
+        # scan names rows that do not sum to 1 first, and the unscanned
+        # entry point names the class count
+        probs = np.full(shape, fill)
+        for cfg in (FusionConfig(), FusionConfig(single_model_mode=True)):
+            for fuse, what in ((fuse_batch, scanned),
+                               (fusion.fuse_valid_batch,
+                                "is not a probability vector")):
+                with pytest.raises(ConfigError,
+                                   match=f"^model 1 prediction {what}$"):
+                    fuse(probs, cfg, 0, 1)
+
     @staticmethod
     def check_items(fused, probs, cfg, seed, step, items=None):
         """Each entry of ``fused`` against the oracle on its item, drawing

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -127,6 +128,21 @@ class TestCsvRoundTrip:
         with open(path, "a") as fh:
             fh.write("50,0.5\n")
         with pytest.raises(DataError, match=r":3: wrong field count"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("row,problem", [
+        ("0,0.5,1,1,0,1,0,0,0,0,8", "steps must be strictly increasing"),
+        ("50,0.5,1,1,1.5,1,0,0,0,0,8", "ratios must lie in"),
+    ], ids=["repeated-step", "ratio-above-1"])
+    def test_read_row_check_failures_name_line(self, tmp_path, row, problem):
+        m = RunMetrics(num_models=1)
+        m.append(make_row(0, train_losses=(1.0,)))
+        path = tmp_path / "metrics.csv"
+        emit_csv(m, path)
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: "
+                                            f"{problem}"):
             read_csv(path)
 
     def test_read_non_numeric_names_line(self, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -540,6 +541,26 @@ class TestCheckpoint:
         (tmp_path / "cut.ckpt").write_bytes(raw[:-16])
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "cut.ckpt")
+
+    def test_payload_cut_mid_value_names_the_file(self, tmp_path):
+        params = init_model((2, 32, 4), seed=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(DataError, match=f"^checkpoint {re.escape(str(cut))} "
+                                            "is truncated"):
+            load_checkpoint(cut)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_name_the_file(self, tmp_path, value):
+        params = init_model((2, 8, 4), seed=1)
+        params.biases[1][2] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        with pytest.raises(DataError, match=f"^checkpoint {re.escape(str(path))} "
+                                            "holds non-finite values$"):
+            load_checkpoint(path)
 
     def test_bad_arch_line(self, tmp_path):
         path = tmp_path / "x.ckpt"

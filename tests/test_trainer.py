@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from copseudo.fusion import (
     SOURCE_NONE,
     SOURCE_OWN,
     SOURCES,
+    FusedBatch,
     FusionConfig,
     FusionDecision,
     fuse_pair,
@@ -280,8 +283,20 @@ class TestTrainStepOracle:
         return out_params, [decisions for decisions, _ in per_model]
 
     def test_two_model_step_matches_manual_replication(self):
+        self.check_two_model_steps(small_config())
+
+    def test_lambda_u_scales_the_unlabeled_gradient(self):
+        # thresholds low enough that both steps assign pseudo-labels, so
+        # the unlabeled gradient is nonzero and its weight shows in the bits
+        ratios = self.check_two_model_steps(small_config(
+            fusion=FusionConfig(tau=0.35, tau_cascade=(0.3,)),
+            objective=ObjectiveConfig(lambda_u=0.5, mu=2.0, batch_size=4)))
+        assert min(ratios) > 0, ratios
+
+    def check_two_model_steps(self, cfg):
+        """Two steps of a two-model run under ``cfg`` against the manual
+        replication; returns each step's mask_ratio."""
         ds = tiny_dataset()
-        cfg = small_config()
         state = TrainerState(cfg, ds)
         rng = np.random.default_rng(3)
         labeled_idx = [rng.choice(ds.observed_indices(), size=4, replace=False)
@@ -293,7 +308,8 @@ class TestTrainStepOracle:
 
         expected, _ = self.manual_step(state, labeled, unlabeled, cfg,
                                        step_index=1)
-        train_step(state, labeled, unlabeled, ds.eval_labels(u_idx))
+        ratios = [train_step(state, labeled, unlabeled,
+                             ds.eval_labels(u_idx)).mask_ratio]
         for got, want in zip(state.stack.models(), expected):
             for gw, ww in zip(got.weights, want.weights):
                 assert (gw == ww).all()
@@ -303,10 +319,12 @@ class TestTrainStepOracle:
         # second step continues the same streams and fusion sub-streams
         expected, _ = self.manual_step(state, labeled, unlabeled, cfg,
                                        step_index=2)
-        train_step(state, labeled, unlabeled, ds.eval_labels(u_idx))
+        ratios.append(train_step(state, labeled, unlabeled,
+                                 ds.eval_labels(u_idx)).mask_ratio)
         for got, want in zip(state.stack.models(), expected):
             for gw, ww in zip(got.weights, want.weights):
                 assert (gw == ww).all()
+        return ratios
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_single_model_step_matches_per_model_thresholding(self, n):
@@ -565,11 +583,24 @@ class TestFuseBatch:
 
 class TestLambdaZeroIsolation:
     def test_each_model_matches_its_supervised_solo_run(self, tmp_path):
+        self.check_solo_runs(tmp_path, FusionConfig())
+
+    def test_pseudo_labels_do_not_reach_the_update(self, tmp_path):
+        # thresholds low enough that the joint run assigns pseudo-labels:
+        # with lambda_u = 0 their gradients still leave every model as it
+        # is in its supervised solo run
+        ratios = self.check_solo_runs(
+            tmp_path, FusionConfig(tau=0.35, tau_cascade=(0.3,)))
+        assert max(ratios) > 0, ratios
+
+    def check_solo_runs(self, tmp_path, fusion):
+        """Train a two-model run under ``fusion`` with lambda_u = 0 and
+        each model alone; returns the joint run's mask_ratio column."""
         ds = tiny_dataset()
         test = eval_set()
         joint_plan = SeedPlan.from_master(21, 2)
         joint_cfg = small_config(
-            seeds=joint_plan, steps=6,
+            seeds=joint_plan, steps=6, fusion=fusion,
             objective=ObjectiveConfig(lambda_u=0.0, mu=2.0, batch_size=4))
         train(joint_cfg, ds, test, tmp_path / "joint")
 
@@ -591,6 +622,8 @@ class TestLambdaZeroIsolation:
                 assert (a == b).all()
             for a, b in zip(joint.biases, solo.biases):
                 assert (a == b).all()
+        return [row.mask_ratio
+                for row in read_csv(tmp_path / "joint" / "metrics.csv").rows]
 
 
 class TestTrainRunDirectory:
@@ -1144,6 +1177,79 @@ class TestChunkedEvaluation:
             evaluate(stack, test)
 
 
+class TestCallBudget:
+    """Calls per ``train_step`` at the desk shapes (2-wide blobs of 4
+    classes, B = 16, mu = 4, one hidden layer of 32), counted with
+    ``sys.setprofile`` over 10 steps after 5 warm-up steps, against
+    ceilings.  A change that makes more calls raises a ceiling and says
+    why.
+
+    ``direct`` counts the calls made from copseudo's own frames, and is
+    the same on every numpy this package supports, because it leaves out
+    two kinds of call that numpy versions count differently:
+    ``__array_function__`` dispatchers, which numpy >= 1.25 calls from C
+    and so from the caller's frame, and numpy.random's methods, which
+    only numpy 1.x's Cython builds as functions the profiler sees.
+    ``total`` counts every call, numpy's own Python wrappers included,
+    and is pinned on numpy >= 2 only."""
+
+    # n: (direct, total) over the 10 counted steps
+    CEILINGS = {1: (1569, 1599), 2: (2066, 2096), 3: (2424, 2454)}
+    SPEC = SyntheticSpec(num_classes=4, dim=2, samples_per_class=250,
+                         class_separation=3.0, noise_sigma=1.0)
+
+    @staticmethod
+    def counts(n):
+        ds = apply_missingness(generate_synthetic(TestCallBudget.SPEC, seed=5),
+                               MissingnessSpec.mcar(num_labeled=20, seed=6))
+        fusion = (FusionConfig(num_models=1, single_model_mode=True,
+                               pseudo_weight=1.0) if n == 1 else
+                  FusionConfig(num_models=n,
+                               tau_cascade=(0.85, 0.75)[-(n - 1):]))
+        cfg = TrainConfig(seeds=SeedPlan.from_master(9, n), num_models=n,
+                          hidden=(32,), fusion=fusion,
+                          objective=ObjectiveConfig(mu=4.0, batch_size=16))
+        state = TrainerState(cfg, ds)
+        for _ in range(5):
+            step_once(state, ds)
+        batches = [state.draw_batches(ds) for _ in range(10)]
+        home = os.path.dirname(trainer_mod.__file__)
+        direct = total = 0
+
+        def profile(frame, event, arg):
+            nonlocal direct, total
+            if event == "call":
+                caller = frame.f_back
+                counted = not frame.f_code.co_name.endswith("_dispatcher")
+            elif event == "c_call" and arg is not sys.setprofile:
+                caller = frame
+                owner = (getattr(arg, "__module__", None)
+                         or type(getattr(arg, "__self__", None)).__module__)
+                counted = not owner.startswith("numpy.random")
+            else:
+                return
+            total += 1
+            direct += (counted and caller is not None
+                       and os.path.dirname(caller.f_code.co_filename) == home)
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for batch in batches:
+                train_step(state, *batch)
+        finally:
+            sys.setprofile(outer)
+        return direct, total
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_calls_per_step_stay_under_the_ceilings(self, n):
+        direct, total = self.counts(n)
+        ceiling_direct, ceiling_total = self.CEILINGS[n]
+        assert direct <= ceiling_direct, (direct, total)
+        if int(np.__version__.split(".")[0]) >= 2:
+            assert total <= ceiling_total, (direct, total)
+
+
 class TestValidateOnce:
     def test_train_path_runs_no_input_scans(self, tmp_path, monkeypatch):
         # the loop's blocks come from a validated dataset; the public
@@ -1159,6 +1265,60 @@ class TestValidateOnce:
                     small_config(num_models=3, fusion=cascade)):
             train(cfg, tiny_dataset(), eval_set(),
                   tmp_path / f"run{cfg.num_models}")
+
+
+class TestStepSummaries:
+    """The mask_ratio and pseudo_acc ``train_step`` reports."""
+
+    def test_a_step_with_no_pseudo_label_scores_one(self):
+        # no weak-view prediction of the untrained models clears these
+        # thresholds, so the step assigns no label
+        ds = tiny_dataset()
+        cfg = small_config(fusion=FusionConfig(tau=0.99, tau_cascade=(0.98,)))
+        state = TrainerState(cfg, ds)
+        for _ in range(2):
+            metrics = step_once(state, ds)
+            assert metrics.mask_ratio == 0.0
+            assert metrics.pseudo_acc == 1.0
+            assert metrics.source_counts[-1] == 8
+
+    @pytest.mark.parametrize("counts", [(5,), (1, 4), (1, 1, 3), (0, 0)])
+    def test_single_model_mode_averages_each_models_share(self, monkeypatch,
+                                                           counts):
+        # model i's fusion result labels its first counts[i] items; with a
+        # 12-item batch the mean of the models' shares differs in its last
+        # bit from the pooled share for these counts when n >= 2 (n = 1 has
+        # one share), and mask_ratio is the mean of the shares bit for bit
+        n, batch = len(counts), 12
+        cfg = small_config(
+            num_models=n,
+            fusion=FusionConfig(num_models=n, single_model_mode=True,
+                                pseudo_weight=1.0),
+            objective=ObjectiveConfig(mu=3.0, batch_size=4))
+        ds = tiny_dataset()
+        state = TrainerState(cfg, ds)
+        labeled, unlabeled, truth = state.draw_batches(ds)
+        rows = np.full((n, batch), -1)
+        for i, c in enumerate(counts):
+            # every other label is wrong
+            rows[i, :c] = (truth[:c] + np.arange(c) % 2) % ds.num_classes
+        present = rows >= 0
+
+        def fused(probs, *_):
+            labels = rows.reshape(-1)
+            return FusedBatch(labels, present.reshape(-1, 1) * 1.0,
+                              np.where(labels >= 0, 2, 4), 0 * labels,
+                              0 * labels)
+
+        monkeypatch.setattr(trainer_mod, "fuse_batch", fused)
+        metrics = train_step(state, labeled, unlabeled, truth)
+        want = float(np.mean(present.mean(axis=1)))
+        assert metrics.mask_ratio == want
+        if n > 1 and any(counts):
+            assert want != float(present.mean())
+        hits = (rows == truth)[present]
+        assert metrics.pseudo_acc == (float(hits.mean()) if hits.size
+                                      else 1.0)
 
 
 class TestPseudoLabelAccuracy:
