@@ -24,9 +24,9 @@ values numpy's own calls return.  Each draw schedule is one function
 (``_vector_draws``, ``_weak_draws``, ``_strong_draws``), which computes
 image rows up to the first Lemire redraw and the 98.5% of normals that
 take one word as arrays and the rest a draw at a time (``_RawDraws``).
-The generator is then reset, advanced by ``advance`` over the words used
-and given the buffer, so the state is that of the calls.  The image
-batch functions only move pixels.  Weak vectors are one
+The generator is then stepped back by ``advance`` over the words read
+but not used and given the buffer, so the state is that of the calls.
+The image batch functions only move pixels.  Weak vectors are one
 ``standard_normal`` call.
 """
 from __future__ import annotations
@@ -122,21 +122,22 @@ class _RawDraws:
     ``count`` words, kept as the uint64 array ``raw`` for array code and
     as the ``array("Q")`` ``words`` for the draws, extended by
     ``random_raw`` when they run out.  ``start`` is the state before
-    them, ``pos`` the words taken and ``has_uint32``/``uinteger`` the
-    uint32 buffer; array code that takes words sets these before the
-    draws.  ``finish`` puts the generator where the calls would have
-    left it."""
+    them, ``end`` their number, ``pos`` the words taken and
+    ``has_uint32``/``uinteger`` the uint32 buffer; array code that takes
+    words sets these before the draws.  ``finish`` puts the generator
+    where the calls would have left it."""
 
     def __init__(self, bg, count: int):
-        self.bg, self.start, self.pos = bg, bg.state, 0
+        self.bg, self.start, self.pos, self.end = bg, bg.state, 0, count
         self.has_uint32 = self.start["has_uint32"]
         self.uinteger = self.start["uinteger"]
         self.raw = bg.random_raw(count)
         self.words = array("Q", self.raw.tobytes())
 
     def next64(self) -> int:
-        if self.pos == len(self.words):
+        if self.pos == self.end:
             self.words.extend(self.bg.random_raw(_TOP_UP_WORDS).tolist())
+            self.end += _TOP_UP_WORDS
         self.pos += 1
         return self.words[self.pos - 1]
 
@@ -195,11 +196,11 @@ class _RawDraws:
                 return x
 
     def finish(self) -> None:
-        """Reset the generator to ``start``, advance it by the words used
-        and set the uint32 buffer, which ``advance`` leaves at (0, 0)."""
+        """Step the generator back over the words read but not used
+        (modulo PCG64's period of 2**128) and set the uint32 buffer, which
+        ``advance`` leaves at (0, 0)."""
         bg = self.bg
-        bg.state = self.start
-        bg.advance(self.pos)
+        bg.advance((self.pos - self.end) % 2**128)
         if self.has_uint32 or self.uinteger:
             state = bg.state
             state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger

@@ -36,7 +36,7 @@ from .data import (
     save_dataset,
 )
 from .errors import ConfigError, DataError
-from .fusion import (FusionConfig, first_invalid_row, fuse_valid_batch,
+from .fusion import (FusionConfig, first_invalid_row, fuse_batch,
                      select_debias_subset)
 from .losses import ObjectiveConfig
 from .metrics import compare_runs, read_csv
@@ -552,7 +552,7 @@ def cmd_fuse_trace(args) -> int:
         b, m, what = bad
         raise DataError(f"{args.predictions}: item {item_ids[b]} model "
                         f"{m + 1} prediction {what}")
-    fused = fuse_valid_batch(probs, cfg, args.seed, args.step, items=item_ids)
+    fused = fuse_batch(probs, cfg, args.seed, args.step, items=item_ids)
 
     def blank_if_none(value):
         return "" if value is None else str(value)

@@ -8,8 +8,11 @@ once, along a leading level axis, and each item takes the lowest level
 with a proposal; a tie there is settled by a uniform draw from the item's
 own generator.  In single-model mode it decides the block's (model,
 item) pairs, model-major, as one one-model block, which never ties.
-``fuse_pair``, ``fuse_cascade`` and ``fuse_single`` are one-item wrappers
-over it that draw from the caller's generator.
+``fuse_batch`` trusts its rows to be distributions: the trainer's come
+from a softmax it has checked for finite values, and ``fuse-trace``
+checks a dump's with ``first_invalid_row``.  ``fuse_pair``,
+``fuse_cascade`` and ``fuse_single`` are one-item wrappers over it that
+check their rows and draw from the caller's generator.
 """
 from __future__ import annotations
 
@@ -235,9 +238,10 @@ def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
     return FusedBatch(labels, masks, sources, source_models, source_levels)
 
 
-def fuse_batch(probs, cfg: FusionConfig, fusion_seed: int, step: int,
-               items=None):
-    """Fuse a batch of per-model predictions of shape (models, batch, C).
+def fuse_batch(probs: np.ndarray, cfg: FusionConfig, fusion_seed: int,
+               step: int, items=None):
+    """Fuse a float64 (models, batch, C) block of softmax rows, which it
+    does not scan.
 
     Returns a ``FusedBatch``; in single-model mode its n * batch entries
     are the (model, item) pairs, model-major, fused as one one-model
@@ -246,14 +250,6 @@ def fuse_batch(probs, cfg: FusionConfig, fusion_seed: int, step: int,
     the batch positions), so items fuse identically in any order and a
     predictions dump replays exactly.
     """
-    return fuse_valid_batch(_check_block(np.asarray(probs, dtype=np.float64)),
-                            cfg, fusion_seed, step, items)
-
-
-def fuse_valid_batch(probs: np.ndarray, cfg: FusionConfig, fusion_seed: int,
-                     step: int, items=None):
-    """``fuse_batch`` for a float64 block of finite softmax rows, which
-    it does not scan."""
     ids = range(probs.shape[1]) if items is None else items
 
     def stream_for(b):

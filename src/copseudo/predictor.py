@@ -10,10 +10,10 @@ are written from and read into.  ``loss_and_grad`` is a one-model
 wrapper kept for gradient checks, and ``predict_models`` predicts with
 models of mixed architectures on a dataset's rows.
 
-Public methods validate their inputs; the trainer calls the private
-``_predict_proba``, ``_loss_and_grad`` and ``_sgd_step``, which scan
-nothing, on blocks it built from a finite dataset.  Everything is plain
-numpy so the arithmetic is easy to audit; no autograd.  Reductions call
+The stack's methods scan nothing: the trainer hands them blocks built
+from a dataset whose reader checked it, and the one-model
+``loss_and_grad`` checks what it is given.  Everything is plain numpy so
+the arithmetic is easy to audit; no autograd.  Reductions call
 the ufunc's own ``reduce`` (``np.add.reduce`` for a sum,
 ``np.maximum.reduce`` for a max), which is what ``ndarray.sum`` and
 ``ndarray.max`` run behind their Python wrappers, so the bits are the
@@ -133,12 +133,6 @@ class ModelStack:
                             biases=tuple(b[i] for b in self.biases))
                 for i in range(self.size)]
 
-    def _check_batch(self, xs) -> np.ndarray:
-        xs = self._check_shape(xs)
-        if not np.isfinite(xs).all():
-            raise ConfigError("non-finite input features")
-        return xs
-
     def _check_shape(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
         if xs.ndim not in (2, 3) or (xs.ndim == 3 and xs.shape[0] != self.size):
@@ -190,35 +184,16 @@ class ModelStack:
         z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
         return acts, z
 
-    def predict_proba(self, xs) -> np.ndarray:
-        """(n, B, C) class probabilities of every model."""
-        return self._predict_proba(self._check_batch(xs))
-
-    def _predict_proba(self, xs: np.ndarray | None,
-                       first: np.ndarray | None = None) -> np.ndarray:
+    def predict_proba(self, xs: np.ndarray | None,
+                      first: np.ndarray | None = None) -> np.ndarray:
+        """(n, B, C) class probabilities; ``first`` as in ``_forward``."""
         return np.exp(self._forward(xs, first)[1])
 
     def loss_and_grad(self, xs, targets, weights) -> tuple[np.ndarray, Gradients]:
         """Per model, the mean over the batch of weights_b *
         cross_entropy(targets_b, p(xs_b)), with its exact gradient.
-        ``targets`` and ``weights`` are (n, B); returns the (n,) losses
-        and stacked gradients."""
-        xs = self._check_batch(xs)
-        n, batch = self.size, xs.shape[-2]
-        if batch == 0:
-            raise ConfigError("empty batch")
-        targets = np.asarray(targets, dtype=np.int64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if targets.shape != (n, batch) or weights.shape != (n, batch):
-            raise ConfigError("targets and weights must match the batch length")
-        if targets.min() < 0 or targets.max() >= self.num_classes:
-            raise ConfigError("target class out of range")
-        if (weights < 0).any() or not np.isfinite(weights).all():
-            raise ConfigError("weights must be non-negative finite reals")
-        return self._loss_and_grad(xs, targets, weights)
-
-    def _loss_and_grad(self, xs: np.ndarray, targets: np.ndarray,
-                       weights: np.ndarray) -> tuple[np.ndarray, Gradients]:
+        ``targets`` and ``weights`` are (n, B) arrays; returns the (n,)
+        losses and stacked gradients."""
         n, batch = targets.shape
         num_classes = self.arch[-1]
         acts, logp = self._forward(xs)
@@ -252,15 +227,6 @@ class ModelStack:
     def sgd_step(self, grads: Gradients, lr: float) -> None:
         """buf <- m*buf + grad + wd*theta; theta <- theta - lr*buf, in
         place for every model."""
-        for theta, g in zip(self.weights + self.biases,
-                            grads.weights + grads.biases):
-            if theta.shape != g.shape:
-                raise ConfigError("gradient/buffer shape mismatch")
-            if not np.isfinite(g).all():
-                raise ConfigError("non-finite gradient")
-        self._sgd_step(grads, lr)
-
-    def _sgd_step(self, grads: Gradients, lr: float) -> None:
         for theta, g, buf in zip(self.weights + self.biases,
                                  grads.weights + grads.biases,
                                  self.weight_bufs + self.bias_bufs):
@@ -282,7 +248,7 @@ def predict_models(models, ds, idx: np.ndarray | None = None) -> list[np.ndarray
     out = [None] * len(models)
     for members in groups.values():
         stack = ModelStack([models[i] for i in members])
-        probs = stack._predict_proba(None, stack._first_layer(ds, idx))
+        probs = stack.predict_proba(None, stack._first_layer(ds, idx))
         for i, p in zip(members, probs):
             out[i] = p
     return out
@@ -290,12 +256,26 @@ def predict_models(models, ds, idx: np.ndarray | None = None) -> list[np.ndarray
 
 def loss_and_grad(params: ModelParams, xs, targets, weights) -> tuple[float, Gradients]:
     """Mean over the batch of weights_b * cross_entropy(targets_b, p(xs_b)),
-    with its exact gradient, for a (B, d) batch."""
+    with its exact gradient, for a (B, d) batch; checks its inputs, which
+    ``ModelStack.loss_and_grad`` does not."""
+    stack = ModelStack([params])
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2:
         raise ConfigError("xs must be a 2-d batch")
-    losses, grads = ModelStack([params]).loss_and_grad(
-        xs, np.asarray(targets)[None], np.asarray(weights)[None])
+    xs = stack._check_shape(xs)
+    if not np.isfinite(xs).all():
+        raise ConfigError("non-finite input features")
+    if len(xs) == 0:
+        raise ConfigError("empty batch")
+    targets = np.asarray(targets, dtype=np.int64)[None]
+    weights = np.asarray(weights, dtype=np.float64)[None]
+    if targets.shape != (1, len(xs)) or weights.shape != (1, len(xs)):
+        raise ConfigError("targets and weights must match the batch length")
+    if targets.min() < 0 or targets.max() >= params.num_classes:
+        raise ConfigError("target class out of range")
+    if (weights < 0).any() or not np.isfinite(weights).all():
+        raise ConfigError("weights must be non-negative finite reals")
+    losses, grads = stack.loss_and_grad(xs, targets, weights)
     return float(losses[0]), Gradients(weights=tuple(g[0] for g in grads.weights),
                                        biases=tuple(g[0] for g in grads.biases))
 

@@ -42,9 +42,7 @@ import numpy as np
 from .augment import AugmentConfig, AugmentStream
 from .data import MaskedDataset
 from .errors import ConfigError, DivergenceError
-from .fusion import SOURCES, FusionConfig
-# benchmarks/tracing.py and bench.py's replay check look it up by this name
-from .fusion import fuse_valid_batch as fuse_batch
+from .fusion import SOURCES, FusionConfig, fuse_batch
 from .losses import ObjectiveConfig, supervised_loss, total_objective
 from .metrics import MetricsRow, RunMetrics, emit_csv, emit_plot_columns
 from .predictor import ModelStack, add_scaled, init_model, save_checkpoint
@@ -271,12 +269,12 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
     # supervised pass on each model's own weak view of its labeled batch
     for i, (xs, _) in enumerate(labeled_batches):
         state.weak_labeled[i].apply_batch_into(xs, state.labeled_views[i])
-    l_s, g_s = stack._loss_and_grad(state.labeled_views, sup_targets,
-                                    np.ones(sup_targets.shape))
+    l_s, g_s = stack.loss_and_grad(state.labeled_views, sup_targets,
+                                   np.ones(sup_targets.shape))
 
     # one shared weak view of the unlabeled batch, predicted by every model;
     # it lives in model 1's strong-view slot until the strong views are built
-    weak_probs = stack._predict_proba(state.weak_unlabeled.apply_batch_into(
+    weak_probs = stack.predict_proba(state.weak_unlabeled.apply_batch_into(
         unlabeled, state.strong_views[0]))
     # a diverged model shows here first; fusion trusts its input, so this
     # is the one check between the softmax and the pseudo-labels
@@ -299,7 +297,7 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
     for i in range(n):
         state.strong_unlabeled[i].apply_batch_into(
             unlabeled, state.strong_views[i], keep=keep[i])
-    l_u, g_u = stack._loss_and_grad(state.strong_views, targets, weights)
+    l_u, g_u = stack.loss_and_grad(state.strong_views, targets, weights)
     _check_finite(state.step + 1, "unlabeled loss", l_u)
 
     # one update of every model, after all gradients exist
@@ -308,7 +306,7 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
         lr *= math.cos(7.0 * math.pi * state.step / (16.0 * cfg.steps))
     grads = add_scaled(g_s, g_u, cfg.objective.lambda_u)
     del g_s, g_u  # the update's temporaries reuse their memory
-    stack._sgd_step(grads, lr)
+    stack.sgd_step(grads, lr)
     l_u_all = l_u.tolist()
     train_losses = [total_objective(v, l_u_all, i, cfg.objective)
                     for i, v in enumerate(l_s.tolist())]
@@ -348,7 +346,7 @@ def evaluate(stack: ModelStack, test: MaskedDataset) -> tuple[float, float]:
         raise ConfigError("empty test set")
     if test.num_missing:
         raise ConfigError("test set must be fully observed")
-    probs = stack._predict_proba(None, stack._first_layer(test))
+    probs = stack.predict_proba(None, stack._first_layer(test))
     labels = test.eval_labels()
     accs = (probs.argmax(axis=2) == labels).mean(axis=1)
     losses = [supervised_loss(p, labels) for p in probs]

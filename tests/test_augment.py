@@ -57,7 +57,8 @@ class ScriptedWords:
         return np.array(got + [0] * (n - len(got)), dtype=np.uint64)
 
     def advance(self, k):
-        self.pos += k
+        # PCG64 advances modulo its period, so a step back is k - 2**128
+        self.pos = (self.pos + k) % 2**128
 
     def spent(self):
         return self.pos == len(self.words)

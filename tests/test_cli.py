@@ -2,12 +2,15 @@ import argparse
 import os
 import re
 import shutil
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import copseudo
 import copseudo.cli as cli_mod
@@ -19,17 +22,21 @@ from copseudo.data import (
     CIFAR_TRAIN_FILES,
     MaskedDataset,
     load_dataset,
+    read_cifar10_batch,
     save_dataset,
     write_cifar10_batch,
 )
-from copseudo.fusion import (FusionConfig, fuse_cascade, fuse_pair,
-                             fuse_single, fuse_valid_batch)
+from copseudo.errors import CopseudoError
+from copseudo.fusion import (FusionConfig, fuse_batch, fuse_cascade,
+                             fuse_pair, fuse_single)
 from copseudo.losses import ObjectiveConfig
-from copseudo.metrics import compare_runs, read_csv
+from copseudo.metrics import (MetricsRow, RunMetrics, compare_runs, emit_csv,
+                              read_csv)
 from copseudo.predictor import (
     EVAL_CHUNK_ROWS,
     ModelParams,
     init_model,
+    load_checkpoint,
     predict_models,
     save_checkpoint,
 )
@@ -666,9 +673,9 @@ class TestCliMatchesConfigClasses:
 
         def spy(probs, cfg, *args, **kwargs):
             seen.append(cfg)
-            return fuse_valid_batch(probs, cfg, *args, **kwargs)
+            return fuse_batch(probs, cfg, *args, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "fuse_valid_batch", spy)
+        monkeypatch.setattr(cli_mod, "fuse_batch", spy)
         src = tmp_path / "preds.csv"
         src.write_text(PAIR_EXAMPLES)
         assert main(["fuse-trace", str(src), "--seed", "0", "--out",
@@ -1261,6 +1268,83 @@ def declared_scripts():
         return dict(re.findall(r'^([\w.-]+)\s*=\s*["\']([^"\']*)["\']',
                                table, re.M))
     return tomllib.loads(text)["project"]["scripts"]
+
+
+PRINTABLE = string.printable.encode()
+
+
+@st.composite
+def corrupted(draw, good: bytes) -> bytes:
+    """``good`` with one kind of damage: flipped bits, a cut, junk
+    appended, or bytes replaced by printable characters."""
+    kind = draw(st.sampled_from(("flip", "cut", "append", "printable")))
+    if kind == "cut":
+        return good[:draw(st.integers(0, len(good) - 1))]
+    if kind == "append":
+        return good + draw(st.binary(min_size=1, max_size=32))
+    bad = bytearray(good)
+    for i in draw(st.lists(st.integers(0, len(good) - 1), min_size=1,
+                           max_size=4)):
+        bad[i] = (bad[i] ^ 1 << draw(st.integers(0, 7)) if kind == "flip"
+                  else draw(st.sampled_from(PRINTABLE)))
+    return bytes(bad)
+
+
+@pytest.fixture(scope="module")
+def good_files(tmp_path_factory):
+    """Reader name -> (path holding a good file, its bytes, the reader)."""
+    root = tmp_path_factory.mktemp("readers")
+    rng = np.random.default_rng(3)
+    labels, missing = np.array([0, 2, 1, 2]), np.array([0, 1, 0, 1], np.uint8)
+    metrics = RunMetrics(num_models=2)
+    for step in (2, 4):
+        metrics.append(MetricsRow(step, 0.5, 1.25, (0.75, 0.5), 0.25, 1.0,
+                                  1, 0, 2, 1, 4))
+    writers = {
+        "dataset-v2": (load_dataset, lambda p: save_dataset(MaskedDataset(
+            rng.random((4, 2)), labels, missing, 3), p)),
+        "dataset-v3": (load_dataset, lambda p: save_dataset(
+            MaskedDataset.from_pixels(
+                rng.integers(0, 256, (4, 12), dtype=np.uint8), labels,
+                missing, 3, feature_shape=(3, 2, 2)), p)),
+        "checkpoint": (load_checkpoint,
+                       lambda p: save_checkpoint(init_model((2, 3, 2), 0), p)),
+        "metrics": (read_csv, lambda p: emit_csv(metrics, p)),
+        "predictions": (cli_mod.read_predictions,
+                        lambda p: p.write_text(PAIR_EXAMPLES)),
+        "cifar10": (read_cifar10_batch, lambda p: write_cifar10_batch(
+            p, [1, 9], rng.integers(0, 256, (2, 3072)))),
+        "config": (cli_mod.read_config_file, lambda p: p.write_text(
+            "# a run\nsteps = 3\nseed=5\ntau = 0.9  # top\n")),
+    }
+    files = {}
+    for name, (read, write) in writers.items():
+        path = root / name
+        write(path)
+        read(path)
+        files[name] = (path, path.read_bytes(), read)
+    return files
+
+
+class TestReadersRejectBadBytes:
+    """Every reader on corrupted copies of a good file.  A copy either
+    loads or raises a ``CopseudoError`` whose message names the file, so
+    ``main`` exits with its code for bad data; no other exception may
+    escape."""
+
+    @pytest.mark.parametrize("name", ["dataset-v2", "dataset-v3",
+                                      "checkpoint", "metrics", "predictions",
+                                      "cifar10", "config"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_corrupted_file_loads_or_names_itself(self, good_files, name,
+                                                    data):
+        path, good, read = good_files[name]
+        path.write_bytes(data.draw(corrupted(good)))
+        try:
+            read(path)
+        except CopseudoError as exc:
+            assert str(path) in str(exc)
 
 
 class TestParserHygiene:

@@ -497,44 +497,36 @@ class TestFuseBatchAgainstCascadeOracle:
             assert fused.source_levels[b] == (d.source_level or 0)
 
     def test_block_validation_names_first_bad_row_in_item_order(self):
+        # first_invalid_row is the check fuse-trace makes on a dump before
+        # fusing it: the first bad (item, model) row in item order
         probs = np.full((3, 6, 2), 0.5)
+        assert fusion.first_invalid_row(probs) is None
         probs[0, 4] = (0.9, 0.6)   # item 4, model 1: sum
         probs[2, 3] = (0.7, 0.2)   # item 3, model 3: sum (first in item order)
         probs[1, 3] = (np.nan, 0.5)  # item 3, model 2: invalid, earlier model
-        cfg = cascade_cfg(3, (0.7, 0.5))
-        with pytest.raises(ConfigError,
-                           match="^model 2 prediction is not a valid distribution$"):
-            fuse_batch(probs, cfg, 0, 1)
+        assert fusion.first_invalid_row(probs) == (
+            3, 1, "is not a valid distribution")
         probs[1, 3] = 0.5
-        with pytest.raises(ConfigError, match="^model 3 prediction does not sum to 1$"):
-            fuse_batch(probs, cfg, 0, 1)
+        assert fusion.first_invalid_row(probs) == (3, 2, "does not sum to 1")
+        probs[2, 3] = (np.inf, -np.inf)
+        assert fusion.first_invalid_row(probs) == (
+            3, 2, "is not a valid distribution")
+        probs[2, 3] = 0.5
+        assert fusion.first_invalid_row(probs) == (4, 0, "does not sum to 1")
+        cfg = cascade_cfg(3, (0.7, 0.5))
         with pytest.raises(ConfigError, match="3-model config"):
             fuse_batch(np.full((2, 6, 2), 0.5), cfg, 0, 1)
-        # single-model mode checks the whole block too, so the message
-        # names the model the bad row belongs to
-        single = FusionConfig(num_models=3, single_model_mode=True)
-        with pytest.raises(ConfigError, match="^model 3 prediction does not sum to 1$"):
-            fuse_batch(probs, single, 0, 1)
 
-    @pytest.mark.parametrize("shape,fill,scanned", [
-        ((2, 0, 0), 0.0, "is not a probability vector"),
-        ((2, 3, 1), 1.0, "is not a probability vector"),
-        ((2, 3, 1), 0.5, "does not sum to 1"),
-        ((2, 3, 0), 0.0, "does not sum to 1"),
-    ], ids=["2x0x0", "2x3x1-sums", "2x3x1", "2x3x0"])
-    def test_a_block_of_fewer_than_two_classes_is_config_error(
-            self, shape, fill, scanned):
-        # fusion needs two classes, with items or without; fuse_batch's
-        # scan names rows that do not sum to 1 first, and the unscanned
-        # entry point names the class count
-        probs = np.full(shape, fill)
+    @pytest.mark.parametrize("shape", [(2, 0, 0), (2, 3, 1), (2, 3, 0)],
+                             ids=["2x0x0", "2x3x1", "2x3x0"])
+    def test_a_block_of_fewer_than_two_classes_is_config_error(self, shape):
+        # fusion needs two classes, with items or without
+        probs = np.full(shape, 1.0)
         for cfg in (FusionConfig(), FusionConfig(single_model_mode=True)):
-            for fuse, what in ((fuse_batch, scanned),
-                               (fusion.fuse_valid_batch,
-                                "is not a probability vector")):
-                with pytest.raises(ConfigError,
-                                   match=f"^model 1 prediction {what}$"):
-                    fuse(probs, cfg, 0, 1)
+            with pytest.raises(
+                    ConfigError,
+                    match="^model 1 prediction is not a probability vector$"):
+                fuse_batch(probs, cfg, 0, 1)
 
     @staticmethod
     def check_items(fused, probs, cfg, seed, step, items=None):
@@ -641,7 +633,7 @@ class TestFuseBatchAgainstCascadeOracle:
             outer = sys.getprofile()
             sys.setprofile(profile)
             try:
-                fused = fusion.fuse_valid_batch(probs, cfg, 0, 1)
+                fused = fuse_batch(probs, cfg, 0, 1)
             finally:
                 sys.setprofile(outer)
             assert 0 < np.mean(fused.labels >= 0)

@@ -955,15 +955,37 @@ class TestDivergence:
             train_step(state, [batch, batch], ds.rows(u_idx),
                        ds.eval_labels(u_idx))
 
+    def test_non_finite_strong_views_stop_at_the_unlabeled_loss(
+            self, monkeypatch):
+        # model 2's strong views reach only its unlabeled loss, so that
+        # check is the one that names step 3
+        ds = tiny_dataset()
+        state = TrainerState(small_config(), ds)
+        stream = state.strong_unlabeled[1]
+        real = stream.apply_batch_into
+
+        def poisoned(xs, out, keep=None):
+            real(xs, out, keep=keep)
+            if state.step == 2:
+                out[...] = np.nan
+            return out
+
+        monkeypatch.setattr(stream, "apply_batch_into", poisoned)
+        step_once(state, ds)
+        step_once(state, ds)
+        with pytest.raises(DivergenceError, match=(
+                "^training diverged at step 3: model 2 unlabeled loss is "
+                "not finite$")):
+            step_once(state, ds)
 
     def test_diverged_last_update_raises(self, tmp_path, monkeypatch):
-        real = ModelStack._sgd_step
+        real = ModelStack.sgd_step
 
         def poisoned(stack, grads, lr):
             real(stack, grads, lr)
             stack.biases[0][1, 0] = np.nan
 
-        monkeypatch.setattr(ModelStack, "_sgd_step", poisoned)
+        monkeypatch.setattr(ModelStack, "sgd_step", poisoned)
         with pytest.raises(DivergenceError,
                            match="diverged at step 1: model 2 parameter"):
             train(small_config(steps=1), tiny_dataset(), eval_set(),
@@ -1045,14 +1067,14 @@ class TestCosineLr:
         idx = ds.observed_indices()[:4]
         labeled = [(ds.features[idx], ds.observed_labels(idx))] * 2
         u_idx = ds.missing_indices()[:8]
-        real = ModelStack._sgd_step
+        real = ModelStack.sgd_step
         seen = []
 
         def spy(stack, grads, lr):
             seen.append(grads)
             real(stack, grads, lr)
 
-        monkeypatch.setattr(ModelStack, "_sgd_step", spy)
+        monkeypatch.setattr(ModelStack, "sgd_step", spy)
         for k in range(cfg.steps):
             rate = cfg.lr * math.cos(7.0 * math.pi * k / (16.0 * cfg.steps))
             before = copy.deepcopy(state.stack)
@@ -1144,7 +1166,7 @@ class TestChunkedEvaluation:
         labels = test.eval_labels()
         rows_read, probs_seen = [], []
         real_rows = MaskedDataset.rows
-        real_predict = ModelStack._predict_proba
+        real_predict = ModelStack.predict_proba
 
         def rows(ds, idx, out=None):
             got = real_rows(ds, idx, out)
@@ -1156,7 +1178,7 @@ class TestChunkedEvaluation:
             return probs_seen[-1]
 
         monkeypatch.setattr(MaskedDataset, "rows", rows)
-        monkeypatch.setattr(ModelStack, "_predict_proba", predict)
+        monkeypatch.setattr(ModelStack, "predict_proba", predict)
         for n in (1, 2, 3):
             for hidden in ((32,), (16, 8)):
                 models = [init_model((test.width,) + hidden + (10,),
@@ -1252,14 +1274,15 @@ class TestCallBudget:
 
 class TestValidateOnce:
     def test_train_path_runs_no_input_scans(self, tmp_path, monkeypatch):
-        # the loop's blocks come from a validated dataset; the public
-        # checks of the stack and of fusion stay off its path
+        # the loop's blocks come from a validated dataset; the scans kept
+        # for outside input (fusion's one-item wrappers, fuse-trace's dump
+        # check and the one-model loss_and_grad) stay off its path
         def scan(*args, **kwargs):
             raise AssertionError("the train path scanned a block")
 
-        monkeypatch.setattr(ModelStack, "_check_batch", scan)
-        monkeypatch.setattr(ModelStack, "sgd_step", scan)
         monkeypatch.setattr("copseudo.fusion._check_block", scan)
+        monkeypatch.setattr("copseudo.fusion.first_invalid_row", scan)
+        monkeypatch.setattr("copseudo.predictor.loss_and_grad", scan)
         cascade = FusionConfig(num_models=3, tau_cascade=(0.85, 0.75))
         for cfg in (small_config(num_models=1), small_config(),
                     small_config(num_models=3, fusion=cascade)):
