@@ -5,7 +5,8 @@ dropout (strong).  Images get flip/translate (weak) or two operations
 drawn from {flip, translate, brightness, cutout} (strong).  Each kind and
 modality has one batch function, which writes into ``out``;
 ``AugmentStream.apply_batch_into`` (which also takes a per-row ``keep``
-mask and uint8 pixel rows) is the one entry point.  Every batch function
+mask, whose False rows a strong image stream leaves unwritten, and uint8
+pixel rows) is the one entry point.  Every batch function
 draws its random numbers in the order a loop over single rows would, so
 no view depends on how rows are grouped into batches, and each stream
 owns its generator, so call order alone determines the views.
@@ -415,16 +416,24 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     place.
 
     A row whose ``keep`` entry is False makes the same draws, moves no
-    pixel and is set to +0.0 by one masked write.  The trainer masks the
-    rows whose unlabeled-loss weight is 0, and that leaves every loss and
-    gradient bit unchanged:
-    such a row adds only signed zeros (its finite activations times a
-    zero weight) to each loss sum and gradient matmul, whatever its pixels
-    are.  A signed zero added to a nonzero partial sum leaves it as it
-    was, and ±0 + x is x, so every sum with a nonzero term keeps its bits.
-    A sum whose terms are all zero may flip the sign of its zero; a
-    gradient entry reaches the parameters only through a momentum buffer,
-    which starts at +0, and +0 + (±0) is +0."""
+    pixel and is left as it was.  The trainer masks the rows whose
+    unlabeled-loss weight is 0, and that leaves every loss and gradient
+    bit unchanged: such a row adds only signed zeros (its finite
+    activations times a zero weight) to each loss sum and gradient
+    matmul, whatever its pixels are.  A signed zero added to a nonzero
+    partial sum leaves it as it was, and ±0 + x is x, so every sum with a
+    nonzero term keeps its bits.  A sum whose terms are all zero may flip
+    the sign of its zero; a gradient entry reaches the parameters only
+    through a momentum buffer, which starts at +0, and +0 + (±0) is +0.
+
+    When the trainer multiplies only the kept rows
+    (``ModelStack.first_layer_kept``), a left row is read only in the
+    layer-0 weight gradient, where it is multiplied by the ±0 of its zero
+    weight.  Every view is >= +0 (pixels / 255, the +0.0 fill,
+    brightness by a positive factor and a clip, cutout at 0.5), and the
+    trainer's strong block starts at +0.0, so each such product is the
+    signed zero a +0.0 row gives, and the row's old pixels change no
+    bit."""
     n, _, h, w = imgs.shape
     s = cfg.image_shift_strong
     rows, cols = _shift_slices(s, h), _shift_slices(s, w)
@@ -457,8 +466,6 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
                     _load(cur, src)
                 cur[:, a:a + CUTOUT_SIZE, b:b + CUTOUT_SIZE] = CUTOUT_FILL
             src = cur
-    if keep is not None:
-        out[~keep] = 0.0
     return out
 
 
@@ -501,10 +508,10 @@ class AugmentStream:
         it writes once, so the views equal those of the float64 rows
         ``pixels / 255`` bit for bit.  Rows of any other dtype are read
         as float64.  ``keep``, a bool array with one entry per row, marks
-        the rows whose view is used: a strong image stream writes +0.0
-        rows for the others (see ``strong_images``), every other stream
-        builds all rows.  The stream advances as it does without
-        ``keep``."""
+        the rows whose view is used: a strong image stream leaves the
+        others' rows of ``out`` as they were (see ``strong_images``),
+        every other stream builds all rows.  The stream advances as it
+        does without ``keep``."""
         xs = np.asarray(xs)
         if xs.dtype == np.uint8:
             if self.modality == "vector":

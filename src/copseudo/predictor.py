@@ -10,6 +10,12 @@ are written from and read into.  ``loss_and_grad`` is a one-model
 wrapper kept for gradient checks, and ``predict_models`` predicts with
 models of mixed architectures on a dataset's rows.
 
+Only the first layer's product may be taken in row chunks, by one loop
+(``_chunk_products``, which states the 64-row rule that keeps the bits):
+a large dataset's rows for evaluation and prediction, and, for the
+trainer's strong pass, only the rows of an (n, B, d) block that carry a
+loss (``ModelStack.first_layer_kept``), the others given +0.0.
+
 The stack's methods scan nothing: the trainer hands them blocks built
 from a dataset whose reader checked it, and the one-model
 ``loss_and_grad`` checks what it is given.  Everything is plain numpy so
@@ -30,8 +36,14 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 CHECKPOINT_MAGIC = "copseudo-ckpt v1"
-# rows per chunk of ModelStack._first_layer; a multiple of 64 (see there)
+# rows per chunk of ModelStack._first_layer; a multiple of CHUNK_ALIGN
 EVAL_CHUNK_ROWS = 1024
+# a first-layer chunk is zero-padded to a multiple of this many rows (see
+# _chunk_products)
+CHUNK_ALIGN = 64
+# the first hidden widths at which first_layer_kept is taken (see
+# _chunk_products)
+KEPT_WIDTHS = range(16, 65)
 
 
 @dataclass(frozen=True)
@@ -147,12 +159,9 @@ class ModelStack:
         """The (n, M, h) product of the first weight stack and the M rows
         ``idx`` (an index array; every row when None) of the dataset
         ``ds``.  More than ``EVAL_CHUNK_ROWS`` rows are multiplied in
-        chunks of that many rows through one reused float64 buffer, so no
-        float64 copy of all M rows is made.  Only the first layer may be
-        chunked: a chunk of a multiple of 64 rows, its ragged tail padded
-        with zero rows, gives the bits of the whole matmul, while a later
-        layer's narrow matmul changes bits with the row count, so it runs
-        on the whole block."""
+        chunks of that many rows (``_chunk_products``), the tail padded to
+        a whole chunk, through one reused float64 buffer, so no float64
+        copy of all M rows is made."""
         w = self.weights[0]
         m = len(ds) if idx is None else len(idx)
         if m <= EVAL_CHUNK_ROWS:
@@ -160,12 +169,44 @@ class ModelStack:
             return np.matmul(self._check_shape(rows), w)
         buf = self._check_shape(np.empty((EVAL_CHUNK_ROWS, ds.width)))
         first = np.empty((self.size, m, w.shape[2]))
-        for start in range(0, m, EVAL_CHUNK_ROWS):
-            k = min(EVAL_CHUNK_ROWS, m - start)
-            part = slice(start, start + k)
-            ds.rows(part if idx is None else idx[part], out=buf[:k])
-            buf[k:] = 0.0
-            first[:, part] = np.matmul(buf, w)[:, :k]
+
+        def load(part, dst):
+            ds.rows(part if idx is None else idx[part], out=dst)
+
+        _chunk_products(w, load, buf, EVAL_CHUNK_ROWS, first)
+        return first
+
+    def kept_chunk_rows(self, batch: int, lendable: int) -> int:
+        """The rows of a lent float64 block of ``lendable`` rows that
+        ``first_layer_kept`` takes as its buffer on an (n, ``batch``, d)
+        block: the largest multiple of ``CHUNK_ALIGN``, or 0 when the
+        shapes lie outside those for which the 64-row rule is measured
+        (see ``_chunk_products``) and the block is to be multiplied
+        whole."""
+        rows = lendable // CHUNK_ALIGN * CHUNK_ALIGN
+        if (batch % CHUNK_ALIGN or self.arch[1] not in KEPT_WIDTHS
+                or rows < CHUNK_ALIGN):
+            return 0
+        return rows
+
+    def first_layer_kept(self, xs: np.ndarray, keep: np.ndarray,
+                         buf: np.ndarray) -> np.ndarray:
+        """``np.matmul(xs, weights[0])`` for the rows of the (n, B, d)
+        block ``xs`` that the (n, B) bool ``keep`` marks, and +0.0 for the
+        others, which is what the whole product gives a +0.0 row.  Each
+        model's kept rows are gathered into ``buf``, a C-contiguous
+        float64 block of a multiple of ``CHUNK_ALIGN`` rows that the
+        caller lends (see ``kept_chunk_rows``), and multiplied in chunks
+        (``_chunk_products``)."""
+        w = self.weights[0]
+        first = np.zeros(xs.shape[:2] + w.shape[2:])
+        for i in range(self.size):
+            at = keep[i].nonzero()[0]
+            # the indices are in range, and mode="clip" writes out unbuffered
+            def load(part, dst, rows=xs[i], at=at):
+                rows.take(at[part], axis=0, out=dst, mode="clip")
+
+            _chunk_products(w[i], load, buf, CHUNK_ALIGN, first[i], at)
         return first
 
     def _forward(self, xs: np.ndarray, first: np.ndarray | None = None):
@@ -189,14 +230,16 @@ class ModelStack:
         """(n, B, C) class probabilities; ``first`` as in ``_forward``."""
         return np.exp(self._forward(xs, first)[1])
 
-    def loss_and_grad(self, xs, targets, weights) -> tuple[np.ndarray, Gradients]:
+    def loss_and_grad(self, xs, targets, weights,
+                      first: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, Gradients]:
         """Per model, the mean over the batch of weights_b *
         cross_entropy(targets_b, p(xs_b)), with its exact gradient.
-        ``targets`` and ``weights`` are (n, B) arrays; returns the (n,)
-        losses and stacked gradients."""
+        ``targets`` and ``weights`` are (n, B) arrays; ``first`` as in
+        ``_forward``.  Returns the (n,) losses and stacked gradients."""
         n, batch = targets.shape
         num_classes = self.arch[-1]
-        acts, logp = self._forward(xs)
+        acts, logp = self._forward(xs, first)
         # flat positions of each (model, row, target) entry of the C-contiguous
         # (n, B, C) block
         picks = np.arange(0, n * batch * num_classes, num_classes)
@@ -234,6 +277,44 @@ class ModelStack:
             buf += g
             buf += self.weight_decay * theta
             theta -= lr * buf
+
+
+def _chunk_products(w: np.ndarray, load, buf: np.ndarray, pad: int,
+                    out: np.ndarray, at: np.ndarray | None = None) -> None:
+    """Multiply m rows by ``w`` (a (d, h) matrix or an (n, d, h) stack) in
+    chunks of at most ``len(buf)`` rows, through the float64 block
+    ``buf``, and write the products into the rows ``at`` (an index array;
+    every row when None) of the (..., M, h) array ``out``; m is the number
+    of those rows.  For each chunk, ``load(part, dst)`` writes the rows ``part`` (a slice of
+    range(m)) into ``dst``, the chunk's leading rows of ``buf``; the chunk
+    is then padded with zero rows to a multiple of ``pad`` rows and
+    multiplied, and the product's first rows are written out.
+
+    The 64-row rule: a row's product in a chunk of a multiple of 64
+    rows, zero-padded, has the bits of that row's product in the whole
+    matmul, so the first layer may be chunked; a later layer's narrow
+    matmul changes bits with the row count, so it runs on the whole
+    block.  The rule is OpenBLAS's, measured and not derived
+    (scipy-openblas 0.3.31 on an AVX-512 Xeon, with 1, 2, 3, 4 and 8
+    BLAS threads).  Tests pin it where it is used: evaluation and
+    ``select-subset`` in 1,024-row chunks at first hidden widths 16 and
+    32, and ``first_layer_kept`` at batches 64 and 448, hidden widths
+    16, 17, 32, 33 and 64 and chunks of 64, 128 and 192 rows.  Measured
+    exceptions: evaluation's chunks of 3072-wide rows change bits at
+    hidden width 1 (M = 1031 and 2049) and at some widths above 192;
+    kept chunks change bits at hidden widths 2-5, and, with more than
+    one BLAS thread, at widths above 64 that are not a multiple of 8.
+    So ``ModelStack.kept_chunk_rows`` takes widths 16-64 only.
+    """
+    m = out.shape[-2] if at is None else len(at)
+    for start in range(0, m, len(buf)):
+        k = min(len(buf), m - start)
+        part = slice(start, start + k)
+        load(part, buf[:k])
+        rows = -(-k // pad) * pad
+        buf[k:rows] = 0.0
+        out[..., part if at is None else at[part], :] = np.matmul(
+            buf[:rows], w)[..., :k, :]
 
 
 def predict_models(models, ds, idx: np.ndarray | None = None) -> list[np.ndarray]:

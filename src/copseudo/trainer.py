@@ -11,8 +11,12 @@ mid-step.
 The shared weak view is written into model 1's slot of the strong-view
 block, which is free until the strong views are built.  Each strong
 stream gets its model's ``weights > 0`` as ``keep``, so an image row
-that carries no loss costs only its draws (see
-``augment.strong_images`` for why that leaves every bit unchanged).
+that carries no loss costs only its draws and is left as it was (see
+``augment.strong_images`` for why that leaves every bit unchanged).  In
+an image run whose shapes ``ModelStack.kept_chunk_rows`` accepts, which
+``TrainerState`` decides once, only the kept rows enter the first-layer
+product of the unlabeled pass: they are gathered into the labeled-view
+block, free once the supervised gradient exists, in the same way.
 
 A pixel dataset's batches reach the augment streams as its uint8
 pixels; each view divides them into its float64 block.
@@ -199,12 +203,21 @@ class TrainerState:
         params = [init_model(arch, seed=cfg.seeds.init[i])
                   for i in range(cfg.num_models)]
         self.stack = ModelStack(params, cfg.momentum, cfg.weight_decay)
-        # each step writes its per-model views straight into these blocks
+        # each step writes its per-model views straight into these blocks;
+        # a strong image row that carries no loss is left as it was, and
+        # must hold finite values >= +0 (see augment.strong_images), so the
+        # strong block starts at +0.0
         self.labeled_views = np.empty(
             (cfg.num_models, cfg.objective.batch_size, width))
-        self.strong_views = np.empty(
+        self.strong_views = np.zeros(
             (cfg.num_models, cfg.objective.unlabeled_batch_size, width))
         mod = ds.modality
+        # the rows of labeled_views, free once the supervised gradient
+        # exists, that an image run's strong pass lends to the product of
+        # its kept rows; 0 multiplies the whole strong block
+        self.kept_chunk_rows = self.stack.kept_chunk_rows(
+            cfg.objective.unlabeled_batch_size,
+            cfg.num_models * cfg.objective.batch_size) if mod == "image" else 0
         shape = ds.feature_shape if mod == "image" else None
         self.weak_labeled = [
             AugmentStream("weak", mod, seed=[cfg.seeds.augment[i], 0],
@@ -292,12 +305,17 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
     weights = fused.masks.T.reshape(n, batch)
 
     # unlabeled pass on per-model strong views; rows of weight 0 need no
-    # pixels
+    # pixels and, in an image run that lends a block, no first-layer product
     keep = weights > 0
     for i in range(n):
         state.strong_unlabeled[i].apply_batch_into(
             unlabeled, state.strong_views[i], keep=keep[i])
-    l_u, g_u = stack.loss_and_grad(state.strong_views, targets, weights)
+    first = None
+    if state.kept_chunk_rows:
+        lent = state.labeled_views.reshape(-1, unlabeled.shape[1])
+        first = stack.first_layer_kept(state.strong_views, keep,
+                                       lent[:state.kept_chunk_rows])
+    l_u, g_u = stack.loss_and_grad(state.strong_views, targets, weights, first)
     _check_finite(state.step + 1, "unlabeled loss", l_u)
 
     # one update of every model, after all gradients exist

@@ -1276,8 +1276,17 @@ PRINTABLE = string.printable.encode()
 @st.composite
 def corrupted(draw, good: bytes) -> bytes:
     """``good`` with one kind of damage: flipped bits, a cut, junk
-    appended, or bytes replaced by printable characters."""
-    kind = draw(st.sampled_from(("flip", "cut", "append", "printable")))
+    appended, bytes replaced by printable characters, or two lines
+    exchanged, which keeps every line well formed and breaks a rule
+    between rows (a text file's rows are most of its lines, but few of
+    its bytes)."""
+    kind = draw(st.sampled_from(("flip", "cut", "append", "printable",
+                                 "swap")))
+    if kind == "swap":
+        lines = good.split(b"\n")
+        i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+        lines[i], lines[j] = lines[j], lines[i]
+        return b"\n".join(lines)
     if kind == "cut":
         return good[:draw(st.integers(0, len(good) - 1))]
     if kind == "append":

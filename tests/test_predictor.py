@@ -452,8 +452,8 @@ class TestGradientBits:
             targets = rng.integers(0, 10, size=(n, rows))
             weights = rng.choice([0.0, 0.75, 1.0], size=(n, rows))
             weights[:, 0] = 0.0
-            # a row of weight 0 holds +0.0, as the keep mask writes it;
-            # its dlogits entries are +-0.0
+            # a row of weight 0 holds +0.0, as a strong row left unwritten
+            # from the start does; its dlogits entries are +-0.0
             xs[weights == 0] = 0.0
             losses, grads = stack.loss_and_grad(xs, targets, weights)
             for i in range(n):
@@ -463,6 +463,41 @@ class TestGradientBits:
                 for got, ref in zip(grads.weights + grads.biases,
                                     want.weights + want.biases):
                     assert got[i].tobytes() == ref.tobytes(), (rows, i)
+
+
+class TestFirstLayerKept:
+    """``first_layer_kept`` against the whole block's product by
+    ``.tobytes()``: a kept row has the whole matmul's bits and every other
+    row +0.0 (the 64-row rule, see ``predictor._chunk_products``)."""
+
+    @pytest.mark.parametrize("lent", [64, 128, 192])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("hidden", [16, 17, 32, 33, 64])
+    @pytest.mark.parametrize("batch", [64, 448])
+    def test_kept_rows_have_the_whole_products_bits(self, batch, hidden, n,
+                                                     lent):
+        stack = ModelStack([init_model((3072, hidden, 10), seed=[hidden, i])
+                            for i in range(n)])
+        rng = np.random.default_rng([batch, hidden, n, lent])
+        xs = rng.integers(0, 256, size=(n, batch, 3072)) / 255.0
+        whole = np.matmul(xs, stack.weights[0])
+        # the lent block holds whatever it held; padding rows are zeroed
+        buf = np.full((lent, 3072), np.nan)
+        for share in (0.0, 0.05, 0.5, 1.0):
+            keep = rng.random((n, batch)) < share
+            got = stack.first_layer_kept(xs, keep, buf)
+            want = np.where(keep[:, :, None], whole, 0.0)
+            assert got.tobytes() == want.tobytes(), share
+
+    @pytest.mark.parametrize("hidden,batch,lendable,rows", [
+        (32, 448, 128, 128), (32, 448, 191, 128), (32, 448, 192, 192),
+        (16, 64, 64, 64), (64, 512, 320, 320),
+        (32, 448, 63, 0), (32, 440, 128, 0), (32, 32, 128, 0),
+        (15, 448, 128, 0), (65, 448, 128, 0), (100, 448, 128, 0)])
+    def test_kept_chunk_rows_takes_only_the_pinned_shapes(
+            self, hidden, batch, lendable, rows):
+        stack = ModelStack([init_model((3072, hidden, 10), seed=0)])
+        assert stack.kept_chunk_rows(batch, lendable) == rows
 
 
 class TestCheckpoint:

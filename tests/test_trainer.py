@@ -415,9 +415,10 @@ class TestTrainStepOracle:
 
     def test_views_are_written_into_the_state_blocks(self):
         # the per-model views land in blocks allocated once per run, not in
-        # per-step copies; a strong-view row whose weight is 0 is +0.0, the
-        # others are the rows apply_batch builds, and every stream advances
-        # as it does under apply_batch
+        # per-step copies; a strong-view row whose weight is 0 is left as the
+        # block held it before the strong pass (model 1's slot then holds
+        # the shared weak view), the others are the rows apply_batch
+        # builds, and every stream advances as it does under apply_batch
         ds = image_dataset()
         cfg = image_config("pair")
         state = TrainerState(cfg, ds)
@@ -443,9 +444,10 @@ class TestTrainStepOracle:
                     state.labeled_views[i],
                     apply_batch(clone.weak_labeled[i], ds.rows(idx)))
                 strong = apply_batch(clone.strong_unlabeled[i], u_feats)
+                before = weak if i == 0 else clone.strong_views[i]
                 got = state.strong_views[i]
                 np.testing.assert_array_equal(got[keep[i]], strong[keep[i]])
-                assert (got[~keep[i]].view(np.uint64) == 0).all()
+                assert got[~keep[i]].tobytes() == before[~keep[i]].tobytes()
             for got_s, want_s in zip(
                     state.weak_labeled + state.strong_unlabeled
                     + [state.weak_unlabeled],
@@ -522,6 +524,90 @@ class TestSkippedStrongRowsAreExact:
                 assert g.tobytes() == w.tobytes(), name
         for g, w in zip(got.strong_unlabeled, want.strong_unlabeled):
             assert g.rng.bit_generator.state == w.rng.bit_generator.state
+
+
+# paper shapes: mu = 7 and B = 64 give 448 unlabeled rows a step; each
+# config's kept share of strong rows passes through 0, values between 0
+# and 1, and 1 within five steps on ``paper_images``
+PAPER_FUSION = {
+    "pair": FusionConfig(num_models=2, tau=0.2, tau_cascade=(0.18,)),
+    "cascade3": FusionConfig(num_models=3, tau=0.3, tau_cascade=(0.25, 0.2)),
+    "single": FusionConfig(num_models=2, tau=0.2, single_model_mode=True,
+                           pseudo_weight=1.0),
+}
+
+
+@pytest.fixture(scope="module")
+def paper_images():
+    return image_dataset(size=600, num_classes=10, num_labeled=80)
+
+
+def step_bytes(state, metrics):
+    """The bytes of a state's parameters and momentum buffers and of the
+    step's metrics."""
+    stack = state.stack
+    return ([t.tobytes() for t in stack.weights + stack.biases
+             + stack.weight_bufs + stack.bias_bufs]
+            + [np.array(metrics.train_losses).tobytes(),
+               np.array([metrics.mask_ratio, metrics.pseudo_acc]).tobytes(),
+               metrics.source_counts, metrics.weak_probs.tobytes()])
+
+
+def poison_left_rows(state, seed):
+    """Make each strong stream of ``state`` fill the rows it leaves with
+    values in [0, 1], as a row left from an earlier step may hold."""
+    rng = np.random.default_rng(seed)
+    for stream in state.strong_unlabeled:
+        def poisoned(xs, out, keep=None, real=stream.apply_batch_into):
+            real(xs, out, keep=keep)
+            out[~keep] = rng.random((int(np.count_nonzero(~keep)),
+                                     out.shape[1]))
+            return out
+
+        stream.apply_batch_into = poisoned
+
+
+class TestKeptRowsProduct:
+    """At paper shapes an image run multiplies only the strong rows that
+    carry a loss (``ModelStack.first_layer_kept``).  Against a copy of
+    the state that multiplies the whole block, and each against a copy
+    whose left strong rows hold arbitrary pixels: the same parameter,
+    momentum and step-metrics bits at every step."""
+
+    @pytest.mark.parametrize("mode", sorted(PAPER_FUSION))
+    def test_same_bits_as_whole_block_and_whatever_left_rows_hold(
+            self, monkeypatch, paper_images, mode):
+        fusion = PAPER_FUSION[mode]
+        n = fusion.num_models
+        cfg = TrainConfig(seeds=SeedPlan.from_master(3, n), num_models=n,
+                          hidden=(32,), fusion=fusion,
+                          objective=ObjectiveConfig(mu=7.0, batch_size=64))
+        kept = TrainerState(cfg, paper_images)
+        assert kept.kept_chunk_rows == 64 * n
+        whole = copy.deepcopy(kept)
+        whole.kept_chunk_rows = 0
+        states = [kept, whole, copy.deepcopy(kept), copy.deepcopy(whole)]
+        for seed, state in enumerate(states[2:]):
+            poison_left_rows(state, seed)
+        shares = {id(s.strong_views): [] for s in states}
+        real = ModelStack.first_layer_kept
+
+        def recording(stack, xs, keep, buf):
+            shares[id(xs)].append(float(keep.mean()))
+            return real(stack, xs, keep, buf)
+
+        monkeypatch.setattr(ModelStack, "first_layer_kept", recording)
+        for _ in range(5):
+            batches = kept.draw_batches(paper_images)
+            got = [step_bytes(s, train_step(s, *batches)) for s in states]
+            for other in got[1:]:
+                assert other == got[0]
+        seen = shares[id(kept.strong_views)]
+        assert shares[id(states[2].strong_views)] == seen
+        assert not shares[id(whole.strong_views)]
+        assert not shares[id(states[3].strong_views)]
+        assert 0.0 in seen and 1.0 in seen
+        assert any(0.0 < v < 1.0 for v in seen), seen
 
 
 class TestPixelBatchesAreExact:
