@@ -5,10 +5,10 @@ The pieces: ``data`` builds and masks datasets, ``augment`` provides
 weak/strong views, ``predictor`` is a small from-scratch MLP whose
 ``ModelStack``, the one model API, trains and evaluates the n models as
 one set of stacked tensors, ``fusion`` turns per-model predictions into
-pseudo-labels and loss masks, ``losses`` assembles the training
-objectives, ``trainer`` runs the lock-step multi-model loop, ``metrics``
-records and compares runs, and ``cli`` wires it all into a command-line
-tool.
+pseudo-labels and loss masks, ``losses`` holds the objective's config
+and the baseline losses, ``trainer`` runs the lock-step multi-model
+loop, ``metrics`` records and compares runs, and ``cli`` wires it all
+into a command-line tool.
 """
 from .augment import AugmentConfig, AugmentStream
 from .data import (
@@ -37,9 +37,7 @@ from .losses import (
     ObjectiveConfig,
     cai_loss,
     cap_loss,
-    estimate_propensity,
     supervised_loss,
-    total_objective,
 )
 from .metrics import MetricsRow, RunComparison, RunMetrics, compare_runs, read_csv
 from .predictor import (
@@ -89,7 +87,6 @@ __all__ = [
     "cai_loss",
     "cap_loss",
     "compare_runs",
-    "estimate_propensity",
     "evaluate",
     "fuse_cascade",
     "fuse_pair",
@@ -106,7 +103,6 @@ __all__ = [
     "save_dataset",
     "select_debias_subset",
     "supervised_loss",
-    "total_objective",
     "train",
     "train_step",
 ]

@@ -45,7 +45,6 @@ from .errors import ConfigError
 BRIGHTNESS_RANGE = (0.6, 1.4)
 CUTOUT_SIZE = 8
 CUTOUT_FILL = 0.5
-NUM_STRONG_OPS = 2
 _STRONG_OP_COUNT = 4  # flip, translate, brightness, cutout
 # the largest image shift: a shift s draws from 2s + 1 values, and the
 # bounded-int draws cover ranges of at most 2**32

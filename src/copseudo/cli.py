@@ -269,8 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
                 shown="per profile")
     _field_flag(t, ObjectiveConfig, "batch_size", "labeled batch size B",
                 shown="per profile")
-    _field_flag(t, ObjectiveConfig, "shared_unlabeled", "report each model's "
-                "objective with the summed unlabeled losses of all models")
     _field_flag(t, TrainConfig, "lr", "learning rate")
     _field_flag(t, TrainConfig, "momentum", "SGD momentum")
     _field_flag(t, TrainConfig, "weight_decay", "L2 penalty folded into the "

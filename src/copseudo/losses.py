@@ -1,11 +1,12 @@
-"""Per-model training objectives and inverse-propensity baseline losses.
+"""The training objective's config and inverse-propensity baseline losses.
 
-The main path combines a supervised cross-entropy term with a
-mask-weighted unlabeled term built from fusion decisions.  The baseline
-path (cap_loss / cai_loss) implements propensity-corrected and
-confidence-gated losses over a mixed labeled/unlabeled set; these are
-verified formula implementations used for diagnostics, not wired into
-the training loop.
+``ObjectiveConfig`` holds the weight λ_u of the unlabeled term in the
+FixMatch objective ℓ_s + λ_u·ℓ_u and the batch shapes; ``trainer``
+computes both terms with ``ModelStack.loss_and_grad``, and
+``supervised_loss`` scores a test set.  The baseline path (cap_loss /
+cai_loss) implements propensity-corrected and confidence-gated losses
+over a mixed labeled/unlabeled set; these are verified formula
+implementations used for diagnostics, not wired into the training loop.
 """
 from __future__ import annotations
 
@@ -21,10 +22,9 @@ _PROB_FLOOR = 1e-300  # keeps log() finite; -log(floor) ~ 690
 
 @dataclass(frozen=True)
 class ObjectiveConfig:
-    """Weights and shapes of the per-model objective."""
+    """The unlabeled term's weight and the batch shapes of the objective."""
 
     lambda_u: float = 1.0
-    shared_unlabeled: bool = True
     mu: float = 7.0
     batch_size: int = 64
 
@@ -60,21 +60,6 @@ def supervised_loss(probs, labels) -> float:
         raise ConfigError("label out of range")
     picked = probs[np.arange(len(labels)), labels]
     return float(-np.log(np.maximum(picked, _PROB_FLOOR)).mean())
-
-
-def total_objective(l_s: float, l_u_all, model_index: int,
-                    cfg: ObjectiveConfig) -> float:
-    """Supervised term plus the weighted unlabeled term.
-
-    With ``shared_unlabeled`` every model's unlabeled loss is summed into
-    each objective; otherwise each model sees only its own.
-    """
-    l_u_all = tuple(map(float, l_u_all))
-    if not (0 <= model_index < len(l_u_all)):
-        raise ConfigError("model_index out of range")
-    if cfg.shared_unlabeled:
-        return l_s + cfg.lambda_u * sum(l_u_all)
-    return l_s + cfg.lambda_u * l_u_all[model_index]
 
 
 @dataclass(frozen=True)
@@ -132,20 +117,3 @@ def cai_loss(inputs: CadrInputs) -> float:
     unsup = np.where(~observed & gate, inputs.unsup_losses, 0.0)
     sup = np.where(observed, inputs.sup_losses, 0.0)
     return float((unsup + sup).sum() / len(inputs))
-
-
-def estimate_propensity(dataset) -> np.ndarray:
-    """Per-class labeled fraction, via the evaluation-only label accessor.
-
-    Diagnostic helper for feeding cap_loss on synthetic studies.  It reads
-    hidden ground-truth labels, so it must never sit on a training path.
-    Classes with no samples get nan.
-    """
-    labels = dataset.eval_labels()
-    observed = dataset.missing == 0
-    out = np.full(dataset.num_classes, np.nan)
-    for c in range(dataset.num_classes):
-        in_class = labels == c
-        if in_class.any():
-            out[c] = observed[in_class].mean()
-    return out

@@ -62,9 +62,6 @@ class RunMetrics:
         cols += list(SOURCE_COLUMNS)
         return cols
 
-    def steps(self) -> list:
-        return [r.step for r in self.rows]
-
 
 def emit_csv(metrics: RunMetrics, path) -> None:
     if not metrics.rows:

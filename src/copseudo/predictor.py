@@ -10,8 +10,9 @@ are written from and read into.  ``loss_and_grad`` is a one-model
 wrapper kept for gradient checks, and ``predict_models`` predicts with
 models of mixed architectures on a dataset's rows.
 
-Only the first layer's product may be taken in row chunks, by one loop
-(``_chunk_products``, which states the 64-row rule that keeps the bits):
+Only the first layer's product may be taken in row chunks, each padded
+to a multiple of 64 rows, by one loop (``_chunk_products``, which states
+the 64-row rule that keeps the bits):
 a large dataset's rows for evaluation and prediction, and, for the
 trainer's strong pass, only the rows of an (n, B, d) block that carry a
 loss (``ModelStack.first_layer_kept``), the others given +0.0.
@@ -38,7 +39,7 @@ from .errors import ConfigError, DataError
 CHECKPOINT_MAGIC = "copseudo-ckpt v1"
 # rows per chunk of ModelStack._first_layer; a multiple of CHUNK_ALIGN
 EVAL_CHUNK_ROWS = 1024
-# a first-layer chunk is zero-padded to a multiple of this many rows (see
+# a first-layer chunk is padded to a multiple of this many rows (see
 # _chunk_products)
 CHUNK_ALIGN = 64
 # the first hidden widths at which first_layer_kept is taken (see
@@ -160,8 +161,8 @@ class ModelStack:
         ``idx`` (an index array; every row when None) of the dataset
         ``ds``.  More than ``EVAL_CHUNK_ROWS`` rows are multiplied in
         chunks of that many rows (``_chunk_products``), the tail padded to
-        a whole chunk, through one reused float64 buffer, so no float64
-        copy of all M rows is made."""
+        a multiple of ``CHUNK_ALIGN`` rows, through one reused float64
+        buffer, so no float64 copy of all M rows is made."""
         w = self.weights[0]
         m = len(ds) if idx is None else len(idx)
         if m <= EVAL_CHUNK_ROWS:
@@ -173,7 +174,7 @@ class ModelStack:
         def load(part, dst):
             ds.rows(part if idx is None else idx[part], out=dst)
 
-        _chunk_products(w, load, buf, EVAL_CHUNK_ROWS, first)
+        _chunk_products(w, load, buf, first)
         return first
 
     def kept_chunk_rows(self, batch: int, lendable: int) -> int:
@@ -206,7 +207,7 @@ class ModelStack:
             def load(part, dst, rows=xs[i], at=at):
                 rows.take(at[part], axis=0, out=dst, mode="clip")
 
-            _chunk_products(w[i], load, buf, CHUNK_ALIGN, first[i], at)
+            _chunk_products(w[i], load, buf, first[i], at)
         return first
 
     def _forward(self, xs: np.ndarray, first: np.ndarray | None = None):
@@ -279,40 +280,42 @@ class ModelStack:
             theta -= lr * buf
 
 
-def _chunk_products(w: np.ndarray, load, buf: np.ndarray, pad: int,
-                    out: np.ndarray, at: np.ndarray | None = None) -> None:
+def _chunk_products(w: np.ndarray, load, buf: np.ndarray, out: np.ndarray,
+                    at: np.ndarray | None = None) -> None:
     """Multiply m rows by ``w`` (a (d, h) matrix or an (n, d, h) stack) in
-    chunks of at most ``len(buf)`` rows, through the float64 block
-    ``buf``, and write the products into the rows ``at`` (an index array;
-    every row when None) of the (..., M, h) array ``out``; m is the number
-    of those rows.  For each chunk, ``load(part, dst)`` writes the rows ``part`` (a slice of
-    range(m)) into ``dst``, the chunk's leading rows of ``buf``; the chunk
-    is then padded with zero rows to a multiple of ``pad`` rows and
-    multiplied, and the product's first rows are written out.
+    chunks of at most ``len(buf)`` rows, a multiple of ``CHUNK_ALIGN``,
+    through the float64 block ``buf``, and write the products into the
+    rows ``at`` (an index array; every row when None) of the (..., M, h)
+    array ``out``; m is the number of those rows.  For each chunk,
+    ``load(part, dst)`` writes the rows ``part`` (a slice of range(m))
+    into ``dst``, the chunk's leading rows of ``buf``; the chunk is then
+    padded to a multiple of ``CHUNK_ALIGN`` rows and multiplied, and the
+    product's first rows are written out.  The padding rows hold whatever
+    ``buf`` held there, and their products are cut away: a row's product
+    is computed from that row alone.
 
-    The 64-row rule: a row's product in a chunk of a multiple of 64
-    rows, zero-padded, has the bits of that row's product in the whole
-    matmul, so the first layer may be chunked; a later layer's narrow
-    matmul changes bits with the row count, so it runs on the whole
-    block.  The rule is OpenBLAS's, measured and not derived
-    (scipy-openblas 0.3.31 on an AVX-512 Xeon, with 1, 2, 3, 4 and 8
-    BLAS threads).  Tests pin it where it is used: evaluation and
-    ``select-subset`` in 1,024-row chunks at first hidden widths 16 and
-    32, and ``first_layer_kept`` at batches 64 and 448, hidden widths
-    16, 17, 32, 33 and 64 and chunks of 64, 128 and 192 rows.  Measured
-    exceptions: evaluation's chunks of 3072-wide rows change bits at
-    hidden width 1 (M = 1031 and 2049) and at some widths above 192;
-    kept chunks change bits at hidden widths 2-5, and, with more than
-    one BLAS thread, at widths above 64 that are not a multiple of 8.
-    So ``ModelStack.kept_chunk_rows`` takes widths 16-64 only.
+    The 64-row rule: a row's product in a chunk of a multiple of 64 rows
+    has the bits of that row's product in the whole matmul, so the first
+    layer may be chunked; a later layer's narrow matmul changes bits with
+    the row count, so it runs on the whole block.  The rule is
+    OpenBLAS's, measured and not derived (scipy-openblas 0.3.31 on an
+    AVX-512 Xeon, with 1, 2, 3, 4 and 8 BLAS threads).  Tests pin it
+    where it is used: evaluation and ``select-subset`` in 1,024-row
+    chunks and a tail padded to a multiple of 64 rows at first hidden
+    widths 16 and 32, and ``first_layer_kept`` at batches 64 and 448,
+    hidden widths 16, 17, 32, 33 and 64 and chunks of 64, 128 and 192
+    rows.  Measured exceptions: evaluation's chunks of 3072-wide rows
+    change bits at hidden width 1 (M = 1031 and 2049) and at some widths
+    above 192; kept chunks change bits at hidden widths 2-5, and, with
+    more than one BLAS thread, at widths above 64 that are not a multiple
+    of 8.  So ``ModelStack.kept_chunk_rows`` takes widths 16-64 only.
     """
     m = out.shape[-2] if at is None else len(at)
     for start in range(0, m, len(buf)):
         k = min(len(buf), m - start)
         part = slice(start, start + k)
         load(part, buf[:k])
-        rows = -(-k // pad) * pad
-        buf[k:rows] = 0.0
+        rows = -(-k // CHUNK_ALIGN) * CHUNK_ALIGN
         out[..., part if at is None else at[part], :] = np.matmul(
             buf[:rows], w)[..., :k, :]
 

@@ -47,7 +47,7 @@ from .augment import AugmentConfig, AugmentStream
 from .data import MaskedDataset
 from .errors import ConfigError, DivergenceError
 from .fusion import SOURCES, FusionConfig, fuse_batch
-from .losses import ObjectiveConfig, supervised_loss, total_objective
+from .losses import ObjectiveConfig, supervised_loss
 from .metrics import MetricsRow, RunMetrics, emit_csv, emit_plot_columns
 from .predictor import ModelStack, add_scaled, init_model, save_checkpoint
 
@@ -325,9 +325,10 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
     grads = add_scaled(g_s, g_u, cfg.objective.lambda_u)
     del g_s, g_u  # the update's temporaries reuse their memory
     stack.sgd_step(grads, lr)
-    l_u_all = l_u.tolist()
-    train_losses = [total_objective(v, l_u_all, i, cfg.objective)
-                    for i, v in enumerate(l_s.tolist())]
+    # each model reports its own l_s plus lambda_u times every model's
+    # l_u; Python's sum starts from int 0, which fixes a zero sum's sign
+    shared = cfg.objective.lambda_u * sum(l_u.tolist())
+    train_losses = [v + shared for v in l_s.tolist()]
 
     # mask_ratio is the mean of each label row's share, which is
     # np.mean(present.mean(axis=1)) bit for bit; pseudo_acc pools every

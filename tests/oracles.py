@@ -45,7 +45,6 @@ from copseudo.augment import (
     BRIGHTNESS_RANGE,
     CUTOUT_FILL,
     CUTOUT_SIZE,
-    NUM_STRONG_OPS,
     AugmentConfig,
     AugmentStream,
 )
@@ -253,7 +252,7 @@ def weak_image(img: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:
 def _draw_strong_ops(rng) -> np.ndarray:
     """Two independent draws from the four strong image operations
     (flip, translate, brightness, cutout)."""
-    return rng.integers(0, 4, size=NUM_STRONG_OPS)
+    return rng.integers(0, 4, size=2)
 
 
 def strong_image(img: np.ndarray, rng, cfg: AugmentConfig) -> np.ndarray:

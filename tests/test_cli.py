@@ -189,7 +189,7 @@ class TestTrainCommand:
         assert "run complete" in stdout
         assert "final step 4" in stdout
         metrics = read_csv(out / "metrics.csv")
-        assert metrics.steps() == [0, 2, 4]
+        assert [r.step for r in metrics.rows] == [0, 2, 4]
         assert (out / "config.resolved").is_file()
         assert (out / "ckpt-model1-step4").is_file()
         assert (out / "ckpt-model2-step4").is_file()
@@ -270,6 +270,27 @@ class TestTrainCommand:
                      "--seed", "5"])
         assert code == 2
         assert "unknown config keys: stepz" in capsys.readouterr().err
+
+    def test_the_removed_shared_unlabeled_setting_is_refused(
+            self, synth_files, tmp_path, capsys):
+        # every model reports l_s + lambda_u * (the sum of every l_u); no
+        # flag or config key chooses another reported objective
+        train_f, test_f = synth_files
+        out = tmp_path / "flag"
+        assert quick_train(train_f, test_f, out,
+                           ["--shared-unlabeled", "true"]) == 2
+        assert "unrecognized arguments: --shared-unlabeled true" in \
+            capsys.readouterr().err
+        assert not out.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shared_unlabeled=false\n")
+        out = tmp_path / "file"
+        code = main(["train", "--config", str(cfg), "--data", str(train_f),
+                     "--test", str(test_f), "--out", str(out), "--seed", "5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown config keys: shared_unlabeled (known: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", ["eval-every=5", "aug_sigma_weak=0.1"])
     def test_unknown_config_key_lists_the_known_keys(self, synth_files,

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copseudo.data import MissingnessSpec, SyntheticSpec, apply_missingness, generate_synthetic
 from copseudo.errors import ConfigError
 from copseudo.fusion import SOURCE_BOTH, SOURCE_NONE, SOURCE_OWN, FusionDecision
 from copseudo.losses import (
@@ -13,9 +12,7 @@ from copseudo.losses import (
     ObjectiveConfig,
     cai_loss,
     cap_loss,
-    estimate_propensity,
     supervised_loss,
-    total_objective,
 )
 from oracles import unlabeled_loss
 
@@ -32,7 +29,6 @@ class TestObjectiveConfig:
     def test_defaults(self):
         cfg = ObjectiveConfig()
         assert cfg.lambda_u == 1.0
-        assert cfg.shared_unlabeled is True
         assert cfg.mu == 7.0
         assert cfg.batch_size == 64
         assert cfg.unlabeled_batch_size == 448
@@ -131,32 +127,6 @@ class TestUnlabeledLoss:
             unlabeled_loss(probs, [present(0, (1.0, 1.0))] * 2, 5)
 
 
-class TestTotalObjective:
-    def test_own_unlabeled_only(self):
-        cfg = ObjectiveConfig(lambda_u=1.0, shared_unlabeled=False)
-        assert total_objective(1.0, (0.5, 0.3), 0, cfg) == pytest.approx(1.5)
-
-    def test_shared_unlabeled_sums_models(self):
-        cfg = ObjectiveConfig(lambda_u=1.0, shared_unlabeled=True)
-        assert total_objective(1.0, (0.5, 0.3), 0, cfg) == pytest.approx(1.8)
-        assert total_objective(1.0, (0.5, 0.3), 1, cfg) == pytest.approx(1.8)
-
-    def test_lambda_zero_disables_unlabeled_term(self):
-        for shared in (True, False):
-            cfg = ObjectiveConfig(lambda_u=0.0, shared_unlabeled=shared)
-            assert total_objective(1.0, (9.0, 9.0), 0, cfg) == 1.0
-
-    def test_single_model_flags_degenerate(self):
-        on = ObjectiveConfig(shared_unlabeled=True)
-        off = ObjectiveConfig(shared_unlabeled=False)
-        assert total_objective(0.4, (0.7,), 0, on) == total_objective(
-            0.4, (0.7,), 0, off)
-
-    def test_model_index_validation(self):
-        with pytest.raises(ConfigError):
-            total_objective(1.0, (0.5,), 1, ObjectiveConfig())
-
-
 class TestCapLoss:
     def test_two_item_substitution(self):
         inputs = CadrInputs(
@@ -248,19 +218,3 @@ class TestCadrInputsValidation:
             CadrInputs(missing=[], sup_losses=[], propensity=[],
                        unsup_losses=[], confidence=[], threshold=[])
 
-
-class TestEstimatePropensity:
-    def test_recovers_class_retention_rates(self):
-        spec = SyntheticSpec(num_classes=4, dim=2, samples_per_class=2000,
-                             class_separation=3.0, noise_sigma=0.5)
-        ds = generate_synthetic(spec, seed=0)
-        retention = (0.9, 0.6, 0.3, 0.1)
-        masked = apply_missingness(ds, MissingnessSpec.mnar(retention, seed=1))
-        est = estimate_propensity(masked)
-        np.testing.assert_allclose(est, retention, atol=0.04)
-
-    def test_fully_observed_gives_ones(self):
-        spec = SyntheticSpec(num_classes=3, dim=2, samples_per_class=5,
-                             class_separation=2.0, noise_sigma=0.1)
-        ds = generate_synthetic(spec, seed=0)
-        np.testing.assert_array_equal(estimate_propensity(ds), 1.0)

@@ -91,7 +91,7 @@ class TestCsvRoundTrip:
         emit_csv(m, path)
         back = read_csv(path)
         assert back.num_models == 2
-        assert back.steps() == [0, 50]
+        assert [r.step for r in back.rows] == [0, 50]
         for orig, parsed in zip(m.rows, back.rows):
             assert parsed.step == orig.step
             assert parsed.source_counts() == orig.source_counts()
