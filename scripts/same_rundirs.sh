@@ -5,8 +5,8 @@
 #
 # Each tree is a checkout of the repository; its package is imported from
 # <tree>/src. For each tree the script generates the datasets, trains the
-# sixteen configurations below (eleven desk-profile runs on 2-wide vectors
-# and five paper-profile runs on 3072-wide CIFAR-format images written by the
+# eighteen configurations below (eleven desk-profile runs on 2-wide vectors
+# and seven paper-profile runs on 3072-wide CIFAR-format images written by the
 # script itself, whose test set is large enough to be evaluated in row
 # chunks), replays every prediction dump with `copseudo fuse-trace`,
 # and records each command's stdout, stderr and exit code. It also decodes
@@ -56,7 +56,10 @@ work=$(cd "$work" && pwd)
 # image as it is. ties4 and ties4-drop dump each of their first six steps
 # for four models: ties4 replays consensus at levels 2, 3 and 4, and
 # level-2 ties that its coin flips settle; ties4-drop replays coin flips
-# at level 1 and at level 2, whose labels it drops.
+# at level 1 and at level 2, whose labels it drops. image-hidden8 (a first
+# hidden layer 8 wide) and image-b40 (280 unlabeled rows, not a multiple of
+# 64) lie outside the shapes whose kept strong rows are multiplied alone,
+# so their strong passes multiply the whole block of each model's views.
 DESK="--profile desk"
 CONFIGS=(
     "pair|mcar|test|$DESK --models 2 --steps 60 --eval-every 10 --dump-predictions-every 20|"
@@ -75,6 +78,8 @@ CONFIGS=(
     "image-noshift|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2 --aug-image-shift-strong 0|--tau 0.3 --tau2 0.2"
     "image-cascade3|image|image-test|--profile paper --models 3 --steps 12 --eval-every 4 --dump-predictions-every 4|--tau 0.2 --tau-cascade 0.18,0.16"
     "image-single2|image|image-test|--profile paper --models 2 --steps 12 --eval-every 4|--single-model-mode --tau 0.22"
+    "image-hidden8|image|image-test|--profile paper --models 3 --hidden 8 --steps 6 --eval-every 3 --dump-predictions-every 3|--tau 0.2 --tau-cascade 0.18,0.16"
+    "image-b40|image|image-test|--profile paper --models 2 --batch-size 40 --steps 6 --eval-every 3 --dump-predictions-every 3|--tau 0.3 --tau2 0.2"
 )
 
 # CIFAR-format batches: five train files of 120 images and a test file of

@@ -428,10 +428,11 @@ def strong_images(imgs: np.ndarray, rng, cfg: AugmentConfig,
     When the trainer multiplies only the kept rows
     (``ModelStack.first_layer_kept``), a left row is read only in the
     layer-0 weight gradient, where it is multiplied by the ±0 of its zero
-    weight.  Every view is >= +0 (pixels / 255, the +0.0 fill,
-    brightness by a positive factor and a clip, cutout at 0.5), and the
-    trainer's strong block starts at +0.0, so each such product is the
-    signed zero a +0.0 row gives, and the row's old pixels change no
+    weight.  It holds the shared weak view or an earlier model's strong
+    view, since an image run writes them all into one block in turn.
+    Every view is >= +0 (pixels / 255, the +0.0 fill, brightness by a
+    positive factor and a clip, cutout at 0.5), so each such product is
+    the signed zero a +0.0 row gives, and the row's old pixels change no
     bit."""
     n, _, h, w = imgs.shape
     s = cfg.image_shift_strong

@@ -5,10 +5,11 @@ with exact analytic gradients and momentum SGD.
 architecture as stacked tensors, with their momentum buffers, and runs
 the forward pass, the loss with its gradient, and the momentum-SGD
 update of all n with one ``np.matmul`` per layer; a single model is a
-stack of one.  ``ModelParams`` is the per-model view that checkpoints
-are written from and read into.  ``loss_and_grad`` is a one-model
-wrapper kept for gradient checks, and ``predict_models`` predicts with
-models of mixed architectures on a dataset's rows.
+stack of one, and ``ModelStack.model(i)`` is model i of a stack as a
+stack of one that shares the stack's tensors.  ``ModelParams`` is the
+per-model view that checkpoints are written from and read into.
+``loss_and_grad`` is a one-model wrapper kept for gradient checks, and
+``predict_models`` predicts with models of mixed architectures.
 
 Only the first layer's product may be taken in row chunks, each padded
 to a multiple of 64 rows, by one loop (``_chunk_products``, which states
@@ -28,6 +29,7 @@ same and a training step makes fewer calls.
 """
 from __future__ import annotations
 
+import copy
 import math
 import os
 from dataclasses import dataclass
@@ -145,6 +147,14 @@ class ModelStack:
                             weights=tuple(w[i] for w in self.weights),
                             biases=tuple(b[i] for b in self.biases))
                 for i in range(self.size)]
+
+    def model(self, i: int) -> "ModelStack":
+        """Model i as a stack of one whose tensors and momentum buffers are
+        ``[i:i+1]`` views of this stack's, so nothing is copied."""
+        one = copy.copy(self)
+        for name in ("weights", "biases", "weight_bufs", "bias_bufs"):
+            setattr(one, name, [t[i:i + 1] for t in getattr(self, name)])
+        return one
 
     def _check_shape(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)

@@ -9,14 +9,19 @@ every gradient is computed, so the models never see each other
 mid-step.
 
 The shared weak view is written into model 1's slot of the strong-view
-block, which is free until the strong views are built.  Each strong
-stream gets its model's ``weights > 0`` as ``keep``, so an image row
-that carries no loss costs only its draws and is left as it was (see
-``augment.strong_images`` for why that leaves every bit unchanged).  In
-an image run whose shapes ``ModelStack.kept_chunk_rows`` accepts, which
-``TrainerState`` decides once, only the kept rows enter the first-layer
-product of the unlabeled pass: they are gathered into the labeled-view
-block, free once the supervised gradient exists, in the same way.
+block, which is free until the strong views are built.  An image run's
+block has only that slot, so it does not grow with n: each model in turn
+writes its strong views there and runs its unlabeled pass alone
+(``ModelStack.model``).  A vector run's block has a slot per model and
+one stacked pass, since a desk step is bound by call overhead and n
+one-model passes made desk-cascade3-mnar steps a quarter slower.  Each
+strong stream gets its model's ``weights > 0`` as ``keep``, so an image
+row that carries no loss costs only its draws and is left as it was
+(see ``augment.strong_images`` for why that leaves every bit
+unchanged).  In an image run whose shapes ``ModelStack.kept_chunk_rows``
+accepts, which ``TrainerState`` decides once, only the kept rows enter
+the first-layer product of the unlabeled pass: they are gathered into
+the labeled-view block, free once the supervised gradient exists.
 
 A pixel dataset's batches reach the augment streams as its uint8
 pixels; each view divides them into its float64 block.
@@ -49,7 +54,8 @@ from .errors import ConfigError, DivergenceError
 from .fusion import SOURCES, FusionConfig, fuse_batch
 from .losses import ObjectiveConfig, supervised_loss
 from .metrics import MetricsRow, RunMetrics, emit_csv, emit_plot_columns
-from .predictor import ModelStack, add_scaled, init_model, save_checkpoint
+from .predictor import (Gradients, ModelStack, add_scaled, init_model,
+                        save_checkpoint)
 
 CONFIG_FILENAME = "config.resolved"
 METRICS_FILENAME = "metrics.csv"
@@ -203,15 +209,16 @@ class TrainerState:
         params = [init_model(arch, seed=cfg.seeds.init[i])
                   for i in range(cfg.num_models)]
         self.stack = ModelStack(params, cfg.momentum, cfg.weight_decay)
+        mod = ds.modality
         # each step writes its per-model views straight into these blocks;
         # a strong image row that carries no loss is left as it was, and
         # must hold finite values >= +0 (see augment.strong_images), so the
-        # strong block starts at +0.0
+        # strong block, one model's in an image run, starts at +0.0
         self.labeled_views = np.empty(
             (cfg.num_models, cfg.objective.batch_size, width))
         self.strong_views = np.zeros(
-            (cfg.num_models, cfg.objective.unlabeled_batch_size, width))
-        mod = ds.modality
+            (1 if mod == "image" else cfg.num_models,
+             cfg.objective.unlabeled_batch_size, width))
         # the rows of labeled_views, free once the supervised gradient
         # exists, that an image run's strong pass lends to the product of
         # its kept rows; 0 multiplies the whole strong block
@@ -304,18 +311,22 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
     targets = np.maximum(rows, 0).repeat(n // len(rows), axis=0)
     weights = fused.masks.T.reshape(n, batch)
 
-    # unlabeled pass on per-model strong views; rows of weight 0 need no
-    # pixels and, in an image run that lends a block, no first-layer product
+    # unlabeled pass on per-model strong views: one stacked pass when the
+    # strong block holds every model's views, else one model at a time
     keep = weights > 0
-    for i in range(n):
-        state.strong_unlabeled[i].apply_batch_into(
-            unlabeled, state.strong_views[i], keep=keep[i])
-    first = None
-    if state.kept_chunk_rows:
-        lent = state.labeled_views.reshape(-1, unlabeled.shape[1])
-        first = stack.first_layer_kept(state.strong_views, keep,
-                                       lent[:state.kept_chunk_rows])
-    l_u, g_u = stack.loss_and_grad(state.strong_views, targets, weights, first)
+    args = (unlabeled, keep, targets, weights)
+    if state.strong_views.shape[0] == n:
+        l_u, g_u = _unlabeled_pass(state, stack, 0, *args)
+    else:
+        l_u = np.empty(n)
+        g_u = Gradients(tuple(map(np.empty_like, g_s.weights)),
+                        tuple(map(np.empty_like, g_s.biases)))
+        for i in range(n):
+            l_u[i:i + 1], g = _unlabeled_pass(state, stack.model(i), i, *args)
+            for dst, src in zip(g_u.weights + g_u.biases,
+                                g.weights + g.biases):
+                dst[i] = src[0]
+        del g  # the update's temporaries reuse its memory
     _check_finite(state.step + 1, "unlabeled loss", l_u)
 
     # one update of every model, after all gradients exist
@@ -346,6 +357,24 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
     return StepMetrics(step=state.step, train_losses=tuple(train_losses),
                        mask_ratio=ratio, pseudo_acc=acc, source_counts=hist,
                        weak_probs=weak_probs)
+
+
+def _unlabeled_pass(state: TrainerState, part: ModelStack, lo: int,
+                    unlabeled, keep, targets, weights):
+    """Models ``lo`` on, stacked as ``part``, write their strong views into
+    ``state.strong_views`` and take their unlabeled losses and gradients;
+    a row of weight 0 needs no pixels nor, with a lent block, a product."""
+    views = state.strong_views
+    hi = lo + views.shape[0]
+    for i in range(lo, hi):
+        state.strong_unlabeled[i].apply_batch_into(unlabeled, views[i - lo],
+                                                   keep=keep[i])
+    first = None
+    if state.kept_chunk_rows:
+        lent = state.labeled_views.reshape(-1, unlabeled.shape[1])
+        first = part.first_layer_kept(views, keep[lo:hi],
+                                      lent[:state.kept_chunk_rows])
+    return part.loss_and_grad(views, targets[lo:hi], weights[lo:hi], first)
 
 
 def _check_finite(step: int, what: str, values: np.ndarray) -> None:

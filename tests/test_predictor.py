@@ -277,6 +277,28 @@ class TestSgdStep:
         stack.sgd_step(scalar_grad(0.0), 0.1)
         assert stack.weights[0][0, 0, 0] == pytest.approx(0.99, abs=1e-15)
 
+    def test_model_views_share_the_stacks_tensors(self):
+        stack = ModelStack([init_model((3, 5, 4, 2), seed=i) for i in range(3)],
+                           momentum=0.9, weight_decay=5e-4)
+        names = ("weights", "biases", "weight_bufs", "bias_bufs")
+        for i in range(stack.size):
+            one = stack.model(i)
+            assert one.size == 1 and one.arch == stack.arch
+            assert (one.momentum, one.weight_decay) == (0.9, 5e-4)
+            for name in names:
+                for got, full in zip(getattr(one, name), getattr(stack, name)):
+                    assert np.shares_memory(got, full[i])
+                    assert got.flags.c_contiguous
+        views = [stack.model(i) for i in range(stack.size)]
+        grads = Gradients(weights=tuple(np.ones_like(w) for w in stack.weights),
+                          biases=tuple(np.ones_like(b) for b in stack.biases))
+        stack.sgd_step(grads, 0.1)
+        for i, one in enumerate(views):
+            for name in names:
+                for got, full in zip(getattr(one, name), getattr(stack, name)):
+                    assert got.tobytes() == full[i:i + 1].tobytes()
+            assert (one.weight_bufs[0] != 0).all()
+
     def test_momentum_and_weight_decay_validation(self):
         params = [init_model((2, 4, 2), seed=3)]
         for momentum in (1.0, -0.1, math.nan, math.inf):
@@ -459,10 +481,16 @@ class TestGradientBits:
             for i in range(n):
                 loss, want = reference_loss_and_grad(
                     params[i], xs[i], targets[i], weights[i])
-                assert losses[i].tobytes() == np.float64(loss).tobytes()
-                for got, ref in zip(grads.weights + grads.biases,
-                                    want.weights + want.biases):
+                # model i alone, as a one-model view of the stack
+                one_loss, one = stack.model(i).loss_and_grad(
+                    xs[i:i + 1], targets[i:i + 1], weights[i:i + 1])
+                for got_loss in (losses[i], one_loss[0]):
+                    assert got_loss.tobytes() == np.float64(loss).tobytes()
+                for got, got_one, ref in zip(grads.weights + grads.biases,
+                                             one.weights + one.biases,
+                                             want.weights + want.biases):
                     assert got[i].tobytes() == ref.tobytes(), (rows, i)
+                    assert got_one[0].tobytes() == ref.tobytes(), (rows, i)
 
 
 class TestFirstLayerKept:
@@ -488,6 +516,11 @@ class TestFirstLayerKept:
             got = stack.first_layer_kept(xs, keep, buf)
             want = np.where(keep[:, :, None], whole, 0.0)
             assert got.tobytes() == want.tobytes(), share
+            # each model alone, as a one-model view of the stack
+            for i in range(n):
+                one = stack.model(i).first_layer_kept(xs[i:i + 1],
+                                                      keep[i:i + 1], buf)
+                assert one.tobytes() == want[i:i + 1].tobytes(), (share, i)
 
     @pytest.mark.parametrize("hidden,batch,lendable,rows", [
         (32, 448, 128, 128), (32, 448, 191, 128), (32, 448, 192, 192),

@@ -445,16 +445,28 @@ class TestTrainStepOracle:
             for i in range(n):
                 assert got[i] == sup[i] + lambda_u * sum(unsup)
 
-    def test_views_are_written_into_the_state_blocks(self):
+    def test_views_are_written_into_the_state_blocks(self, monkeypatch):
         # the per-model views land in blocks allocated once per run, not in
-        # per-step copies; a strong-view row whose weight is 0 is left as the
-        # block held it before the strong pass (model 1's slot then holds
-        # the shared weak view), the others are the rows apply_batch
-        # builds, and every stream advances as it does under apply_batch
+        # per-step copies.  An image run's strong block holds one model's
+        # views at a time: it holds the shared weak view first, then each
+        # model's pass writes the rows apply_batch builds where the model's
+        # weight is > 0 and leaves the others as the block held them (the
+        # weak view for model 1, model i-1's block for model i).  Every
+        # stream advances as it does under apply_batch
         ds = image_dataset()
         cfg = image_config("pair")
         state = TrainerState(cfg, ds)
         blocks = (state.labeled_views, state.strong_views)
+        assert blocks[1].shape == (1, 32, 3072)
+        passes = []
+        real = ModelStack.loss_and_grad
+
+        def recording(stack, xs, targets, weights, first=None):
+            if xs is blocks[1]:
+                passes.append(xs.copy())
+            return real(stack, xs, targets, weights, first)
+
+        monkeypatch.setattr(ModelStack, "loss_and_grad", recording)
         idx = ds.observed_indices()[:8]
         labeled = [(ds.rows(idx), ds.observed_labels(idx))] * 2
         u_feats = ds.rows(ds.missing_indices()[:32])
@@ -462,9 +474,12 @@ class TestTrainStepOracle:
         kept = []
         for _ in range(2):
             clone = copy.deepcopy(state)
+            passes.clear()
             metrics = train_step(state, labeled, u_feats, u_true)
             assert state.labeled_views is blocks[0]
             assert state.strong_views is blocks[1]
+            assert len(passes) == 2
+            assert passes[-1].tobytes() == blocks[1].tobytes()
             weak = apply_batch(clone.weak_unlabeled, u_feats)
             np.testing.assert_array_equal(metrics.weak_probs,
                                           clone.stack.predict_proba(weak))
@@ -476,8 +491,8 @@ class TestTrainStepOracle:
                     state.labeled_views[i],
                     apply_batch(clone.weak_labeled[i], ds.rows(idx)))
                 strong = apply_batch(clone.strong_unlabeled[i], u_feats)
-                before = weak if i == 0 else clone.strong_views[i]
-                got = state.strong_views[i]
+                before = weak if i == 0 else passes[i - 1][0]
+                got = passes[i][0]
                 np.testing.assert_array_equal(got[keep[i]], strong[keep[i]])
                 assert got[~keep[i]].tobytes() == before[~keep[i]].tobytes()
             for got_s, want_s in zip(
@@ -488,6 +503,25 @@ class TestTrainStepOracle:
                 assert (got_s.rng.bit_generator.state
                         == want_s.rng.bit_generator.state)
         assert 0 < np.mean(kept) < 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_an_image_run_holds_one_strong_block(self, n):
+        # an image state's view blocks take (n*B + mu*B)*d*8 bytes in all,
+        # one model's strong block whatever n is; a vector state keeps a
+        # strong block per model for its one stacked pass
+        fusion = (FusionConfig(num_models=1, single_model_mode=True)
+                  if n == 1 else
+                  FusionConfig(num_models=n,
+                               tau_cascade=(0.85, 0.75, 0.65)[:n - 1]))
+        cfg = dataclasses.replace(image_config("pair"), num_models=n,
+                                  seeds=SeedPlan.from_master(3, n),
+                                  fusion=fusion)
+        state = TrainerState(cfg, image_dataset())
+        views = state.labeled_views.nbytes + state.strong_views.nbytes
+        assert views == (n * 8 + 32) * 3072 * 8
+        vector = TrainerState(small_config(num_models=n, fusion=fusion),
+                              tiny_dataset())
+        assert vector.strong_views.shape == (n, 8, 2)
 
     def test_batch_size_validation(self):
         ds = tiny_dataset()
