@@ -63,6 +63,9 @@ class FusionConfig:
             problems.append("pseudo_weight must be a non-negative finite real")
         if self.num_models < 1:
             problems.append("num_models must be >= 1")
+        # a NaN compares False both ways, so the checks below let it through
+        if not all(map(math.isfinite, self.tau_cascade)):
+            problems.append("cascade thresholds must be finite")
         if not self.single_model_mode:
             if self.num_models < 2:
                 problems.append("num_models must be >= 2 unless single_model_mode")

@@ -10,6 +10,10 @@ stack of one that shares the stack's tensors.  ``ModelParams`` is the
 per-model view that checkpoints are written from and read into.
 ``loss_and_grad`` is a one-model wrapper kept for gradient checks, and
 ``predict_models`` predicts with models of mixed architectures.
+``Gradients`` has no arithmetic of its own: the trainer adds lambda_u
+times each unlabeled pass's gradient into the supervised gradient in
+place and hands that to ``sgd_step``, so no separate unlabeled gradient
+is kept.
 
 Only the first layer's product may be taken in row chunks, each padded
 to a multiple of 64 rows, by one loop (``_chunk_products``, which states
@@ -372,14 +376,6 @@ def loss_and_grad(params: ModelParams, xs, targets, weights) -> tuple[float, Gra
     losses, grads = stack.loss_and_grad(xs, targets, weights)
     return float(losses[0]), Gradients(weights=tuple(g[0] for g in grads.weights),
                                        biases=tuple(g[0] for g in grads.biases))
-
-
-def add_scaled(a: Gradients, b: Gradients, scale: float) -> Gradients:
-    """a + scale * b, elementwise."""
-    return Gradients(
-        weights=tuple([x + scale * y for x, y in zip(a.weights, b.weights)]),
-        biases=tuple([x + scale * y for x, y in zip(a.biases, b.biases)]),
-    )
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

@@ -14,14 +14,17 @@ block has only that slot, so it does not grow with n: each model in turn
 writes its strong views there and runs its unlabeled pass alone
 (``ModelStack.model``).  A vector run's block has a slot per model and
 one stacked pass, since a desk step is bound by call overhead and n
-one-model passes made desk-cascade3-mnar steps a quarter slower.  Each
-strong stream gets its model's ``weights > 0`` as ``keep``, so an image
-row that carries no loss costs only its draws and is left as it was
-(see ``augment.strong_images`` for why that leaves every bit
-unchanged).  In an image run whose shapes ``ModelStack.kept_chunk_rows``
-accepts, which ``TrainerState`` decides once, only the kept rows enter
-the first-layer product of the unlabeled pass: they are gathered into
-the labeled-view block, free once the supervised gradient exists.
+one-model passes made desk-cascade3-mnar steps a quarter slower.  Either
+way one loop runs the passes, and each pass adds lambda_u times its
+gradient into the supervised gradient in place, so no separate
+unlabeled gradient is kept.  Each strong stream gets its model's
+``weights > 0`` as ``keep``, so an image row that carries no loss costs
+only its draws and is left as it was (see ``augment.strong_images`` for
+why that leaves every bit unchanged).  In an image run whose shapes
+``ModelStack.kept_chunk_rows`` accepts, which ``TrainerState`` decides
+once, only the kept rows enter the first-layer product of the unlabeled
+pass: they are gathered into the labeled-view block, free once the
+supervised gradient exists.
 
 A pixel dataset's batches reach the augment streams as its uint8
 pixels; each view divides them into its float64 block.
@@ -54,8 +57,7 @@ from .errors import ConfigError, DivergenceError
 from .fusion import SOURCES, FusionConfig, fuse_batch
 from .losses import ObjectiveConfig, supervised_loss
 from .metrics import MetricsRow, RunMetrics, emit_csv, emit_plot_columns
-from .predictor import (Gradients, ModelStack, add_scaled, init_model,
-                        save_checkpoint)
+from .predictor import ModelStack, init_model, save_checkpoint
 
 CONFIG_FILENAME = "config.resolved"
 METRICS_FILENAME = "metrics.csv"
@@ -312,33 +314,40 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
     weights = fused.masks.T.reshape(n, batch)
 
     # unlabeled pass on per-model strong views: one stacked pass when the
-    # strong block holds every model's views, else one model at a time
+    # strong block holds every model's views, else one pass per model.
+    # Each pass adds lambda_u times its gradient into the supervised one in
+    # place, the same IEEE operations as g_s + lambda_u * g_u; a row of
+    # weight 0 needs no pixels nor, with a lent block, a product
     keep = weights > 0
-    args = (unlabeled, keep, targets, weights)
-    if state.strong_views.shape[0] == n:
-        l_u, g_u = _unlabeled_pass(state, stack, 0, *args)
-    else:
-        l_u = np.empty(n)
-        g_u = Gradients(tuple(map(np.empty_like, g_s.weights)),
-                        tuple(map(np.empty_like, g_s.biases)))
-        for i in range(n):
-            l_u[i:i + 1], g = _unlabeled_pass(state, stack.model(i), i, *args)
-            for dst, src in zip(g_u.weights + g_u.biases,
-                                g.weights + g.biases):
-                dst[i] = src[0]
-        del g  # the update's temporaries reuse its memory
+    lam = cfg.objective.lambda_u
+    views = state.strong_views
+    l_u = np.empty(n)
+    for lo in range(0, n, len(views)):
+        hi = lo + len(views)
+        part = stack if hi - lo == n else stack.model(lo)
+        for i in range(lo, hi):
+            state.strong_unlabeled[i].apply_batch_into(unlabeled, views[i - lo],
+                                                       keep=keep[i])
+        first = None
+        if state.kept_chunk_rows:
+            lent = state.labeled_views.reshape(-1, unlabeled.shape[1])
+            first = part.first_layer_kept(views, keep[lo:hi],
+                                          lent[:state.kept_chunk_rows])
+        l_u[lo:hi], g_u = part.loss_and_grad(views, targets[lo:hi],
+                                             weights[lo:hi], first)
+        for dst, src in zip(g_s.weights + g_s.biases, g_u.weights + g_u.biases):
+            dst[lo:hi] += lam * src
+    del g_u  # the update's temporaries reuse its memory
     _check_finite(state.step + 1, "unlabeled loss", l_u)
 
     # one update of every model, after all gradients exist
     lr = cfg.lr
     if cfg.cosine_lr and cfg.steps > 0:
         lr *= math.cos(7.0 * math.pi * state.step / (16.0 * cfg.steps))
-    grads = add_scaled(g_s, g_u, cfg.objective.lambda_u)
-    del g_s, g_u  # the update's temporaries reuse their memory
-    stack.sgd_step(grads, lr)
+    stack.sgd_step(g_s, lr)
     # each model reports its own l_s plus lambda_u times every model's
     # l_u; Python's sum starts from int 0, which fixes a zero sum's sign
-    shared = cfg.objective.lambda_u * sum(l_u.tolist())
+    shared = lam * sum(l_u.tolist())
     train_losses = [v + shared for v in l_s.tolist()]
 
     # mask_ratio is the mean of each label row's share, which is
@@ -357,24 +366,6 @@ def train_step(state: TrainerState, labeled_batches, unlabeled,
     return StepMetrics(step=state.step, train_losses=tuple(train_losses),
                        mask_ratio=ratio, pseudo_acc=acc, source_counts=hist,
                        weak_probs=weak_probs)
-
-
-def _unlabeled_pass(state: TrainerState, part: ModelStack, lo: int,
-                    unlabeled, keep, targets, weights):
-    """Models ``lo`` on, stacked as ``part``, write their strong views into
-    ``state.strong_views`` and take their unlabeled losses and gradients;
-    a row of weight 0 needs no pixels nor, with a lent block, a product."""
-    views = state.strong_views
-    hi = lo + views.shape[0]
-    for i in range(lo, hi):
-        state.strong_unlabeled[i].apply_batch_into(unlabeled, views[i - lo],
-                                                   keep=keep[i])
-    first = None
-    if state.kept_chunk_rows:
-        lent = state.labeled_views.reshape(-1, unlabeled.shape[1])
-        first = part.first_layer_kept(views, keep[lo:hi],
-                                      lent[:state.kept_chunk_rows])
-    return part.loss_and_grad(views, targets[lo:hi], weights[lo:hi], first)
 
 
 def _check_finite(step: int, what: str, values: np.ndarray) -> None:

@@ -13,9 +13,9 @@ into a fresh array, drawing paired integers with one ``size=2`` call,
 where the library draws scalars and writes a whole batch in place.
 
 The per-decision helpers at the end (``mask_ratio``,
-``pseudo_label_accuracy``, ``unlabeled_loss``, ``zero_gradients``) were
-once library functions; the library now reads the same numbers from
-arrays, and they stay here as readable references.
+``pseudo_label_accuracy``, ``unlabeled_loss``) were once library
+functions; the library now reads the same numbers from arrays, and they
+stay here as readable references.
 
 ``save_dataset_v1`` is the text writer of the ``copseudo-ds v1``
 container, which the library no longer writes but still reads.
@@ -31,9 +31,12 @@ MLP the library ran before it trained every model as one stack: a chain
 of 2-d ``@`` calls per model.  The stack must reproduce them bit for bit.
 ``ReferenceOpt`` is one model's momentum-SGD state for
 ``reference_sgd_step``; the library keeps every model's buffers in the
-stack.  ``reference_evaluate`` scores models on a whole float64 feature
-block, one ``@`` per layer and model, where ``trainer.evaluate``
-multiplies a large test set's first layer in row chunks.
+stack.  ``add_scaled`` is the objective's gradient g_s + lambda_u * g_u
+built as a new ``Gradients``, where the trainer adds each unlabeled
+pass's scaled gradient into the supervised one in place.
+``reference_evaluate`` scores models on a whole float64 feature block,
+one ``@`` per layer and model, where ``trainer.evaluate`` multiplies a
+large test set's first layer in row chunks.
 """
 import math
 from dataclasses import dataclass
@@ -339,11 +342,6 @@ def unlabeled_loss(probs_strong, decisions, model_index: int) -> float:
     return total / len(decisions)
 
 
-def zero_gradients(params: ModelParams) -> Gradients:
-    return Gradients(weights=tuple(np.zeros_like(w) for w in params.weights),
-                     biases=tuple(np.zeros_like(b) for b in params.biases))
-
-
 # --- dataset container -----------------------------------------------------
 
 def save_dataset_v1(ds, path) -> None:
@@ -482,6 +480,14 @@ def reference_sgd_step(params: ModelParams, grads: Gradients, opt: ReferenceOpt)
                      weight_decay=opt.weight_decay,
                      weight_bufs=tuple(p[1] for p in w_pairs),
                      bias_bufs=tuple(p[1] for p in b_pairs)),
+    )
+
+
+def add_scaled(a: Gradients, b: Gradients, scale: float) -> Gradients:
+    """a + scale * b, elementwise, as new tensors."""
+    return Gradients(
+        weights=tuple(x + scale * y for x, y in zip(a.weights, b.weights)),
+        biases=tuple(x + scale * y for x, y in zip(a.biases, b.biases)),
     )
 
 

@@ -404,6 +404,15 @@ class TestTrainCommand:
         assert code == 2
         assert "not both" in capsys.readouterr().err
 
+    def test_nan_cascade_threshold_is_refused(self, synth_files, tmp_path,
+                                              capsys):
+        train_f, test_f = synth_files
+        code = quick_train(train_f, test_f, tmp_path / "r",
+                           extra=("--models", "3", "--tau-cascade", "0.8,nan"))
+        assert code == 2
+        assert "cascade thresholds must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_three_models_need_cascade(self, synth_files, tmp_path, capsys):
         train_f, test_f = synth_files
         code = main(["train", "--data", str(train_f), "--test", str(test_f),

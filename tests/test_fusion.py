@@ -62,6 +62,9 @@ class TestFusionConfig:
         with pytest.raises(ConfigError):
             FusionConfig(tau_cascade=(0.7, 0.8), num_models=3)  # ascending
         FusionConfig(tau_cascade=(0.8, 0.8), num_models=3)  # equal is fine
+        # a NaN compares False both ways, so only the finite check sees it
+        with pytest.raises(ConfigError, match="must be finite"):
+            FusionConfig(tau_cascade=(0.8, float("nan"), 0.9), num_models=4)
 
     def test_cascade_length(self):
         with pytest.raises(ConfigError):
@@ -76,6 +79,11 @@ class TestFusionConfig:
             FusionConfig(pseudo_weight=-0.1)
         with pytest.raises(ConfigError):
             FusionConfig(tau_cascade=(0.0,))
+        for cascade in ((0.8, float("nan")), (0.8, float("nan"), 0.7)):
+            # a NaN level would never propose
+            with pytest.raises(ConfigError, match="^invalid fusion config: "
+                               "cascade thresholds must be finite$"):
+                FusionConfig(tau_cascade=cascade, num_models=len(cascade) + 1)
         with pytest.raises(ConfigError):
             FusionConfig(num_models=1)
 

