@@ -29,6 +29,19 @@ The generator is then stepped back by ``advance`` over the words read
 but not used and given the buffer, so the state is that of the calls.
 The image batch functions only move pixels.  Weak vectors are one
 ``standard_normal`` call.
+
+A strong vector stream draws ahead (``_VectorBlock``).  When a batch
+needs rows its block does not hold, it draws a new block from the
+generator's state: the fewest whole batches that hold ``_BLOCK_VALUES``
+normals, so never fewer rows than the batch.  The block's noise is
+scaled and its dropout mask computed once; each batch takes slices.
+``_vector_draws`` gives each row's end, and after each batch the
+generator is stepped by ``advance`` to the end of the batch's last row
+and given back its buffer, so after every batch its state is exactly
+that of per-row draws.  A block is dropped and drawn again from the
+current state when the state is not the one the last batch left (after
+a draw or a state set from outside) or the batch's width or config
+differ.
 """
 from __future__ import annotations
 
@@ -54,6 +67,9 @@ _MASK32 = 0xFFFFFFFF
 # codes and one for each of its two ops
 _WORDS_PER_STRONG_ROW = 3
 _TOP_UP_WORDS = 64
+# the fewest normals (and uniforms) a strong vector stream draws ahead:
+# 512 rows at width 2
+_BLOCK_VALUES = 1024
 # standard_normal reads a word's bits as layer (0-7), sign (8), size (9-60)
 _MASK52 = 2 ** 52 - 1
 
@@ -95,14 +111,11 @@ def weak_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
 def strong_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
                    out: np.ndarray) -> np.ndarray:
     """(B, d) rows plus heavier jitter, then coordinate dropout.  Row by
-    row, d normals then d uniforms (``_vector_draws``)."""
+    row, d normals then d uniforms (``_vector_draws``): a block of the
+    batch's rows, served whole."""
     if not xs.size:  # a batch of no rows or of empty rows draws nothing
         return out
-    noise, drop = _vector_draws(rng.bit_generator, *xs.shape)
-    noise *= cfg.sigma_strong
-    np.add(xs, noise, out=out)
-    out[drop < cfg.vector_drop_prob] = 0.0
-    return out
+    return _VectorBlock(rng.bit_generator, *xs.shape, cfg).serve(xs, out)
 
 
 @cache
@@ -196,15 +209,19 @@ class _RawDraws:
                 return x
 
     def finish(self) -> None:
-        """Step the generator back over the words read but not used
-        (modulo PCG64's period of 2**128) and set the uint32 buffer, which
-        ``advance`` leaves at (0, 0)."""
-        bg = self.bg
-        bg.advance((self.pos - self.end) % 2**128)
-        if self.has_uint32 or self.uinteger:
-            state = bg.state
-            state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger
-            bg.state = state
+        """Step the generator back over the words read but not used."""
+        _advance(self.bg, self.pos - self.end, self.has_uint32, self.uinteger)
+
+
+def _advance(bg, words: int, has_uint32: int, uinteger: int) -> None:
+    """Step the PCG64 ``bg`` by ``words`` (modulo its period of 2**128, so
+    a negative count steps back) and set the uint32 buffer, which
+    ``advance`` leaves at (0, 0)."""
+    bg.advance(words % 2**128)
+    if has_uint32 or uinteger:
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = has_uint32, uinteger
+        bg.state = state
 
 
 @cache
@@ -227,11 +244,13 @@ def _tables():
 def _vector_draws(bg, n: int, d: int, spare=_TOP_UP_WORDS):
     """(n, d) normals and uniforms, d of each a row, from the PCG64 ``bg``'s
     words, taken by one ``random_raw`` call of 2nd + nd/8 + ``spare``
-    words.  Uniforms and 98.5% of normals take one word each, so row t's
-    normals are gathered from word 2dt and its uniforms from 2dt + d,
-    shifted by the extra words of the normals before them, which
-    ``_RawDraws.normal`` replays; a short batch retries.  Only the n * d
-    words of each kind that the rows take are turned into draws."""
+    words, and the list of each row's end: the words from ``bg``'s state
+    to the row's last draw, inclusive.  Uniforms and 98.5% of normals take
+    one word each, so row t's normals are gathered from word 2dt and its
+    uniforms from 2dt + d, shifted by the extra words of the normals
+    before them, which ``_RawDraws.normal`` replays; a short batch
+    retries.  Only the n * d words of each kind that the rows take are
+    turned into draws.  ``bg`` is left at the last row's end."""
     z, draws = _tables(), _RawDraws(bg, 2 * n * d + n * d // 8 + spare)
     words = draws.raw
     k = (words & np.uint64(0x1FF)).astype(np.intp)
@@ -250,15 +269,59 @@ def _vector_draws(bg, n: int, d: int, spare=_TOP_UP_WORDS):
     if 2 * n * d + shift > len(words):
         bg.state = draws.start
         return _vector_draws(bg, n, d, 2 * spare + _TOP_UP_WORDS)
-    draws.pos = 2 * n * d + shift
-    draws.finish()
     rows = _row_grid(n, d)
     shifts = np.maximum.accumulate(shifts)
+    ends = (rows[:, 0] + 2 * d + shifts[d::d]).tolist()
+    draws.pos = ends[-1]
+    draws.finish()
     at = rows + shifts[:-1].reshape(n, d)
     noise = rabs[at] * z.SIGNED_WI_ARRAY[k[at]]
     drop = (words[rows + d + shifts[d::d, None]] >> np.uint64(11)) * 2.0 ** -53
     noise.reshape(-1)[list(slow)] = list(slow.values())
-    return noise, drop
+    return noise, drop, ends
+
+
+class _VectorBlock:
+    """Strong vector draws for ``rows`` rows of width ``d``, made from the
+    PCG64 ``bg``'s state by one ``_vector_draws`` and served a batch at a
+    time in row order: the noise scaled by ``sigma_strong`` and the
+    dropout mask.  ``serve`` leaves ``bg`` at the end of its batch's last
+    row, as per-row draws would: ``at`` is the words from the block's
+    first state to ``bg``'s, and ``_advance`` gives ``bg`` the uint32
+    buffer the block started with, which vector draws never touch.
+    ``left`` is the state the last batch left while rows remain."""
+
+    def __init__(self, bg, rows: int, d: int, cfg: AugmentConfig):
+        start = bg.state
+        self.buffer = start["has_uint32"], start["uinteger"]
+        noise, drop, self.ends = _vector_draws(bg, rows, d)
+        noise *= cfg.sigma_strong
+        self.noise, self.dropped = noise, drop < cfg.vector_drop_prob
+        self.bg, self.cfg, self.rows, self.row = bg, cfg, rows, 0
+        self.at = self.ends[-1]
+        self.left = None
+
+    def holds(self, bg, n: int, d: int, cfg: AugmentConfig) -> bool:
+        """Whether the block's next n rows are those that n rows of width
+        d draw under ``cfg`` from ``bg``'s state: the block has them, and
+        ``bg`` is the block's and where the last batch left it."""
+        return (self.row + n <= self.rows and self.noise.shape[1] == d
+                and cfg is self.cfg and bg is self.bg and bg.state == self.left)
+
+    def serve(self, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The views of the rows ``xs`` from the block's next rows,
+        written into ``out``."""
+        lo = self.row
+        self.row = hi = lo + xs.shape[0]
+        np.add(xs, self.noise[lo:hi], out=out)
+        np.putmask(out, self.dropped[lo:hi], 0.0)
+        end = self.ends[hi - 1]
+        if end != self.at:
+            _advance(self.bg, end - self.at, *self.buffer)
+            self.at = end
+        if hi < self.rows:
+            self.left = self.bg.state
+        return out
 
 
 def _shift_view(col, row):
@@ -474,7 +537,13 @@ class AugmentStream:
     A stream is single-threaded: a batch may replay its draws from
     words read ahead of the generator's state, then rewinds and advances
     that state (see the module docstring), so a draw made on the
-    generator between those steps would be lost."""
+    generator between those steps would be lost.
+
+    A strong vector stream keeps a block of rows drawn ahead and serves
+    batches from it.  After every batch ``rng``'s state is the one per-row
+    draws leave, so a draw on ``rng`` or a state set between batches sees
+    the per-row stream; the stream then drops its block and draws from
+    the new state."""
 
     def __init__(self, kind: str, modality: str, seed,
                  config: AugmentConfig | None = None,
@@ -496,6 +565,7 @@ class AugmentStream:
         self._width = (None if self.feature_shape is None
                        else math.prod(self.feature_shape))
         self.rng = np.random.default_rng(seed)
+        self._block = None  # a strong vector stream's rows drawn ahead
 
     def apply_batch_into(self, xs: np.ndarray, out: np.ndarray,
                          keep: np.ndarray | None = None) -> np.ndarray:
@@ -537,8 +607,9 @@ class AugmentStream:
         if xs.shape[0] == 0:
             return out
         if self.modality == "vector":
-            fn = weak_vectors if self.kind == "weak" else strong_vectors
-            return fn(xs, self.rng, self.config, out)
+            if self.kind == "weak":
+                return weak_vectors(xs, self.rng, self.config, out)
+            return self._strong_vectors(xs, out)
         shape = (xs.shape[0],) + self.feature_shape
         imgs, views = xs.reshape(shape), out.reshape(shape)
         if self.kind == "weak":
@@ -546,3 +617,18 @@ class AugmentStream:
         else:
             strong_images(imgs, self.rng, self.config, views, keep)
         return out
+
+    def _strong_vectors(self, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``strong_vectors`` served from the stream's block.  When it does
+        not hold the batch's rows, a new block is drawn from the
+        generator's state: the fewest whole batches of n rows that hold
+        ``_BLOCK_VALUES`` values of each kind, so batches of one size use
+        every row drawn."""
+        n, d = xs.shape
+        if not d:  # rows with no features draw nothing
+            return out
+        bg, block = self.rng.bit_generator, self._block
+        if block is None or not block.holds(bg, n, d, self.config):
+            rows = n * -(-_BLOCK_VALUES // (n * d))
+            block = self._block = _VectorBlock(bg, rows, d, self.config)
+        return block.serve(xs, out)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import numpy as np
@@ -1036,7 +1037,11 @@ class TestNormalReplay:
                 want = np.array([strong_vector(row, twin, CFG) for row in xs])
                 assert apply_batch(stream, xs).tobytes() == want.tobytes()
                 assert stream.rng.bit_generator.state == twin.bit_generator.state
-        assert calls == [(64, 2), (1, 2), (200, 2), (32, 16), (32, 16)]
+        # a stream draws blocks of whole batches that hold at least
+        # augment._BLOCK_VALUES (1024) values of each kind: 8 batches of
+        # 64 rows of 2 serve 64 + 1 + 200 rows, and 2 of 32 rows of 16
+        # serve 32
+        assert calls == [(512, 2), (64, 16), (64, 16)]
 
     def test_probe_seeds_take_every_path(self, monkeypatch):
         # 32-row, 16-wide batches on seeds 0 and 41 take wedge tests on
@@ -1044,11 +1049,15 @@ class TestNormalReplay:
         trace = self.trace_normals(monkeypatch)
         for seed in (0, 41):
             bg, rng = np.random.PCG64(seed), np.random.default_rng(seed)
-            noise, drop = augment._vector_draws(bg, 32, 16)
+            noise, drop, ends = augment._vector_draws(bg, 32, 16)
             for row in range(32):
                 assert (noise[row].tobytes()
                         == rng.standard_normal(16).tobytes()), (seed, row)
                 assert drop[row].tobytes() == rng.random(16).tobytes()
+                # a row's end is the words from the start through its draws
+                at_end = np.random.PCG64(seed)
+                at_end.advance(ends[row])
+                assert at_end.state == rng.bit_generator.state, (seed, row)
             assert bg.state == rng.bit_generator.state
         _, slow, tails, redraws = self.paths(trace)
         assert tails >= 2 and redraws >= 5 and len(slow) > 10
@@ -1087,3 +1096,87 @@ class TestNormalReplay:
             assert rng.bit_generator.state == twin.bit_generator.state
         # the retries go through the module name
         assert calls.count(0) == 100 and len(calls) > 100
+
+
+class TestStrongVectorBlock:
+    """Consecutive batches through a strong vector stream, which serves
+    them from a block of rows drawn ahead, against ``strong_vector`` on a
+    twin generator: equal view bytes and an equal bit-generator state after
+    every batch, across refills, outside draws and state sets, copies and
+    a uint32 buffer that is full or holds a spent value."""
+
+    @staticmethod
+    def check_batch(stream, twin, size, width, data):
+        xs = data.uniform(-2.0, 2.0, size=(size, width))
+        got = apply_batch(stream, xs)
+        want = np.array([strong_vector(row, twin, CFG) for row in xs])
+        assert got.tobytes() == want.reshape(size, width).tobytes(), (
+            width, size)
+        assert stream.rng.bit_generator.state == twin.bit_generator.state, (
+            width, size)
+
+    @staticmethod
+    def pair(seed, buffered=0):
+        """A stream and its twin generator after ``buffered`` uint32 draws,
+        which leave the buffer full (1) or holding a spent value (2)."""
+        stream = AugmentStream("strong", "vector", seed=seed)
+        twin = np.random.default_rng(seed)
+        for _ in range(buffered):
+            stream.rng.integers(0, 4)
+            twin.integers(0, 4)
+        assert stream.rng.bit_generator.state["has_uint32"] == (buffered == 1)
+        return stream, twin
+
+    @pytest.mark.parametrize("width", [1, 2, 16, 3072])
+    def test_batches_across_refills(self, width, monkeypatch):
+        calls, replay = [], augment._vector_draws
+
+        def counted(bg, n, d, spare=augment._TOP_UP_WORDS):
+            calls.append(n)
+            return replay(bg, n, d, spare)
+
+        monkeypatch.setattr(augment, "_vector_draws", counted)
+        rows = -(-augment._BLOCK_VALUES // width)  # a block's fewest rows
+        sizes = (1, 63, 64, 65, rows - 1, rows, rows + 1, 3 * rows)
+        sizes += sizes[::-1]
+        # a batch the block's rows left cannot serve draws a block of the
+        # fewest whole batches that hold rows rows
+        left, blocks = 0, []
+        for size in sizes:
+            if size > left:
+                blocks.append(left := size * -(-rows // size))
+            left -= size
+        for seed, buffered in ((0, 0), (1, 1), (2, 2)):
+            stream, twin = self.pair(seed, buffered)
+            data = np.random.default_rng(seed + 100)
+            for size in sizes:
+                self.check_batch(stream, twin, size, width, data)
+        assert calls == 3 * blocks
+
+    @pytest.mark.parametrize("width", [1, 2, 16, 3072])
+    def test_outside_draws_and_state_sets_drop_the_block(self, width):
+        stream, twin = self.pair(3)
+        data = np.random.default_rng(7)
+        self.check_batch(stream, twin, 5, width, data)
+        assert stream.rng.random() == twin.random()  # a word from outside
+        self.check_batch(stream, twin, 5, width, data)
+        assert stream.rng.integers(0, 4) == twin.integers(0, 4)  # a buffer
+        self.check_batch(stream, twin, 5, width, data)
+        for state in (np.random.PCG64(11).state,
+                      twin.bit_generator.state,  # the state the stream left
+                      dict(twin.bit_generator.state, has_uint32=1,
+                           uinteger=12345)):
+            stream.rng.bit_generator.state = state
+            twin.bit_generator.state = state
+            self.check_batch(stream, twin, 5, width, data)
+            self.check_batch(stream, twin, 64, width, data)
+
+    @pytest.mark.parametrize("width", [1, 2, 16, 3072])
+    def test_a_copy_taken_mid_block_steps_in_turn(self, width):
+        stream, twin = self.pair(4, buffered=1)
+        data = np.random.default_rng(8)
+        self.check_batch(stream, twin, 3, width, data)
+        pairs = [(stream, twin), (copy.deepcopy(stream), copy.deepcopy(twin))]
+        for size in (1, 64, 65, 1024):
+            for stream, twin in pairs:
+                self.check_batch(stream, twin, size, width, data)
