@@ -2,12 +2,14 @@
 
 Given each model's predicted class distribution for an unlabeled item,
 decide whether the item gets a pseudo-label, which label, and what loss
-weight each model applies to it.  One array engine, ``fuse_batch``,
-decides a (models, items, classes) block at all n agreement levels at
-once, along a leading level axis, and each item takes the lowest level
-with a proposal; a tie there is settled by a uniform draw from the item's
-own generator.  In single-model mode it decides the block's (model,
-item) pairs, model-major, as one one-model block, which never ties.
+weight each model applies to it.  One array engine decides items at all
+n agreement levels at once, along a leading level axis, and each item
+takes the lowest level with a proposal; a tie there is settled by a
+uniform draw from the item's own generator.  ``fuse_batch`` looks each
+item of a block of at most three models up in a table that engine fills
+once, and sends it only tied items and larger blocks.  In single-model
+mode it decides the block's (model, item) pairs, model-major, as one
+one-model block, which never ties.
 ``fuse_batch`` trusts its rows to be distributions: the trainer's come
 from a softmax it has checked for finite values, and ``fuse-trace``
 checks a dump's with ``first_invalid_row``.  ``fuse_pair``,
@@ -176,39 +178,29 @@ def _check_block(probs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _levels(thresholds: tuple) -> tuple:
-    """The level axis of ``_fuse`` for its L = n thresholds, as read-only
-    arrays: each level's threshold and number, shaped (L, 1, 1), and
-    ``earlier[i, j]``, model j comes before model i, shaped (L, L, 1)."""
+    """The level axis of ``_decide`` for its L = n thresholds, as read-only
+    arrays: each level's threshold and number, (L, 1, 1), ``earlier[i, j]``,
+    model j comes before model i, (L, L, 1), and the thresholds ascending."""
     n = len(thresholds)
     arrays = (np.array(thresholds)[:, None, None],
               np.arange(1, n + 1)[:, None, None],
-              np.tri(n, k=-1, dtype=bool)[:, :, None])
+              np.tri(n, k=-1, dtype=bool)[:, :, None],
+              np.array(thresholds[::-1]))
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
-    """Decide every item of an (n, B, C) block by agreement levels.
-
-    Level 1: any model over ``tau`` proposes its own argmax.  Level
-    k >= 2: any k models over the level's ``tau_cascade`` threshold that
-    share an argmax propose that consensus label.  All n levels are
-    decided at once along a leading level axis, and the smallest level
-    with a proposal decides the item.  Distinct labels proposed there,
-    ordered by their first supporter's model index, are settled by a
-    uniform draw from ``stream_for(b)``, which is called only for such
-    items, in item order.  A block of fewer than two classes is a
-    ``ConfigError``, also when it holds no item.
-    """
-    if probs.shape[2] < 2:
-        raise ConfigError("model 1 prediction is not a probability vector")
-    n, batch, _ = probs.shape
-    thresholds, levels, earlier = _levels((cfg.tau,) + cfg.tau_cascade[:n - 1])
-    tops = probs.argmax(axis=2)
-    # each row's peak, read at its argmax: faster than a max over classes
-    rows = probs.reshape(-1, probs.shape[2])
-    peaks = rows[np.arange(len(rows)), tops.ravel()].reshape(tops.shape)
+def _decide(tops, peaks, thresholds: tuple, pseudo_weight: float,
+            conflict_drop: bool, stream_for) -> FusedBatch:
+    """The level engine: decide items by their (n, B) argmaxes and peaks.
+    Level 1: any model over the first threshold proposes its argmax; level
+    k >= 2: any k models over the level's threshold that share an argmax
+    propose it.  All levels are decided at once, and an item takes the
+    lowest with a proposal.  Distinct labels there, ordered by their first
+    supporter, are settled by a uniform draw from ``stream_for(b)``, called
+    only for such items, in item order."""
+    thresholds, levels, earlier, _ = _levels(thresholds)
     # members[l, i, b]: model i clears level l's threshold on item b;
     # shared[l, i, j, b]: model j is a member and shares model i's argmax
     members = peaks > thresholds
@@ -219,7 +211,7 @@ def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
                  & ~np.logical_or.reduce(shared & earlier, axis=2))
     counts = np.add.reduce(proposers, axis=1)
     # each item's deciding level (0 where none decides) and its proposals
-    items = np.arange(batch)
+    items = np.arange(tops.shape[1])
     lv = (counts > 0).argmax(axis=0)
     count = counts[lv, items]
     chosen = proposers[lv, :, items].argmax(axis=1)
@@ -228,17 +220,83 @@ def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
         chosen[b] = proposers[lv[b], :, b].nonzero()[0][pick]
 
     decided, tied, later = count > 0, count > 1, lv > 0
-    labels = np.where(decided & ~(tied & cfg.conflict_drop),
+    labels = np.where(decided & ~(tied & conflict_drop),
                       tops[chosen, items], -1)
     sources = np.where(later, _CONSENSUS,
                        np.where(support[0, chosen, items] >= 2, _BOTH, _OWN))
-    sources[tied & (cfg.conflict_drop | ~later)] = _CONFLICT
+    sources[tied & (conflict_drop | ~later)] = _CONFLICT
     sources[~decided] = _NONE
     source_models = np.where(decided & ~later & (sources != _BOTH), chosen + 1, 0)
     source_levels = np.where(later, lv + 1, 0)
     # weights are >= 0, so an absent label's masks are +0.0
-    masks = np.where(members[0], cfg.pseudo_weight, 1.0).T * (labels >= 0)[:, None]
+    masks = np.where(members[0], pseudo_weight, 1.0).T * (labels >= 0)[:, None]
     return FusedBatch(labels, masks, sources, source_models, source_levels)
+
+
+@lru_cache(maxsize=64)
+def _table(n: int, pseudo_weight: float, conflict_drop: bool, sign) -> tuple:
+    """``_fuse``'s read-only table for n <= 3.  A pattern is each model's
+    tier (how many thresholds its peak clears) and which pairs (``pairs``'
+    columns) share an argmax, keyed ``tier_weights @ tiers + pair_weights @
+    shares``.  The engine decides one item per pattern, peaks tier + 0.5
+    against thresholds (n, ..., 1); ``ints`` rows: the chosen model (n: no
+    label), source, source model, level, tie; ``masks`` columns: mask rows.
+    pseudo_weight's ``sign`` keys the cache too, since -0.0 == 0.0."""
+    pairs = np.array(np.triu_indices(n, k=1))
+    pair_weights = 1 << np.arange(pairs.shape[1])
+    tier_weights = (n + 1) ** np.arange(n) << pairs.shape[1]
+    keys = np.arange((n + 1) ** n << pairs.shape[1])
+    # each model's argmax is the first model it shares one with
+    tops = np.arange(n)[:, None].repeat(len(keys), axis=1)
+    for (i, j), bit in reversed(list(zip(pairs.T, pair_weights))):
+        tops[j, (keys & bit) > 0] = i
+    ties, rng = [], np.random.default_rng(0)
+    fused = _decide(tops, keys // tier_weights[:, None] % (n + 1) + 0.5,
+                    tuple(range(n, 0, -1)), pseudo_weight, conflict_drop,
+                    lambda b: ties.append(b) or rng)
+    ints = np.stack([np.where(fused.labels < 0, n, fused.labels),
+                     *fused._columns()[2:], np.isin(keys, ties)])
+    arrays = (tier_weights, pair_weights, pairs, ints, fused.masks.T.copy())
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
+    """Decide an (n, B, C) block: with n <= 3 each item by its pattern's
+    ``_table`` entry, tied items again by ``_decide`` with their own
+    ``stream_for``; with n >= 4 (a table of 40,000 patterns) by ``_decide``.
+    Fewer than two classes is a ``ConfigError``, also with no items."""
+    if probs.shape[2] < 2:
+        raise ConfigError("model 1 prediction is not a probability vector")
+    n, batch, _ = probs.shape
+    thresholds = (cfg.tau,) + cfg.tau_cascade[:n - 1]
+    items = np.arange(batch)
+    # row n is the label of an item that keeps none
+    tops = np.empty((n + 1, batch), dtype=np.intp)
+    tops[n] = -1
+    probs.argmax(axis=2, out=tops[:n])
+    # each row's peak, read at its argmax: faster than a max over classes
+    peaks = probs[np.arange(n)[:, None], items, tops[:n]]
+    if n > 3:
+        return _decide(tops[:n], peaks, thresholds, cfg.pseudo_weight,
+                       cfg.conflict_drop, stream_for)
+    tier_weights, pair_weights, pairs, ints, masks = _table(
+        n, cfg.pseudo_weight, cfg.conflict_drop,
+        math.copysign(1, cfg.pseudo_weight))
+    key = (tier_weights @ _levels(thresholds)[3].searchsorted(peaks)
+           + pair_weights @ np.equal(*tops.take(pairs, axis=0)))
+    pick, sources, source_models, source_levels, tied = ints.take(key, axis=1)
+    fused = FusedBatch(tops[pick, items], masks.take(key, axis=1).T, sources,
+                       source_models, source_levels)
+    tied = tied.nonzero()[0]
+    if tied.size:
+        again = _decide(tops[:n, tied], peaks[:, tied], thresholds,
+                        cfg.pseudo_weight, cfg.conflict_drop,
+                        lambda b: stream_for(tied[b]))
+        for col, part in zip(fused._columns(), again._columns()):
+            col[tied] = part
+    return fused
 
 
 def fuse_batch(probs: np.ndarray, cfg: FusionConfig, fusion_seed: int,
@@ -253,6 +311,8 @@ def fuse_batch(probs: np.ndarray, cfg: FusionConfig, fusion_seed: int,
     the batch positions), so items fuse identically in any order and a
     predictions dump replays exactly.
     """
+    if items is not None and len(items) != probs.shape[1]:
+        raise ConfigError(f"got {len(items)} item ids for {probs.shape[1]} items")
     ids = range(probs.shape[1]) if items is None else items
 
     def stream_for(b):

@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -628,11 +629,19 @@ class TestFuseBatchAgainstCascadeOracle:
         assert later_tie_first == (n == 4)
 
     def test_numpy_calls_do_not_grow_with_levels(self):
-        def calls(n):
+        def block(n):
             # every model shares class 0 as its argmax, so no item ties
-            probs = -np.sort(-np.random.default_rng(n).dirichlet(
+            return -np.sort(-np.random.default_rng(n).dirichlet(
                 np.full(4, 0.5), size=(n, 64)), axis=2)
-            cfg = cascade_cfg(n, np.linspace(0.6, 0.3, n - 1), tau=0.8)
+
+        def config(n):
+            if n == 1:
+                return FusionConfig(tau=0.8, tau_cascade=(), num_models=1,
+                                    single_model_mode=True)
+            return cascade_cfg(n, np.linspace(0.6, 0.3, n - 1), tau=0.8)
+
+        def calls(fn, *args):
+            fn(*args)  # builds the cached level arrays and table
             count = [0]
 
             def profile(frame, event, arg):
@@ -641,14 +650,25 @@ class TestFuseBatchAgainstCascadeOracle:
             outer = sys.getprofile()
             sys.setprofile(profile)
             try:
-                fused = fuse_batch(probs, cfg, 0, 1)
+                fused = fn(*args)
             finally:
                 sys.setprofile(outer)
             assert 0 < np.mean(fused.labels >= 0)
             assert SOURCE_CONFLICT not in {d.source for d in fused}
             return count[0]
 
-        assert len({calls(n) for n in (2, 3, 4, 5, 6)}) == 1
+        # the table path, n = 1..3
+        assert len({calls(fusion._fuse, block(n), config(n), None)
+                    for n in (1, 2, 3)}) == 1
+
+        # the level engine, which n >= 4 and tied items take
+        def engine(n):
+            probs, cfg = block(n), config(n)
+            return calls(fusion._decide, probs.argmax(axis=2),
+                         probs.max(axis=2), (cfg.tau,) + cfg.tau_cascade,
+                         cfg.pseudo_weight, cfg.conflict_drop, None)
+
+        assert len({engine(n) for n in (2, 3, 4, 5, 6)}) == 1
 
     def test_level_arrays_are_cached_and_read_only(self):
         cfg = cascade_cfg(3, (0.7, 0.5), tau=0.9)
@@ -656,19 +676,167 @@ class TestFuseBatchAgainstCascadeOracle:
         first = fuse_batch(probs, cfg, 5, 2)
         arrays = fusion._levels((0.9, 0.7, 0.5))
         assert fusion._levels((0.9, 0.7, 0.5)) is arrays
-        for a in arrays:
+        # the decision table the block was looked up in
+        tables = fusion._table(3, cfg.pseudo_weight, cfg.conflict_drop, 1.0)
+        assert fusion._table(3, cfg.pseudo_weight, cfg.conflict_drop,
+                             1.0) is tables
+        kept = [a.copy() for a in tables]
+        for a in arrays + tables:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[...] = 0
-        # a caller who writes into a returned batch does not reach the
-        # next call's result
+        # a caller who writes into a returned batch reaches neither the
+        # tables nor the next call's result
         want = [col.copy() for col in first._columns()]
         for col in first._columns():
             col[...] = 3
+        for a, copy in zip(tables, kept):
+            assert a.tobytes() == copy.tobytes()
         again = fuse_batch(probs, cfg, 5, 2)
         for got, col in zip(again._columns(), want):
             assert got.dtype == col.dtype and got.tobytes() == col.tobytes()
         assert 0 < np.mean(again.labels >= 0) < 1
+
+    @pytest.mark.parametrize("single", [False, True], ids=["pair", "single"])
+    def test_items_must_name_every_item_of_the_block(self, single):
+        # one item whose two models are confident about different classes,
+        # so that it ties, and one that does not
+        tie, calm = [[0.99, 0.01], [0.01, 0.99]], [[0.6, 0.4], [0.6, 0.4]]
+        cfg = FusionConfig(single_model_mode=single)
+        for block in ([tie, calm], [calm, tie]):
+            probs = np.array(block).transpose(1, 0, 2)
+            for items in ([7], [7, 8, 9], []):
+                with pytest.raises(ConfigError,
+                                   match=f"^got {len(items)} item ids for 2 items$"):
+                    fuse_batch(probs, cfg, 0, 1, items=items)
+            # single-model mode decides each of the 2 x 2 (model, item) pairs
+            assert len(fuse_batch(probs, cfg, 0, 1, items=[7, 8])) == 2 + 2 * single
+
+
+class TestDecisionTable:
+    """The table ``fuse_batch`` looks items up in for n <= 3 models,
+    against the level engine ``_decide``, which fills it and decides ties
+    and blocks of more models."""
+
+    THRESHOLDS = [(0.9,), (0.9, 0.6), (0.9, 0.7, 0.5), (0.9, 0.8, 0.8)]
+
+    @staticmethod
+    def config(thresholds, pseudo_weight, conflict_drop, models=None):
+        n = len(thresholds)
+        if n == 1:
+            return FusionConfig(tau=thresholds[0], tau_cascade=(),
+                                num_models=models or 1, single_model_mode=True,
+                                pseudo_weight=pseudo_weight,
+                                conflict_drop=conflict_drop)
+        return cascade_cfg(n, thresholds[1:], tau=thresholds[0],
+                           pseudo_weight=pseudo_weight,
+                           conflict_drop=conflict_drop)
+
+    @staticmethod
+    def boundary_block(thresholds, num_classes=4):
+        """Each model's peak at, just above or just below each threshold,
+        or under them all, with every split of the models into argmax
+        classes."""
+        n = len(thresholds)
+        values = sorted({0.3} | {v for t in thresholds for v in (
+            np.nextafter(t, 0.0), t, np.nextafter(t, 1.0))})
+        # restricted growth strings: model i's class is at most one more
+        # than the largest before it
+        splits = [c for c in itertools.product(range(n), repeat=n)
+                  if all(c[i] <= max(c[:i], default=-1) + 1 for i in range(n))]
+        columns = [[peaked_vector(num_classes, cls, v)
+                    for v, cls in zip(vs, classes)]
+                   for vs in itertools.product(values, repeat=n)
+                   for classes in splits]
+        return np.array(columns).transpose(1, 0, 2), len(splits)
+
+    @pytest.mark.parametrize("thresholds", THRESHOLDS,
+                             ids=["n1", "n2", "n3", "n3-equal"])
+    def test_every_pattern_entry_is_the_engines_decision(self, thresholds):
+        n = len(thresholds)
+        probs, splits = self.boundary_block(thresholds)
+        tops, peaks = probs.argmax(axis=2), probs.max(axis=2)
+        # each model's tier and each pair's shared argmax, counted here
+        tiers = (peaks[:, :, None] > np.array(thresholds)).sum(axis=2)
+        first, second = np.triu_indices(n, k=1)
+        shares = tops[first] == tops[second]
+        items = np.arange(probs.shape[1])
+        for pseudo_weight in (0.0, 0.75, 1.0):
+            for conflict_drop in (False, True):
+                tier_weights, pair_weights, pairs, ints, masks = fusion._table(
+                    n, pseudo_weight, conflict_drop, 1.0)
+                assert pairs.tolist() == [first.tolist(), second.tolist()]
+                key = tier_weights @ tiers + pair_weights @ shares
+                # every pattern these thresholds allow occurs
+                assert len(set(key.tolist())) == (
+                    (len(set(thresholds)) + 1) ** n * splits)
+                drew = []
+                want = fusion._decide(
+                    tops, peaks, thresholds, pseudo_weight, conflict_drop,
+                    lambda b: drew.append(b) or np.random.default_rng(b))
+                pick, sources, models, levels, tied = ints[:, key]
+                # the tie flag is set where the engine draws, and every
+                # other entry is its decision
+                assert tied.nonzero()[0].tolist() == drew
+                labels = np.append(tops, np.full((1, len(items)), -1),
+                                   axis=0)[pick, items]
+                for got, col in zip((labels, masks[:, key].T, sources,
+                                     models, levels), want._columns()):
+                    assert got.dtype == col.dtype
+                    assert got[tied == 0].tobytes() == col[tied == 0].tobytes()
+                # and so is fuse_batch's, ties included
+                cfg = self.config(thresholds, pseudo_weight, conflict_drop)
+                fused = fuse_batch(probs, cfg, 3, 4)
+                for got, col in zip(fused._columns(), want._columns()):
+                    assert got[tied == 0].tobytes() == col[tied == 0].tobytes()
+        assert n == 1 or drew
+
+    def test_a_negative_zero_weight_has_its_own_table(self):
+        # -0.0 == 0.0, so a cache keyed by the weight alone would give one
+        # of them the other's masks
+        probs = np.array([[[0.99, 0.01], [0.6, 0.4]],
+                          [[0.99, 0.01], [0.5, 0.5]]])
+        for pseudo_weight in (0.0, -0.0, 0.0):
+            cfg = FusionConfig(pseudo_weight=pseudo_weight)
+            want = fusion._decide(probs.argmax(axis=2), probs.max(axis=2),
+                                  (0.95, 0.75), pseudo_weight, False, None)
+            assert fuse_batch(probs, cfg, 0, 1).masks.tobytes() == (
+                want.masks.tobytes())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fuse_batch_is_the_engine_with_ties_and_item_ids(self, n):
+        gen = np.random.default_rng(80 + n)
+        ties = 0
+        for case in range(90):
+            num_classes = int(gen.integers(2, 6))
+            batch = int(gen.integers(1, 40))
+            models = int(gen.integers(1, 4)) if n == 1 else n
+            probs = gen.dirichlet(np.full(num_classes, 0.3),
+                                  size=(models, batch))
+            thresholds = tuple(np.sort(gen.uniform(0.3, 0.95, size=n))[::-1])
+            if n > 1 and gen.random() < 0.5:
+                thresholds = thresholds[:2] + (thresholds[1],) * (n - 2)
+            # two models confident about different classes tie at level 1
+            for b in gen.choice(batch, size=batch // 3, replace=False):
+                i, j = gen.choice(models, size=2, replace=models < 2)
+                probs[i, b] = peaked_vector(num_classes, 0, 0.99)
+                probs[j, b] = peaked_vector(num_classes, 1, 0.99)
+            cfg = self.config(thresholds, [0.0, 0.75, 1.0][case % 3],
+                              case % 2 == 1, models)
+            items = gen.permutation(10 * batch)[:batch]
+            seed = int(gen.integers(2 ** 32))
+            fused = fuse_batch(probs, cfg, seed, case, items=items)
+            block = probs.reshape(1, -1, num_classes) if n == 1 else probs
+            want = fusion._decide(
+                block.argmax(axis=2), block.max(axis=2), thresholds,
+                cfg.pseudo_weight, cfg.conflict_drop,
+                lambda b: np.random.default_rng([seed, case, int(items[b])]))
+            for got, col in zip(fused._columns(), want._columns()):
+                assert got.dtype == col.dtype and got.shape == col.shape
+                assert got.tobytes() == col.tobytes(), case
+            ties += int(np.count_nonzero(fused.sources == SOURCES.index(
+                SOURCE_CONFLICT)))
+        assert (ties > 100) == (n > 1)
 
 
 class TestSelectDebiasSubset:

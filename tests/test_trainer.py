@@ -1388,7 +1388,7 @@ class TestCallBudget:
     and is pinned on numpy >= 2 only."""
 
     # n: (direct, total) over the 10 counted steps
-    CEILINGS = {1: (1461, 1491), 2: (1790, 1820), 3: (1983, 2013)}
+    CEILINGS = {1: (1361, 1391), 2: (1690, 1720), 3: (1883, 1913)}
     SPEC = SyntheticSpec(num_classes=4, dim=2, samples_per_class=250,
                          class_separation=3.0, noise_sigma=1.0)
 
