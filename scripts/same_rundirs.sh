@@ -5,7 +5,7 @@
 #
 # Each tree is a checkout of the repository; its package is imported from
 # <tree>/src. For each tree the script generates the datasets, trains the
-# eighteen configurations below (eleven desk-profile runs on 2-wide vectors
+# twenty configurations below (thirteen desk-profile runs on 2-wide vectors
 # and seven paper-profile runs on 3072-wide CIFAR-format images written by the
 # script itself, whose test set is large enough to be evaluated in row
 # chunks), replays every prediction dump with `copseudo fuse-trace`,
@@ -20,7 +20,8 @@
 # the bytes of image.ds and image-test.ds: their container may change
 # between trees, so only their content digests are compared. It counts the
 # replayed `conflict_coin_flip` rows at level 1 and at levels >= 2, and
-# fails when the ties4-drop replays lack either kind.
+# fails when the ties4-drop replays lack either kind or the ties3 or
+# ties3-drop replays hold none.
 # Every command runs from inside the result directory with relative paths,
 # so the logs of identical code are identical too.
 #
@@ -56,10 +57,13 @@ work=$(cd "$work" && pwd)
 # image as it is. ties4 and ties4-drop dump each of their first six steps
 # for four models: ties4 replays consensus at levels 2, 3 and 4, and
 # level-2 ties that its coin flips settle; ties4-drop replays coin flips
-# at level 1 and at level 2, whose labels it drops. image-hidden8 (a first
-# hidden layer 8 wide) and image-b40 (280 unlabeled rows, not a multiple of
-# 64) lie outside the shapes whose kept strong rows are multiplied alone,
-# so their strong passes multiply the whole block of each model's views.
+# at level 1 and at level 2, whose labels it drops. ties3 and ties3-drop
+# do the same for three models, whose blocks fusion looks up in its
+# decision table: both replay level-1 coin flips, ties3-drop dropping
+# their labels. image-hidden8 (a first hidden layer 8 wide) and image-b40
+# (280 unlabeled rows, not a multiple of 64) lie outside the shapes whose
+# kept strong rows are multiplied alone, so their strong passes multiply
+# the whole block of each model's views.
 DESK="--profile desk"
 CONFIGS=(
     "pair|mcar|test|$DESK --models 2 --steps 60 --eval-every 10 --dump-predictions-every 20|"
@@ -73,6 +77,8 @@ CONFIGS=(
     "low-tau|mcar|test|$DESK --models 2 --steps 40 --eval-every 20 --dump-predictions-every 20|--tau 0.4 --tau2 0.3"
     "ties4|mcar|test|$DESK --models 4 --steps 6 --eval-every 3 --dump-predictions-every 1|--tau 0.9 --tau-cascade 0.4,0.35,0.3"
     "ties4-drop|mcar|test|$DESK --models 4 --steps 6 --eval-every 3 --dump-predictions-every 1|--tau 0.5 --tau-cascade 0.35,0.3,0.25 --conflict-drop"
+    "ties3|mcar|test|$DESK --models 3 --steps 6 --eval-every 3 --dump-predictions-every 1|--tau 0.5 --tau-cascade 0.4,0.3"
+    "ties3-drop|mcar|test|$DESK --models 3 --steps 6 --eval-every 3 --dump-predictions-every 1|--tau 0.45 --tau-cascade 0.4,0.35 --conflict-drop"
     "image|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2|--tau 0.3 --tau2 0.2"
     "image-shifts|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2 --aug-image-shift-weak 0 --aug-image-shift-strong 40|--tau 0.3 --tau2 0.2"
     "image-noshift|image|image-test|--profile paper --models 2 --steps 4 --eval-every 2 --dump-predictions-every 2 --aug-image-shift-strong 0|--tau 0.3 --tau2 0.2"
@@ -188,6 +194,11 @@ count_flips() {
 }
 read -r flips1 flips2 <<< "$(count_flips "$work"/parent/trace-*.csv)"
 read -r drop1 drop2 <<< "$(count_flips "$work"/parent/trace-ties4-drop-step*.csv)"
+all_flips() {
+    count_flips "$@" | awk '{ print $1 + $2 }'
+}
+ties3=$(all_flips "$work"/parent/trace-ties3-step*.csv)
+ties3_drop=$(all_flips "$work"/parent/trace-ties3-drop-step*.csv)
 flips="$flips1 coin flips at level 1 and $flips2 at levels >= 2 replayed"
 failed=$(grep -L '^0$' "$work"/parent/logs/*.code "$work"/change/logs/*.code)
 if ! diff -r -x image.ds -x image-test.ds "$work/parent" "$work/change"; then
@@ -202,6 +213,11 @@ fi
 if [ "$drop1" -eq 0 ] || [ "$drop2" -eq 0 ]; then
     echo "identical, but ties4-drop replayed $drop1 coin flips at level 1" \
         "and $drop2 at levels >= 2; it needs both ($work)"
+    exit 1
+fi
+if [ "$ties3" -eq 0 ] || [ "$ties3_drop" -eq 0 ]; then
+    echo "identical, but ties3 replayed $ties3 coin flips and ties3-drop" \
+        "$ties3_drop; each needs one ($work)"
     exit 1
 fi
 echo "identical: $files files, $traces fuse-trace outputs, $flips ($work)"

@@ -2,14 +2,15 @@
 
 Vectors get Gaussian jitter (weak) or heavier jitter plus coordinate
 dropout (strong).  Images get flip/translate (weak) or two operations
-drawn from {flip, translate, brightness, cutout} (strong).  Each kind and
-modality has one batch function, which writes into ``out``;
+drawn from {flip, translate, brightness, cutout} (strong).  Weak vectors
+and each image kind have one batch function, which writes into ``out``;
+strong vectors are served from a stream's block (below).
 ``AugmentStream.apply_batch_into`` (which also takes a per-row ``keep``
 mask, whose False rows a strong image stream leaves unwritten, and uint8
-pixel rows) is the one entry point.  Every batch function
-draws its random numbers in the order a loop over single rows would, so
-no view depends on how rows are grouped into batches, and each stream
-owns its generator, so call order alone determines the views.
+pixel rows) is the one entry point.  Every transform draws its random
+numbers in the order a loop over single rows would, so no view depends
+on how rows are grouped into batches, and each stream owns its
+generator, so call order alone determines the views.
 
 Strong vectors and both image transforms are defined by the 64-bit
 words of the stream's ``PCG64`` bit generator, whose stream numpy keeps
@@ -106,16 +107,6 @@ def weak_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
     noise = rng.standard_normal(xs.shape)
     noise *= cfg.sigma_weak
     return np.add(xs, noise, out=out)
-
-
-def strong_vectors(xs: np.ndarray, rng, cfg: AugmentConfig,
-                   out: np.ndarray) -> np.ndarray:
-    """(B, d) rows plus heavier jitter, then coordinate dropout.  Row by
-    row, d normals then d uniforms (``_vector_draws``): a block of the
-    batch's rows, served whole."""
-    if not xs.size:  # a batch of no rows or of empty rows draws nothing
-        return out
-    return _VectorBlock(rng.bit_generator, *xs.shape, cfg).serve(xs, out)
 
 
 @cache
@@ -619,11 +610,12 @@ class AugmentStream:
         return out
 
     def _strong_vectors(self, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``strong_vectors`` served from the stream's block.  When it does
-        not hold the batch's rows, a new block is drawn from the
-        generator's state: the fewest whole batches of n rows that hold
-        ``_BLOCK_VALUES`` values of each kind, so batches of one size use
-        every row drawn."""
+        """(B, d) rows plus heavier jitter, then coordinate dropout, served
+        from the stream's block: row by row, d normals then d uniforms
+        (``_vector_draws``).  When the block does not hold the batch's
+        rows, a new one is drawn from the generator's state: the fewest
+        whole batches of n rows that hold ``_BLOCK_VALUES`` values of each
+        kind, so batches of one size use every row drawn."""
         n, d = xs.shape
         if not d:  # rows with no features draw nothing
             return out

@@ -3,13 +3,13 @@
 Given each model's predicted class distribution for an unlabeled item,
 decide whether the item gets a pseudo-label, which label, and what loss
 weight each model applies to it.  One array engine decides items at all
-n agreement levels at once, along a leading level axis, and each item
-takes the lowest level with a proposal; a tie there is settled by a
-uniform draw from the item's own generator.  ``fuse_batch`` looks each
-item of a block of at most three models up in a table that engine fills
-once, and sends it only tied items and larger blocks.  In single-model
-mode it decides the block's (model, item) pairs, model-major, as one
-one-model block, which never ties.
+n agreement levels at once, along a leading level axis; each item takes
+the lowest level with a proposal, and the engine, which draws nothing,
+gives its decision for every pick a tie there can make.  ``fuse_batch``
+looks items of at most three models up in a table of its output, filled
+once, and runs it once on a larger block; a tied item takes the pick of
+a uniform draw from its own generator.  In single-model mode it decides
+the block's (model, item) pairs, model-major, as one one-model block.
 ``fuse_batch`` trusts its rows to be distributions: the trainer's come
 from a softmax it has checked for finite values, and ``fuse-trace``
 checks a dump's with ``first_invalid_row``.  ``fuse_pair``,
@@ -192,14 +192,17 @@ def _levels(thresholds: tuple) -> tuple:
 
 
 def _decide(tops, peaks, thresholds: tuple, pseudo_weight: float,
-            conflict_drop: bool, stream_for) -> FusedBatch:
+            conflict_drop: bool) -> tuple:
     """The level engine: decide items by their (n, B) argmaxes and peaks.
     Level 1: any model over the first threshold proposes its argmax; level
     k >= 2: any k models over the level's threshold that share an argmax
     propose it.  All levels are decided at once, and an item takes the
-    lowest with a proposal.  Distinct labels there, ordered by their first
-    supporter, are settled by a uniform draw from ``stream_for(b)``, called
-    only for such items, in item order."""
+    lowest with a proposal; its proposals there are ordered by their first
+    supporter.  Returns each item's proposal count, the (n, B) mask rows
+    and a (4, P * B) int table, P the largest count (at least 1): at
+    p * B + b, item b's chosen model (n: no label), source, source model
+    and level when its draw picks p, which takes its (p + 1)-th proposal,
+    or its last when it has fewer."""
     thresholds, levels, earlier, _ = _levels(thresholds)
     # members[l, i, b]: model i clears level l's threshold on item b;
     # shared[l, i, j, b]: model j is a member and shares model i's argmax
@@ -211,36 +214,40 @@ def _decide(tops, peaks, thresholds: tuple, pseudo_weight: float,
                  & ~np.logical_or.reduce(shared & earlier, axis=2))
     counts = np.add.reduce(proposers, axis=1)
     # each item's deciding level (0 where none decides) and its proposals
-    items = np.arange(tops.shape[1])
+    n, batch = tops.shape
+    items = np.arange(batch)
     lv = (counts > 0).argmax(axis=0)
     count = counts[lv, items]
-    chosen = proposers[lv, :, items].argmax(axis=1)
-    for b in (count > 1).nonzero()[0].tolist():
-        pick = int(stream_for(b).integers(int(count[b])))
-        chosen[b] = proposers[lv[b], :, b].nonzero()[0][pick]
-
+    # rank[i, b]: item b's proposers among models 0..i; its pick p,
+    # ints[:, p, b], takes the first model whose rank is min(p + 1, count)
+    rank = proposers[lv, :, items].T.cumsum(axis=0)
+    picks = max(int(count.max(initial=0)), 1)
+    ints = np.empty((4, picks, batch), dtype=np.intp)
+    chosen = ints[0]
+    (rank >= np.minimum(levels[:picks], count)).argmax(axis=1, out=chosen)
     decided, tied, later = count > 0, count > 1, lv > 0
-    labels = np.where(decided & ~(tied & conflict_drop),
-                      tops[chosen, items], -1)
+    # an untied item's chosen model is the same for every pick
     sources = np.where(later, _CONSENSUS,
-                       np.where(support[0, chosen, items] >= 2, _BOTH, _OWN))
+                       np.where(support[0, chosen[0], items] >= 2, _BOTH, _OWN))
     sources[tied & (conflict_drop | ~later)] = _CONFLICT
     sources[~decided] = _NONE
-    source_models = np.where(decided & ~later & (sources != _BOTH), chosen + 1, 0)
-    source_levels = np.where(later, lv + 1, 0)
+    ints[1] = sources
+    ints[2] = np.where(decided & ~later & (sources != _BOTH), chosen + 1, 0)
+    ints[3] = np.where(later, lv + 1, 0)
+    kept = decided & ~(tied & conflict_drop)
+    chosen[:, ~kept] = n
     # weights are >= 0, so an absent label's masks are +0.0
-    masks = np.where(members[0], pseudo_weight, 1.0).T * (labels >= 0)[:, None]
-    return FusedBatch(labels, masks, sources, source_models, source_levels)
+    masks = np.where(members[0], pseudo_weight, 1.0) * kept
+    return count, ints.reshape(4, -1), masks
 
 
 @lru_cache(maxsize=64)
 def _table(n: int, pseudo_weight: float, conflict_drop: bool, sign) -> tuple:
-    """``_fuse``'s read-only table for n <= 3.  A pattern is each model's
-    tier (how many thresholds its peak clears) and which pairs (``pairs``'
-    columns) share an argmax, keyed ``tier_weights @ tiers + pair_weights @
-    shares``.  The engine decides one item per pattern, peaks tier + 0.5
-    against thresholds (n, ..., 1); ``ints`` rows: the chosen model (n: no
-    label), source, source model, level, tie; ``masks`` columns: mask rows.
+    """``_fuse``'s read-only table for n <= 3: ``_decide``'s output for one
+    synthetic item per pattern.  A pattern is each model's tier (how many
+    thresholds its peak clears) and which pairs (``pairs``' columns) share
+    an argmax, keyed ``tier_weights @ tiers + pair_weights @ shares``; its
+    item has peaks tier + 0.5 against thresholds (n, ..., 1).
     pseudo_weight's ``sign`` keys the cache too, since -0.0 == 0.0."""
     pairs = np.array(np.triu_indices(n, k=1))
     pair_weights = 1 << np.arange(pairs.shape[1])
@@ -250,23 +257,19 @@ def _table(n: int, pseudo_weight: float, conflict_drop: bool, sign) -> tuple:
     tops = np.arange(n)[:, None].repeat(len(keys), axis=1)
     for (i, j), bit in reversed(list(zip(pairs.T, pair_weights))):
         tops[j, (keys & bit) > 0] = i
-    ties, rng = [], np.random.default_rng(0)
-    fused = _decide(tops, keys // tier_weights[:, None] % (n + 1) + 0.5,
-                    tuple(range(n, 0, -1)), pseudo_weight, conflict_drop,
-                    lambda b: ties.append(b) or rng)
-    ints = np.stack([np.where(fused.labels < 0, n, fused.labels),
-                     *fused._columns()[2:], np.isin(keys, ties)])
-    arrays = (tier_weights, pair_weights, pairs, ints, fused.masks.T.copy())
+    arrays = (tier_weights, pair_weights, pairs) + _decide(
+        tops, keys // tier_weights[:, None] % (n + 1) + 0.5,
+        tuple(range(n, 0, -1)), pseudo_weight, conflict_drop)
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
 def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
-    """Decide an (n, B, C) block: with n <= 3 each item by its pattern's
-    ``_table`` entry, tied items again by ``_decide`` with their own
-    ``stream_for``; with n >= 4 (a table of 40,000 patterns) by ``_decide``.
-    Fewer than two classes is a ``ConfigError``, also with no items."""
+    """Decide an (n, B, C) block by key: each item's pattern in ``_table``
+    (n <= 3), or its index in ``_decide``'s output (n >= 4: a table would
+    hold 40,000 patterns), moved to the pick its ``stream_for`` draws when
+    tied.  Fewer than two classes is a ``ConfigError``, also with no items."""
     if probs.shape[2] < 2:
         raise ConfigError("model 1 prediction is not a probability vector")
     n, batch, _ = probs.shape
@@ -279,24 +282,21 @@ def _fuse(probs: np.ndarray, cfg: FusionConfig, stream_for) -> FusedBatch:
     # each row's peak, read at its argmax: faster than a max over classes
     peaks = probs[np.arange(n)[:, None], items, tops[:n]]
     if n > 3:
-        return _decide(tops[:n], peaks, thresholds, cfg.pseudo_weight,
-                       cfg.conflict_drop, stream_for)
-    tier_weights, pair_weights, pairs, ints, masks = _table(
-        n, cfg.pseudo_weight, cfg.conflict_drop,
-        math.copysign(1, cfg.pseudo_weight))
-    key = (tier_weights @ _levels(thresholds)[3].searchsorted(peaks)
-           + pair_weights @ np.equal(*tops.take(pairs, axis=0)))
-    pick, sources, source_models, source_levels, tied = ints.take(key, axis=1)
-    fused = FusedBatch(tops[pick, items], masks.take(key, axis=1).T, sources,
-                       source_models, source_levels)
-    tied = tied.nonzero()[0]
-    if tied.size:
-        again = _decide(tops[:n, tied], peaks[:, tied], thresholds,
-                        cfg.pseudo_weight, cfg.conflict_drop,
-                        lambda b: stream_for(tied[b]))
-        for col, part in zip(fused._columns(), again._columns()):
-            col[tied] = part
-    return fused
+        counts, ints, masks = _decide(tops[:n], peaks, thresholds,
+                                      cfg.pseudo_weight, cfg.conflict_drop)
+        key = np.arange(batch)
+    else:
+        tier_weights, pair_weights, pairs, counts, ints, masks = _table(
+            n, cfg.pseudo_weight, cfg.conflict_drop,
+            math.copysign(1, cfg.pseudo_weight))
+        key = (tier_weights @ _levels(thresholds)[3].searchsorted(peaks)
+               + pair_weights @ np.equal(*tops.take(pairs, axis=0)))
+    masks, count = masks.take(key, axis=1).T, counts.take(key)
+    for b in (count > 1).nonzero()[0].tolist():
+        key[b] += stream_for(b).integers(count[b]) * counts.size
+    chosen, sources, source_models, source_levels = ints.take(key, axis=1)
+    return FusedBatch(tops[chosen, items], masks, sources, source_models,
+                      source_levels)
 
 
 def fuse_batch(probs: np.ndarray, cfg: FusionConfig, fusion_seed: int,

@@ -15,7 +15,6 @@ from copseudo.augment import (
     AugmentStream,
     _shift_slices,
     strong_images,
-    strong_vectors,
     weak_images,
     weak_vectors,
 )
@@ -95,6 +94,28 @@ def scripted(*draws):
     return ScriptedWords(words)
 
 
+def strong_vector_stream(rng):
+    """A strong vector stream that draws from ``rng``, a generator or a
+    ``ScriptedWords``."""
+    stream = AugmentStream("strong", "vector", seed=0)
+    stream.rng = rng
+    return stream
+
+
+def block_rows(sizes, width):
+    """The rows of each block a strong vector stream draws to serve
+    batches of ``sizes`` rows of ``width`` features in turn: a batch the
+    block's rows left cannot serve draws the fewest whole batches that
+    hold ``augment._BLOCK_VALUES`` values."""
+    rows = -(-augment._BLOCK_VALUES // width)  # a block's fewest rows
+    left, blocks = 0, []
+    for size in sizes:
+        if size > left:
+            blocks.append(left := size * -(-rows // size))
+        left -= size
+    return blocks
+
+
 def ramp_image(c=1, h=4, w=4):
     return np.arange(c * h * w, dtype=np.float64).reshape(c, h, w) / (c * h * w)
 
@@ -150,7 +171,7 @@ class TestVectorTransforms:
         rng = scripted(("normal", 1.0), ("normal", 1.0), ("normal", 1.0),
                        # coords 0 and 2 fall under p=0.1
                        ("random", 0.05), ("random", 0.5), ("random", 0.09))
-        out = strong_vectors(x[None], rng, CFG, np.empty((1, 3)))[0]
+        out = apply_batch(strong_vector_stream(rng), x[None])[0]
         np.testing.assert_allclose(out, [0.0, 2.25, 0.0])
         assert rng.spent()
 
@@ -170,7 +191,7 @@ class TestVectorTransforms:
     def test_strong_dropout_rate_statistics(self):
         rng = np.random.default_rng(1)
         x = np.ones(40000)
-        out = strong_vectors(x[None], rng, CFG, np.empty((1,) + x.shape))[0]
+        out = apply_batch(strong_vector_stream(rng), x[None])[0]
         zero_rate = (out == 0.0).mean()
         assert abs(zero_rate - CFG.vector_drop_prob) < 0.01
 
@@ -450,8 +471,9 @@ class TestProperties:
     def test_vector_transforms_preserve_shape(self, seed, dim):
         rng = np.random.default_rng(seed)
         x = rng.random(dim)
-        for fn in (weak_vectors, strong_vectors):
-            assert fn(x[None], rng, CFG, np.empty((1, dim)))[0].shape == (dim,)
+        assert weak_vectors(x[None], rng, CFG,
+                            np.empty((1, dim)))[0].shape == (dim,)
+        assert apply_batch(strong_vector_stream(rng), x[None])[0].shape == (dim,)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -966,19 +988,20 @@ class TestNormalReplay:
 
     @staticmethod
     def check_rows(width, seed, buffered):
-        """Consecutive batches of every size through ``strong_vectors`` on
-        a ``default_rng`` and through the oracle; ``buffered`` uint32
-        draws come first, which leave the buffer full (1) or holding a
-        spent value (2)."""
+        """Consecutive batches of every size through a strong vector
+        stream on a ``default_rng`` and through the oracle; ``buffered``
+        uint32 draws come first, which leave the buffer full (1) or
+        holding a spent value (2)."""
         rngs = [np.random.default_rng(seed) for _ in range(2)]
         for rng in rngs:
             for _ in range(buffered):
                 rng.integers(0, 4)
         got_rng, ref_rng = rngs
+        stream = strong_vector_stream(got_rng)
         data = np.random.default_rng(seed + 100)
         for size in TestNormalReplay.SIZES + TestNormalReplay.SIZES[::-1]:
             xs = data.uniform(-2.0, 2.0, size=(size, width))
-            got = strong_vectors(xs, got_rng, CFG, np.empty(xs.shape))
+            got = apply_batch(stream, xs)
             want = np.array([strong_vector(row, ref_rng, CFG) for row in xs])
             assert got.tobytes() == want.reshape(size, width).tobytes(), (
                 width, seed, size)
@@ -990,8 +1013,11 @@ class TestNormalReplay:
         calls = self.count_replays(monkeypatch)
         for seed, buffered in ((0, 0), (1, 1), (2, 2)):
             self.check_rows(width, seed, buffered)
-        # every batch with a value was replayed; one with none draws nothing
-        assert len(calls) == (3 * 2 * (len(self.SIZES) - 1) if width else 0)
+        # each seed's stream drew the blocks its batches need; rows with
+        # no values draw nothing
+        sizes = self.SIZES + self.SIZES[::-1]
+        assert calls == (3 * [(rows, width) for rows in block_rows(sizes, width)]
+                         if width else [])
 
     @staticmethod
     def trace_normals(monkeypatch):
@@ -1079,7 +1105,8 @@ class TestNormalReplay:
 
     def test_a_batch_that_runs_short_starts_again(self, monkeypatch):
         # with no spare words, 6 normals fetch 12 words, and any normal
-        # off the fast path runs past them
+        # off the fast path runs past them; with _BLOCK_VALUES at 1 the
+        # stream's block is just the batch
         calls, replay = [], augment._vector_draws
 
         def no_spare(bg, n, d, spare=0):
@@ -1087,10 +1114,11 @@ class TestNormalReplay:
             return replay(bg, n, d, spare)
 
         monkeypatch.setattr(augment, "_vector_draws", no_spare)
+        monkeypatch.setattr(augment, "_BLOCK_VALUES", 1)
         xs = np.random.default_rng(5).random((3, 2))
         for seed in range(100):
             rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = strong_vectors(xs, rng, CFG, np.empty(xs.shape))
+            got = apply_batch(strong_vector_stream(rng), xs)
             want = np.array([strong_vector(row, twin, CFG) for row in xs])
             assert got.tobytes() == want.tobytes(), seed
             assert rng.bit_generator.state == twin.bit_generator.state
@@ -1139,19 +1167,12 @@ class TestStrongVectorBlock:
         rows = -(-augment._BLOCK_VALUES // width)  # a block's fewest rows
         sizes = (1, 63, 64, 65, rows - 1, rows, rows + 1, 3 * rows)
         sizes += sizes[::-1]
-        # a batch the block's rows left cannot serve draws a block of the
-        # fewest whole batches that hold rows rows
-        left, blocks = 0, []
-        for size in sizes:
-            if size > left:
-                blocks.append(left := size * -(-rows // size))
-            left -= size
         for seed, buffered in ((0, 0), (1, 1), (2, 2)):
             stream, twin = self.pair(seed, buffered)
             data = np.random.default_rng(seed + 100)
             for size in sizes:
                 self.check_batch(stream, twin, size, width, data)
-        assert calls == 3 * blocks
+        assert calls == 3 * block_rows(sizes, width)
 
     @pytest.mark.parametrize("width", [1, 2, 16, 3072])
     def test_outside_draws_and_state_sets_drop_the_block(self, width):

@@ -650,23 +650,31 @@ class TestFuseBatchAgainstCascadeOracle:
             outer = sys.getprofile()
             sys.setprofile(profile)
             try:
-                fused = fn(*args)
+                out = fn(*args)
             finally:
                 sys.setprofile(outer)
-            assert 0 < np.mean(fused.labels >= 0)
-            assert SOURCE_CONFLICT not in {d.source for d in fused}
-            return count[0]
+            return count[0], out
 
         # the table path, n = 1..3
-        assert len({calls(fusion._fuse, block(n), config(n), None)
-                    for n in (1, 2, 3)}) == 1
+        table = set()
+        for n in (1, 2, 3):
+            count, fused = calls(fusion._fuse, block(n), config(n), None)
+            assert 0 < np.mean(fused.labels >= 0)
+            assert SOURCE_CONFLICT not in {d.source for d in fused}
+            table.add(count)
+        assert len(table) == 1
 
-        # the level engine, which n >= 4 and tied items take
+        # the level engine, which decides blocks of n >= 4
         def engine(n):
             probs, cfg = block(n), config(n)
-            return calls(fusion._decide, probs.argmax(axis=2),
-                         probs.max(axis=2), (cfg.tau,) + cfg.tau_cascade,
-                         cfg.pseudo_weight, cfg.conflict_drop, None)
+            count, (proposals, ints, masks) = calls(
+                fusion._decide, probs.argmax(axis=2), probs.max(axis=2),
+                (cfg.tau,) + cfg.tau_cascade, cfg.pseudo_weight,
+                cfg.conflict_drop)
+            assert proposals.max() == 1
+            # no item ties, so the engine builds one pick
+            assert ints.shape == (4, 64) and masks.shape == (n, 64)
+            return count
 
         assert len({engine(n) for n in (2, 3, 4, 5, 6)}) == 1
 
@@ -713,10 +721,22 @@ class TestFuseBatchAgainstCascadeOracle:
             assert len(fuse_batch(probs, cfg, 0, 1, items=[7, 8])) == 2 + 2 * single
 
 
+class PickStream:
+    """Generator stand-in whose draw returns pick ``p``, clamped to the
+    last of the ``k`` proposals it is asked to choose among."""
+
+    def __init__(self, p):
+        self.p, self.draws = p, []
+
+    def integers(self, k):
+        self.draws.append(int(k))
+        return min(self.p, int(k) - 1)
+
+
 class TestDecisionTable:
-    """The table ``fuse_batch`` looks items up in for n <= 3 models,
-    against the level engine ``_decide``, which fills it and decides ties
-    and blocks of more models."""
+    """The table ``fuse_batch`` looks items up in for n <= 3 models, and
+    the output of the level engine ``_decide`` that fills it and decides
+    blocks of more models, against the per-item oracle for every pick."""
 
     THRESHOLDS = [(0.9,), (0.9, 0.6), (0.9, 0.7, 0.5), (0.9, 0.8, 0.8)]
 
@@ -756,40 +776,51 @@ class TestDecisionTable:
         n = len(thresholds)
         probs, splits = self.boundary_block(thresholds)
         tops, peaks = probs.argmax(axis=2), probs.max(axis=2)
+        labels = np.append(tops, np.full((1, tops.shape[1]), -1), axis=0)
         # each model's tier and each pair's shared argmax, counted here
         tiers = (peaks[:, :, None] > np.array(thresholds)).sum(axis=2)
         first, second = np.triu_indices(n, k=1)
         shares = tops[first] == tops[second]
         items = np.arange(probs.shape[1])
+        tied = 0
         for pseudo_weight in (0.0, 0.75, 1.0):
             for conflict_drop in (False, True):
-                tier_weights, pair_weights, pairs, ints, masks = fusion._table(
-                    n, pseudo_weight, conflict_drop, 1.0)
+                cfg = self.config(thresholds, pseudo_weight, conflict_drop)
+                tier_weights, pair_weights, pairs, counts, ints, masks = (
+                    fusion._table(n, pseudo_weight, conflict_drop, 1.0))
                 assert pairs.tolist() == [first.tolist(), second.tolist()]
                 key = tier_weights @ tiers + pair_weights @ shares
                 # every pattern these thresholds allow occurs
                 assert len(set(key.tolist())) == (
                     (len(set(thresholds)) + 1) ** n * splits)
-                drew = []
-                want = fusion._decide(
-                    tops, peaks, thresholds, pseudo_weight, conflict_drop,
-                    lambda b: drew.append(b) or np.random.default_rng(b))
-                pick, sources, models, levels, tied = ints[:, key]
-                # the tie flag is set where the engine draws, and every
-                # other entry is its decision
-                assert tied.nonzero()[0].tolist() == drew
-                labels = np.append(tops, np.full((1, len(items)), -1),
-                                   axis=0)[pick, items]
-                for got, col in zip((labels, masks[:, key].T, sources,
-                                     models, levels), want._columns()):
-                    assert got.dtype == col.dtype
-                    assert got[tied == 0].tobytes() == col[tied == 0].tobytes()
-                # and so is fuse_batch's, ties included
-                cfg = self.config(thresholds, pseudo_weight, conflict_drop)
-                fused = fuse_batch(probs, cfg, 3, 4)
-                for got, col in zip(fused._columns(), want._columns()):
-                    assert got[tied == 0].tobytes() == col[tied == 0].tobytes()
-        assert n == 1 or drew
+                # the pattern's entries are the engine's output on the items
+                count, engine, engine_masks = fusion._decide(
+                    tops, peaks, thresholds, pseudo_weight, conflict_drop)
+                assert counts[key].tobytes() == count.tobytes()
+                assert masks[:, key].tobytes() == engine_masks.tobytes()
+                picks = (np.arange(n)[:, None] * len(counts) + key).ravel()
+                assert ints[:, picks].tobytes() == engine.tobytes()
+                assert ints.shape == (4, n * len(counts))
+                assert ints.dtype == count.dtype == np.dtype("<i8")
+                # and each (pattern, pick) entry is the oracle's decision
+                # when the item's draw returns that pick
+                for p in range(n):
+                    chosen, sources, models, levels = ints[:, p * len(counts) + key]
+                    got = FusedBatch(labels[chosen, items], masks[:, key].T,
+                                     sources, models, levels)
+                    for b, decision in enumerate(got):
+                        stream = PickStream(p)
+                        want = reference_cascade_decision(
+                            list(probs[:, b]), cfg, stream)
+                        assert decision == want, (p, b, decision, want)
+                        assert stream.draws == (
+                            [count[b]] if count[b] > 1 else [])
+                tied += int(np.count_nonzero(count > 1))
+                # and fuse_batch's keys, ties included, give the oracle's
+                # decisions
+                TestFuseBatchAgainstCascadeOracle.check_items(
+                    fuse_batch(probs, cfg, 3, 4), probs, cfg, 3, 4)
+        assert (tied > 0) == (n > 1)
 
     def test_a_negative_zero_weight_has_its_own_table(self):
         # -0.0 == 0.0, so a cache keyed by the weight alone would give one
@@ -798,45 +829,78 @@ class TestDecisionTable:
                           [[0.99, 0.01], [0.5, 0.5]]])
         for pseudo_weight in (0.0, -0.0, 0.0):
             cfg = FusionConfig(pseudo_weight=pseudo_weight)
-            want = fusion._decide(probs.argmax(axis=2), probs.max(axis=2),
-                                  (0.95, 0.75), pseudo_weight, False, None)
+            _, _, masks = fusion._decide(probs.argmax(axis=2), probs.max(axis=2),
+                                         (0.95, 0.75), pseudo_weight, False)
             assert fuse_batch(probs, cfg, 0, 1).masks.tobytes() == (
-                want.masks.tobytes())
+                masks.T.tobytes())
+
+    @staticmethod
+    def tie_heavy_case(gen, n, case):
+        """A random block of n models (1-3 in single-model mode when n is
+        1) in which a third of the items tie at level 1, and its config."""
+        num_classes = int(gen.integers(2, 6))
+        batch = int(gen.integers(1, 40))
+        models = int(gen.integers(1, 4)) if n == 1 else n
+        probs = gen.dirichlet(np.full(num_classes, 0.3), size=(models, batch))
+        thresholds = tuple(np.sort(gen.uniform(0.3, 0.95, size=n))[::-1])
+        if n > 1 and gen.random() < 0.5:
+            thresholds = thresholds[:2] + (thresholds[1],) * (n - 2)
+        # two models confident about different classes tie at level 1
+        for b in gen.choice(batch, size=batch // 3, replace=False):
+            i, j = gen.choice(models, size=2, replace=models < 2)
+            probs[i, b] = peaked_vector(num_classes, 0, 0.99)
+            probs[j, b] = peaked_vector(num_classes, 1, 0.99)
+        cfg = TestDecisionTable.config(thresholds, [0.0, 0.75, 1.0][case % 3],
+                                       case % 2 == 1, models)
+        return probs, thresholds, cfg
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_fuse_batch_is_the_engine_with_ties_and_item_ids(self, n):
         gen = np.random.default_rng(80 + n)
         ties = 0
         for case in range(90):
-            num_classes = int(gen.integers(2, 6))
-            batch = int(gen.integers(1, 40))
-            models = int(gen.integers(1, 4)) if n == 1 else n
-            probs = gen.dirichlet(np.full(num_classes, 0.3),
-                                  size=(models, batch))
-            thresholds = tuple(np.sort(gen.uniform(0.3, 0.95, size=n))[::-1])
-            if n > 1 and gen.random() < 0.5:
-                thresholds = thresholds[:2] + (thresholds[1],) * (n - 2)
-            # two models confident about different classes tie at level 1
-            for b in gen.choice(batch, size=batch // 3, replace=False):
-                i, j = gen.choice(models, size=2, replace=models < 2)
-                probs[i, b] = peaked_vector(num_classes, 0, 0.99)
-                probs[j, b] = peaked_vector(num_classes, 1, 0.99)
-            cfg = self.config(thresholds, [0.0, 0.75, 1.0][case % 3],
-                              case % 2 == 1, models)
+            probs, _, cfg = self.tie_heavy_case(gen, n, case)
+            batch, num_classes = probs.shape[1:]
             items = gen.permutation(10 * batch)[:batch]
             seed = int(gen.integers(2 ** 32))
             fused = fuse_batch(probs, cfg, seed, case, items=items)
-            block = probs.reshape(1, -1, num_classes) if n == 1 else probs
-            want = fusion._decide(
-                block.argmax(axis=2), block.max(axis=2), thresholds,
-                cfg.pseudo_weight, cfg.conflict_drop,
-                lambda b: np.random.default_rng([seed, case, int(items[b])]))
-            for got, col in zip(fused._columns(), want._columns()):
-                assert got.dtype == col.dtype and got.shape == col.shape
-                assert got.tobytes() == col.tobytes(), case
+            if n == 1:
+                # one one-model block of (model, item) pairs, which never
+                # tie, so no item id is drawn with
+                probs, items = probs.reshape(1, -1, num_classes), None
+            TestFuseBatchAgainstCascadeOracle.check_items(
+                fused, probs, cfg, seed, case, items)
             ties += int(np.count_nonzero(fused.sources == SOURCES.index(
                 SOURCE_CONFLICT)))
         assert (ties > 100) == (n > 1)
+
+    def test_blocks_of_up_to_three_models_never_run_the_engine(self,
+                                                               monkeypatch):
+        runs = []
+        engine = fusion._decide
+
+        def spy(*args):
+            runs.append(args[0].shape)
+            return engine(*args)
+
+        gen = np.random.default_rng(90)
+        cases = [(n, case) + self.tie_heavy_case(gen, n, case)
+                 for n in (1, 2, 3) for case in range(30)]
+        for *_, cfg in cases:  # the tables are built and cached first
+            fuse_batch(np.full((cfg.num_models, 1, 2), 0.5), cfg, 0, 0)
+        monkeypatch.setattr(fusion, "_decide", spy)
+        ties = 0
+        for n, case, probs, _, cfg in cases:
+            fused = fuse_batch(probs, cfg, 7, case)
+            ties += int(np.count_nonzero(fused.sources == SOURCES.index(
+                SOURCE_CONFLICT)))
+        assert runs == [] and ties > 100
+        # a block of four models runs it once, ties or not
+        probs = np.array([[[0.99, 0.01]], [[0.01, 0.99]], [[0.5, 0.5]],
+                          [[0.5, 0.5]]]).repeat(5, axis=1)
+        fused = fuse_batch(probs, cascade_cfg(4, (0.8, 0.7, 0.6)), 7, 0)
+        assert runs == [(4, 5)]
+        assert set(fused.sources.tolist()) == {SOURCES.index(SOURCE_CONFLICT)}
 
 
 class TestSelectDebiasSubset:
