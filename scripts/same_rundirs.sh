@@ -5,17 +5,21 @@
 #
 # Each tree is a checkout of the repository; its package is imported from
 # <tree>/src. For each tree the script generates the datasets, trains the
-# twenty configurations below (thirteen desk-profile runs on 2-wide vectors
-# and seven paper-profile runs on 3072-wide CIFAR-format images written by the
-# script itself, whose test set is large enough to be evaluated in row
-# chunks), replays every prediction dump with `copseudo fuse-trace`,
-# and records each command's stdout, stderr and exit code. It also decodes
-# every generated dataset file with that tree's own loader and logs a digest
-# of its content: size, classes, feature shape, and a sha256 of the missing
-# flags, the labels and the float64 feature bytes. After the runs it selects
-# and retrains: `copseudo select-subset --epsilon 0.02 --report` promotes
-# the unlabeled items of mnar.ds on which the three cascade3-mnar
-# checkpoints agree, and a 2-model desk run trains on the promoted dataset.
+# twenty-one configurations below (fourteen desk-profile runs on 2-wide
+# vectors and seven paper-profile runs on 3072-wide CIFAR-format images
+# written by the script itself, whose test set is large enough to be
+# evaluated in row chunks), replays every prediction dump with
+# `copseudo fuse-trace`, and records each command's stdout, stderr and exit
+# code. It trains one more desk run, `train --config run-config.cfg` from a
+# file it writes holding cosine_lr=true, conflict_drop=no and
+# aug.sigma_weak=0.05, and writes `copseudo compare run-pair run-low-tau
+# --out compare.csv`. It also decodes every generated dataset file with that
+# tree's own loader and logs a digest of its content: size, classes, feature
+# shape, and a sha256 of the missing flags, the labels and the float64
+# feature bytes. After the runs it selects and retrains: `copseudo
+# select-subset --epsilon 0.02 --report` promotes the unlabeled items of
+# mnar.ds on which the three cascade3-mnar checkpoints agree, and a 2-model
+# desk run trains on the promoted dataset.
 # It then compares the two result directories with `diff -r`, except for
 # the bytes of image.ds and image-test.ds: their container may change
 # between trees, so only their content digests are compared. It counts the
@@ -63,10 +67,12 @@ work=$(cd "$work" && pwd)
 # their labels. image-hidden8 (a first hidden layer 8 wide) and image-b40
 # (280 unlabeled rows, not a multiple of 64) lie outside the shapes whose
 # kept strong rows are multiplied alone, so their strong passes multiply
-# the whole block of each model's views.
+# the whole block of each model's views. hidden2 has two hidden layers, so
+# its backward pass reaches the first through the second.
 DESK="--profile desk"
 CONFIGS=(
     "pair|mcar|test|$DESK --models 2 --steps 60 --eval-every 10 --dump-predictions-every 20|"
+    "hidden2|mcar|test|$DESK --models 2 --hidden 16,8 --steps 20 --eval-every 10 --dump-predictions-every 10|"
     "cascade3-mnar|mnar|test|$DESK --models 3 --steps 60 --eval-every 10 --dump-predictions-every 20|--tau-cascade 0.85,0.75"
     "conflict-drop4|mcar|test|$DESK --models 4 --steps 40 --eval-every 20 --dump-predictions-every 20|--tau-cascade 0.85,0.75,0.65 --conflict-drop"
     "single3|mcar|test|$DESK --models 3 --steps 40 --eval-every 20|--single-model-mode --tau-cascade 0.85,0.75"
@@ -171,6 +177,12 @@ run_tree() {
                     --out "trace-$name-step$step.csv"
             done
         done
+        printf '%s\n' 'cosine_lr=true' 'conflict_drop=no' \
+            'aug.sigma_weak=0.05' > run-config.cfg
+        cli logs/train-config train --seed 5 --config run-config.cfg \
+            --data mcar.ds --test test.ds --out run-config $DESK \
+            --steps 20 --eval-every 10
+        cli logs/compare compare run-pair run-low-tau --out compare.csv
         cli logs/select-cascade3-mnar select-subset --data mnar.ds \
             --ckpt run-cascade3-mnar/ckpt-model1-step60 \
             --ckpt run-cascade3-mnar/ckpt-model2-step60 \

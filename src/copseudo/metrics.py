@@ -1,8 +1,10 @@
 """Run metrics: per-step rows, CSV emission, plot columns, run comparison.
 
-The CSV column set is fixed: step, test_acc, test_loss, one train loss
-column per model, mask_ratio, pseudo_acc, and the five pseudo-label
-source counters.
+A row has one layout, ``RunMetrics.header()``: step, test_acc, test_loss,
+one train loss column per model, mask_ratio, pseudo_acc, and the five
+pseudo-label source counts of ``SOURCE_COLUMNS``.  ``_cells`` formats each
+row's cells once in that order; ``emit_csv`` writes them all and
+``emit_plot_columns`` writes each ``.dat`` file's columns of them.
 """
 from __future__ import annotations
 
@@ -22,21 +24,15 @@ def _fmt(value: float) -> str:
 
 @dataclass(frozen=True)
 class MetricsRow:
+    """``source_counts`` holds one count per ``SOURCE_COLUMNS`` entry."""
+
     step: int
     test_acc: float
     test_loss: float
     train_losses: tuple[float, ...]
     mask_ratio: float
     pseudo_acc: float
-    src_both: int
-    src_conflict: int
-    src_own: int
-    src_consensus: int
-    src_none: int
-
-    def source_counts(self) -> tuple[int, int, int, int, int]:
-        return (self.src_both, self.src_conflict, self.src_own,
-                self.src_consensus, self.src_none)
+    source_counts: tuple[int, ...]
 
 
 @dataclass
@@ -49,6 +45,10 @@ class RunMetrics:
             raise ConfigError(
                 f"row has {len(row.train_losses)} train losses for a "
                 f"{self.num_models}-model run")
+        if len(row.source_counts) != len(SOURCE_COLUMNS):
+            raise ConfigError(
+                f"row has {len(row.source_counts)} source counts, not "
+                f"{len(SOURCE_COLUMNS)}")
         if self.rows and row.step <= self.rows[-1].step:
             raise ConfigError("steps must be strictly increasing")
         if not (0.0 <= row.mask_ratio <= 1.0 and 0.0 <= row.pseudo_acc <= 1.0):
@@ -63,18 +63,20 @@ class RunMetrics:
         return cols
 
 
-def emit_csv(metrics: RunMetrics, path) -> None:
+def _cells(metrics: RunMetrics) -> list:
+    """Each row's cells as text, in ``RunMetrics.header()`` order."""
     if not metrics.rows:
         raise ConfigError("no rows")
+    return [[str(r.step), _fmt(r.test_acc), _fmt(r.test_loss),
+             *map(_fmt, r.train_losses), _fmt(r.mask_ratio),
+             _fmt(r.pseudo_acc), *map(str, r.source_counts)]
+            for r in metrics.rows]
+
+
+def emit_csv(metrics: RunMetrics, path) -> None:
+    lines = [metrics.header()] + _cells(metrics)
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(metrics.header())
-        for r in metrics.rows:
-            row = [str(r.step), _fmt(r.test_acc), _fmt(r.test_loss)]
-            row += [_fmt(v) for v in r.train_losses]
-            row += [_fmt(r.mask_ratio), _fmt(r.pseudo_acc)]
-            row += [str(v) for v in r.source_counts()]
-            writer.writerow(row)
+        fh.write("".join(",".join(cells) + "\n" for cells in lines))
 
 
 def read_csv(path) -> RunMetrics:
@@ -107,11 +109,7 @@ def read_csv(path) -> RunMetrics:
                 train_losses=tuple(float(v) for v in parts[3:3 + n]),
                 mask_ratio=float(parts[3 + n]),
                 pseudo_acc=float(parts[4 + n]),
-                src_both=int(parts[5 + n]),
-                src_conflict=int(parts[6 + n]),
-                src_own=int(parts[7 + n]),
-                src_consensus=int(parts[8 + n]),
-                src_none=int(parts[9 + n]),
+                source_counts=tuple(int(v) for v in parts[5 + n:]),
             )
             metrics.append(row)
         except (ValueError, ConfigError) as exc:
@@ -122,26 +120,19 @@ def read_csv(path) -> RunMetrics:
 
 
 def emit_plot_columns(metrics: RunMetrics, out_dir) -> None:
-    """Whitespace-column .dat files (gnuplot-style) next to the CSV."""
-    if not metrics.rows:
-        raise ConfigError("no rows")
-
-    def write(name, header_cols, value_rows):
+    """Whitespace-column .dat files (gnuplot-style) next to the CSV: each
+    holds the step and its span of ``_cells``."""
+    cells = _cells(metrics)
+    n = metrics.num_models
+    for name, cols, start in (
+            ("accuracy.dat", ["test_acc"], 1),
+            ("test_loss.dat", ["test_loss"], 2),
+            ("train_loss.dat", [f"model{i + 1}" for i in range(n)], 3),
+            ("mask.dat", ["mask_ratio", "pseudo_acc"], 3 + n)):
+        lines = [["#", "step", *cols]]
+        lines += [[row[0], *row[start:start + len(cols)]] for row in cells]
         with open(os.path.join(out_dir, name), "w", encoding="ascii") as fh:
-            fh.write("# " + " ".join(header_cols) + "\n")
-            for row in value_rows:
-                fh.write(" ".join(row) + "\n")
-
-    rows = metrics.rows
-    write("accuracy.dat", ["step", "test_acc"],
-          [[str(r.step), _fmt(r.test_acc)] for r in rows])
-    write("test_loss.dat", ["step", "test_loss"],
-          [[str(r.step), _fmt(r.test_loss)] for r in rows])
-    write("train_loss.dat",
-          ["step"] + [f"model{i + 1}" for i in range(metrics.num_models)],
-          [[str(r.step)] + [_fmt(v) for v in r.train_losses] for r in rows])
-    write("mask.dat", ["step", "mask_ratio", "pseudo_acc"],
-          [[str(r.step), _fmt(r.mask_ratio), _fmt(r.pseudo_acc)] for r in rows])
+            fh.write("".join(" ".join(line) + "\n" for line in lines))
 
 
 @dataclass(frozen=True)

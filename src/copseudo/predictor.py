@@ -162,11 +162,10 @@ class ModelStack:
 
     def _check_shape(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=np.float64)
-        if xs.ndim not in (2, 3) or (xs.ndim == 3 and xs.shape[0] != self.size):
-            raise ConfigError(f"xs must be a (B, d) batch or an "
-                              f"({self.size}, B, d) block")
-        if xs.shape[-1] != self.arch[0]:
-            raise ConfigError(f"feature width {xs.shape[-1]} does not match "
+        if xs.ndim != 2:
+            raise ConfigError("xs must be a 2-d batch")
+        if xs.shape[1] != self.arch[0]:
+            raise ConfigError(f"feature width {xs.shape[1]} does not match "
                               f"input layer {self.arch[0]}")
         return xs
 
@@ -357,9 +356,6 @@ def loss_and_grad(params: ModelParams, xs, targets, weights) -> tuple[float, Gra
     with its exact gradient, for a (B, d) batch; checks its inputs, which
     ``ModelStack.loss_and_grad`` does not."""
     stack = ModelStack([params])
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2:
-        raise ConfigError("xs must be a 2-d batch")
     xs = stack._check_shape(xs)
     if not np.isfinite(xs).all():
         raise ConfigError("non-finite input features")

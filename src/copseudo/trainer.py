@@ -443,7 +443,7 @@ def _metrics_row(last: StepMetrics, step: int, evaluated) -> MetricsRow:
     """The row of eval point ``step``: ``evaluated`` is its (test accuracy,
     test loss), ``last`` the step whose train-side numbers it reports."""
     return MetricsRow(step, *evaluated, last.train_losses, last.mask_ratio,
-                      last.pseudo_acc, *last.source_counts)
+                      last.pseudo_acc, last.source_counts)
 
 
 def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,

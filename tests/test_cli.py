@@ -109,6 +109,27 @@ class TestGenData:
         assert code == 2
         assert "unknown key 'k'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tokens, problem", [
+        (["C4", "n=10"], "--synthetic expects KEY=VALUE tokens, got 'C4'"),
+        (["C=4", "n=10", "C=5"], "--synthetic got duplicate key 'C'"),
+        (["C=four", "n=10"], "--synthetic C: cannot parse 'four'"),
+    ], ids=["no-equals", "duplicate-key", "unparsable-value"])
+    def test_synthetic_tokens_are_checked(self, tmp_path, capsys, tokens,
+                                          problem):
+        out = tmp_path / "d.txt"
+        code = main(["gen-data", "--synthetic", *tokens, "--seed", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not out.exists()
+
+    def test_mnar_needs_p0(self, tmp_path, capsys):
+        code = main(["gen-data", "--synthetic", "C=4", "n=10", "--mnar",
+                     "ptail=0.1", "--seed", "1", "--out", str(tmp_path / "d.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --mnar needs p0= (plus ptail= or gamma=) or retention=\n")
+
     def test_mnar_retention_list(self, tmp_path):
         out = tmp_path / "d.txt"
         code = main(["gen-data", "--synthetic", "C=4", "n=25", "--mnar",
@@ -260,6 +281,62 @@ class TestTrainCommand:
         assert resolved["tau"] == "0.9"          # file beats default
         assert resolved["aug.sigma_weak"] == "0.02"
         assert resolved["momentum"] == "0.9"     # untouched default
+
+    def config_train(self, synth_files, where, text, extra=()):
+        """A train run in ``where`` whose config file holds ``text``."""
+        train_f, test_f = synth_files
+        where.mkdir(exist_ok=True)
+        cfg = where / "run.cfg"
+        cfg.write_text(text)
+        out = where / "run"
+        code = main(["train", "--config", str(cfg), "--data", str(train_f),
+                     "--test", str(test_f), "--out", str(out), "--seed", "5",
+                     *extra])
+        return code, cfg, out
+
+    def test_cosine_lr_from_flag_and_file(self, synth_files, tmp_path):
+        def resolved(out):
+            return (out / "config.resolved").read_text().split("\n")
+
+        text = ("cosine_lr=yes\nsteps=2\neval_every=2\nbatch_size=8\n"
+                "mu=2.0\nhidden=8\n")
+        code, _, out = self.config_train(synth_files, tmp_path / "file", text)
+        assert code == 0
+        assert "cosine_lr=True" in resolved(out)
+        code, _, out = self.config_train(synth_files, tmp_path / "flag", text,
+                                         extra=("--cosine-lr", "false"))
+        assert code == 0
+        assert "cosine_lr=False" in resolved(out)
+
+    @pytest.mark.parametrize("text, problem", [
+        ("cosine_lr=maybe\n",
+         "config key cosine_lr: expected true or false, got 'maybe'"),
+        ("steps=abc\n",
+         "config key steps: invalid literal for int() with base 10: 'abc'"),
+        ("profile=huge\n", "unknown profile 'huge' (choose desk or paper)"),
+    ], ids=["bool", "int", "profile"])
+    def test_config_value_is_checked(self, synth_files, tmp_path, capsys,
+                                     text, problem):
+        code, _, out = self.config_train(synth_files, tmp_path, text)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not out.exists()
+
+    def test_config_file_missing(self, synth_files, tmp_path, capsys):
+        train_f, test_f = synth_files
+        cfg = tmp_path / "none.cfg"
+        code = quick_train(train_f, test_f, tmp_path / "run",
+                           extra=("--config", str(cfg)))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: missing config file: {cfg}\n"
+
+    def test_config_file_duplicate_key(self, synth_files, tmp_path, capsys):
+        code, cfg, out = self.config_train(synth_files, tmp_path,
+                                           "steps=4\n# comment\nsteps=5\n")
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}:3: duplicate key 'steps'\n"
+        assert not out.exists()
 
     def test_unknown_config_key(self, synth_files, tmp_path, capsys):
         train_f, test_f = synth_files
@@ -815,6 +892,14 @@ class TestFuseTrace:
         assert "--step must be a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tau2_and_cascade_conflict(self, tmp_path, capsys):
+        code, out = self.trace(tmp_path,
+                               extra=("--tau2", "0.8", "--tau-cascade", "0.8"))
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: give --tau2 or --tau-cascade, not both\n"
+        assert not out.exists()
+
     def test_negative_item_id_names_line(self, tmp_path, capsys):
         # no item reaches a coin flip, so only the parser can reject it
         text = ("item,model,p0,p1,p2\n0,1,0.97,0.02,0.01\n0,2,0.96,0.03,0.01\n"
@@ -1193,6 +1278,20 @@ class TestSelectSubset:
         assert code == 2
         assert "input features" in capsys.readouterr().err
 
+    def test_class_count_mismatch_rejected(self, tmp_path, capsys):
+        data = self.dataset(tmp_path)
+        bad = tmp_path / "bad.ckpt"
+        save_checkpoint(init_model((2, 8, 5), seed=0), bad)
+        good = self.save_model(tmp_path, "a.ckpt", seed=0)
+        out = tmp_path / "o.txt"
+        code = main(["select-subset", "--data", str(data), "--ckpt",
+                     str(good), "--ckpt", str(bad), "--epsilon", "0",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == \
+            f"error: {bad}: predicts 5 classes, dataset has 4\n"
+        assert not out.exists()
+
 
 class TestCompareCommand:
     def test_run_against_itself(self, synth_files, tmp_path, capsys):
@@ -1338,7 +1437,7 @@ def good_files(tmp_path_factory):
     metrics = RunMetrics(num_models=2)
     for step in (2, 4):
         metrics.append(MetricsRow(step, 0.5, 1.25, (0.75, 0.5), 0.25, 1.0,
-                                  1, 0, 2, 1, 4))
+                                  (1, 0, 2, 1, 4)))
     writers = {
         "dataset-v2": (load_dataset, lambda p: save_dataset(MaskedDataset(
             rng.random((4, 2)), labels, missing, 3), p)),

@@ -118,6 +118,10 @@ class TestMcar:
         full = apply_missingness(ds, MissingnessSpec.mcar(num_labeled=8, seed=0))
         assert full.num_observed == 8
 
+    def test_needs_a_positive_label_count(self):
+        with pytest.raises(ConfigError, match="^mcar requires num_labeled > 0$"):
+            MissingnessSpec.mcar(num_labeled=0, seed=0)
+
     def test_requires_fully_observed_input(self):
         ds = generate_synthetic(make_spec(), seed=1)
         masked = apply_missingness(ds, MissingnessSpec.mcar(num_labeled=10, seed=0))
@@ -194,6 +198,15 @@ class TestGeometricRetention:
             geometric_retention(4, p0=0.5)
         with pytest.raises(ConfigError):
             geometric_retention(4, p0=0.5, gamma=-1.0)
+
+    def test_rejects_zero_classes(self):
+        with pytest.raises(ConfigError, match="^num_classes must be >= 1$"):
+            geometric_retention(0, p0=0.5, gamma=0.5)
+
+    @pytest.mark.parametrize("p_tail", [0.0, -0.1, 1.5])
+    def test_rejects_tail_outside_unit_interval(self, p_tail):
+        with pytest.raises(ConfigError, match=r"^p_tail must lie in \(0, 1\]$"):
+            geometric_retention(4, p0=0.5, p_tail=p_tail)
 
 
 class TestTaint:
@@ -620,6 +633,13 @@ class TestMalformedFiles:
         assert back.storage == "u1" and back.width == 3
         assert_same_bits(back, ds)
 
+    def test_v1_record_out_of_order(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_text("copseudo-ds v1 2 2 2\n0,0,1,0.5,0.5\n2,0,1,0.5,0.5\n")
+        with pytest.raises(DataError, match=f"^record 1 in {re.escape(str(path))} "
+                                            "has out-of-order index 2$"):
+            load_dataset(path)
+
     def test_non_ascii_record(self, tmp_path):
         path = tmp_path / "ds.txt"
         path.write_bytes(b"copseudo-ds v1 1 2 2\n0,0,1,\xff,0.5\n")
@@ -697,6 +717,13 @@ class TestCifar:
         with pytest.raises(DataError, match="label byte"):
             read_cifar10_batch(path)
 
+    def test_write_rejects_pixels_of_the_wrong_shape(self, tmp_path):
+        path = tmp_path / "data_batch_1.bin"
+        with pytest.raises(DataError,
+                           match=r"^pixels must be \(num_records, 3072\) uint8$"):
+            write_cifar10_batch(path, [1, 2], np.zeros((2, 3071), dtype=np.uint8))
+        assert not path.exists()
+
     def test_bad_split_name(self, tmp_path):
         with pytest.raises(ConfigError):
             load_cifar10(tmp_path, "validation")
@@ -737,6 +764,12 @@ class TestCifar:
 
 
 class TestMaskedDatasetValidation:
+    def test_rejects_one_dimensional_features(self):
+        with pytest.raises(ConfigError, match=r"^features must be a 2-d array "
+                                              r"\(samples x dims\)$"):
+            MaskedDataset(np.zeros(3), np.zeros(3, dtype=np.int64),
+                          np.zeros(3, dtype=np.uint8), 2)
+
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ConfigError):
             MaskedDataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64),

@@ -88,6 +88,11 @@ class TestFusionConfig:
         with pytest.raises(ConfigError):
             FusionConfig(num_models=1)
 
+    def test_needs_a_model(self):
+        with pytest.raises(ConfigError, match="^invalid fusion config: "
+                                              "num_models must be >= 1; "):
+            FusionConfig(num_models=0)
+
     def test_single_model_mode_relaxes_cascade(self):
         cfg = FusionConfig(num_models=1, single_model_mode=True)
         assert cfg.num_models == 1
@@ -183,6 +188,14 @@ class TestFusePairValidation:
             fuse_pair((0.9, 0.6, 0.0), (0.5, 0.3, 0.2), CFG, rng())
         with pytest.raises(ConfigError):
             fuse_pair((0.9, np.nan, 0.1), (0.5, 0.3, 0.2), CFG, rng())
+
+    @pytest.mark.parametrize("model", [1, 2])
+    def test_a_two_dimensional_row(self, model):
+        rows = [(0.5, 0.3, 0.2), (0.5, 0.3, 0.2)]
+        rows[model - 1] = [rows[model - 1]]
+        with pytest.raises(ConfigError, match=f"^model {model} prediction is "
+                                              "not a probability vector$"):
+            fuse_pair(*rows, CFG, rng())
 
     def test_requires_two_model_config(self):
         cfg = FusionConfig(num_models=3, tau_cascade=(0.85, 0.75))

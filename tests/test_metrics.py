@@ -19,9 +19,7 @@ def make_row(step, test_acc=0.5, test_loss=1.0, train_losses=(1.5, 1.6),
              mask_ratio=0.25, pseudo_acc=0.75, sources=(10, 2, 5, 3, 44)):
     return MetricsRow(step=step, test_acc=test_acc, test_loss=test_loss,
                       train_losses=tuple(train_losses), mask_ratio=mask_ratio,
-                      pseudo_acc=pseudo_acc, src_both=sources[0],
-                      src_conflict=sources[1], src_own=sources[2],
-                      src_consensus=sources[3], src_none=sources[4])
+                      pseudo_acc=pseudo_acc, source_counts=tuple(sources))
 
 
 class TestRunMetrics:
@@ -41,6 +39,14 @@ class TestRunMetrics:
         m = RunMetrics(num_models=3)
         with pytest.raises(ConfigError, match="train losses"):
             m.append(make_row(0, train_losses=(1.0, 2.0)))
+
+    @pytest.mark.parametrize("sources", [(1, 2, 3, 4), (1, 2, 3, 4, 5, 6)])
+    def test_append_checks_source_count(self, sources):
+        m = RunMetrics(num_models=2)
+        with pytest.raises(ConfigError, match=f"^row has {len(sources)} source "
+                                              "counts, not 5$"):
+            m.append(make_row(0, sources=sources))
+        assert m.rows == []
 
     def test_append_requires_increasing_steps(self):
         m = RunMetrics(num_models=2)
@@ -94,7 +100,7 @@ class TestCsvRoundTrip:
         assert [r.step for r in back.rows] == [0, 50]
         for orig, parsed in zip(m.rows, back.rows):
             assert parsed.step == orig.step
-            assert parsed.source_counts() == orig.source_counts()
+            assert parsed.source_counts == orig.source_counts
             for a, b in ((parsed.test_acc, orig.test_acc),
                          (parsed.test_loss, orig.test_loss),
                          (parsed.mask_ratio, orig.mask_ratio)):
@@ -112,6 +118,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "metrics.csv"
         path.write_text("")
         with pytest.raises(DataError, match="empty"):
+            read_csv(path)
+
+    def test_read_header_only(self, tmp_path):
+        m = RunMetrics(num_models=1)
+        path = tmp_path / "metrics.csv"
+        path.write_text(",".join(m.header()) + "\n")
+        with pytest.raises(DataError, match=f"^no data rows in {re.escape(str(path))}$"):
             read_csv(path)
 
     def test_read_bad_header(self, tmp_path):
@@ -173,6 +186,34 @@ class TestPlotColumns:
         assert mask[0] == "# step mask_ratio pseudo_acc"
         assert mask[1] == "0 0.25 0.75"
         assert (tmp_path / "test_loss.dat").is_file()
+
+    def test_each_file_is_the_step_and_its_csv_columns(self, tmp_path):
+        m = RunMetrics(num_models=3)
+        m.append(make_row(0, test_acc=1 / 3, test_loss=math.pi,
+                          train_losses=(2 / 7, 1.5, 1e-12)))
+        m.append(make_row(10, test_acc=0.5, train_losses=(0.1, 0.2, 0.3),
+                          mask_ratio=1.0, pseudo_acc=0.0))
+        emit_csv(m, tmp_path / "metrics.csv")
+        emit_plot_columns(m, tmp_path)
+        csv_lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        header = csv_lines[0].split(",")
+        rows = [line.split(",") for line in csv_lines[1:]]
+        for name, title, cols in [
+                ("accuracy.dat", "test_acc", ["test_acc"]),
+                ("test_loss.dat", "test_loss", ["test_loss"]),
+                ("train_loss.dat", "model1 model2 model3",
+                 ["train_loss_m1", "train_loss_m2", "train_loss_m3"]),
+                ("mask.dat", "mask_ratio pseudo_acc",
+                 ["mask_ratio", "pseudo_acc"])]:
+            at = [0] + [header.index(c) for c in cols]
+            want = [f"# step {title}"]
+            want += [" ".join(row[i] for i in at) for row in rows]
+            assert (tmp_path / name).read_text() == "\n".join(want) + "\n"
+
+    def test_rejects_empty(self, tmp_path):
+        with pytest.raises(ConfigError, match="^no rows$"):
+            emit_plot_columns(RunMetrics(num_models=2), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompareRuns:

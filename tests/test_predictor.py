@@ -200,6 +200,11 @@ class TestLossAndGrad:
         with pytest.raises(ConfigError, match="non-finite input features"):
             loss_and_grad(params, np.full((1, 2), np.inf), [0], [1.0])
 
+    def test_one_dimensional_input(self):
+        params = init_model((2, 5, 3), seed=0)
+        with pytest.raises(ConfigError, match="^xs must be a 2-d batch$"):
+            loss_and_grad(params, np.zeros(2), [0], [1.0])
+
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(77)
         for trial in range(10):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -208,6 +209,20 @@ class TestTrainConfig:
     def test_seed_plan_width_must_match(self):
         with pytest.raises(ConfigError, match="seed plan"):
             TrainConfig(seeds=SeedPlan.from_master(1, 3))
+
+    @pytest.mark.parametrize("kw, problem", [
+        (dict(num_models=0), "num_models must be >= 1"),
+        (dict(dump_predictions_every=-1), "dump_predictions_every must be >= 0"),
+        (dict(hidden=()), "hidden layer sizes must be positive"),
+        (dict(hidden=(8, 0)), "hidden layer sizes must be positive"),
+        (dict(momentum=1.0), "momentum must lie in [0, 1)"),
+        (dict(weight_decay=-1), "weight_decay must be a non-negative finite real"),
+    ], ids=["num-models-0", "dump-every-negative", "hidden-empty",
+            "hidden-zero", "momentum-1", "weight-decay-negative"])
+    def test_each_field_is_checked(self, kw, problem):
+        with pytest.raises(ConfigError, match="^invalid train config: "
+                                              + re.escape(problem)):
+            TrainConfig(seeds=SeedPlan.from_master(1, 2), **kw)
 
 
 class TestShuffleCycler:
@@ -555,6 +570,17 @@ class TestTrainStepOracle:
         short = [(ds.features[idx], ds.observed_labels(idx)[:3])] * 2
         with pytest.raises(ConfigError, match="labeled batch size"):
             train_step(state, short, ds.features[:8], np.zeros(8))
+
+    def test_batch_count_and_unlabeled_size_validation(self):
+        ds = tiny_dataset()
+        state = TrainerState(small_config(), ds)
+        idx = ds.observed_indices()[:4]
+        labeled = [(ds.features[idx], ds.observed_labels(idx))]
+        with pytest.raises(ConfigError, match="^need 2 labeled batches, got 1$"):
+            train_step(state, labeled, ds.features[:8], np.zeros(8))
+        with pytest.raises(ConfigError, match="^unlabeled batch size mismatch$"):
+            train_step(state, labeled * 2, ds.features[:7], np.zeros(7))
+        assert state.step == 0
 
     @pytest.mark.parametrize("bad", [7, 4, -1])
     def test_label_range_validation(self, bad):
@@ -1067,7 +1093,7 @@ class TestOneTrainStepPerStep:
                                           for v in first.train_losses)
         assert row0.mask_ratio == as_written(first.mask_ratio)
         assert row0.pseudo_acc == as_written(first.pseudo_acc)
-        assert row0.source_counts() == first.source_counts
+        assert row0.source_counts == first.source_counts
 
 
 class TestPredictionDumpWriter:
@@ -1185,7 +1211,7 @@ class TestHiddenLabelIsolation:
             assert a.test_acc == b.test_acc
             assert a.train_losses == b.train_losses
             assert a.mask_ratio == b.mask_ratio
-            assert a.source_counts() == b.source_counts()
+            assert a.source_counts == b.source_counts
 
 
 class TestSingleModelRun:
@@ -1197,10 +1223,9 @@ class TestSingleModelRun:
         metrics = read_csv(out / "metrics.csv")
         assert metrics.num_models == 1
         for row in metrics.rows:
-            assert row.src_both == 0
-            assert row.src_conflict == 0
-            assert row.src_consensus == 0
-            assert row.src_own + row.src_none == 8
+            both, conflict, own, consensus, none = row.source_counts
+            assert both == conflict == consensus == 0
+            assert own + none == 8
 
 
 class TestCosineLr:
