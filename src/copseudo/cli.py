@@ -39,9 +39,9 @@ from .errors import ConfigError, DataError
 from .fusion import (FusionConfig, first_invalid_row, fuse_batch,
                      select_debias_subset)
 from .losses import ObjectiveConfig
-from .metrics import compare_runs, read_csv
+from .metrics import METRICS_FILENAME, compare_runs, read_csv
 from .predictor import load_checkpoint, predict_models
-from .trainer import METRICS_FILENAME, SeedPlan, TrainConfig, train
+from .trainer import SeedPlan, TrainConfig, train
 
 # profile presets: "paper" mirrors the image-benchmark hyperparameters,
 # "desk" shrinks the batch geometry for laptop-scale experiments
@@ -428,10 +428,10 @@ def _fusion_kw(resolver, models: int, problems: list) -> dict:
     elif tau2 is not None:
         cascade = (tau2,)
     elif cascade is None and models != 2:
-        # the class default is a two-model cascade, and single-model mode
-        # never consults the cascade
+        # the class default is a two-model cascade; single-model mode never
+        # consults it, and fewer models have none (cmd_train refuses < 1)
         cascade = ()
-        if not (single or models == 1):
+        if not (single or models <= 1):
             problems.append(f"a {models}-model cascade needs --tau-cascade "
                             f"with {models - 1} thresholds")
     if cascade is not None:
@@ -457,6 +457,9 @@ def cmd_train(args) -> int:
         problems.append(f"unknown profile {profile!r} (choose desk or paper)")
 
     models = r.get("models", int, TrainConfig.num_models)
+    if models < 1:
+        name = "--models" if args.models is not None else "config key models"
+        problems.append(f"{name} must be >= 1, got {models}")
     fusion_kw = _fusion_kw(r, models, problems)
     objective_kw = dict(PROFILES.get(profile, {}), **r.fields(ObjectiveConfig))
     aug_kw = r.fields(AugmentConfig, prefix="aug.")

@@ -121,8 +121,8 @@ def geometric_retention(num_classes: int, p0: float, gamma: float | None = None,
         if not (0.0 < p_tail <= 1.0):
             raise ConfigError("p_tail must lie in (0, 1]")
         gamma = 1.0 if num_classes == 1 else (p_tail / p0) ** (1.0 / (num_classes - 1))
-    if gamma <= 0:
-        raise ConfigError("gamma must be positive")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ConfigError("gamma must be a positive finite real")
     probs = [min(1.0, p0 * gamma ** c) for c in range(num_classes)]
     return tuple(probs)
 

@@ -32,11 +32,12 @@ class ObjectiveConfig:
         problems = []
         if not (self.lambda_u >= 0 and math.isfinite(self.lambda_u)):
             problems.append("lambda_u must be a non-negative finite real")
-        if not (self.mu > 0 and math.isfinite(self.mu)):
+        mu_ok = self.mu > 0 and math.isfinite(self.mu)
+        if not mu_ok:
             problems.append("mu must be a positive finite real")
         if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
             problems.append("batch_size must be a positive integer")
-        else:
+        elif mu_ok:
             mu_b = self.mu * self.batch_size
             if abs(mu_b - round(mu_b)) > 1e-9 or round(mu_b) < 1:
                 problems.append("mu * batch_size must be a positive integer")

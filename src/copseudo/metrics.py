@@ -1,10 +1,10 @@
-"""Run metrics: per-step rows, CSV emission, plot columns, run comparison.
+"""Run metrics: per-step rows, the run history files, run comparison.
 
 A row has one layout, ``RunMetrics.header()``: step, test_acc, test_loss,
 one train loss column per model, mask_ratio, pseudo_acc, and the five
-pseudo-label source counts of ``SOURCE_COLUMNS``.  ``_cells`` formats each
-row's cells once in that order; ``emit_csv`` writes them all and
-``emit_plot_columns`` writes each ``.dat`` file's columns of them.
+pseudo-label source counts of ``SOURCE_COLUMNS``.  ``append_row`` records
+a row and appends its cells to each file of ``_history_files``, the first
+row after each header, so a run's history is on disk as far as it got.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, DataError
 
 SOURCE_COLUMNS = ("src_both", "src_conflict", "src_own", "src_consensus", "src_none")
+METRICS_FILENAME = "metrics.csv"
 
 
 def _fmt(value: float) -> str:
@@ -63,20 +64,33 @@ class RunMetrics:
         return cols
 
 
-def _cells(metrics: RunMetrics) -> list:
-    """Each row's cells as text, in ``RunMetrics.header()`` order."""
-    if not metrics.rows:
-        raise ConfigError("no rows")
-    return [[str(r.step), _fmt(r.test_acc), _fmt(r.test_loss),
-             *map(_fmt, r.train_losses), _fmt(r.mask_ratio),
-             _fmt(r.pseudo_acc), *map(str, r.source_counts)]
-            for r in metrics.rows]
+def _history_files(n: int) -> tuple:
+    """Each history file of an n-model run as (name, separator, newline
+    mode, header, start): a row's line is its step, then its cells from
+    ``start`` on, one per header column after the first."""
+    return ((METRICS_FILENAME, ",", "", RunMetrics(n).header(), 1),
+            ("accuracy.dat", " ", None, ["# step", "test_acc"], 1),
+            ("test_loss.dat", " ", None, ["# step", "test_loss"], 2),
+            ("train_loss.dat", " ", None,
+             ["# step", *(f"model{i + 1}" for i in range(n))], 3),
+            ("mask.dat", " ", None, ["# step", "mask_ratio", "pseudo_acc"],
+             3 + n))
 
 
-def emit_csv(metrics: RunMetrics, path) -> None:
-    lines = [metrics.header()] + _cells(metrics)
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write("".join(",".join(cells) + "\n" for cells in lines))
+def append_row(metrics: RunMetrics, row: MetricsRow, out_dir) -> None:
+    """Record ``row`` in ``metrics``, which checks it, and append its line
+    to each history file in ``out_dir``, the run's first after the header."""
+    metrics.append(row)
+    cells = [str(row.step), _fmt(row.test_acc), _fmt(row.test_loss),
+             *map(_fmt, row.train_losses), _fmt(row.mask_ratio),
+             _fmt(row.pseudo_acc), *map(str, row.source_counts)]
+    first = len(metrics.rows) == 1
+    for name, sep, newline, header, start in _history_files(metrics.num_models):
+        lines = [header] if first else []
+        lines.append([cells[0], *cells[start:start + len(header) - 1]])
+        with open(os.path.join(out_dir, name), "w" if first else "a",
+                  newline=newline, encoding="ascii") as fh:
+            fh.write("".join(sep.join(line) + "\n" for line in lines))
 
 
 def read_csv(path) -> RunMetrics:
@@ -92,12 +106,10 @@ def read_csv(path) -> RunMetrics:
         header = next(reader)
     except StopIteration:
         raise DataError(f"empty metrics file: {path}") from None
-    train_cols = [c for c in header if c.startswith("train_loss_m")]
-    expected = RunMetrics(num_models=len(train_cols)).header()
-    if header != expected:
+    n = len([c for c in header if c.startswith("train_loss_m")])
+    metrics = RunMetrics(num_models=n)
+    if header != metrics.header():
         raise DataError(f"unexpected metrics header in {path}")
-    metrics = RunMetrics(num_models=len(train_cols))
-    n = len(train_cols)
     for line_no, parts in enumerate(reader, start=2):
         if len(parts) != len(header):
             raise DataError(f"{path}:{line_no}: wrong field count")
@@ -117,22 +129,6 @@ def read_csv(path) -> RunMetrics:
     if not metrics.rows:
         raise DataError(f"no data rows in {path}")
     return metrics
-
-
-def emit_plot_columns(metrics: RunMetrics, out_dir) -> None:
-    """Whitespace-column .dat files (gnuplot-style) next to the CSV: each
-    holds the step and its span of ``_cells``."""
-    cells = _cells(metrics)
-    n = metrics.num_models
-    for name, cols, start in (
-            ("accuracy.dat", ["test_acc"], 1),
-            ("test_loss.dat", ["test_loss"], 2),
-            ("train_loss.dat", [f"model{i + 1}" for i in range(n)], 3),
-            ("mask.dat", ["mask_ratio", "pseudo_acc"], 3 + n)):
-        lines = [["#", "step", *cols]]
-        lines += [[row[0], *row[start:start + len(cols)]] for row in cells]
-        with open(os.path.join(out_dir, name), "w", encoding="ascii") as fh:
-            fh.write("".join(" ".join(line) + "\n" for line in lines))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ a field added to a class is written with no further code.  ``evaluate``
 scores a stack on the test set, each number averaged over its models,
 and multiplies a large set's first layer in row chunks.
 ``DivergenceError`` is the one report of a non-finite value inside the
-loop.
+loop.  ``train`` appends each eval point's row to the history files as
+it is recorded (``metrics.append_row``); checkpoints come after the loop.
 """
 from __future__ import annotations
 
@@ -56,11 +57,10 @@ from .data import MaskedDataset
 from .errors import ConfigError, DivergenceError
 from .fusion import SOURCES, FusionConfig, fuse_batch
 from .losses import ObjectiveConfig, supervised_loss
-from .metrics import MetricsRow, RunMetrics, emit_csv, emit_plot_columns
+from .metrics import MetricsRow, RunMetrics, append_row
 from .predictor import ModelStack, init_model, save_checkpoint
 
 CONFIG_FILENAME = "config.resolved"
-METRICS_FILENAME = "metrics.csv"
 
 
 @dataclass(frozen=True)
@@ -450,7 +450,8 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
           out_dir) -> str:
     """Run the loop and write the run directory ``out_dir``, new or empty,
     so no earlier run's file sits beside this run's; returns its path.  A
-    dataset or test set that cannot make a run leaves no directory."""
+    dataset or test set that cannot make a run leaves no directory.  A run
+    that stops early keeps its rows; only a finished run checkpoints."""
     if os.path.exists(out_dir) and (not os.path.isdir(out_dir)
                                     or os.listdir(out_dir)):
         raise ConfigError(f"run directory {out_dir} exists and is not an "
@@ -482,7 +483,8 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
             # free this step's batch before the next one is drawn
             del labeled, u_feats, u_true
             if state.step == 1:
-                metrics.append(_metrics_row(last, 0, initial_eval))
+                append_row(metrics, _metrics_row(last, 0, initial_eval),
+                           out_dir)
             if state.step > cfg.steps:
                 break
             if (cfg.dump_predictions_every
@@ -491,15 +493,12 @@ def train(cfg: TrainConfig, ds: MaskedDataset, test: MaskedDataset,
                     out_dir, f"predictions-step{state.step}.csv"),
                     last.weak_probs)
             if state.step % cfg.eval_every == 0 or state.step == cfg.steps:
-                metrics.append(_metrics_row(last, state.step,
-                                            evaluate(state.stack, test)))
+                append_row(metrics, _metrics_row(
+                    last, state.step, evaluate(state.stack, test)), out_dir)
     # a later step's losses catch a diverged update; the last has no later
     # step, and with the warnings off nothing else would report it
     for tensor in final.weights + final.biases:
         _check_finite(cfg.steps, "parameter", tensor)
-
-    emit_csv(metrics, os.path.join(out_dir, METRICS_FILENAME))
-    emit_plot_columns(metrics, out_dir)
     for i, params in enumerate(final.models()):
         save_checkpoint(params, os.path.join(
             out_dir, f"ckpt-model{i + 1}-step{cfg.steps}"))

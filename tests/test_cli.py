@@ -2,9 +2,11 @@ import argparse
 import os
 import re
 import shutil
+import signal
 import string
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +32,8 @@ from copseudo.errors import CopseudoError
 from copseudo.fusion import (FusionConfig, fuse_batch, fuse_cascade,
                              fuse_pair, fuse_single)
 from copseudo.losses import ObjectiveConfig
-from copseudo.metrics import (MetricsRow, RunMetrics, compare_runs, emit_csv,
-                              read_csv)
+from copseudo.metrics import (MetricsRow, RunMetrics, append_row,
+                              compare_runs, read_csv)
 from copseudo.predictor import (
     EVAL_CHUNK_ROWS,
     ModelParams,
@@ -129,6 +131,17 @@ class TestGenData:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: --mnar needs p0= (plus ptail= or gamma=) or retention=\n")
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_mnar_gamma_must_be_finite(self, tmp_path, capsys, gamma):
+        out = tmp_path / "d.txt"
+        code = main(["gen-data", "--synthetic", "C=4", "n=10", "--mnar",
+                     "p0=0.5", f"gamma={gamma}", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: gamma must be a positive finite real\n")
+        assert not out.exists()
 
     def test_mnar_retention_list(self, tmp_path):
         out = tmp_path / "d.txt"
@@ -231,6 +244,47 @@ class TestTrainCommand:
         assert "--seed must be a non-negative integer, got -1" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("mu", ["nan", "inf"])
+    def test_non_finite_mu_exits_2_naming_mu(self, synth_files, tmp_path,
+                                              capsys, mu):
+        out = tmp_path / "run"
+        assert quick_train(*synth_files, out, ("--mu", mu)) == 2
+        assert capsys.readouterr().err == ("error: invalid objective config: "
+                                           "mu must be a positive finite real\n")
+        assert not out.exists()
+
+    def test_non_finite_config_mu_exits_2_naming_mu(self, synth_files,
+                                                     tmp_path, capsys):
+        train_f, test_f = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu=nan\n")
+        code = main(["train", "--config", str(cfg), "--data", str(train_f),
+                     "--test", str(test_f), "--out", str(tmp_path / "run"),
+                     "--seed", "5"])
+        assert code == 2
+        assert "mu must be a positive finite real" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("models", ["0", "-1"])
+    def test_models_below_one_is_named(self, synth_files, tmp_path, capsys,
+                                       models):
+        out = tmp_path / "run"
+        assert quick_train(*synth_files, out, ("--models", models)) == 2
+        assert capsys.readouterr().err == (
+            f"error: --models must be >= 1, got {models}\n")
+        assert not out.exists()
+
+    def test_config_models_below_one_names_key(self, synth_files, tmp_path,
+                                               capsys):
+        train_f, test_f = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("models=0\n")
+        code = main(["train", "--config", str(cfg), "--data", str(train_f),
+                     "--test", str(test_f), "--out", str(tmp_path / "run"),
+                     "--seed", "5"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: config key models must be >= 1, got 0\n")
 
     def test_negative_config_seed_names_key(self, synth_files, tmp_path, capsys):
         train_f, test_f = synth_files
@@ -553,11 +607,46 @@ class TestTrainCommand:
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_4_naming_the_step(synth_files, tmp_path, capsys):
-    code = quick_train(*synth_files, tmp_path / "run",
-                       ("--steps", "400", "--lr", "1e8"))
-    assert code == 4
-    assert re.search(r"error: training diverged at step \d+: model \d",
-                     capsys.readouterr().err)
+    out = tmp_path / "run"
+    assert quick_train(*synth_files, out, ("--steps", "400", "--lr", "1e8")) == 4
+    step = int(re.fullmatch(r"error: training diverged at step (\d+): model "
+                            r"\d .*\n", capsys.readouterr().err).group(1))
+    # the rows recorded before the divergence stay on disk
+    rows = read_csv(out / "metrics.csv").rows
+    assert [r.step for r in rows] == [0, *range(2, step, 2)]
+    assert not list(out.glob("ckpt-*"))
+
+
+def test_a_killed_run_keeps_its_recorded_rows(synth_files, tmp_path):
+    # row 0 is appended once step 1 has run; the child then trains far
+    # past it, records no other row, and is killed with SIGKILL
+    train_f, test_f = synth_files
+    out = tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=str(Path(copseudo.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "copseudo.cli", "train", "--data", str(train_f),
+         "--test", str(test_f), "--out", str(out), "--seed", "5",
+         "--steps", "1000000", "--eval-every", "1000000", "--batch-size", "8",
+         "--mu", "2.0", "--hidden", "8"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+    metrics = out / "metrics.csv"
+    try:
+        deadline = time.monotonic() + 60
+        head = []
+        while len(head) < 2:
+            assert child.poll() is None, "the run ended before it was killed"
+            assert time.monotonic() < deadline, "no row 0 within 60 s"
+            time.sleep(0.01)
+            if metrics.exists():
+                lines = metrics.read_text().splitlines(keepends=True)
+                head = [ln for ln in lines if ln.endswith("\n")][:2]
+    finally:
+        child.kill()
+        child.wait(timeout=60)
+    assert child.returncode == -signal.SIGKILL
+    assert metrics.read_text().startswith("".join(head))
+    assert head[0].startswith("step,test_acc,")
+    assert [r.step for r in read_csv(metrics).rows] == [0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1434,10 +1523,15 @@ def good_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("readers")
     rng = np.random.default_rng(3)
     labels, missing = np.array([0, 2, 1, 2]), np.array([0, 1, 0, 1], np.uint8)
-    metrics = RunMetrics(num_models=2)
-    for step in (2, 4):
-        metrics.append(MetricsRow(step, 0.5, 1.25, (0.75, 0.5), 0.25, 1.0,
-                                  (1, 0, 2, 1, 4)))
+
+    def write_metrics(path):
+        history, metrics = root / "history", RunMetrics(num_models=2)
+        history.mkdir()
+        for step in (2, 4):
+            append_row(metrics, MetricsRow(step, 0.5, 1.25, (0.75, 0.5), 0.25,
+                                           1.0, (1, 0, 2, 1, 4)), history)
+        os.replace(history / "metrics.csv", path)
+
     writers = {
         "dataset-v2": (load_dataset, lambda p: save_dataset(MaskedDataset(
             rng.random((4, 2)), labels, missing, 3), p)),
@@ -1447,7 +1541,7 @@ def good_files(tmp_path_factory):
                 missing, 3, feature_shape=(3, 2, 2)), p)),
         "checkpoint": (load_checkpoint,
                        lambda p: save_checkpoint(init_model((2, 3, 2), 0), p)),
-        "metrics": (read_csv, lambda p: emit_csv(metrics, p)),
+        "metrics": (read_csv, write_metrics),
         "predictions": (cli_mod.read_predictions,
                         lambda p: p.write_text(PAIR_EXAMPLES)),
         "cifar10": (read_cifar10_batch, lambda p: write_cifar10_batch(

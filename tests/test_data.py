@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -198,6 +199,14 @@ class TestGeometricRetention:
             geometric_retention(4, p0=0.5)
         with pytest.raises(ConfigError):
             geometric_retention(4, p0=0.5, gamma=-1.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0])
+    def test_rejects_a_gamma_that_is_not_positive_and_finite(self, gamma):
+        # min(1.0, nan) is 1.0, so a NaN gamma used to keep every label of
+        # the classes after the first
+        with pytest.raises(ConfigError,
+                           match="^gamma must be a positive finite real$"):
+            geometric_retention(4, p0=0.5, gamma=gamma)
 
     def test_rejects_zero_classes(self):
         with pytest.raises(ConfigError, match="^num_classes must be >= 1$"):

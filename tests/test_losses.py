@@ -44,6 +44,13 @@ class TestObjectiveConfig:
         with pytest.raises(ConfigError):
             ObjectiveConfig(batch_size=0)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_is_reported_without_its_product(self, mu):
+        # mu * batch_size is checked only for a mu that passed its own check
+        with pytest.raises(ConfigError, match="^invalid objective config: mu "
+                                              "must be a positive finite real$"):
+            ObjectiveConfig(mu=mu, batch_size=4)
+
 
 class TestSupervisedLoss:
     def test_perfect_predictions(self):

@@ -8,9 +8,8 @@ from copseudo.metrics import (
     MetricsRow,
     RunComparison,
     RunMetrics,
+    append_row,
     compare_runs,
-    emit_csv,
-    emit_plot_columns,
     read_csv,
 )
 
@@ -65,12 +64,12 @@ class TestRunMetrics:
 
 class TestCsvRoundTrip:
     def test_file_layout(self, tmp_path):
-        m = RunMetrics(num_models=2)
-        m.append(make_row(0, test_acc=0.25, test_loss=1.3862943611198906,
-                          train_losses=(1.25, 1.5), mask_ratio=0.0,
-                          pseudo_acc=1.0, sources=(0, 0, 0, 0, 64)))
+        append_row(RunMetrics(num_models=2),
+                   make_row(0, test_acc=0.25, test_loss=1.3862943611198906,
+                            train_losses=(1.25, 1.5), mask_ratio=0.0,
+                            pseudo_acc=1.0, sources=(0, 0, 0, 0, 64)),
+                   tmp_path)
         path = tmp_path / "metrics.csv"
-        emit_csv(m, path)
         lines = path.read_text(encoding="ascii").split("\n")
         assert lines[0] == ("step,test_acc,test_loss,train_loss_m1,"
                             "train_loss_m2,mask_ratio,pseudo_acc,src_both,"
@@ -79,11 +78,10 @@ class TestCsvRoundTrip:
         assert lines[2] == ""
 
     def test_floats_at_nine_significant_digits(self, tmp_path):
-        m = RunMetrics(num_models=1)
-        m.append(make_row(1, test_acc=1 / 3, test_loss=math.pi,
-                          train_losses=(2 / 7,)))
+        append_row(RunMetrics(num_models=1),
+                   make_row(1, test_acc=1 / 3, test_loss=math.pi,
+                            train_losses=(2 / 7,)), tmp_path)
         path = tmp_path / "metrics.csv"
-        emit_csv(m, path)
         parts = path.read_text(encoding="ascii").split("\n")[1].split(",")
         assert parts[1] == "0.333333333"
         assert parts[2] == "3.14159265"
@@ -91,11 +89,11 @@ class TestCsvRoundTrip:
 
     def test_round_trip(self, tmp_path):
         m = RunMetrics(num_models=2)
-        m.append(make_row(0, test_acc=0.123456789, train_losses=(1.9, 0.37)))
-        m.append(make_row(50, test_acc=0.987654321, mask_ratio=1.0))
-        path = tmp_path / "metrics.csv"
-        emit_csv(m, path)
-        back = read_csv(path)
+        append_row(m, make_row(0, test_acc=0.123456789,
+                               train_losses=(1.9, 0.37)), tmp_path)
+        append_row(m, make_row(50, test_acc=0.987654321, mask_ratio=1.0),
+                   tmp_path)
+        back = read_csv(tmp_path / "metrics.csv")
         assert back.num_models == 2
         assert [r.step for r in back.rows] == [0, 50]
         for orig, parsed in zip(m.rows, back.rows):
@@ -106,9 +104,32 @@ class TestCsvRoundTrip:
                          (parsed.mask_ratio, orig.mask_ratio)):
                 assert a == pytest.approx(b, rel=1e-8)
 
-    def test_emit_rejects_empty(self, tmp_path):
-        with pytest.raises(ConfigError, match="no rows"):
-            emit_csv(RunMetrics(num_models=2), tmp_path / "metrics.csv")
+    def test_each_row_is_appended_as_it_is_recorded(self, tmp_path):
+        m = RunMetrics(num_models=2)
+        seen = []
+        for step in (0, 5, 10):
+            append_row(m, make_row(step, test_acc=step / 20), tmp_path)
+            seen.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
+        assert sorted(seen[0]) == ["accuracy.dat", "mask.dat", "metrics.csv",
+                                   "test_loss.dat", "train_loss.dat"]
+        for before, after in zip(seen, seen[1:]):
+            for name, data in before.items():
+                assert after[name].startswith(data)
+                assert after[name].count(b"\n") == data.count(b"\n") + 1
+        assert [r.step for r in read_csv(tmp_path / "metrics.csv").rows] == \
+            [0, 5, 10]
+
+    def test_rejected_row_writes_nothing(self, tmp_path):
+        m = RunMetrics(num_models=2)
+        with pytest.raises(ConfigError, match="ratios"):
+            append_row(m, make_row(0, mask_ratio=1.5), tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        append_row(m, make_row(0), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            append_row(m, make_row(0), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert len(m.rows) == 1
 
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="missing metrics file"):
@@ -134,10 +155,9 @@ class TestCsvRoundTrip:
             read_csv(path)
 
     def test_read_wrong_field_count_names_line(self, tmp_path):
-        m = RunMetrics(num_models=1)
-        m.append(make_row(0, train_losses=(1.0,)))
+        append_row(RunMetrics(num_models=1), make_row(0, train_losses=(1.0,)),
+                   tmp_path)
         path = tmp_path / "metrics.csv"
-        emit_csv(m, path)
         with open(path, "a") as fh:
             fh.write("50,0.5\n")
         with pytest.raises(DataError, match=r":3: wrong field count"):
@@ -148,10 +168,9 @@ class TestCsvRoundTrip:
         ("50,0.5,1,1,1.5,1,0,0,0,0,8", "ratios must lie in"),
     ], ids=["repeated-step", "ratio-above-1"])
     def test_read_row_check_failures_name_line(self, tmp_path, row, problem):
-        m = RunMetrics(num_models=1)
-        m.append(make_row(0, train_losses=(1.0,)))
+        append_row(RunMetrics(num_models=1), make_row(0, train_losses=(1.0,)),
+                   tmp_path)
         path = tmp_path / "metrics.csv"
-        emit_csv(m, path)
         with open(path, "a") as fh:
             fh.write(row + "\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: "
@@ -159,10 +178,9 @@ class TestCsvRoundTrip:
             read_csv(path)
 
     def test_read_non_numeric_names_line(self, tmp_path):
-        m = RunMetrics(num_models=1)
-        m.append(make_row(0, train_losses=(1.0,)))
+        append_row(RunMetrics(num_models=1), make_row(0, train_losses=(1.0,)),
+                   tmp_path)
         path = tmp_path / "metrics.csv"
-        emit_csv(m, path)
         text = path.read_text().replace("0.5", "oops")
         path.write_text(text)
         with pytest.raises(DataError, match=":2:"):
@@ -172,9 +190,10 @@ class TestCsvRoundTrip:
 class TestPlotColumns:
     def test_files_and_content(self, tmp_path):
         m = RunMetrics(num_models=2)
-        m.append(make_row(0, test_acc=0.25, train_losses=(1.5, 1.25)))
-        m.append(make_row(50, test_acc=0.5, train_losses=(0.75, 0.5)))
-        emit_plot_columns(m, tmp_path)
+        append_row(m, make_row(0, test_acc=0.25, train_losses=(1.5, 1.25)),
+                   tmp_path)
+        append_row(m, make_row(50, test_acc=0.5, train_losses=(0.75, 0.5)),
+                   tmp_path)
         acc = (tmp_path / "accuracy.dat").read_text().split("\n")
         assert acc[0] == "# step test_acc"
         assert acc[1] == "0 0.25"
@@ -189,12 +208,10 @@ class TestPlotColumns:
 
     def test_each_file_is_the_step_and_its_csv_columns(self, tmp_path):
         m = RunMetrics(num_models=3)
-        m.append(make_row(0, test_acc=1 / 3, test_loss=math.pi,
-                          train_losses=(2 / 7, 1.5, 1e-12)))
-        m.append(make_row(10, test_acc=0.5, train_losses=(0.1, 0.2, 0.3),
-                          mask_ratio=1.0, pseudo_acc=0.0))
-        emit_csv(m, tmp_path / "metrics.csv")
-        emit_plot_columns(m, tmp_path)
+        append_row(m, make_row(0, test_acc=1 / 3, test_loss=math.pi,
+                               train_losses=(2 / 7, 1.5, 1e-12)), tmp_path)
+        append_row(m, make_row(10, test_acc=0.5, train_losses=(0.1, 0.2, 0.3),
+                               mask_ratio=1.0, pseudo_acc=0.0), tmp_path)
         csv_lines = (tmp_path / "metrics.csv").read_text().splitlines()
         header = csv_lines[0].split(",")
         rows = [line.split(",") for line in csv_lines[1:]]
@@ -209,11 +226,6 @@ class TestPlotColumns:
             want = [f"# step {title}"]
             want += [" ".join(row[i] for i in at) for row in rows]
             assert (tmp_path / name).read_text() == "\n".join(want) + "\n"
-
-    def test_rejects_empty(self, tmp_path):
-        with pytest.raises(ConfigError, match="^no rows$"):
-            emit_plot_columns(RunMetrics(num_models=2), tmp_path)
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestCompareRuns:

@@ -1184,11 +1184,43 @@ class TestDivergence:
             stack.biases[0][1, 0] = np.nan
 
         monkeypatch.setattr(ModelStack, "sgd_step", poisoned)
+        out = tmp_path / "run"
         with pytest.raises(DivergenceError,
                            match="diverged at step 1: model 2 parameter"):
-            train(small_config(steps=1), tiny_dataset(), eval_set(),
-                  tmp_path / "run")
-        assert not (tmp_path / "run" / "metrics.csv").exists()
+            train(small_config(steps=1), tiny_dataset(), eval_set(), out)
+        # both rows were recorded before the last update's check
+        assert [r.step for r in read_csv(out / "metrics.csv").rows] == [0, 1]
+        assert not list(out.glob("ckpt-*"))
+
+    def test_mid_run_divergence_keeps_the_recorded_rows(self, tmp_path,
+                                                        monkeypatch):
+        # a run whose fifth update turns model 2 non-finite stops at step 6;
+        # the rows of steps 0, 2 and 4 are on disk, with the bytes of a run
+        # that stops at step 4
+        finished = tmp_path / "finished"
+        train(small_config(steps=4, eval_every=2), tiny_dataset(), eval_set(),
+              finished)
+        real, updates = ModelStack.sgd_step, []
+
+        def poisoned(stack, grads, lr):
+            real(stack, grads, lr)
+            updates.append(lr)
+            if len(updates) == 5:
+                stack.weights[0][1, 0, 0] = np.nan
+
+        monkeypatch.setattr(ModelStack, "sgd_step", poisoned)
+        out = tmp_path / "run"
+        with pytest.raises(DivergenceError, match=(
+                "^training diverged at step 6: model 2 supervised loss")):
+            train(small_config(steps=10, eval_every=2), tiny_dataset(),
+                  eval_set(), out)
+        history = ("metrics.csv", "accuracy.dat", "test_loss.dat",
+                   "train_loss.dat", "mask.dat")
+        for name in history:
+            assert (out / name).read_bytes() == (finished / name).read_bytes()
+        assert [r.step for r in read_csv(out / "metrics.csv").rows] == [0, 2, 4]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ("config.resolved",) + history)
 
 
 class TestHiddenLabelIsolation:
