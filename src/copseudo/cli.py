@@ -2,10 +2,10 @@
 
 Subcommands: ``gen-data`` (synthetic or CIFAR-10 datasets with optional
 label hiding), ``train`` (the multi-model loop), ``fuse-trace`` (offline
-re-execution of fusion on a predictions dump), ``select-subset``
-(agreement-based pseudo-label promotion, the first half of a
-select-then-retrain recipe), and ``compare`` (delta report between two
-runs).
+re-execution of fusion on a predictions dump, read and checked by
+``trainer.read_predictions``), ``select-subset`` (agreement-based
+pseudo-label promotion, the first half of a select-then-retrain recipe),
+and ``compare`` (delta report between two runs).
 
 The config classes hold every setting of a run and its default:
 ``train`` and ``fuse-trace`` pass a class only the fields a flag or the
@@ -36,12 +36,11 @@ from .data import (
     save_dataset,
 )
 from .errors import ConfigError, DataError
-from .fusion import (FusionConfig, first_invalid_row, fuse_batch,
-                     select_debias_subset)
+from .fusion import FusionConfig, fuse_batch, select_debias_subset
 from .losses import ObjectiveConfig
 from .metrics import METRICS_FILENAME, compare_runs, read_csv
 from .predictor import load_checkpoint, predict_models
-from .trainer import SeedPlan, TrainConfig, train
+from .trainer import SeedPlan, TrainConfig, read_predictions, train
 
 # profile presets: "paper" mirrors the image-benchmark hyperparameters,
 # "desk" shrinks the batch geometry for laptop-scale experiments
@@ -483,77 +482,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def read_predictions(path):
-    """Parse item,model,p0.. rows into (item_ids, per-item model prob lists)."""
-    if not os.path.isfile(path):
-        raise DataError(f"missing predictions file: {path}")
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    if not lines or not lines[0]:
-        raise DataError(f"{path}: empty predictions file")
-    header = lines[0].split(",")
-    num_classes = len(header) - 2
-    if (header[:2] != ["item", "model"] or num_classes < 2
-            or header[2:] != [f"p{c}" for c in range(num_classes)]):
-        raise DataError(f"{path}:1: expected header item,model,p0,p1,...")
-    grouped: dict = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise DataError(f"{path}:{line_no}: expected {len(header)} "
-                            f"fields, got {len(parts)}")
-        try:
-            item = int(parts[0])
-            model = int(parts[1])
-            probs = np.array([float(v) for v in parts[2:]])
-        except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from None
-        if item < 0:
-            raise DataError(f"{path}:{line_no}: negative item id {item}")
-        grouped.setdefault(item, {})
-        if model in grouped[item]:
-            raise DataError(f"{path}:{line_no}: duplicate row for item "
-                            f"{item} model {model}")
-        grouped[item][model] = probs
-    if not grouped:
-        raise DataError(f"{path}: no items")
-    n = max(max(models) for models in grouped.values())
-    item_ids = sorted(grouped)
-    preds = []
-    for item in item_ids:
-        have = sorted(grouped[item])
-        if have != list(range(1, n + 1)):
-            raise DataError(f"{path}: item {item} has models {have}, "
-                            f"expected 1..{n}")
-        preds.append([grouped[item][m] for m in range(1, n + 1)])
-    return item_ids, preds
-
-
 def cmd_fuse_trace(args) -> int:
     if args.seed is None:
         raise ConfigError("seed required")
     problems = _negative_values([("--seed", args.seed), ("--step", args.step)])
     if problems:
         raise ConfigError("; ".join(problems))
-    item_ids, preds = read_predictions(args.predictions)
-    models = len(preds[0])
+    item_ids, probs = read_predictions(args.predictions)
+    models = probs.shape[1]
     fusion_kw = _fusion_kw(Resolver(args, {}), models, problems)
     if problems:
         raise ConfigError("; ".join(problems))
     cfg = FusionConfig(**fusion_kw)
-
-    probs = np.stack([np.stack(p) for p in preds], axis=1)
-    bad = first_invalid_row(probs)
-    if bad:
-        b, m, what = bad
-        raise DataError(f"{args.predictions}: item {item_ids[b]} model "
-                        f"{m + 1} prediction {what}")
-    fused = fuse_batch(probs, cfg, args.seed, args.step, items=item_ids)
+    fused = fuse_batch(probs.swapaxes(0, 1), cfg, args.seed, args.step,
+                       items=item_ids)
 
     def blank_if_none(value):
         return "" if value is None else str(value)

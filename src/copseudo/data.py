@@ -123,8 +123,13 @@ def geometric_retention(num_classes: int, p0: float, gamma: float | None = None,
         gamma = 1.0 if num_classes == 1 else (p_tail / p0) ** (1.0 / (num_classes - 1))
     if not (gamma > 0 and math.isfinite(gamma)):
         raise ConfigError("gamma must be a positive finite real")
-    probs = [min(1.0, p0 * gamma ** c) for c in range(num_classes)]
-    return tuple(probs)
+    def retention(c):
+        try:
+            return min(1.0, p0 * gamma ** c)
+        except OverflowError:  # gamma ** c lies beyond the float range
+            return math.exp(min(0.0, math.log(p0) + c * math.log(gamma)))
+
+    return tuple(retention(c) for c in range(num_classes))
 
 
 class MaskedDataset:
@@ -290,8 +295,13 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> MaskedDataset:
         mean[0] = spec.class_separation * ux
         mean[1] = spec.class_separation * uy
         noise = rng.standard_normal((spec.samples_per_class, spec.dim))
-        blocks.append(mean + spec.noise_sigma * noise)
+        with np.errstate(over="ignore"):
+            blocks.append(mean + spec.noise_sigma * noise)
     features = np.concatenate(blocks, axis=0)
+    if not np.isfinite(features).all():
+        raise ConfigError(
+            f"invalid synthetic spec: class_separation {spec.class_separation:g}"
+            f" and noise_sigma {spec.noise_sigma:g} give non-finite features")
     labels = np.repeat(np.arange(spec.num_classes), spec.samples_per_class)
     missing = np.zeros(len(labels), dtype=np.uint8)
     return MaskedDataset(features, labels, missing, spec.num_classes)

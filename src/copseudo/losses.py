@@ -39,7 +39,8 @@ class ObjectiveConfig:
             problems.append("batch_size must be a positive integer")
         elif mu_ok:
             mu_b = self.mu * self.batch_size
-            if abs(mu_b - round(mu_b)) > 1e-9 or round(mu_b) < 1:
+            if (not math.isfinite(mu_b) or abs(mu_b - round(mu_b)) > 1e-9
+                    or round(mu_b) < 1):
                 problems.append("mu * batch_size must be a positive integer")
         if problems:
             raise ConfigError("invalid objective config: " + "; ".join(problems))

@@ -308,11 +308,15 @@ def _chunk_products(w: np.ndarray, load, buf: np.ndarray, out: np.ndarray,
     is computed from that row alone.
 
     The 64-row rule: a row's product in a chunk of a multiple of 64 rows
-    has the bits of that row's product in the whole matmul, so the first
-    layer may be chunked; a later layer's narrow matmul changes bits with
-    the row count, so it runs on the whole block.  The rule is
-    OpenBLAS's, measured and not derived (scipy-openblas 0.3.31 on an
-    AVX-512 Xeon, with 1, 2, 3, 4 and 8 BLAS threads).  Tests pin it
+    has the bits of that row's product in the whole matmul of the rows
+    padded with zero rows to a multiple of 64, so the first layer may be
+    chunked; a later layer's narrow matmul changes bits with the row
+    count, so it runs on the whole block.  Unpadded, the whole matmul
+    gives the same bits under the SkylakeX kernels but not under Haswell
+    or Zen, which compute a tail row of some odd row counts another way.
+    The rule is OpenBLAS's, measured and not derived (scipy-openblas
+    0.3.31 on an AVX-512 Xeon, with 1, 2, 3, 4 and 8 BLAS threads, and
+    with each kernel set forced by ``OPENBLAS_CORETYPE``).  Tests pin it
     where it is used: evaluation and ``select-subset`` in 1,024-row
     chunks and a tail padded to a multiple of 64 rows at first hidden
     widths 16 and 32, and ``first_layer_kept`` at batches 64 and 448,

@@ -41,6 +41,8 @@ and multiplies a large set's first layer in row chunks.
 ``DivergenceError`` is the one report of a non-finite value inside the
 loop.  ``train`` appends each eval point's row to the history files as
 it is recorded (``metrics.append_row``); checkpoints come after the loop.
+``_dump_predictions`` writes the weak-view dumps that ``fuse-trace``
+replays, and ``read_predictions`` parses and checks them.
 """
 from __future__ import annotations
 
@@ -54,8 +56,8 @@ import numpy as np
 
 from .augment import AugmentConfig, AugmentStream
 from .data import MaskedDataset
-from .errors import ConfigError, DivergenceError
-from .fusion import SOURCES, FusionConfig, fuse_batch
+from .errors import ConfigError, DataError, DivergenceError
+from .fusion import SOURCES, FusionConfig, first_invalid_row, fuse_batch
 from .losses import ObjectiveConfig, supervised_loss
 from .metrics import MetricsRow, RunMetrics, append_row
 from .predictor import ModelStack, init_model, save_checkpoint
@@ -202,6 +204,9 @@ class TrainerState:
         if num_labeled == 0 or ds.num_missing == 0:
             raise ConfigError("training data needs at least one labeled and one "
                               "unlabeled item")
+        if ds.num_classes < 2:
+            raise ConfigError(f"training data has {ds.num_classes} class, "
+                              "a run needs at least 2")
         if cfg.objective.batch_size > num_labeled:
             raise ConfigError(
                 f"batch size {cfg.objective.batch_size} exceeds the "
@@ -437,6 +442,62 @@ def _dump_predictions(path, weak_probs) -> None:
         cols = ",".join(f"p{c}" for c in range(num_classes))
         fh.write(f"item,model,{cols}\n")
         fh.write(row * (batch * n) % tuple(values))
+
+
+def read_predictions(path) -> tuple[list, np.ndarray]:
+    """Parse a ``_dump_predictions`` file into (item ids, ascending, and
+    their (items, models, classes) float64 probabilities), refusing an item
+    without a row for each model 1..n and a row that is no distribution."""
+    if not os.path.isfile(path):
+        raise DataError(f"missing predictions file: {path}")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if not lines[0]:
+        raise DataError(f"{path}: empty predictions file")
+    header = lines[0].split(",")
+    num_classes = len(header) - 2
+    if (header[:2] != ["item", "model"] or num_classes < 2
+            or header[2:] != [f"p{c}" for c in range(num_classes)]):
+        raise DataError(f"{path}:1: expected header item,model,p0,p1,...")
+    grouped: dict = {}
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != len(header):
+            raise DataError(f"{path}:{line_no}: expected {len(header)} "
+                            f"fields, got {len(parts)}")
+        try:
+            item, model = int(parts[0]), int(parts[1])
+            row = [float(v) for v in parts[2:]]
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from None
+        if item < 0:
+            raise DataError(f"{path}:{line_no}: negative item id {item}")
+        rows = grouped.setdefault(item, {})
+        if model in rows:
+            raise DataError(f"{path}:{line_no}: duplicate row for item "
+                            f"{item} model {model}")
+        rows[model] = row
+    if not grouped:
+        raise DataError(f"{path}: no items")
+    n = max(max(rows) for rows in grouped.values())
+    item_ids = sorted(grouped)
+    for item in item_ids:
+        if sorted(grouped[item]) != list(range(1, n + 1)):
+            raise DataError(f"{path}: item {item} has models "
+                            f"{sorted(grouped[item])}, expected 1..{n}")
+    probs = np.array([[grouped[item][m] for m in range(1, n + 1)]
+                      for item in item_ids])
+    bad = first_invalid_row(probs.swapaxes(0, 1))
+    if bad:
+        b, m, what = bad
+        raise DataError(f"{path}: item {item_ids[b]} model {m + 1} "
+                        f"prediction {what}")
+    return item_ids, probs
 
 
 def _metrics_row(last: StepMetrics, step: int, evaluated) -> MetricsRow:

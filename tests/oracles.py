@@ -36,7 +36,9 @@ built as a new ``Gradients``, where the trainer adds each unlabeled
 pass's scaled gradient into the supervised one in place.
 ``reference_evaluate`` scores models on a whole float64 feature block,
 one ``@`` per layer and model, where ``trainer.evaluate`` multiplies a
-large test set's first layer in row chunks.
+large test set's first layer in row chunks; for such a set the oracle's
+first ``@`` takes the block padded with zero rows to a multiple of 64, as
+does ``reference_predict_proba``'s (``_evaluation_product``).
 """
 import math
 from dataclasses import dataclass
@@ -61,7 +63,8 @@ from copseudo.fusion import (
     FusionDecision,
 )
 from copseudo.losses import _PROB_FLOOR
-from copseudo.predictor import Gradients, ModelParams
+from copseudo.predictor import (CHUNK_ALIGN, EVAL_CHUNK_ROWS, Gradients,
+                                ModelParams)
 
 
 def weighted_ce_loss(params: ModelParams, xs, targets, weights) -> float:
@@ -385,12 +388,35 @@ def _reference_check_batch(params: ModelParams, xs: np.ndarray) -> np.ndarray:
     return xs
 
 
-def reference_forward(params: ModelParams, xs: np.ndarray):
-    """Returns (per-layer activations starting with xs, log-probabilities)."""
+def _evaluation_product(xs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``xs @ w`` as evaluation forms a first layer: a set of more than
+    ``EVAL_CHUNK_ROWS`` rows is multiplied with zero rows appended up to a
+    multiple of ``CHUNK_ALIGN`` (the 64-row rule of
+    ``predictor._chunk_products``), a smaller set as it is.  Under
+    OpenBLAS's Haswell and Zen kernels the unpadded product of such a set
+    has other bits in a tail row; the padded one equals the chunked
+    product on those kernels and on SkylakeX.  Padding a smaller set
+    would change bits on SkylakeX, where the program does not pad it."""
+    m = len(xs)
+    if m <= EVAL_CHUNK_ROWS:
+        return xs @ w
+    padded = np.zeros((-(-m // CHUNK_ALIGN) * CHUNK_ALIGN, xs.shape[1]))
+    padded[:m] = xs
+    return (padded @ w)[:m]
+
+
+def reference_forward(params: ModelParams, xs: np.ndarray,
+                      evaluation: bool = False):
+    """Returns (per-layer activations starting with xs, log-probabilities);
+    ``evaluation`` forms the first layer's product as evaluation and
+    ``predict_models`` do (``_evaluation_product``)."""
     acts = [xs]
     h = xs
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = np.tanh(h @ w + b)
+    for layer, (w, b) in enumerate(zip(params.weights[:-1],
+                                       params.biases[:-1])):
+        product = (_evaluation_product(h, w) if evaluation and not layer
+                   else h @ w)
+        h = np.tanh(product + b)
         acts.append(h)
     logits = h @ params.weights[-1] + params.biases[-1]
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -400,7 +426,7 @@ def reference_forward(params: ModelParams, xs: np.ndarray):
 
 def reference_predict_proba(params: ModelParams, xs) -> np.ndarray:
     xs = _reference_check_batch(params, xs)
-    _, logp = reference_forward(params, xs)
+    _, logp = reference_forward(params, xs, evaluation=True)
     return np.exp(logp)
 
 
@@ -497,7 +523,7 @@ def reference_evaluate(models, features, labels):
     the (n, M, C) probabilities."""
     accs, losses, all_probs = [], [], []
     for params in models:
-        _, logp = reference_forward(params, features)
+        _, logp = reference_forward(params, features, evaluation=True)
         probs = np.exp(logp)
         accs.append((probs.argmax(axis=1) == labels).mean())
         picked = probs[np.arange(len(labels)), labels]

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import os
 import re
 import shutil
@@ -143,6 +145,28 @@ class TestGenData:
             "error: gamma must be a positive finite real\n")
         assert not out.exists()
 
+    def test_mnar_gamma_beyond_the_float_range_keeps_every_later_label(
+            self, tmp_path):
+        # gamma ** c overflowed and gen-data exited 4
+        out = tmp_path / "d.txt"
+        code = main(["gen-data", "--synthetic", "C=4", "n=10", "--mnar",
+                     "p0=0.5", "gamma=1e308", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 0
+        ds = load_dataset(out)
+        assert (ds.missing[ds.eval_labels() >= 1] == 0).all()
+
+    def test_synthetic_sigma_beyond_the_float_range_is_named(self, tmp_path,
+                                                            capsys):
+        out = tmp_path / "d.txt"
+        code = main(["gen-data", "--synthetic", "C=4", "n=10", "sigma=1e308",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: invalid synthetic spec: class_separation 3 and "
+            "noise_sigma 1e+308 give non-finite features\n")
+        assert not out.exists()
+
     def test_mnar_retention_list(self, tmp_path):
         out = tmp_path / "d.txt"
         code = main(["gen-data", "--synthetic", "C=4", "n=25", "--mnar",
@@ -264,6 +288,38 @@ class TestTrainCommand:
                      "--seed", "5"])
         assert code == 2
         assert "mu must be a positive finite real" in capsys.readouterr().err
+
+    def test_mu_times_batch_beyond_the_float_range_exits_2(
+            self, synth_files, tmp_path, capsys):
+        # mu * batch_size overflowed to inf and exited 4, like a divergence
+        train_f, test_f = synth_files
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu=1e308\n")
+        want = ("error: invalid objective config: mu * batch_size must be a "
+                "positive integer\n")
+        for extra in (("--mu", "1e308"), ("--config", str(cfg))):
+            out = tmp_path / "run"
+            code = main(["train", "--data", str(train_f), "--test",
+                         str(test_f), "--out", str(out), "--seed", "5",
+                         "--profile", "desk", *extra])
+            assert code == 2
+            assert capsys.readouterr().err == want
+            assert not out.exists()
+
+    def test_one_class_training_set_is_refused(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        missing = np.repeat(np.array([0, 1], dtype=np.uint8), 20)
+        ds = MaskedDataset(rng.standard_normal((40, 2)), np.zeros(40, int),
+                           missing, 1)
+        save_dataset(ds, tmp_path / "one.ds")
+        save_dataset(ds.with_labels(ds.eval_labels(), np.zeros(40, np.uint8)),
+                     tmp_path / "one-test.ds")
+        out = tmp_path / "run"
+        assert quick_train(tmp_path / "one.ds", tmp_path / "one-test.ds",
+                           out) == 2
+        assert capsys.readouterr().err == (
+            "error: training data has 1 class, a run needs at least 2\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("models", ["0", "-1"])
     def test_models_below_one_is_named(self, synth_files, tmp_path, capsys,
@@ -1071,6 +1127,10 @@ class TestFuseTrace:
         code = main(["fuse-trace", str(tmp_path / "nope.csv"), "--seed", "0"])
         assert code == 3
 
+    def test_reads_the_dump_through_the_trainer_reader(self):
+        # the module that writes the dump format also reads it
+        assert cli_mod.read_predictions is trainer_mod.read_predictions
+
 
 class TestTraceReproducesRun:
     def test_dumped_predictions_refuse_to_same_mask_ratio(self, tmp_path):
@@ -1577,6 +1637,124 @@ class TestReadersRejectBadBytes:
             read(path)
         except CopseudoError as exc:
             assert str(path) in str(exc)
+
+
+# what a fuzzed number may be given as: the edges of a float, ints at and
+# below zero, a size no array can take, a non-number and nothing
+EDGE_VALUES = ["nan", "inf", "-inf", "-0.0", "0", "-1", "1e308", "x", ""]
+# train's numeric config keys, each with the small valid value an example
+# gives it unless the key is fuzzed
+TRAIN_NUMBERS = {
+    "seed": "5", "models": "2", "steps": "1", "eval_every": "1",
+    "hidden": "3", "lambda_u": "1.0", "mu": "1.0", "batch_size": "4",
+    "lr": "0.05", "momentum": "0.9", "weight_decay": "0.0005",
+    "dump_predictions_every": "1", "tau": "0.95", "tau2": "0.8",
+    "pseudo_weight": "0.5", "aug.sigma_weak": "0.05",
+    "aug.sigma_strong": "0.25", "aug.vector_drop_prob": "0.1",
+    "aug.image_shift_weak": "4", "aug.image_shift_strong": "8"}
+# gen-data's KEY=VALUE tokens, with their valid values; an --mnar example
+# gives p0 and one of gamma, ptail and retention
+SYNTHETIC_TOKENS = {"C": "4", "n": "10", "d": "2", "sep": "3.0",
+                    "sigma": "0.5"}
+MNAR_TOKENS = {"p0": "0.5", "gamma": "0.5", "ptail": "0.1",
+               "retention": "0.5,0.4,0.3,0.2"}
+# how a config class's message names what a token or key sets, where
+# that is not the key's last dotted part
+FIELD_NAMES = {"models": ("num_models",), "C": ("num_classes",),
+               "n": ("samples_per_class",), "d": ("dim",),
+               "sep": ("class_separation",), "sigma": ("noise_sigma",),
+               "ptail": ("p_tail",),
+               "tau2": ("tau_cascade", "cascade thresholds"),
+               "tau_cascade": ("cascade thresholds",)}
+
+
+def names_one_of(err: str, keys) -> bool:
+    """Whether ``err`` names one of ``keys``: as a config key, a flag or
+    the field it sets, as a word of its own."""
+    for key in keys:
+        fields = FIELD_NAMES.get(key, (key.split(".")[-1],))
+        for name in (key, "--" + key.replace(".", "-").replace("_", "-"),
+                     *fields):
+            if re.search(rf"(?<![\w.-]){re.escape(name)}(?![\w-])", err):
+                return True
+    return False
+
+
+class TestBoundaryFuzz:
+    """``main`` on train flags and config keys, and on gen-data tokens, one
+    of them an edge value and the rest valid and small: it finishes, or
+    exits 2 or 3 naming what was fuzzed, or exits 4 for a run that
+    diverged.  No other exit 4 (a crash) is allowed.  Each test draws
+    from every (key, value) case, about as many examples as there are
+    cases.  Every value that parses is at most 1, bar 1e308, which no
+    integer or size takes, so no example allocates more than a few kB."""
+
+    TRAIN_CASES = [(key, value, by_file)
+                   for key in sorted(TRAIN_NUMBERS) + ["tau_cascade"]
+                   for value in EDGE_VALUES for by_file in (False, True)]
+    GEN_DATA_CASES = [(flag, key, value)
+                      for flag, tokens in (("--synthetic", SYNTHETIC_TOKENS),
+                                           ("--mnar", MNAR_TOKENS))
+                      for key in tokens for value in EDGE_VALUES]
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        return (gen_synth(root / "train.ds", per_class=10, labeled=20, seed=1),
+                gen_synth(root / "test.ds", per_class=2, seed=2), root)
+
+    @staticmethod
+    def check(argv, key):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        err = err.getvalue()
+        if code == 4:
+            assert err.startswith("error: training diverged at step"), err
+        else:
+            assert code in (0, 2, 3), (code, err)
+        if code in (2, 3):
+            assert names_one_of(err, [key]), (key, err)
+
+    @given(case=st.sampled_from(TRAIN_CASES))
+    @settings(max_examples=len(TRAIN_CASES), deadline=None)
+    def test_train(self, files, case):
+        key, value, by_file = case
+        train_f, test_f, root = files
+        run = root / "run"
+        shutil.rmtree(run, ignore_errors=True)
+        values = dict(TRAIN_NUMBERS, **{key: value})
+        if key == "tau_cascade":
+            del values["tau2"]  # the two flags exclude each other
+        cfg = root / "run.cfg"
+        cfg.write_text(f"{key}={value}\n" if by_file else "")
+        argv = ["train", "--data", str(train_f), "--test", str(test_f),
+                "--out", str(run), "--config", str(cfg)]
+        argv += [f"--{k.replace('.', '-').replace('_', '-')}={v}"
+                 for k, v in values.items() if not (by_file and k == key)]
+        self.check(argv, key)
+
+    @given(case=st.sampled_from(GEN_DATA_CASES))
+    @settings(max_examples=len(GEN_DATA_CASES), deadline=None)
+    def test_gen_data(self, files, case):
+        flag, key, value = case
+        synthetic = dict(SYNTHETIC_TOKENS)
+        if flag == "--synthetic":
+            synthetic[key] = value
+        argv = ["gen-data", "--synthetic",
+                *(f"{k}={v}" for k, v in synthetic.items()),
+                "--seed", "3", "--out", str(files[2] / "gen.ds")]
+        if flag == "--mnar":
+            # p0 goes with exactly one of gamma and ptail, or retention alone
+            mnar = {"p0": MNAR_TOKENS["p0"], "gamma": MNAR_TOKENS["gamma"]}
+            if key in ("ptail", "retention"):
+                del mnar["gamma"]
+            if key == "retention":
+                del mnar["p0"]
+            mnar[key] = value
+            argv += ["--mnar", *(f"{k}={v}" for k, v in mnar.items())]
+        self.check(argv, key)
 
 
 class TestParserHygiene:

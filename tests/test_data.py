@@ -43,6 +43,15 @@ class TestSynthetic:
         np.testing.assert_array_equal(ds.eval_labels(), expected)
         assert ds.num_missing == 0
 
+    @pytest.mark.parametrize("sep, sigma", [(3.0, 1e308), (1.7e308, 1e308)])
+    def test_features_beyond_the_float_range_name_the_spec(self, sep, sigma):
+        # they were refused as "features must be finite", naming nothing
+        with pytest.raises(ConfigError, match=re.escape(
+                f"invalid synthetic spec: class_separation {sep:g} and "
+                f"noise_sigma {sigma:g} give non-finite features")):
+            generate_synthetic(make_spec(class_separation=sep,
+                                         noise_sigma=sigma), seed=7)
+
     def test_zero_noise_hits_exact_means(self):
         ds = generate_synthetic(make_spec(noise_sigma=0.0, samples_per_class=2,
                                           class_separation=3.0), seed=0)
@@ -191,6 +200,15 @@ class TestGeometricRetention:
     def test_caps_at_one(self):
         probs = geometric_retention(3, p0=1.0, gamma=1.0)
         assert probs == (1.0, 1.0, 1.0)
+
+    def test_a_power_beyond_the_float_range_is_capped(self):
+        # gamma ** c raised OverflowError, and gen-data exited 4
+        assert geometric_retention(4, p0=0.5, gamma=1e308) == (0.5, 1.0, 1.0,
+                                                               1.0)
+        # where p0 is small enough the product stays below 1 all the same
+        tiny = geometric_retention(3, p0=1e-315, gamma=1e155)
+        assert tiny[:2] == (1e-315, 1e-315 * 1e155)
+        assert tiny[2] == pytest.approx(1e-5, rel=1e-6)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ConfigError):

@@ -52,6 +52,15 @@ class TestObjectiveConfig:
             ObjectiveConfig(mu=mu, batch_size=4)
 
 
+    @pytest.mark.parametrize("mu", [1e308, 5e307])
+    def test_product_beyond_the_float_range_is_reported(self, mu):
+        # mu * batch_size overflows to inf, which round() cannot take
+        with pytest.raises(ConfigError, match="^invalid objective config: mu "
+                                              r"\* batch_size must be a "
+                                              "positive integer$"):
+            ObjectiveConfig(mu=mu, batch_size=4)
+
+
 class TestSupervisedLoss:
     def test_perfect_predictions(self):
         probs = np.eye(3)[[0, 1, 2]]

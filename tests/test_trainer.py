@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import copseudo.cli as cli_mod
 import copseudo.trainer as trainer_mod
 from copseudo.augment import AugmentConfig, AugmentStream
 from copseudo.data import (
@@ -19,7 +20,7 @@ from copseudo.data import (
     generate_synthetic,
     geometric_retention,
 )
-from copseudo.errors import ConfigError, DivergenceError
+from copseudo.errors import ConfigError, DataError, DivergenceError
 from copseudo.fusion import (
     SOURCE_NONE,
     SOURCE_OWN,
@@ -949,6 +950,19 @@ class TestTrainRunDirectory:
             train(cfg, ds, eval_set(), tmp_path / "x")
         assert not (tmp_path / "x").exists()
 
+    def test_one_class_training_set(self, tmp_path):
+        # it used to write config.resolved and fail at step 1, in fusion
+        ds = tiny_dataset()
+        one = MaskedDataset(ds.features, np.zeros(len(ds), dtype=np.int64),
+                            ds.missing, 1)
+        test = MaskedDataset(np.zeros((3, 2)), [0, 0, 0], [0, 0, 0], 1)
+        msg = "^training data has 1 class, a run needs at least 2$"
+        with pytest.raises(ConfigError, match=msg):
+            TrainerState(small_config(), one)
+        with pytest.raises(ConfigError, match=msg):
+            train(small_config(), one, test, tmp_path / "x")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("test, msg", [
         (tiny_dataset(seed=5), "^test set must be fully observed$"),
         (MaskedDataset(np.empty((0, 2)), [], [], 4), "^empty test set$"),
@@ -1114,7 +1128,7 @@ class TestPredictionDumpWriter:
         reference_dump_predictions(tmp_path / "want.csv", probs)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-    def test_random_doubles_round_trip(self, tmp_path):
+    def test_random_doubles_round_trip(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(5)
         bits = rng.integers(0, 2 ** 64, size=2 * 9 * 5, dtype=np.uint64)
         probs = bits.view(np.float64).reshape(2, 9, 5)
@@ -1123,11 +1137,28 @@ class TestPredictionDumpWriter:
         reference_dump_predictions(tmp_path / "want.csv", probs)
         got = (tmp_path / "got.csv").read_text()
         assert got == (tmp_path / "want.csv").read_text()
-        rows = [line.split(",") for line in got.splitlines()[1:]]
-        back = np.array([[float(v) for v in r[2:]] for r in rows])
-        np.testing.assert_array_equal(
-            back.view(np.uint64),
-            probs.transpose(1, 0, 2).reshape(-1, 5).view(np.uint64))
+        # random doubles are no distributions: the parse is checked alone
+        monkeypatch.setattr(trainer_mod, "first_invalid_row", lambda p: None)
+        item_ids, back = trainer_mod.read_predictions(tmp_path / "got.csv")
+        assert item_ids == list(range(9))
+        assert back.dtype == np.float64 and back.shape == (9, 2, 5)
+        assert back.tobytes() == probs.transpose(1, 0, 2).tobytes()
+
+    @pytest.mark.parametrize("row, what", [
+        ((0.5, 0.4, 0.05, 0.0), "does not sum to 1"),
+        ((0.5, np.nan, 0.5, 0.0), "is not a valid distribution"),
+        ((1.25, -0.25, 0.0, 0.0), "is not a valid distribution"),
+    ])
+    def test_reader_refuses_a_row_that_is_no_distribution(self, tmp_path,
+                                                          row, what):
+        probs = np.random.default_rng(3).dirichlet(np.ones(4), size=(3, 7))
+        probs[2, 4] = row
+        probs[1, 5] = row  # a later item's row is not the one named
+        path = tmp_path / "dump.csv"
+        trainer_mod._dump_predictions(path, probs)
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: item 4 model 3 prediction {what}") + "$"):
+            cli_mod.read_predictions(path)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
